@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -164,6 +165,9 @@ def _parse_value(key: str, spec: Key, text: str):
             val = text
     except ValueError as exc:
         raise ConfigError(f"key '{key}': cannot parse {text!r} as {spec.kind}") from exc
+    if spec.kind in ("float", "floats"):
+        if not all(math.isfinite(v) for v in (val if spec.kind == "floats" else (val,))):
+            raise ConfigError(f"key '{key}': {text!r} is not a finite number")
     if spec.choices is not None and val not in spec.choices:
         raise ConfigError(f"key '{key}': {val!r} not one of {spec.choices}")
     if spec.kind in ("int", "float"):
@@ -286,6 +290,17 @@ def svg_line_chart(chart: dict) -> str:
     return "\n".join(parts) + "\n"
 
 
+def _seed(text: str) -> int:
+    """``--seed`` values: integers in [0, 2^64)."""
+    try:
+        val = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+    if not 0 <= val < 2 ** 64:
+        raise argparse.ArgumentTypeError(f"{val} outside [0, 2^64)")
+    return val
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mixlab",
@@ -296,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in RUNNERS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="key = value configuration file")
-        sp.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+        sp.add_argument("--seed", type=_seed, default=0, help="master seed in [0, 2^64) (default 0)")
         sp.add_argument("--out", default=".", help="output directory (default .)")
         sp.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
         sp.add_argument("--svg", action="store_true", help="also emit a line chart")

@@ -40,7 +40,7 @@ from .measures import (
     validate_data_spec,
 )
 from .rng import Seed, derive, parallel_map
-from .stats import ks_sweep, projected_tv_vs_gaussian
+from .stats import coordinate_ks, projected_tv_vs_gaussian, sweep_coordinates
 
 
 @dataclass
@@ -90,7 +90,11 @@ def _merged_times(user_times, defaults, required) -> list[float]:
 
 def run_cutoff(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
     """Projected TV along the mode direction over a time grid, with the
-    onset/mixing verification at the two characteristic horizons."""
+    onset/mixing verification at the two characteristic horizons.
+
+    Each grid time costs O(n) whatever d is: the start projections come from
+    :meth:`MultiModalData.sample_projection` and evolve under the exact 1-D
+    OU transition."""
     d, eps = cfg["d"], cfg["eps"]
     R = cfg["R"]
     bound_r = max(math.sqrt(eps) * d ** 0.25, math.sqrt(2.0 * math.log(1.0 / eps)))
@@ -109,7 +113,9 @@ def run_cutoff(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
          (t_onset + t_mix) / 2, t_mix, 1.25 * t_mix, 1.5 * t_mix, 2 * t_mix],
         [t_onset, t_mix],
     )
-    ou = OUProcess(mu, d)
+    # <X_t, u> of the d-dimensional OU process is itself a 1-D OU process, so
+    # the statistic needs only the scalar projections of the start sample
+    ou = OUProcess(mu, 1)
     direction = spec.mode_direction
     bins = cfg.get("bins", 0) or None
     floor = (cfg["b_rho"] - eps) / 2.0
@@ -117,9 +123,9 @@ def run_cutoff(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
 
     def one(item):
         i, t = item
-        x0 = spec.sample(n, derive(seed, 1, i))
-        xt = ou.evolve(x0, t, derive(seed, 2, i))
-        return projected_tv_vs_gaussian(xt, direction, mu, bins=bins).value
+        y0 = spec.sample_projection(n, direction, derive(seed, 1, i))
+        yt = ou.evolve(y0[:, None], t, derive(seed, 2, i))
+        return projected_tv_vs_gaussian(yt, np.array([1.0]), mu, bins=bins).value
 
     tvs = parallel_map(one, list(enumerate(times)), threads)
     rows = [
@@ -256,15 +262,15 @@ def run_ks_sweep(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
     start = ou.invariant_measure() if R == 0 else R * np.ones(d) / math.sqrt(d)
 
     def one(rep):
-        raw = ks_sweep(ou, start, mu, times, derive(seed, 7, rep))
-        std = ks_sweep(ou, start, mu, times, derive(seed, 7, rep), standardize=True)
-        return raw, std
+        # raw and standardized statistics read the same simulated coordinates
+        return [(t, coordinate_ks(coords, mu), coordinate_ks(coords, mu, standardize=True))
+                for t, coords in sweep_coordinates(ou, start, times, derive(seed, 7, rep))]
 
     outs = parallel_map(one, list(range(reps)), threads)
     rows = []
     stats_by_time = {t: [] for t in times}
-    for rep, (raw, std) in enumerate(outs):
-        for (t, kr), (_, ks) in zip(raw, std):
+    for rep, sweep in enumerate(outs):
+        for t, kr, ks in sweep:
             rows.append({"t": t, "rep": rep, "ks_stat": kr.statistic, "ks_p": kr.p_value,
                          "ks_stat_std": ks.statistic, "ks_p_std": ks.p_value})
             stats_by_time[t].append((kr.statistic, kr.p_value, ks.statistic, ks.p_value))

@@ -18,7 +18,7 @@ from .errors import DivergenceError, DomainError, StructuralError
 from .measures import RadialProfile, SphericalMeasure
 from .rng import Seed, substream
 
-# |x| beyond this radius aborts integration as a numerical blow-up
+# |x| beyond this radius, or a NaN coordinate, aborts integration as a numerical blow-up
 DIVERGENCE_RADIUS = 1e12
 
 
@@ -173,9 +173,9 @@ class TemperedLangevin:
             b = self.drift(state)
             s = self.dispersion_scalar(state)
             state = state + b * dt + (s * math.sqrt(dt))[:, None] * rng.standard_normal(state.shape)
-            if np.max(np.abs(state)) > DIVERGENCE_RADIUS:
+            if not np.max(np.abs(state)) <= DIVERGENCE_RADIUS:  # also catches NaN
                 raise DivergenceError(
-                    f"path diverged (|x| > {DIVERGENCE_RADIUS:.0e}) at step {i}", i
+                    f"path diverged (|x| > {DIVERGENCE_RADIUS:.0e} or NaN) at step {i}", i
                 )
         return state
 
@@ -198,9 +198,9 @@ class TemperedLangevin:
             b = self.drift(state[None, :])[0]
             s = float(self.dispersion_scalar(state[None, :])[0])
             state = state + b * dt + s * math.sqrt(dt) * rng.standard_normal(state.shape)
-            if np.max(np.abs(state)) > DIVERGENCE_RADIUS:
+            if not np.max(np.abs(state)) <= DIVERGENCE_RADIUS:  # also catches NaN
                 raise DivergenceError(
-                    f"path diverged (|x| > {DIVERGENCE_RADIUS:.0e}) at step {i}", i
+                    f"path diverged (|x| > {DIVERGENCE_RADIUS:.0e} or NaN) at step {i}", i
                 )
             t += dt
             if return_path:

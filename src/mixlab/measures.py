@@ -306,22 +306,81 @@ class MultiModalData:
             pts[bad] = mode.center + sigma * rng.standard_normal((int(bad.sum()), self.d))
         raise RuntimeError("truncated-gaussian rejection sampling failed to converge")
 
+    def _components(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """Mixture component of each of n draws; index len(modes) is the bulk."""
+        weights = np.array([m.weight for m in self.modes] + [self.bulk_weight])
+        weights = np.maximum(weights, 0.0)
+        weights /= weights.sum()
+        return rng.choice(len(weights), size=n, p=weights)
+
     def sample(self, n: int, seed: Seed) -> np.ndarray:
         """Draw n points from the mixture; bitwise deterministic in (n, seed)."""
         n = int(n)
         if n == 0:
             return np.zeros((0, self.d))
         rng = substream(seed)
-        weights = np.array([m.weight for m in self.modes] + [self.bulk_weight])
-        weights = np.maximum(weights, 0.0)
-        weights /= weights.sum()
-        comp = rng.choice(len(weights), size=n, p=weights)
+        comp = self._components(rng, n)
         out = np.empty((n, self.d))
         for i, mode in enumerate(self.modes):
             idx = np.flatnonzero(comp == i)
             out[idx] = self._sample_mode(rng, mode, len(idx))
         idx = np.flatnonzero(comp == len(self.modes))
         out[idx] = self.bulk_scale * rng.standard_normal((len(idx), self.d))
+        return out
+
+    def _chi2_rest(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n draws of |(z_2, ..., z_d)|^2 for standard Gaussian z: chi2_{d-1}, zero at d = 1."""
+        return rng.chisquare(self.d - 1, n) if self.d > 1 else np.zeros(n)
+
+    def _mode_offset_projection(self, rng: np.random.Generator, mode: ModeSpec,
+                                n: int) -> np.ndarray:
+        """<x - center, u> for n draws of ``mode``, for any unit u.
+
+        Both mode laws are rotation invariant about the center, so the
+        projection has the law of the first coordinate of a d-dimensional
+        draw: g / sqrt(g^2 + chi2_{d-1}) for a uniform direction, and z_1
+        accepted jointly with w = |z_2..d|^2 ~ chi2_{d-1} for the truncated
+        Gaussian, which is the acceptance event of :meth:`_sample_mode`.
+        """
+        if self.mode_kind == "uniform-ball":
+            g = rng.standard_normal(n)
+            w = self._chi2_rest(rng, n)
+            radii = mode.radius * rng.random(n) ** (1.0 / self.d)
+            return radii * g / np.sqrt(g * g + w)
+        sigma = mode.radius / (math.sqrt(self.d) + 3.0)
+        z = rng.standard_normal(n)
+        w = self._chi2_rest(rng, n)
+        for _ in range(1000):
+            bad = np.flatnonzero(sigma * sigma * (z * z + w) > mode.radius ** 2)
+            if bad.size == 0:
+                return sigma * z
+            z[bad] = rng.standard_normal(bad.size)
+            w[bad] = self._chi2_rest(rng, bad.size)
+        raise RuntimeError("truncated-gaussian rejection sampling failed to converge")
+
+    def sample_projection(self, n: int, direction, seed: Seed) -> np.ndarray:
+        """Draw n values of <x, direction> for x from the mixture, in O(n).
+
+        Exact in law for any unit ``direction``: each mode contributes
+        <center, direction> plus a rotation-invariant scalar offset, and the
+        bulk contributes bulk_scale * N(0, 1).  No d-dimensional point is
+        built, so the cost does not grow with d.  Bitwise deterministic in
+        (n, direction, seed); the stream differs from :meth:`sample`.
+        """
+        u = np.asarray(direction, dtype=float).reshape(-1)
+        if u.shape != (self.d,):
+            raise StructuralError(f"direction has dimension {u.shape[0]}, expected {self.d}")
+        if abs(np.linalg.norm(u) - 1.0) > 1e-10:
+            raise StructuralError("direction must be a unit vector (1e-10 tolerance)")
+        n = int(n)
+        rng = substream(seed)
+        comp = self._components(rng, n)
+        out = np.empty(n)
+        for i, mode in enumerate(self.modes):
+            idx = np.flatnonzero(comp == i)
+            out[idx] = float(mode.center @ u) + self._mode_offset_projection(rng, mode, len(idx))
+        idx = np.flatnonzero(comp == len(self.modes))
+        out[idx] = self.bulk_scale * rng.standard_normal(len(idx))
         return out
 
     def mass_within_origin_ball(self, radius: float, n: int = 100_000, seed: Seed = 0) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import gammainc, ndtr
+from scipy.special import gammainc, kolmogorov, ndtr
 
 from .errors import DomainError, StructuralError
 from .rng import Seed, derive
@@ -133,19 +133,11 @@ class KSResult:
     n: int
 
 
-def _kolmogorov_sf(lam: float) -> float:
-    # asymptotic survival function 2*sum_j (-1)^(j-1) exp(-2 j^2 lam^2),
-    # truncated at 100 terms; the series is vacuous below lam ~ 1e-3
-    if lam < 1e-3:
-        return 1.0
-    j = np.arange(1, 101)
-    terms = np.exp(-2.0 * (j * lam) ** 2)
-    p = 2.0 * float((terms * (-1.0) ** (j - 1)).sum())
-    return min(1.0, max(0.0, p))
-
-
 def ks_statistic(samples, cdf: Callable[[np.ndarray], np.ndarray]) -> KSResult:
-    """One-sample Kolmogorov-Smirnov statistic and asymptotic p-value."""
+    """One-sample Kolmogorov-Smirnov statistic and asymptotic p-value.
+
+    The p-value is the Kolmogorov survival function at sqrt(n) * D.
+    """
     x = np.asarray(samples, dtype=float).reshape(-1)
     if x.size == 0:
         raise DomainError("empty samples")
@@ -158,7 +150,40 @@ def ks_statistic(samples, cdf: Callable[[np.ndarray], np.ndarray]) -> KSResult:
     d_plus = float(np.max(i / n - F))
     d_minus = float(np.max(F - (i - 1) / n))
     stat = min(1.0, max(0.0, max(d_plus, d_minus)))
-    return KSResult(statistic=stat, p_value=_kolmogorov_sf(math.sqrt(n) * stat), n=n)
+    return KSResult(statistic=stat, p_value=float(kolmogorov(math.sqrt(n) * stat)), n=n)
+
+
+def sweep_coordinates(process, start, times: Sequence[float],
+                      seed: Seed) -> list[tuple[float, np.ndarray]]:
+    """One simulated marginal per time: the d coordinates of X_t.
+
+    ``start`` is a fixed point, or a sampleable mixture from which one point
+    is drawn on substream (seed, 0); time i simulates on (seed, 1 + i).
+    """
+    if hasattr(start, "sample"):
+        x0 = np.asarray(start.sample(1, derive(seed, 0))[0], dtype=float)
+    else:
+        x0 = np.asarray(start, dtype=float).reshape(-1)
+    out = []
+    for i, t in enumerate(times):
+        pts = process.sample_endpoints(x0, float(t), 1, derive(seed, 1 + i))
+        out.append((float(t), np.asarray(pts[0], dtype=float)))
+    return out
+
+
+def coordinate_ks(coords, mu: float, standardize: bool = False) -> KSResult:
+    """KS test of d coordinates as d scalar draws against N(0, 1/mu).
+
+    With ``standardize`` the coordinates are centred and scaled first and
+    tested against N(0, 1).
+    """
+    if standardize:
+        sd = float(coords.std())
+        if sd == 0.0:
+            sd = 1.0
+        return ks_statistic((coords - coords.mean()) / sd, ndtr)
+    root_mu = math.sqrt(mu)
+    return ks_statistic(coords, lambda x: ndtr(np.asarray(x) * root_mu))
 
 
 def ks_sweep(process, start, mu: float, times: Sequence[float], seed: Seed,
@@ -171,22 +196,5 @@ def ks_sweep(process, start, mu: float, times: Sequence[float], seed: Seed,
     ``standardize`` the coordinates are centred and scaled first and tested
     against N(0, 1).  Meaningful only for large d (>= 100 recommended).
     """
-    if hasattr(start, "sample"):
-        x0 = np.asarray(start.sample(1, derive(seed, 0))[0], dtype=float)
-    else:
-        x0 = np.asarray(start, dtype=float).reshape(-1)
-    root_mu = math.sqrt(mu)
-    out = []
-    for i, t in enumerate(times):
-        pts = process.sample_endpoints(x0, float(t), 1, derive(seed, 1 + i))
-        coords = np.asarray(pts[0], dtype=float)
-        if standardize:
-            sd = float(coords.std())
-            if sd == 0.0:
-                sd = 1.0
-            coords = (coords - coords.mean()) / sd
-            res = ks_statistic(coords, ndtr)
-        else:
-            res = ks_statistic(coords, lambda x: ndtr(np.asarray(x) * root_mu))
-        out.append((float(t), res))
-    return out
+    return [(t, coordinate_ks(coords, mu, standardize))
+            for t, coords in sweep_coordinates(process, start, times, seed)]

@@ -65,6 +65,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="cannot parse"):
             resolve_config("cutoff", {"d": "four", "R": "50", "delta": "0.1", "eps": "0.1"})
 
+    @pytest.mark.parametrize("key,text", [
+        ("R", "inf"), ("R", "nan"), ("eps", "-inf"), ("times", "0, nan, 2"), ("times", "inf"),
+    ])
+    def test_non_finite_rejected(self, key, text):
+        raw = {"d": "4", "R": "50", "delta": "0.1", "eps": "0.1", key: text}
+        with pytest.raises(ConfigError, match=f"key '{key}'.*not a finite number"):
+            resolve_config("cutoff", raw)
+
     def test_defaults_applied(self):
         cfg = resolve_config("quantile-table", {})
         assert cfg["eps"] == 0.1 and cfg["n"] == 300_000
@@ -124,6 +132,40 @@ n_points = 1000
             raise DivergenceError("path diverged at step 3", 3)
 
         monkeypatch.setitem(cli_mod.RUNNERS, "classify", boom)
+        cfg = write_cfg(tmp_path / "c.cfg", "p = 1\n")
+        assert main(["classify", "--config", cfg, "--out", str(tmp_path)]) == 4
+
+    def test_non_finite_value_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "c.cfg", "d = 16\nR = inf\ndelta = 0.02\neps = 0.05\n")
+        assert main(["cutoff", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "key 'R'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64), "abc"])
+    def test_seed_out_of_range_exits_2(self, tmp_path, capsys, seed):
+        cfg = write_cfg(tmp_path / "c.cfg", "p = 1\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--config", cfg, "--seed", seed, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+    def test_largest_seed_accepted(self, tmp_path):
+        cfg = write_cfg(tmp_path / "c.cfg", "d = 16\nR = 50\ndelta = 0.02\neps = 0.05\n"
+                                            "n = 2000\ntimes = 0\n")
+        code = main(["cutoff", "--config", cfg, "--seed", str(2 ** 64 - 1),
+                     "--out", str(tmp_path)])
+        assert code in (0, 3)
+        assert (tmp_path / "cutoff.csv").exists()
+
+    def test_nan_path_maps_to_4(self, tmp_path, monkeypatch):
+        import mixlab.cli as cli_mod
+        from mixlab import IntegratorConfig, RadialProfile
+        from tests.test_forward import NaNDriftLangevin
+
+        def integrate(cfg, seed, threads):
+            tl = NaNDriftLangevin(RadialProfile.power_tail(1.0, 1.0), 0.25, 2)
+            tl.sample_endpoints(np.ones(2), 1.0, 4, seed, IntegratorConfig(0.1))
+
+        monkeypatch.setitem(cli_mod.RUNNERS, "classify", integrate)
         cfg = write_cfg(tmp_path / "c.cfg", "p = 1\n")
         assert main(["classify", "--config", cfg, "--out", str(tmp_path)]) == 4
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from scipy.stats import beta as beta_dist
 from scipy.stats import gamma as gamma_dist
 
 from mixlab import RadialProfile, SphericalMeasure, projection_quantile
-from mixlab.experiments import run_ks_sweep, run_quantile_table
+from mixlab.experiments import run_cutoff, run_ks_sweep, run_quantile_table
 
 
 def quantile_oracle(p, d, a, eps, k=3):
@@ -83,3 +84,20 @@ class TestKSSweepRun:
         med = res.info["median_ks"]
         assert med[0] >= 0.3
         assert med[-1] <= 0.05
+
+
+class TestCutoffRun:
+    def test_memory_does_not_grow_with_dimension(self):
+        # one n x d start array at d = 1e5 would take n * d * 8 B = 1.6 GB
+        cfg = {"d": 100_000, "R": 50.0, "delta": 0.02, "eps": 0.05, "b_rho": 0.5,
+               "bulk_scale": 0.0, "mode_kind": "uniform-ball", "mu": 1.0, "n": 2000,
+               "bins": 0, "times": ()}
+        tracemalloc.start()
+        try:
+            res = run_cutoff(cfg, 23)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2 ** 20
+        assert len(res.rows) == 10
+        assert all(0.0 <= r["tv"] <= 1.0 for r in res.rows)

@@ -96,6 +96,13 @@ class TestTemperedLangevinCoefficients:
         )
 
 
+class NaNDriftLangevin(TemperedLangevin):
+    """A process whose drift evaluates to NaN everywhere."""
+
+    def drift(self, x):
+        return np.full(np.shape(x), np.nan)
+
+
 class TestEulerMaruyama:
     def test_zero_horizon(self):
         tl = TemperedLangevin(RadialProfile.quadratic(0.5), 0.0, 2)
@@ -142,6 +149,18 @@ class TestEulerMaruyama:
         with pytest.raises(DivergenceError) as err:
             tl.sample_endpoints(x0, 5.0, 4, 8, IntegratorConfig(0.5))
         assert err.value.step_index >= 0
+
+    def test_nan_state_is_divergence(self):
+        # NaN compares false against the divergence radius; the guard must
+        # still stop at the first step
+        tl = NaNDriftLangevin(RadialProfile.power_tail(1.0, 1.0), 0.25, 2)
+        cfg = IntegratorConfig(0.1)
+        with pytest.raises(DivergenceError, match="NaN") as err:
+            tl.sample_endpoints(np.ones(2), 1.0, 4, 8, cfg)
+        assert err.value.step_index == 0
+        with pytest.raises(DivergenceError) as err:
+            tl.simulate_path(np.ones(2), 1.0, cfg, 8)
+        assert err.value.step_index == 0
 
     def test_path_shapes_and_determinism(self):
         tl = TemperedLangevin(RadialProfile.power_tail(1.0, 1.0), 0.25, 3)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.stats import chi2
+from scipy.stats import chi2, ks_2samp
 
 from mixlab import (
     DomainError,
@@ -198,6 +198,83 @@ class TestDataMixture:
         )
         part = straddle.mass_within_origin_ball(5.0, n=200_000, seed=23)
         assert 0.3 < part < 0.7
+
+
+class TestSampleProjection:
+    @staticmethod
+    def spec_and_direction(d, mode_kind, bulk_scale):
+        # designated mode plus a second, off-axis mode and the bulk
+        rng = np.random.default_rng(d)
+        far = np.zeros(d)
+        far[0] = 10.0 * 1.3
+        near = 4.0 * rng.standard_normal(d)
+        spec = MultiModalData(
+            d, 10.0, 0.3, 0.05,
+            modes=(ModeSpec(far, 3.0, 0.5), ModeSpec(near, 2.0, 0.2)),
+            bulk_scale=bulk_scale, mode_kind=mode_kind,
+        )
+        if d == 1:
+            return spec, np.array([-1.0])
+        u = rng.standard_normal(d) + spec.mode_direction
+        return spec, u / np.linalg.norm(u)
+
+    @pytest.mark.parametrize("d", [1, 2, 16, 64])
+    @pytest.mark.parametrize("mode_kind", ["uniform-ball", "truncated-gaussian"])
+    @pytest.mark.parametrize("bulk_scale", [None, 0.0])
+    def test_matches_full_dimensional_sampler(self, d, mode_kind, bulk_scale):
+        spec, u = self.spec_and_direction(d, mode_kind, bulk_scale)
+        n = 20_000
+        fast = spec.sample_projection(n, u, 31)
+        oracle = spec.sample(n, 32) @ u
+        assert ks_2samp(fast, oracle).pvalue > 1e-3
+
+    def test_point_masses(self):
+        # zero mode radius and zero bulk scale: the projection takes exactly
+        # the values <center, u> and 0
+        center = np.array([3.0, 4.0, 0.0])
+        spec = MultiModalData(3, 4.0, 0.25, 0.1, modes=(ModeSpec(center, 0.0, 0.6),),
+                              bulk_scale=0.0)
+        u = np.array([0.6, 0.0, 0.8])
+        vals = spec.sample_projection(10_000, u, 5)
+        at_mode = np.isclose(vals, 1.8, rtol=0, atol=1e-12)
+        assert np.all(at_mode | (vals == 0.0))
+        assert abs(np.mean(at_mode) - 0.6) <= 4 * math.sqrt(0.24 / 10_000)
+
+    def test_truncated_support_and_determinism(self):
+        spec = single_mode_spec(d=8, mode_kind="truncated-gaussian", b_rho=1.0)
+        u = spec.mode_direction
+        vals = spec.sample_projection(5000, u, 17)
+        mode = spec.designated_mode
+        assert np.all(np.abs(vals - mode.distance) <= mode.radius + 1e-9)
+        assert np.array_equal(vals, spec.sample_projection(5000, u, 17))
+        assert spec.sample_projection(0, u, 17).shape == (0,)
+
+    def test_truncated_acceptance_event(self):
+        # the truncation is too rare to show in a KS test, so script the draws:
+        # (z_1, w) is rejected when z_1^2 + w exceeds (radius/sigma)^2 = 25
+        class ScriptedRng:
+            def __init__(self, normals, chisq):
+                self.normals, self.chisq = list(normals), list(chisq)
+
+            def standard_normal(self, n):
+                return np.array(self.normals.pop(0), dtype=float)
+
+            def chisquare(self, df, n):
+                return np.array(self.chisq.pop(0), dtype=float)
+
+        spec = single_mode_spec(d=4, mode_kind="truncated-gaussian")
+        sigma = spec.designated_mode.radius / 5.0
+        rng = ScriptedRng(normals=[[1.0, 4.9, 1.0], [0.5, -0.5]],
+                          chisq=[[1.0, 1.0, 24.5], [3.0, 3.0]])
+        got = spec._mode_offset_projection(rng, spec.designated_mode, 3)
+        assert np.allclose(got, sigma * np.array([1.0, 0.5, -0.5]), rtol=1e-15)
+
+    def test_direction_validation(self):
+        spec = single_mode_spec(d=4)
+        with pytest.raises(StructuralError, match="unit"):
+            spec.sample_projection(10, np.ones(4), 0)
+        with pytest.raises(StructuralError, match="dimension"):
+            spec.sample_projection(10, np.array([1.0, 0.0, 0.0]), 0)
 
 
 class TestValidateDataSpec:

@@ -113,6 +113,17 @@ class TestKSStatistic:
             lam = math.sqrt(n) * res.statistic
             assert res.p_value == pytest.approx(float(kolmogorov(lam)), abs=1e-8)
 
+    @pytest.mark.parametrize("lam", [1.001e-3, 1e-2])
+    def test_p_value_near_perfect_fit(self, lam):
+        # samples at the quantiles (i - 1 + c)/n give D = c/n exactly, so
+        # lambda = sqrt(n) D = c/sqrt(n); a fit this close has p = 1
+        n = 360_000 if lam < 5e-3 else 3_600
+        c = lam * math.sqrt(n)
+        samples = ndtri((np.arange(1, n + 1) - 1 + c) / n)
+        res = ks_statistic(samples, ndtr)
+        assert math.sqrt(n) * res.statistic == pytest.approx(lam, rel=1e-6)
+        assert res.p_value == pytest.approx(1.0, abs=1e-9)
+
     def test_null_calibration(self):
         # under the null the p-value is roughly uniform: p > 0.001 nearly always
         n, reps = 100_000, 200
