@@ -73,20 +73,17 @@ class LinearRate:
 class ConcaveRate:
     """Envelope calculus for a user-supplied positive increasing concave rate.
 
-    The callable is screened at construction on a log-spaced diagnostic grid
-    (positivity, monotone increase, chord slopes nonincreasing within 1e-8).
+    The callable is screened at construction on 1000 log-spaced points of
+    [1e-6, 1e3] (positivity, monotone increase, chord slopes nonincreasing
+    within 1e-8).
     Integrals use adaptive quadrature at relative tolerance 1e-10; inverses
     use bracketed root finding.  The callable must be safe for concurrent
     evaluation.
     """
 
-    def __init__(self, xi, grid_range: tuple[float, float] = (1e-6, 1e3),
-                 grid_points: int = 1000):
-        lo, hi = grid_range
-        if not 0 < lo < hi:
-            raise StructuralError("grid_range must be an increasing positive interval")
+    def __init__(self, xi):
         self._fn = xi
-        g = np.geomspace(lo, hi, int(grid_points))
+        g = np.geomspace(1e-6, 1e3, 1000)
         v = np.array([float(xi(s)) for s in g])
         if not np.all(np.isfinite(v)) or not np.all(v > 0):
             raise StructuralError("rate must be positive and finite on the diagnostic grid")
@@ -527,12 +524,12 @@ def check_compatibility(mu: float, R: float, delta: float, eps: float, d: int,
     """
     checks = []
     need_a = math.sqrt(eps / mu) * d ** 0.25
-    checks.append(CheckResult("mode-distance-vs-dimension", R >= need_a, R, need_a,
+    checks.append(CheckResult("mode-distance-vs-dimension", R >= need_a, R, need_a, ">=",
                               note="R >= sqrt(eps/mu) d^(1/4)"))
     rb = R ** beta
     need_b = 2.0 * math.sqrt(mu) * (1.0 + 2.0 * delta) / eps
-    checks.append(CheckResult("tolerance-vs-distance", rb >= need_b, rb, need_b,
+    checks.append(CheckResult("tolerance-vs-distance", rb >= need_b, rb, need_b, ">=",
                               note="R^beta >= 2 sqrt(mu) (1+2 delta)/eps"))
-    checks.append(CheckResult("quantile-vs-distance", 2.0 * r_k <= rb, 2.0 * r_k, rb,
+    checks.append(CheckResult("quantile-vs-distance", 2.0 * r_k <= rb, 2.0 * r_k, rb, "<=",
                               note="2 r_k <= R^beta"))
     return ValidationReport(tuple(checks))

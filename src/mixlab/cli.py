@@ -37,7 +37,7 @@ from .experiments import (
 
 @dataclass(frozen=True)
 class Key:
-    kind: str  # int | float | str | bool | floats | ints
+    kind: str  # int | float | str | floats | ints
     default: object = None  # None means required
     lo: float | None = None
     hi: float | None = None
@@ -127,9 +127,12 @@ RUNNERS = {
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
-    """Read ``key = value`` lines; reject duplicates and malformed lines."""
+    """Read ``key = value`` lines; reject unreadable files, duplicates and malformed lines."""
     raw: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -150,13 +153,6 @@ def _parse_value(key: str, spec: Key, text: str):
             val = int(text)
         elif spec.kind == "float":
             val = float(text)
-        elif spec.kind == "bool":
-            low = text.lower()
-            if low in ("true", "1", "yes"):
-                return True
-            if low in ("false", "0", "no"):
-                return False
-            raise ValueError(text)
         elif spec.kind == "floats":
             val = tuple(float(s) for s in text.split(",") if s.strip())
         elif spec.kind == "ints":
@@ -321,9 +317,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _run(args) -> int:
     t0 = time.perf_counter()
     cfg = resolve_config(args.subcommand, parse_config_file(args.config))
-    result = RUNNERS[args.subcommand](cfg, args.seed, args.threads)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
+    result = RUNNERS[args.subcommand](cfg, args.seed, args.threads)
     outputs = []
     if args.subcommand == "classify":
         print(result.info["line"])
@@ -340,7 +339,7 @@ def _run(args) -> int:
     for check in result.checks:
         status = "PASS" if check.passed else "FAIL"
         print(f"{status} {check.name}: value = {format_number(check.value)} "
-              f"{check.relation} {format_number(check.bound)}")
+              f"{check.relation} {format_number(check.threshold)}")
     manifest = {
         "tool": "mixlab",
         "version": __version__,
@@ -370,9 +369,6 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"numerical divergence: {exc}", file=sys.stderr)
         return 4
-    except FileNotFoundError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

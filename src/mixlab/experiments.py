@@ -9,7 +9,7 @@ the unit index, so results are identical for every thread count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .forward import (
     classify_ergodicity,
 )
 from .measures import (
+    CheckResult,
     ModeSpec,
     MultiModalData,
     RadialProfile,
@@ -44,21 +45,12 @@ from .stats import coordinate_ks, projected_tv_vs_gaussian, sweep_coordinates
 
 
 @dataclass
-class RunCheck:
-    """A run-end verification; failures flip the process exit status."""
-
-    name: str
-    passed: bool
-    value: float
-    bound: float
-    relation: str  # ">=" or "<="
-
-
-@dataclass
 class ExperimentResult:
+    """Output table of a run; a failed run-end check flips the process exit status."""
+
     columns: list[str]
     rows: list[dict]
-    checks: list[RunCheck] = field(default_factory=list)
+    checks: list[CheckResult] = field(default_factory=list)
     info: dict = field(default_factory=dict)
     chart: dict | None = None
 
@@ -97,13 +89,14 @@ def run_cutoff(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
     OU transition."""
     d, eps = cfg["d"], cfg["eps"]
     R = cfg["R"]
+    # validates eps before log(1/eps) below
+    spec = build_data_spec(cfg)
     bound_r = max(math.sqrt(eps) * d ** 0.25, math.sqrt(2.0 * math.log(1.0 / eps)))
     if R < bound_r:
         raise ConfigError(
             f"cut-off hypothesis violated: needs R >= max(eps^(1/2) d^(1/4), "
             f"sqrt(2 log(1/eps))) = {bound_r:.6g}, got R = {R:.6g}"
         )
-    spec = build_data_spec(cfg)
     mu, n = cfg["mu"], cfg["n"]
     hz = mixing_horizons(mu, R, cfg["delta"], eps, d)
     t_onset, t_mix = hz.t_onset, hz.t_mix_simple
@@ -135,10 +128,10 @@ def run_cutoff(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
     ]
     tv_at = {t: v for t, v in zip(times, tvs)}
     checks = [
-        RunCheck("tv-at-onset", tv_at[t_onset] >= floor - 3 * tv_se,
-                 tv_at[t_onset], floor - 3 * tv_se, ">="),
-        RunCheck("tv-at-mix", tv_at[t_mix] <= eps + 3 * tv_se,
-                 tv_at[t_mix], eps + 3 * tv_se, "<="),
+        CheckResult("tv-at-onset", tv_at[t_onset] >= floor - 3 * tv_se,
+                    tv_at[t_onset], floor - 3 * tv_se, ">="),
+        CheckResult("tv-at-mix", tv_at[t_mix] <= eps + 3 * tv_se,
+                    tv_at[t_mix], eps + 3 * tv_se, "<="),
     ]
     return ExperimentResult(
         columns=["t", "tv", "tv_se", "t_onset", "t_mix_simple", "floor", "eps"],
@@ -168,9 +161,9 @@ def run_lowerbound(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
     r_k = cfg.get("r_k", 0.0)
     if r_k <= 0:
         r_k = projection_quantile(pi, k, eps, cfg["rk_n"], derive(seed, 3)).r
-    if 2.0 * r_k > R:
+    if 2.0 * r_k >= R:
         raise ConfigError(
-            f"lower-bound horizon requires 2 r_k <= R, got r_k = {r_k:.6g}, R = {R:.6g}"
+            f"lower-bound horizon requires 2 r_k < R, got r_k = {r_k:.6g}, R = {R:.6g}"
         )
     hz = mixing_horizons(mu, R, cfg["delta"], eps, d, r_k=r_k)
     t_low = hz.t_lower
@@ -297,34 +290,30 @@ def run_validate(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
     mu, d, k, n = cfg["mu"], cfg["d"], cfg["k"], cfg["n"]
     spec = build_data_spec(cfg)
     scale = cfg.get("envelope_scale", 0.0) or spec.R
-    checks: list[RunCheck] = []
-    relations = {"mode-mass": ">=", "far-mass-aggregate": ">=", "tail-mass": "<="}
-    for c in validate_data_spec(spec, n=n, seed=derive(seed, 8)):
-        checks.append(RunCheck(f"data/{c.name}", c.passed, c.value, c.threshold,
-                               relations.get(c.name, "==")))
+    checks = [replace(c, name=f"data/{c.name}")
+              for c in validate_data_spec(spec, n=n, seed=derive(seed, 8))]
     if isinstance(proc, TemperedLangevin):
         dc = check_drift_condition(proc, mu, r_max=cfg.get("r_max", 0.0) or 10.0 * spec.R)
-        checks.append(RunCheck("drift-condition", dc.passed, dc.max_excess, 0.0, "<="))
+        checks.append(CheckResult("drift-condition", dc.passed, dc.max_excess, 0.0, "<="))
     lg = check_linear_growth(proc, mu, n_points=cfg["n_points"], seed=derive(seed, 9),
                              envelope_scale=scale)
-    checks.append(RunCheck("linear-growth", lg.passed, lg.max_ratio, 1.0 + 1e-9, "<="))
+    checks.append(CheckResult("linear-growth", lg.passed, lg.max_ratio, 1.0 + 1e-9, "<="))
     proj = SubspaceProjector.containing_direction(spec.mode_direction, k)
-    db = check_dispersion_balance(proc, proj.basis, n_points=cfg["n_points"],
+    db = check_dispersion_balance(proc, proj, n_points=cfg["n_points"],
                                   seed=derive(seed, 10), envelope_scale=scale)
-    checks.append(RunCheck("dispersion-balance", db.passed, db.max_violation, 1e-9, "<="))
+    checks.append(CheckResult("dispersion-balance", db.passed, db.max_violation, 1e-9, "<="))
     gb = check_generator_bound(proc, proj, mu, n_points=cfg["n_points"],
                                seed=derive(seed, 11), envelope_scale=scale)
-    checks.append(RunCheck("generator-bound", gb.passed, gb.max_excess, 1e-9, "<="))
+    checks.append(CheckResult("generator-bound", gb.passed, gb.max_excess, 1e-9, "<="))
     beta = cfg.get("beta", 0.0)
     if beta > 0:
         r_k = cfg.get("r_k", 0.0)
         if r_k <= 0:
             r_k = projection_quantile(pi, k, cfg["eps"], cfg["rk_n"], derive(seed, 12)).r
-        for c in check_compatibility(mu, spec.R, cfg["delta"], cfg["eps"], d, beta, r_k):
-            rel = ">=" if c.name != "quantile-vs-distance" else "<="
-            checks.append(RunCheck(f"bridge/{c.name}", c.passed, c.value, c.threshold, rel))
+        checks += [replace(c, name=f"bridge/{c.name}") for c in
+                   check_compatibility(mu, spec.R, cfg["delta"], cfg["eps"], d, beta, r_k)]
     rows = [
-        {"check": c.name, "passed": int(c.passed), "value": c.value, "bound": c.bound,
+        {"check": c.name, "passed": int(c.passed), "value": c.value, "bound": c.threshold,
          "relation": c.relation}
         for c in checks
     ]

@@ -14,6 +14,7 @@ from enum import Enum
 
 import numpy as np
 
+from .bounds import SubspaceProjector
 from .errors import DivergenceError, DomainError, StructuralError
 from .measures import RadialProfile, SphericalMeasure
 from .rng import Seed, substream
@@ -21,19 +22,19 @@ from .rng import Seed, substream
 # |x| beyond this radius, or a NaN coordinate, aborts integration as a numerical blow-up
 DIVERGENCE_RADIUS = 1e12
 
+# floor on H in the tempered drift, capping the negative power 2*ell - 1 near the origin
+H_FLOOR = 1e-8
+
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Euler-Maruyama settings; the only supported scheme."""
+    """Euler-Maruyama step size."""
 
     step: float
-    scheme: str = "euler-maruyama"
 
     def __post_init__(self):
         if not self.step > 0:
             raise StructuralError("integrator step must be positive")
-        if self.scheme != "euler-maruyama":
-            raise StructuralError("scheme must be 'euler-maruyama'")
 
 
 @dataclass(frozen=True)
@@ -53,10 +54,6 @@ class OUProcess:
     def drift(self, x):
         return -self.mu * np.asarray(x, dtype=float)
 
-    def dispersion_scalar(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return np.full(x.shape[0], math.sqrt(2.0))
-
     def dispersion_diag(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
         return np.full(x.shape, 2.0)
@@ -74,14 +71,14 @@ class OUProcess:
         rng = substream(seed)
         return decay * pts + scale * rng.standard_normal(pts.shape)
 
-    def transition_sample(self, x0, T: float, n: int, seed: Seed) -> np.ndarray:
-        """n exact draws of X_T given X_0 = x0 (no discretization)."""
-        x0 = np.asarray(x0, dtype=float).reshape(-1)
-        return self.evolve(np.tile(x0, (int(n), 1)), T, seed)
-
     def sample_endpoints(self, x0, T: float, n: int, seed: Seed,
                          cfg: IntegratorConfig | None = None) -> np.ndarray:
-        return self.transition_sample(x0, T, n, seed)
+        """n exact draws of X_T given X_0 = x0 (no discretization).
+
+        ``cfg`` is ignored; it keeps the signature of the tempered sampler.
+        """
+        x0 = np.asarray(x0, dtype=float).reshape(-1)
+        return self.evolve(np.tile(x0, (int(n), 1)), T, seed)
 
 
 @dataclass(frozen=True)
@@ -93,7 +90,7 @@ class TemperedLangevin:
         b(x)     = -Hf(|x|)^(2 ell - 1) (Hf(|x|) - 2 ell) H'(|x|) x/|x|,  b(0) = 0
         sigma(x) = sqrt(2) H(|x|)^ell I
 
-    where Hf = max(H, h_floor).  The floor applies to the drift only; it
+    where Hf = max(H, H_FLOOR).  The floor applies to the drift only; it
     caps the negative power 2*ell - 1 < 0 near the origin without touching
     behaviour away from it.  The dispersion genuinely vanishes at the origin
     for ell > 0, and for ell > 1/2 the dynamics exactly at 0 are left as-is
@@ -103,22 +100,19 @@ class TemperedLangevin:
     profile: RadialProfile
     ell: float
     d: int
-    h_floor: float = 1e-8
 
     def __post_init__(self):
         if not self.ell >= 0:
             raise StructuralError("temperature ell must be nonnegative")
         if int(self.d) < 1:
             raise StructuralError("dimension d must be a positive integer")
-        if not self.h_floor > 0:
-            raise StructuralError("h_floor must be positive")
         object.__setattr__(self, "d", int(self.d))
 
     def radial_drift(self, r):
         """Signed drift magnitude along x/|x| at radius r > 0 (floored)."""
         r = np.asarray(r, dtype=float)
         h = self.profile.value(r)
-        hf = np.maximum(h, self.h_floor)
+        hf = np.maximum(h, H_FLOOR)
         return -(hf ** (2.0 * self.ell - 1.0)) * (hf - 2.0 * self.ell) * self.profile.deriv(r)
 
     def drift(self, x):
@@ -179,37 +173,6 @@ class TemperedLangevin:
                 )
         return state
 
-    def simulate_path(self, x0, T: float, cfg: IntegratorConfig, seed: Seed,
-                      return_path: bool = False):
-        """Single Euler-Maruyama path; returns the endpoint, or (times, states)."""
-        x0 = np.asarray(x0, dtype=float).reshape(-1)
-        if T < 0:
-            raise DomainError("horizon T must be nonnegative")
-        if T == 0:
-            return (np.array([0.0]), x0[None, :].copy()) if return_path else x0.copy()
-        if cfg.step > T:
-            raise DomainError("integrator step exceeds the horizon T")
-        rng = substream(seed)
-        state = x0.copy()
-        times = [0.0]
-        path = [state.copy()]
-        t = 0.0
-        for i, dt in enumerate(self._steps(T, cfg.step)):
-            b = self.drift(state[None, :])[0]
-            s = float(self.dispersion_scalar(state[None, :])[0])
-            state = state + b * dt + s * math.sqrt(dt) * rng.standard_normal(state.shape)
-            if not np.max(np.abs(state)) <= DIVERGENCE_RADIUS:  # also catches NaN
-                raise DivergenceError(
-                    f"path diverged (|x| > {DIVERGENCE_RADIUS:.0e} or NaN) at step {i}", i
-                )
-            t += dt
-            if return_path:
-                times.append(t)
-                path.append(state.copy())
-        if return_path:
-            return np.array(times), np.array(path)
-        return state
-
 
 @dataclass(frozen=True)
 class GrowthReport:
@@ -252,35 +215,30 @@ class DriftConditionReport:
 
     max_excess: float
     worst_r: float
-    r_min: float
     r_max: float
-    n_grid: int
 
     @property
     def passed(self) -> bool:
         return self.max_excess <= 0.0
 
 
-def check_drift_condition(tl: TemperedLangevin, mu: float, r_max: float,
-                          n_grid: int = 4096, r_min: float | None = None) -> DriftConditionReport:
+def check_drift_condition(tl: TemperedLangevin, mu: float, r_max: float) -> DriftConditionReport:
     """Verify H^(2 ell - 1) (H - 2 ell) H' <= mu r on a geometric radius grid.
 
     The condition bounds the inward drift magnitude by mu |x| and is what the
     generator inequality needs from the drift.  Evaluated on the exact
-    (unfloored) profile; pass tolerance 1e-9 * (1 + mu r) per grid point.
+    (unfloored) profile over 4096 radii from 1e-8 r_max to r_max; pass
+    tolerance 1e-9 * (1 + mu r) per grid point.
     """
     if not r_max > 0:
         raise DomainError("r_max must be positive")
-    if r_min is None:
-        r_min = r_max * 1e-8
-    grid = np.geomspace(r_min, r_max, int(n_grid))
+    grid = np.geomspace(r_max * 1e-8, r_max, 4096)
     h = tl.profile.value(grid)
     lhs = h ** (2.0 * tl.ell - 1.0) * (h - 2.0 * tl.ell) * tl.profile.deriv(grid)
     excess = lhs - mu * grid - 1e-9 * (1.0 + mu * grid)
     i = int(np.argmax(excess))
     return DriftConditionReport(
-        max_excess=float(excess[i]), worst_r=float(grid[i]),
-        r_min=float(r_min), r_max=float(r_max), n_grid=int(n_grid),
+        max_excess=float(excess[i]), worst_r=float(grid[i]), r_max=float(r_max)
     )
 
 
@@ -297,30 +255,22 @@ class DispersionBalanceReport:
         return self.max_violation <= 1e-9
 
 
-def check_dispersion_balance(process, basis, n_points: int, seed: Seed,
+def check_dispersion_balance(process, proj: SubspaceProjector, n_points: int, seed: Seed,
                              envelope_scale: float = 1.0) -> DispersionBalanceReport:
     """Probe the dispersion-balance inequality over an envelope sample.
 
     ``process`` either exposes ``dispersion_diag`` or is a callable giving
-    the dispersion diagonal at a point batch.  ``basis`` holds k >= 3
-    orthonormal rows; G_hat = G/sqrt(1+|G|^2) with G the projection onto
-    their span.  Violations are measured relative to |lhs| + |rhs|.
+    the dispersion diagonal at a point batch.  G_hat = G/sqrt(1+|G|^2) with
+    G the projection onto the span of the projector's k >= 3 orthonormal
+    rows.  Violations are measured relative to |lhs| + |rhs|.
     """
-    basis = np.asarray(basis, dtype=float)
-    if basis.ndim != 2:
-        raise StructuralError("basis must be a (k, d) array")
-    k, d = basis.shape
-    if k < 3:
-        raise StructuralError("need at least 3 basis vectors")
-    gram = basis @ basis.T
-    if np.max(np.abs(gram - np.eye(k))) > 1e-10:
-        raise StructuralError("basis is not orthonormal (1e-10 tolerance)")
+    basis = proj.basis
     rng = substream(seed)
-    x = envelope_scale * rng.standard_normal((int(n_points), d))
+    x = envelope_scale * rng.standard_normal((int(n_points), proj.d))
     adiag = process(x) if callable(process) else process.dispersion_diag(x)
     adiag = np.asarray(adiag, dtype=float)
     lhs = adiag @ (basis * basis).sum(axis=0)
-    coeff = x @ basis.T
+    coeff = proj.coeffs(x)
     G = coeff @ basis
     hsq = 1.0 / (1.0 + (coeff * coeff).sum(axis=1))
     rhs = 3.0 * hsq * (adiag * G * G).sum(axis=1)

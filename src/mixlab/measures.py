@@ -81,15 +81,14 @@ class SphericalMeasure:
         r = np.linalg.norm(x, axis=-1)
         return -self.profile.value(r)
 
-    def sample_radii(self, n: int, seed: Seed) -> np.ndarray:
-        """Exact radial draws: s = a*r^p is Gamma(d/p, 1), so r = (s/a)^(1/p)."""
+    def _radii(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n exact radial draws: s = a*r^p is Gamma(d/p, 1), so r = (s/a)^(1/p)."""
         shape = self.d / self.profile.p
         if shape > MAX_GAMMA_SHAPE:
             raise DomainError(
                 f"parameter out of supported range: d/p = {shape:.3g} exceeds {MAX_GAMMA_SHAPE:.0e}"
             )
-        rng = substream(seed)
-        s = rng.gamma(shape, 1.0, size=int(n))
+        s = rng.gamma(shape, 1.0, size=n)
         return (s / self.profile.a) ** (1.0 / self.profile.p)
 
     def sample(self, n: int, seed: Seed) -> np.ndarray:
@@ -100,14 +99,8 @@ class SphericalMeasure:
         n = int(n)
         if n == 0:
             return np.zeros((0, self.d))
-        shape = self.d / self.profile.p
-        if shape > MAX_GAMMA_SHAPE:
-            raise DomainError(
-                f"parameter out of supported range: d/p = {shape:.3g} exceeds {MAX_GAMMA_SHAPE:.0e}"
-            )
         rng = substream(seed)
-        s = rng.gamma(shape, 1.0, size=n)
-        r = (s / self.profile.a) ** (1.0 / self.profile.p)
+        r = self._radii(rng, n)
         z = rng.standard_normal((n, self.d))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         return r[:, None] * z
@@ -124,13 +117,7 @@ def projection_norm_samples(pi: SphericalMeasure, k: int, n: int, seed: Seed) ->
     if not 1 <= k <= pi.d:
         raise StructuralError(f"projection dimension k={k} must satisfy 1 <= k <= d={pi.d}")
     rng = substream(seed)
-    shape = pi.d / pi.profile.p
-    if shape > MAX_GAMMA_SHAPE:
-        raise DomainError(
-            f"parameter out of supported range: d/p = {shape:.3g} exceeds {MAX_GAMMA_SHAPE:.0e}"
-        )
-    s = rng.gamma(shape, 1.0, size=int(n))
-    r = (s / pi.profile.a) ** (1.0 / pi.profile.p)
+    r = pi._radii(rng, int(n))
     if k == pi.d:
         return r
     u = rng.chisquare(k, size=int(n))
@@ -415,12 +402,14 @@ class MultiModalData:
 
 @dataclass(frozen=True)
 class CheckResult:
-    """A single named validation check with its measured value."""
+    """A single named check: its measured value, the threshold it is held to,
+    and the relation (">=", "<=" or "==") between the two that it tests."""
 
     name: str
     passed: bool
     value: float
     threshold: float
+    relation: str
     se: float = 0.0
     note: str = ""
 
@@ -452,34 +441,34 @@ def validate_data_spec(spec: MultiModalData, n: int = 100_000, seed: Seed = 0) -
     target = spec.R * (1.0 + spec.delta)
     rel = abs(mode.distance - target) / target
     checks.append(
-        CheckResult("furthest-mode-distance", rel <= 1e-12, mode.distance, target,
+        CheckResult("furthest-mode-distance", rel <= 1e-12, mode.distance, target, "==",
                     note="|x0| vs R(1+delta), 1e-12 relative")
     )
     rad_target = spec.delta * spec.R
     rel_rad = abs(mode.radius - rad_target) / rad_target
     checks.append(
-        CheckResult("furthest-mode-radius", rel_rad <= 1e-12, mode.radius, rad_target,
+        CheckResult("furthest-mode-radius", rel_rad <= 1e-12, mode.radius, rad_target, "==",
                     note="radius vs delta*R, 1e-12 relative")
     )
     dists = np.array([m.distance for m in spec.modes])
     n_at_max = int(np.sum(dists >= dists.max() * (1.0 - 1e-9)))
     checks.append(
-        CheckResult("furthest-mode-unique", n_at_max == 1, n_at_max, 1,
+        CheckResult("furthest-mode-unique", n_at_max == 1, n_at_max, 1, "==",
                     note="exactly one furthest mode")
     )
     checks.append(
         CheckResult("mode-mass", mode.weight > 3.0 * spec.eps, mode.weight, 3.0 * spec.eps,
-                    note="designated-mode weight vs 3*eps")
+                    ">=", note="designated-mode weight vs 3*eps")
     )
     checks.append(
         CheckResult("far-mass-aggregate", spec.far_mass > 3.0 * spec.eps, spec.far_mass,
-                    3.0 * spec.eps, note="aggregate weight of modes at distance >= R")
+                    3.0 * spec.eps, ">=", note="aggregate weight of modes at distance >= R")
     )
     pts = spec.sample(n, seed)
     outside = float(np.mean(np.linalg.norm(pts, axis=1) > spec.R * (1.0 + 2.0 * spec.delta)))
     se = math.sqrt(max(outside * (1.0 - outside), 1.0 / n) / n)
     checks.append(
         CheckResult("tail-mass", outside < spec.eps / 2.0 + 3.0 * se, outside, spec.eps / 2.0,
-                    se=se, note="Monte-Carlo mass outside B(0, R(1+2delta))")
+                    "<=", se=se, note="Monte-Carlo mass outside B(0, R(1+2delta))")
     )
     return ValidationReport(tuple(checks))

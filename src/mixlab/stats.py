@@ -18,11 +18,6 @@ from scipy.special import gammainc, kolmogorov, ndtr
 from .errors import DomainError, StructuralError
 from .rng import Seed, derive
 
-# the binned estimator has a one-sided positive null bias of roughly
-# 0.5*sqrt(2*bins/(pi*n)); with default bins = ceil(sqrt(n)) this is
-# ~0.009 at n=1e6 (calibrated by simulation, threshold frozen at 0.01)
-NULL_TV_THRESHOLD_1E6 = 0.01
-
 
 def chisq_cdf(k: int, x: float):
     """Chi-square CDF with k degrees of freedom: P(k/2, x/2), abs err <= 1e-12."""

@@ -158,7 +158,7 @@ class TestConcaveRate:
         def sneaky(s):
             return math.sqrt(s) if s <= 1e4 else s * s / 1e6
 
-        rate = ConcaveRate(sneaky, grid_range=(1e-6, 1e3))
+        rate = ConcaveRate(sneaky)
         sup = 2.0 * (100.0 - 1.0) + 100.0  # int_1^1e4 + int_1e4^inf
         with pytest.raises(DomainError, match="domain"):
             rate.grow(1.0, sup + 10.0)

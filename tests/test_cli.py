@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,16 @@ from mixlab.experiments import run_quantile_table
 def write_cfg(path, text):
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def run_cli(argv):
+    """Run ``python -m mixlab.cli`` in a fresh interpreter; return (exit code, stdout + stderr)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "mixlab.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout + proc.stderr
 
 
 CUTOFF_CFG = """
@@ -181,6 +195,43 @@ r_k = 30
 n = 1000
 """)
         assert main(["lowerbound", "--config", cfg, "--seed", "1", "--out", str(tmp_path)]) == 2
+
+    def test_lowerbound_r_k_half_of_R(self, tmp_path, capsys):
+        # t_lower = log(R / (2 r_k)) / mu needs R > 2 r_k strictly
+        cfg = write_cfg(tmp_path / "l.cfg", """
+process = ou
+d = 8
+R = 4
+delta = 0.02
+eps = 0.05
+b_rho = 0.5
+r_k = 2
+n = 1000
+""")
+        assert main(["lowerbound", "--config", cfg, "--seed", "1", "--out", str(tmp_path)]) == 2
+        assert "r_k" in capsys.readouterr().err
+
+    def test_cutoff_eps_zero_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "c.cfg", CUTOFF_CFG.replace("eps = 0.05", "eps = 0"))
+        assert main(["cutoff", "--config", cfg, "--seed", "1", "--out", str(tmp_path)]) == 2
+        assert "eps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["config-not-utf8", "config-is-directory", "out-is-file"])
+    def test_path_errors_exit_2(self, tmp_path, case):
+        cfg = write_cfg(tmp_path / "c.cfg", "p = 1\n")
+        out = tmp_path / "out"
+        if case == "config-not-utf8":
+            (tmp_path / "c.cfg").write_bytes(b"p = 1\n# \xff\xfe\n")
+            named = cfg
+        elif case == "config-is-directory":
+            cfg = named = str(tmp_path)
+        else:
+            out.write_text("")
+            named = str(out)
+        code, text = run_cli(["classify", "--config", cfg, "--out", str(out)])
+        assert code == 2
+        assert "Traceback" not in text
+        assert named in text
 
 
 class TestOutputs:

@@ -26,13 +26,13 @@ class TestOUTransitions:
     def test_zero_horizon(self):
         ou = OUProcess(1.0, 3)
         x0 = np.array([1.0, -2.0, 0.5])
-        pts = ou.transition_sample(x0, 0.0, 50, 0)
+        pts = ou.sample_endpoints(x0, 0.0, 50, 0)
         assert np.array_equal(pts, np.tile(x0, (50, 1)))
 
     def test_stationary_limit(self):
         ou = OUProcess(1.0, 4)
         x0 = np.full(4, 7.0)
-        pts = ou.transition_sample(x0, 50.0, 100_000, 1)
+        pts = ou.sample_endpoints(x0, 50.0, 100_000, 1)
         n = pts.shape[0]
         assert np.all(np.abs(pts.mean(axis=0)) <= 4.0 / math.sqrt(n))
         assert np.all(np.abs(pts.var(axis=0) - 1.0) <= 4.0 * math.sqrt(2.0 / n))
@@ -40,7 +40,7 @@ class TestOUTransitions:
     def test_mean_decay(self):
         ou = OUProcess(1.0, 2)
         x0 = np.array([2.0, 0.0])
-        pts = ou.transition_sample(x0, math.log(2.0), 100_000, 2)
+        pts = ou.sample_endpoints(x0, math.log(2.0), 100_000, 2)
         var = (1 - 0.25) / 1.0
         se = math.sqrt(var / pts.shape[0])
         assert abs(pts[:, 0].mean() - 1.0) <= 4 * se
@@ -50,8 +50,8 @@ class TestOUTransitions:
         ou = OUProcess(0.7, 3)
         x0 = np.array([5.0, -3.0, 1.0])
         n = 100_000
-        direct = ou.transition_sample(x0, 1.2, n, 3)
-        step1 = ou.transition_sample(x0, 0.45, n, 4)
+        direct = ou.sample_endpoints(x0, 1.2, n, 3)
+        step1 = ou.sample_endpoints(x0, 0.45, n, 4)
         composed = ou.evolve(step1, 0.75, 5)
         for j in range(3):
             se_m = math.sqrt(2.0 / (0.7 * n))
@@ -109,7 +109,6 @@ class TestEulerMaruyama:
         x0 = np.array([1.0, 2.0])
         pts = tl.sample_endpoints(x0, 0.0, 10, 0, IntegratorConfig(0.1))
         assert np.array_equal(pts, np.tile(x0, (10, 1)))
-        assert np.array_equal(tl.simulate_path(x0, 0.0, IntegratorConfig(0.1), 0), x0)
 
     def test_step_exceeds_horizon(self):
         tl = TemperedLangevin(RadialProfile.quadratic(0.5), 0.0, 2)
@@ -138,7 +137,7 @@ class TestEulerMaruyama:
         ou = OUProcess(mu, 1)
         x0 = np.array([4.0])
         em = tl.sample_endpoints(x0, T, n, 6, IntegratorConfig(1e-3))
-        exact = ou.transition_sample(x0, T, n, 7)
+        exact = ou.sample_endpoints(x0, T, n, 7)
         tv = empirical_tv_1d(em[:, 0], exact[:, 0]).value
         assert tv <= 0.05
 
@@ -158,17 +157,6 @@ class TestEulerMaruyama:
         with pytest.raises(DivergenceError, match="NaN") as err:
             tl.sample_endpoints(np.ones(2), 1.0, 4, 8, cfg)
         assert err.value.step_index == 0
-        with pytest.raises(DivergenceError) as err:
-            tl.simulate_path(np.ones(2), 1.0, cfg, 8)
-        assert err.value.step_index == 0
-
-    def test_path_shapes_and_determinism(self):
-        tl = TemperedLangevin(RadialProfile.power_tail(1.0, 1.0), 0.25, 3)
-        cfg = IntegratorConfig(0.01)
-        times, path = tl.simulate_path(np.ones(3), 0.25, cfg, 9, return_path=True)
-        assert times.shape == (26,) and path.shape == (26, 3)
-        end = tl.simulate_path(np.ones(3), 0.25, cfg, 9)
-        assert np.array_equal(end, path[-1])
 
     def test_long_run_occupation_matches_invariant_radial_law(self):
         # pooled |x| snapshots after burn-in vs the exact radial sampler
@@ -237,7 +225,7 @@ class TestDispersionBalance:
     def test_scalar_dispersion_passes(self):
         tl = TemperedLangevin(RadialProfile.power_tail(1.0, 1.0), 0.5, 6)
         proj = SubspaceProjector.containing_direction(np.ones(6), 3)
-        rep = check_dispersion_balance(tl, proj.basis, 5000, 0, envelope_scale=5.0)
+        rep = check_dispersion_balance(tl, proj, 5000, 0, envelope_scale=5.0)
         assert rep.passed
 
     def test_unbalanced_diagonal_fails(self):
@@ -253,13 +241,14 @@ class TestDispersionBalance:
         e_last = np.zeros(d)
         e_last[-1] = 1.0
         proj = SubspaceProjector.containing_direction(e_last, 3)
-        rep = check_dispersion_balance(adiag, proj.basis, 5000, 1, envelope_scale=5.0)
+        rep = check_dispersion_balance(adiag, proj, 5000, 1, envelope_scale=5.0)
         assert not rep.passed
 
     def test_identity_full_dimension(self):
         d = 4
         rep = check_dispersion_balance(
-            lambda x: np.ones((x.shape[0], d)), np.eye(d), 2000, 2, envelope_scale=3.0
+            lambda x: np.ones((x.shape[0], d)), SubspaceProjector(np.eye(d)), 2000, 2,
+            envelope_scale=3.0
         )
         assert rep.passed
 
@@ -267,7 +256,8 @@ class TestDispersionBalance:
         d = 5
         bad = np.eye(d)[:3] * 1.01
         with pytest.raises(StructuralError):
-            check_dispersion_balance(lambda x: np.ones((x.shape[0], d)), bad, 100, 0)
+            check_dispersion_balance(lambda x: np.ones((x.shape[0], d)),
+                                     SubspaceProjector(bad), 100, 0)
 
 
 class TestClassifyErgodicity:

@@ -94,10 +94,15 @@ class TestSphericalSampler:
         se = r2.std() / math.sqrt(r2.size)
         assert abs(r2.mean() - expected) <= 3 * se
 
-    def test_gamma_shape_guard(self):
+    @pytest.mark.parametrize("draw", [
+        lambda pi: pi.sample(10, 0),
+        lambda pi: projection_norm_samples(pi, 3, 10, 0),
+    ], ids=["sample", "projection_norm_samples"])
+    def test_gamma_shape_guard(self, draw):
+        # the guard fires before any d-dimensional array is allocated
         pi = SphericalMeasure(20_000_001, RadialProfile.power_tail(1.0, 1.0))
         with pytest.raises(DomainError, match="out of supported range"):
-            pi.sample_radii(10, 0)
+            draw(pi)
 
     def test_determinism(self):
         pi = SphericalMeasure(5, RadialProfile.power_tail(1.0, 1.4))
