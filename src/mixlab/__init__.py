@@ -8,9 +8,10 @@ including the cut-off behaviour in the distance to the furthest mode.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .bounds import (
     ConcaveRate,
-    GeneratorBoundReport,
     GrowthEnvelopeReport,
     HorizonSet,
     LinearRate,
@@ -44,7 +45,6 @@ from .measures import (
     QuantileEstimate,
     RadialProfile,
     SphericalMeasure,
-    ValidationReport,
     projection_norm_samples,
     projection_quantile,
     validate_data_spec,
@@ -60,4 +60,6 @@ from .stats import (
     projected_tv_vs_gaussian,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names imported above; submodules bound by the imports are left out
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -26,7 +26,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import brentq
 
 from .errors import DomainError, StructuralError
-from .measures import CheckResult, MultiModalData, SphericalMeasure, ValidationReport
+from .measures import CheckResult, MultiModalData, SphericalMeasure
 from .rng import Seed, derive, substream
 from .stats import gaussian_projection_mass
 
@@ -236,10 +236,6 @@ class SubspaceProjector:
         c = self.coeffs(x)
         return (c * c).sum(axis=-1)
 
-    def project(self, x) -> np.ndarray:
-        """Projected vector G(x) in the ambient space."""
-        return self.coeffs(x) @ self.basis
-
     def lyapunov(self, x) -> np.ndarray:
         """H(x) = (1 + |G(x)|^2)^{-1/2}; equals 1 at the origin."""
         return 1.0 / np.sqrt(1.0 + self.proj_norm_sq(x))
@@ -271,28 +267,15 @@ def apply_generator(process, proj: SubspaceProjector, x):
     return float(out[0]) if single else out
 
 
-@dataclass(frozen=True)
-class GeneratorBoundReport:
-    """Envelope check of (generator applied to H) - mu*H <= 0."""
-
-    max_excess: float
-    worst_point: np.ndarray
-    n_points: int
-
-    @property
-    def passed(self) -> bool:
-        return self.max_excess <= 1e-9
-
-
 def check_generator_bound(process, proj: SubspaceProjector, mu: float, n_points: int,
-                          seed: Seed, envelope_scale: float = 1.0) -> GeneratorBoundReport:
-    """Probe A H - mu*H over the envelope law N(0, scale^2 I)."""
+                          seed: Seed, envelope_scale: float = 1.0) -> CheckResult:
+    """Probe A H - mu*H over the envelope law N(0, scale^2 I); the largest
+    excess passes at most 1e-9."""
     rng = substream(seed)
     x = envelope_scale * rng.standard_normal((int(n_points), proj.d))
-    excess = apply_generator(process, proj, x) - mu * proj.lyapunov(x)
-    i = int(np.argmax(excess))
-    return GeneratorBoundReport(max_excess=float(excess[i]), worst_point=x[i],
-                                n_points=int(n_points))
+    max_excess = float(np.max(apply_generator(process, proj, x) - mu * proj.lyapunov(x)))
+    limit = 1e-9
+    return CheckResult("generator-bound", max_excess <= limit, max_excess, limit, "<=")
 
 
 @dataclass(frozen=True)
@@ -469,13 +452,6 @@ class HorizonSet:
     t_mix_simple: float
     envelope_lower: float | None
     envelope_upper: float | None
-    mu: float
-    R: float
-    delta: float
-    eps: float
-    d: int
-    r_k: float | None
-    beta: float | None
     t_lower_note: str = ""
 
 
@@ -507,16 +483,12 @@ def mixing_horizons(mu: float, R: float, delta: float, eps: float, d: int,
         env_hi = (1.0 + beta) / mu * math.log(R)
     return HorizonSet(
         t_lower=t_lower, t_onset=t_onset, t_mix=t_mix, t_mix_simple=t_mix_simple,
-        envelope_lower=env_lo, envelope_upper=env_hi,
-        mu=float(mu), R=float(R), delta=float(delta), eps=float(eps), d=int(d),
-        r_k=None if r_k is None else float(r_k),
-        beta=None if beta is None else float(beta),
-        t_lower_note=note,
+        envelope_lower=env_lo, envelope_upper=env_hi, t_lower_note=note,
     )
 
 
 def check_compatibility(mu: float, R: float, delta: float, eps: float, d: int,
-                        beta: float, r_k: float) -> ValidationReport:
+                        beta: float, r_k: float) -> tuple[CheckResult, ...]:
     """Scale assumptions tying the data mixture to the forward process.
 
     (a) R >= sqrt(eps/mu) d^(1/4); (b) R^beta >= 2 sqrt(mu)(1+2 delta)/eps;
@@ -532,4 +504,4 @@ def check_compatibility(mu: float, R: float, delta: float, eps: float, d: int,
                               note="R^beta >= 2 sqrt(mu) (1+2 delta)/eps"))
     checks.append(CheckResult("quantile-vs-distance", 2.0 * r_k <= rb, 2.0 * r_k, rb, "<=",
                               note="2 r_k <= R^beta"))
-    return ValidationReport(tuple(checks))
+    return tuple(checks)

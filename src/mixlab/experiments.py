@@ -293,18 +293,16 @@ def run_validate(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
     checks = [replace(c, name=f"data/{c.name}")
               for c in validate_data_spec(spec, n=n, seed=derive(seed, 8))]
     if isinstance(proc, TemperedLangevin):
-        dc = check_drift_condition(proc, mu, r_max=cfg.get("r_max", 0.0) or 10.0 * spec.R)
-        checks.append(CheckResult("drift-condition", dc.passed, dc.max_excess, 0.0, "<="))
-    lg = check_linear_growth(proc, mu, n_points=cfg["n_points"], seed=derive(seed, 9),
-                             envelope_scale=scale)
-    checks.append(CheckResult("linear-growth", lg.passed, lg.max_ratio, 1.0 + 1e-9, "<="))
+        checks.append(check_drift_condition(proc, mu, r_max=cfg.get("r_max", 0.0) or 10.0 * spec.R))
     proj = SubspaceProjector.containing_direction(spec.mode_direction, k)
-    db = check_dispersion_balance(proc, proj, n_points=cfg["n_points"],
-                                  seed=derive(seed, 10), envelope_scale=scale)
-    checks.append(CheckResult("dispersion-balance", db.passed, db.max_violation, 1e-9, "<="))
-    gb = check_generator_bound(proc, proj, mu, n_points=cfg["n_points"],
-                               seed=derive(seed, 11), envelope_scale=scale)
-    checks.append(CheckResult("generator-bound", gb.passed, gb.max_excess, 1e-9, "<="))
+    checks += [
+        check_linear_growth(proc, mu, n_points=cfg["n_points"], seed=derive(seed, 9),
+                            envelope_scale=scale),
+        check_dispersion_balance(proc, proj, n_points=cfg["n_points"], seed=derive(seed, 10),
+                                 envelope_scale=scale),
+        check_generator_bound(proc, proj, mu, n_points=cfg["n_points"], seed=derive(seed, 11),
+                              envelope_scale=scale),
+    ]
     beta = cfg.get("beta", 0.0)
     if beta > 0:
         r_k = cfg.get("r_k", 0.0)

@@ -11,7 +11,7 @@ s = a*r^p, the radial density becomes Gamma(d/p, 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammainc
@@ -414,19 +414,8 @@ class CheckResult:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple[CheckResult, ...] = field(default_factory=tuple)
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def __iter__(self):
-        return iter(self.checks)
-
-
-def validate_data_spec(spec: MultiModalData, n: int = 100_000, seed: Seed = 0) -> ValidationReport:
+def validate_data_spec(spec: MultiModalData, n: int = 100_000,
+                       seed: Seed = 0) -> tuple[CheckResult, ...]:
     """Measure the admissibility constraints of a data mixture.
 
     Checks the designated-mode placement (|x0| = R(1+delta) and radius =
@@ -471,4 +460,4 @@ def validate_data_spec(spec: MultiModalData, n: int = 100_000, seed: Seed = 0) -
         CheckResult("tail-mass", outside < spec.eps / 2.0 + 3.0 * se, outside, spec.eps / 2.0,
                     "<=", se=se, note="Monte-Carlo mass outside B(0, R(1+2delta))")
     )
-    return ValidationReport(tuple(checks))
+    return tuple(checks)

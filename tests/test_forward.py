@@ -185,13 +185,13 @@ class TestLinearGrowthCheck:
         rep = check_linear_growth(ou, 1.3, 20_000, 0, envelope_scale=10.0)
         assert rep.passed
         # equality case: ratio is 1 up to dot-product rounding
-        assert abs(rep.max_ratio - 1.0) <= 1e-9
+        assert abs(rep.value - 1.0) <= 1e-9
 
     def test_wrong_mu_fails(self):
         ou = OUProcess(1.0, 5)
         rep = check_linear_growth(ou, 0.5, 20_000, 0, envelope_scale=10.0)
         assert not rep.passed
-        assert rep.max_ratio == pytest.approx(2.0, rel=1e-9)
+        assert rep.value == pytest.approx(2.0, rel=1e-9)
 
     def test_compliant_tempered(self):
         tl = TemperedLangevin(RadialProfile.power_tail(0.6, 1.0), 0.4, 16)
@@ -218,7 +218,7 @@ class TestDriftCondition:
         tl = TemperedLangevin(RadialProfile.power_tail(1.0, 2.0), 1.0, 4)
         rep = check_drift_condition(tl, 1.0, r_max=100.0)
         assert not rep.passed
-        assert rep.max_excess > 0
+        assert rep.value > 0
 
 
 class TestDispersionBalance:

@@ -287,7 +287,7 @@ class TestValidateDataSpec:
         # point-mass bulk at the origin satisfies every inequality by design
         spec = single_mode_spec(d=8, bulk_scale=0.0)
         report = validate_data_spec(spec, seed=1)
-        assert report.passed, [c for c in report if not c.passed]
+        assert all(c.passed for c in report), [c for c in report if not c.passed]
 
     def test_mode_mass_failure(self):
         spec = single_mode_spec(b_rho=0.1, eps=0.05)

@@ -2,8 +2,9 @@
 
 ``perfbench/tracer.py`` wraps every function it lists with a timing wrapper
 and reads some of their parameters by name.  This test installs the tracer
-against the live package, makes one small traced call through the
-Euler-Maruyama loop, and restores the originals.
+against the live package, makes small traced calls through the
+Euler-Maruyama loop and through ``mixlab validate``, and restores the
+originals.
 """
 
 import importlib.util
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-import mixlab.cli  # noqa: F401  (the tracer patches every mixlab module it finds)
+import mixlab.cli  # the tracer patches every mixlab module it finds
 from mixlab import IntegratorConfig, RadialProfile, TemperedLangevin
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -43,3 +44,34 @@ def test_tracer_installs_and_uninstalls():
     # the units of the loop span come from its n, T and cfg.step parameters
     loop = next(s for s in tracer.spans if s[0] == "forward.TemperedLangevin.sample_endpoints")
     assert loop[4] == 3 * 2
+
+
+TEMPERED_VALIDATE = """process = tempered
+profile_a = 0.6
+profile_p = 1
+ell = 0.4
+d = 4
+R = 50
+delta = 0.02
+eps = 0.05
+b_rho = 0.5
+n_points = 200
+"""
+
+
+def test_tracer_sees_the_admissibility_probes(tmp_path):
+    cfg = tmp_path / "validate.cfg"
+    cfg.write_text(TEMPERED_VALIDATE)
+    tracer = load_tracer().Tracer()
+    try:
+        tracer.install()
+        code = mixlab.cli.main(["validate", "--config", str(cfg), "--seed", "3",
+                                "--out", str(tmp_path)])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    names = [span[0] for span in tracer.spans]
+    for probe in ("forward.check_linear_growth", "forward.check_drift_condition",
+                  "forward.check_dispersion_balance", "bounds.check_generator_bound",
+                  "measures.validate_data_spec"):
+        assert names.count(probe) == 1, probe
