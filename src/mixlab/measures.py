@@ -403,7 +403,7 @@ class MultiModalData:
 @dataclass(frozen=True)
 class CheckResult:
     """A single named check: its measured value, the threshold it is held to,
-    and the relation (">=", "<=" or "==") between the two that it tests."""
+    and the relation ("<", "<=", ">", ">=" or "==") between the two that it tests."""
 
     name: str
     passed: bool
@@ -447,17 +447,18 @@ def validate_data_spec(spec: MultiModalData, n: int = 100_000,
     )
     checks.append(
         CheckResult("mode-mass", mode.weight > 3.0 * spec.eps, mode.weight, 3.0 * spec.eps,
-                    ">=", note="designated-mode weight vs 3*eps")
+                    ">", note="designated-mode weight vs 3*eps")
     )
     checks.append(
         CheckResult("far-mass-aggregate", spec.far_mass > 3.0 * spec.eps, spec.far_mass,
-                    3.0 * spec.eps, ">=", note="aggregate weight of modes at distance >= R")
+                    3.0 * spec.eps, ">", note="aggregate weight of modes at distance >= R")
     )
     pts = spec.sample(n, seed)
     outside = float(np.mean(np.linalg.norm(pts, axis=1) > spec.R * (1.0 + 2.0 * spec.delta)))
     se = math.sqrt(max(outside * (1.0 - outside), 1.0 / n) / n)
+    limit = spec.eps / 2.0 + 3.0 * se
     checks.append(
-        CheckResult("tail-mass", outside < spec.eps / 2.0 + 3.0 * se, outside, spec.eps / 2.0,
-                    "<=", se=se, note="Monte-Carlo mass outside B(0, R(1+2delta))")
+        CheckResult("tail-mass", outside < limit, outside, limit, "<", se=se,
+                    note="Monte-Carlo mass outside B(0, R(1+2delta)) vs eps/2 + 3 se")
     )
     return tuple(checks)

@@ -35,7 +35,7 @@ GOLDEN = {
     "validate": (
         "process = ou\nd = 8\nR = 50\ndelta = 0.02\neps = 0.05\n"
         "b_rho = 0.5\nn_points = 2000\nbeta = 0.5\n",
-        "b931ae5ca58d5c1fc2465582113ebda2608f907986b77a1123b5659a623f3f84",
+        "0e2cd4f30b10565926baa6f334d50a52ce392b237477febe39c4c8de12da6c15",
     ),
 }
 
