@@ -38,7 +38,7 @@ def spec(b_rho=0.5, eps=0.05, **kw):
     {"process": "ou", "n_points": "1000", "beta": "0.5"},
     {**TEMPERED, "n_points": "1000", "beta": "0.5", "rk_n": "20000"},
     {"process": "ou", "n_points": "1000", "b_rho": "0.15"},
-], ids=["ou", "tempered", "mode-mass-at-3eps"])
+], ids=["ou", "tempered", "ou-mode-mass-fails"])
 def test_run_validate(extra):
     cfg = resolve_config("validate", {**DATA, **extra})
     assert_relations_agree(run_validate(cfg, 5).checks)
