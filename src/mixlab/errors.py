@@ -10,11 +10,18 @@ class DomainError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """Numerical blow-up during SDE integration."""
+    """Numerical blow-up during SDE integration.
 
-    def __init__(self, message: str, step_index: int):
+    ``step_index`` is the zero-based step that blew up, ``time`` the grid
+    time that step reached and ``radius`` the largest |x| over the paths
+    there (NaN when a path turned NaN).
+    """
+
+    def __init__(self, message: str, step_index: int, time: float, radius: float):
         super().__init__(message)
         self.step_index = step_index
+        self.time = time
+        self.radius = radius
 
 
 class ConfigError(ValueError):

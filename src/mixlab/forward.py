@@ -3,7 +3,10 @@
 Both process families expose ``drift(x)`` and the diagonal of the dispersion
 matrix a = sigma sigma^T on point batches, plus ``sample_endpoints`` for
 drawing time-t marginals.  OU marginals are exact in distribution; tempered
-Langevin paths use Euler-Maruyama.
+Langevin paths use Euler-Maruyama.  The tempered drift and noise read only
+|x|, so its Euler-Maruyama chain is run, exactly in law, on two scalars per
+path (the coordinate along x0 and the distance from that axis) and the d
+coordinates are rebuilt once at the end: a step costs O(n) whatever d.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .bounds import SubspaceProjector
-from .errors import DivergenceError, DomainError, StructuralError
+from .errors import ConfigError, DivergenceError, DomainError, StructuralError
 from .measures import CheckResult, RadialProfile, SphericalMeasure
 from .rng import Seed, substream
 
@@ -115,23 +118,28 @@ class TemperedLangevin:
         hf = np.maximum(h, H_FLOOR)
         return -(hf ** (2.0 * self.ell - 1.0)) * (hf - 2.0 * self.ell) * self.profile.deriv(r)
 
+    def _drift_coefficient(self, r):
+        """radial_drift(r) / r, and 0 at r = 0: the drift at x is this times x."""
+        r = np.asarray(r, dtype=float)
+        out = np.zeros_like(r)
+        nz = r > 0
+        out[nz] = self.radial_drift(r[nz]) / r[nz]
+        return out
+
+    def _noise_scale(self, r):
+        """sqrt(2) H(r)^ell, unfloored; vanishes at r = 0 when ell > 0."""
+        return math.sqrt(2.0) * self.profile.value(r) ** self.ell
+
     def drift(self, x):
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
         pts = np.atleast_2d(x)
-        r = np.linalg.norm(pts, axis=1)
-        out = np.zeros_like(pts)
-        nz = r > 0
-        if nz.any():
-            coef = self.radial_drift(r[nz]) / r[nz]
-            out[nz] = coef[:, None] * pts[nz]
-        return out[0] if single else out
+        out = self._drift_coefficient(np.linalg.norm(pts, axis=1))[:, None] * pts
+        return out[0] if x.ndim == 1 else out
 
     def dispersion_scalar(self, x):
         """sqrt(2) H(|x|)^ell, unfloored; vanishes at the origin when ell > 0."""
         pts = np.atleast_2d(np.asarray(x, dtype=float))
-        r = np.linalg.norm(pts, axis=1)
-        return math.sqrt(2.0) * self.profile.value(r) ** self.ell
+        return self._noise_scale(np.linalg.norm(pts, axis=1))
 
     def dispersion_diag(self, x):
         s = self.dispersion_scalar(x)
@@ -151,27 +159,74 @@ class TemperedLangevin:
 
     def sample_endpoints(self, x0, T: float, n: int, seed: Seed,
                          cfg: IntegratorConfig | None = None) -> np.ndarray:
-        """Euler-Maruyama endpoints of n independent paths from x0."""
+        """Euler-Maruyama endpoints of n independent paths from x0, shape (n, d).
+
+        One step of the d-dimensional chain is X' = g X + s xi with
+        g = 1 + (radial_drift(r) / r) dt, s = sqrt(2) H(r)^ell sqrt(dt),
+        r = |X| and xi ~ N(0, I_d).  The chain is run, exactly in law, on two
+        scalars per path: A = <X, e1> with e1 = x0/|x0| (the first axis when
+        x0 = 0) and W = |X - A e1|.  Split xi into its part zeta1 along e1,
+        its part zeta2 along X - A e1 and the d - 2 coordinates left; then
+
+            A' = g A + s zeta1,    W'^2 = (g W + s zeta2)^2 + s^2 chi2_{d-2},
+
+        and g, s depend on r = sqrt(A^2 + W^2) only, so (A, W) is a Markov
+        chain with the law of (<X, e1>, |X - <X, e1> e1|).  The chain commutes
+        with every rotation that fixes e1 and starts on the e1 axis, so at
+        time T the direction of X - A e1 is uniform on the unit sphere
+        orthogonal to e1 and independent of (A, W).  One direction draw per
+        path rebuilds X_T: a step costs O(n) and only that draw costs O(n d).
+
+        A path that leaves the radius ``DIVERGENCE_RADIUS`` or turns NaN
+        raises ``DivergenceError`` with the step, the grid time it reached
+        and the largest radius there.
+        """
         if cfg is None:
             raise StructuralError("tempered Langevin sampling needs an IntegratorConfig")
         x0 = np.asarray(x0, dtype=float).reshape(-1)
         if T < 0:
             raise DomainError("horizon T must be nonnegative")
-        state = np.tile(x0, (int(n), 1))
+        n, d = int(n), x0.size
         if T == 0:
-            return state
+            return np.tile(x0, (n, 1))
         if cfg.step > T:
             raise DomainError("integrator step exceeds the horizon T")
+        r0 = float(np.linalg.norm(x0))
+        if r0 > 0:
+            e1 = x0 / r0
+        else:
+            e1 = np.zeros(d)
+            e1[0] = 1.0
         rng = substream(seed)
+        a = np.full(n, r0)
+        w = np.zeros(n)  # stays 0 when d = 1; signed when d = 2, where only |W| matters
+        r = np.full(n, r0)
+        t = 0.0
         for i, dt in enumerate(self._steps(T, cfg.step)):
-            b = self.drift(state)
-            s = self.dispersion_scalar(state)
-            state = state + b * dt + (s * math.sqrt(dt))[:, None] * rng.standard_normal(state.shape)
-            if not np.max(np.abs(state)) <= DIVERGENCE_RADIUS:  # also catches NaN
+            g = 1.0 + self._drift_coefficient(r) * dt
+            s = self._noise_scale(r) * math.sqrt(dt)
+            z = rng.standard_normal((min(d, 2), n))
+            a = g * a + s * z[0]
+            if d > 1:
+                w = g * w + s * z[1]
+            if d > 2:
+                w = np.sqrt(w * w + s * s * rng.chisquare(d - 2, n))
+            r = np.hypot(a, w)
+            t += dt
+            r_max = float(np.max(r, initial=0.0))
+            if not r_max <= DIVERGENCE_RADIUS:  # also catches NaN
                 raise DivergenceError(
-                    f"path diverged (|x| > {DIVERGENCE_RADIUS:.0e} or NaN) at step {i}", i
+                    f"path diverged (|x| > {DIVERGENCE_RADIUS:.0e} or NaN) at step {i}, "
+                    f"t = {t:.6g}, largest |x| = {r_max:.6g}", i, t, r_max
                 )
-        return state
+        if d == 1:
+            return a[:, None] * e1
+        # X_T = A e1 + W v, with v uniform on the unit sphere orthogonal to e1
+        pts = rng.standard_normal((n, d))
+        pts -= (pts @ e1)[:, None] * e1
+        pts *= (w / np.linalg.norm(pts, axis=1))[:, None]
+        pts += a[:, None] * e1
+        return pts
 
 
 def check_linear_growth(process, mu: float, n_points: int, seed: Seed,
@@ -181,7 +236,8 @@ def check_linear_growth(process, mu: float, n_points: int, seed: Seed,
     Pairs with |<x,u>| < 1e-12 are skipped; the largest ratio passes at
     most 1 + 1e-9.  The check is an empirical probe of the global condition
     over the region the envelope covers; scale it to the experiment
-    (typically the mode distance R).
+    (typically the mode distance R).  A scale so small that every pair is
+    skipped leaves nothing to probe and raises ``ConfigError``.
     """
     rng = substream(seed)
     d = process.d
@@ -192,6 +248,11 @@ def check_linear_growth(process, mu: float, n_points: int, seed: Seed,
     num = np.abs(np.sum(b * u, axis=1))
     den = np.abs(np.sum(x * u, axis=1))
     keep = den >= 1e-12
+    if not keep.any():
+        raise ConfigError(
+            f"envelope_scale = {envelope_scale:g} is too small for the linear-growth "
+            "probe: every sampled |<x,u>| is below 1e-12"
+        )
     max_ratio = float(np.max(num[keep] / (mu * den[keep])))
     limit = 1.0 + 1e-9
     return CheckResult("linear-growth", max_ratio <= limit, max_ratio, limit, "<=")

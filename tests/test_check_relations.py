@@ -67,9 +67,11 @@ def test_mode_mass_at_three_eps_fails_strictly(b_rho, eps):
 
 
 def test_tail_mass_reports_the_bound_it_is_compared_with():
-    # the Monte-Carlo outside mass lands just above eps/2 but within 3 se of it
+    # the true mass outside B(0, 52) is 0.5 P(chi2_8 > (52/13.225)^2) = 0.02540,
+    # above eps/2: the estimate must clear eps/2 by 3 se to pass, and cannot
     checks = {c.name: c for c in validate_data_spec(spec(bulk_scale=13.225), seed=2)}
     tail = checks["tail-mass"]
-    assert tail.passed
+    assert not tail.passed
     assert tail.value > 0.05 / 2
+    assert tail.threshold == pytest.approx(0.05 / 2 - 3.0 * tail.se, rel=1e-12)
     assert_relations_agree(checks.values())

@@ -143,7 +143,7 @@ n_points = 1000
         import mixlab.cli as cli_mod
 
         def boom(cfg, seed, threads):
-            raise DivergenceError("path diverged at step 3", 3)
+            raise DivergenceError("path diverged at step 3", 3, 0.3, float("nan"))
 
         monkeypatch.setitem(cli_mod.RUNNERS, "classify", boom)
         cfg = write_cfg(tmp_path / "c.cfg", "p = 1\n")
@@ -182,6 +182,21 @@ n_points = 1000
         monkeypatch.setitem(cli_mod.RUNNERS, "classify", integrate)
         cfg = write_cfg(tmp_path / "c.cfg", "p = 1\n")
         assert main(["classify", "--config", cfg, "--out", str(tmp_path)]) == 4
+
+    def test_envelope_scale_too_small_exits_2(self, tmp_path, capsys):
+        # every sampled pair falls below the 1e-12 floor of the linear-growth probe
+        cfg = write_cfg(tmp_path / "v.cfg", """
+process = ou
+d = 8
+R = 50
+delta = 0.02
+eps = 0.05
+b_rho = 0.5
+n_points = 1000
+envelope_scale = 1e-20
+""")
+        assert main(["validate", "--config", cfg, "--seed", "1", "--out", str(tmp_path)]) == 2
+        assert "envelope_scale" in capsys.readouterr().err
 
     def test_lowerbound_r_k_too_large(self, tmp_path):
         cfg = write_cfg(tmp_path / "l.cfg", """

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from mixlab import (
     DivergenceError,
@@ -20,6 +21,7 @@ from mixlab import (
     empirical_tv_1d,
 )
 from mixlab.bounds import SubspaceProjector
+from mixlab.forward import DIVERGENCE_RADIUS
 
 
 class TestOUTransitions:
@@ -99,8 +101,48 @@ class TestTemperedLangevinCoefficients:
 class NaNDriftLangevin(TemperedLangevin):
     """A process whose drift evaluates to NaN everywhere."""
 
-    def drift(self, x):
-        return np.full(np.shape(x), np.nan)
+    def radial_drift(self, r):
+        return np.full(np.shape(r), np.nan)
+
+
+def full_d_step(tl, state, dt, rng):
+    """One Euler-Maruyama step of the n x d chain X' = X + b(X) dt + sigma(X) sqrt(dt) xi.
+
+    The reference that ``TemperedLangevin.sample_endpoints`` reduces to two
+    scalars per path.
+    """
+    b = tl.drift(state)
+    s = tl.dispersion_scalar(state)
+    return state + b * dt + (s * math.sqrt(dt))[:, None] * rng.standard_normal(state.shape)
+
+
+def full_d_endpoints(tl, x0, T, n, seed, step):
+    rng = np.random.default_rng(seed)
+    state = np.tile(x0, (n, 1))
+    for dt in tl._steps(T, step):
+        state = full_d_step(tl, state, dt, rng)
+    return state
+
+
+def unit(v):
+    return v / np.linalg.norm(v)
+
+
+# (d, |x0|, ell, profile, T, step): each d, x0 = 0 and x0 != 0, and each ell occur,
+# and the quadratic case has drift factor g = 1 - 4 * 0.3 < 0 (overshoot)
+# with a remainder step of 0.1
+LAW_CASES = [
+    (1, 3.0, 0.4, RadialProfile.power_tail(0.6, 1.0), 1.0, 0.05),
+    (1, 0.0, 0.0, RadialProfile.power_tail(0.6, 1.0), 1.0, 0.05),
+    (2, 0.0, 0.0, RadialProfile.power_tail(1.0, 1.0), 1.0, 0.05),
+    (2, 3.0, 0.75, RadialProfile.power_tail(0.6, 1.0), 1.0, 0.05),
+    (3, 3.0, 0.0, RadialProfile.power_tail(0.6, 1.0), 1.0, 0.05),
+    (3, 2.0, 0.0, RadialProfile.quadratic(2.0), 1.0, 0.3),
+    (16, 3.0, 0.4, RadialProfile.power_tail(0.6, 1.0), 1.0, 0.05),
+    (16, 0.0, 0.0, RadialProfile.power_tail(0.6, 1.0), 1.0, 0.05),
+    (64, 3.0, 0.75, RadialProfile.power_tail(0.6, 1.0), 1.0, 0.05),
+    (64, 0.0, 0.0, RadialProfile.quadratic(0.5), 1.0, 0.05),
+]
 
 
 class TestEulerMaruyama:
@@ -142,12 +184,18 @@ class TestEulerMaruyama:
         assert tv <= 0.05
 
     def test_divergence_detection(self):
-        # superlinear drift plus a coarse step oscillates to infinity
+        # superlinear drift plus a coarse step oscillates to infinity; the
+        # error names the step, the grid time it reached and the largest radius
         tl = TemperedLangevin(RadialProfile.quadratic(2.0), 1.0, 2)
         x0 = np.array([10.0, 0.0])
         with pytest.raises(DivergenceError) as err:
             tl.sample_endpoints(x0, 5.0, 4, 8, IntegratorConfig(0.5))
-        assert err.value.step_index >= 0
+        exc = err.value
+        assert exc.step_index >= 0
+        assert exc.time == pytest.approx(0.5 * (exc.step_index + 1), rel=1e-12)
+        assert exc.radius > DIVERGENCE_RADIUS
+        assert f"t = {exc.time:.6g}" in str(exc)
+        assert f"largest |x| = {exc.radius:.6g}" in str(exc)
 
     def test_nan_state_is_divergence(self):
         # NaN compares false against the divergence radius; the guard must
@@ -157,6 +205,56 @@ class TestEulerMaruyama:
         with pytest.raises(DivergenceError, match="NaN") as err:
             tl.sample_endpoints(np.ones(2), 1.0, 4, 8, cfg)
         assert err.value.step_index == 0
+        assert err.value.time == pytest.approx(0.1)
+        assert math.isnan(err.value.radius)
+
+    def test_no_paths(self):
+        tl = TemperedLangevin(RadialProfile.quadratic(0.5), 0.0, 3)
+        pts = tl.sample_endpoints(np.ones(3), 1.0, 0, 0, IntegratorConfig(0.1))
+        assert pts.shape == (0, 3)
+
+    def test_origin_is_absorbing_above_half_temperature(self):
+        # ell > 1/2: drift and dispersion both vanish at 0, so a path stays there
+        tl = TemperedLangevin(RadialProfile.power_tail(1.0, 1.0), 0.75, 5)
+        pts = tl.sample_endpoints(np.zeros(5), 1.0, 100, 3, IntegratorConfig(0.1))
+        assert np.array_equal(pts, np.zeros((100, 5)))
+
+    @pytest.mark.parametrize("d,radius,ell,profile,T,h", LAW_CASES)
+    def test_endpoint_law_matches_full_d_chain(self, d, radius, ell, profile, T, h):
+        # two-sample KS of four statistics of X_T against the n x d chain
+        n = 5000
+        tl = TemperedLangevin(profile, ell, d)
+        rng = np.random.default_rng(1000 + d)
+        x0 = radius * unit(rng.standard_normal(d))
+        e1 = unit(x0) if radius > 0 else np.eye(d)[0]
+        stats = {"<X,e1>": e1, "<X,u>": unit(rng.standard_normal(d))}
+        if d > 1:
+            v = rng.standard_normal(d)
+            stats["<X,v>, v orthogonal to x0"] = unit(v - (v @ e1) * e1)
+        new = tl.sample_endpoints(x0, T, n, 11, IntegratorConfig(h))
+        ref = full_d_endpoints(tl, x0, T, n, 12, h)
+        assert new.shape == ref.shape == (n, d)
+        pairs = {name: (new @ w, ref @ w) for name, w in stats.items()}
+        pairs["|X|"] = (np.linalg.norm(new, axis=1), np.linalg.norm(ref, axis=1))
+        for name, (a, b) in pairs.items():
+            assert ks_2samp(a, b).pvalue > 1e-3, name
+
+    def test_weak_order_one(self):
+        # quadratic profile, ell = 0 is OU with mu = 2a: Euler-Maruyama's mean
+        # along x0 is (1 - mu h)^(T/h) |x0|, biased against e^{-mu T} |x0| by O(h)
+        mu, T, d, n = 1.0, 1.0, 8, 20_000
+        tl = TemperedLangevin(RadialProfile.quadratic(mu / 2.0), 0.0, d)
+        x0 = np.zeros(d)
+        x0[0] = 100.0
+        exact = math.exp(-mu * T) * x0[0]
+        biases = []
+        for i, h in enumerate((0.1, 0.05, 0.025)):
+            a = tl.sample_endpoints(x0, T, n, 20 + i, IntegratorConfig(h))[:, 0]
+            bias = a.mean() - exact
+            assert abs(bias) >= 20.0 * a.std() / math.sqrt(n)
+            biases.append(bias)
+        for coarse, fine in zip(biases, biases[1:]):
+            assert 1.6 <= coarse / fine <= 2.4
 
     def test_long_run_occupation_matches_invariant_radial_law(self):
         # pooled |x| snapshots after burn-in vs the exact radial sampler
@@ -168,9 +266,7 @@ class TestEulerMaruyama:
         snaps = []
         n_steps = 5000  # T = 50, burn-in t <= 10
         for step in range(n_steps):
-            b = tl.drift(state)
-            s = tl.dispersion_scalar(state)
-            state = state + b * h + (s * math.sqrt(h))[:, None] * rng.standard_normal(state.shape)
+            state = full_d_step(tl, state, h, rng)
             if step >= 1000 and step % 50 == 0:
                 snaps.append(np.linalg.norm(state, axis=1))
         occupied = np.concatenate(snaps)

@@ -35,7 +35,7 @@ GOLDEN = {
     "validate": (
         "process = ou\nd = 8\nR = 50\ndelta = 0.02\neps = 0.05\n"
         "b_rho = 0.5\nn_points = 2000\nbeta = 0.5\n",
-        "0e2cd4f30b10565926baa6f334d50a52ce392b237477febe39c4c8de12da6c15",
+        "b179ed513b845b24391a7cf718885a3a0f5a5358e1505ce5fdf1ad3965bee0c5",
     ),
 }
 
