@@ -120,7 +120,6 @@ class TemperedLangevin:
 
     def _drift_coefficient(self, r):
         """radial_drift(r) / r, and 0 at r = 0: the drift at x is this times x."""
-        r = np.asarray(r, dtype=float)
         out = np.zeros_like(r)
         nz = r > 0
         out[nz] = self.radial_drift(r[nz]) / r[nz]
