@@ -53,11 +53,12 @@ from .stats import (
     KSResult,
     TVEstimate,
     chisq_cdf,
+    coordinate_ks,
     empirical_tv_1d,
     gaussian_projection_mass,
     ks_statistic,
-    ks_sweep,
     projected_tv_vs_gaussian,
+    sweep_coordinates,
 )
 
 # the public names imported above; submodules bound by the imports are left out

@@ -21,12 +21,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.linalg import cho_factor, cho_solve
-from scipy.optimize import brentq
 
 from .errors import DomainError, StructuralError
-from .measures import CheckResult, MultiModalData, SphericalMeasure
+from .measures import CheckResult, MultiModalData, SphericalMeasure, projection_norm_samples
 from .rng import Seed, derive, substream
 from .stats import gaussian_projection_mass
 
@@ -78,7 +76,9 @@ class ConcaveRate:
     within 1e-8).
     Integrals use adaptive quadrature at relative tolerance 1e-10; inverses
     use bracketed root finding.  The callable must be safe for concurrent
-    evaluation.
+    evaluation.  scipy.integrate and scipy.optimize are imported by the
+    methods that use them, since no subcommand reaches this class and the
+    two imports would otherwise add to the start-up time of every CLI call.
     """
 
     def __init__(self, xi):
@@ -104,11 +104,15 @@ class ConcaveRate:
             raise DomainError("need u <= v")
         if v == u:
             return 0.0
+        from scipy.integrate import quad
+
         val, _ = quad(lambda s: 1.0 / float(self._fn(s)), u, v,
                       epsabs=0.0, epsrel=1e-10, limit=200)
         return float(val)
 
     def _sup_growth_time(self, u: float) -> float:
+        from scipy.integrate import quad
+
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
@@ -125,6 +129,8 @@ class ConcaveRate:
             raise DomainError("time must be nonnegative")
         if y == 0:
             return float(u)
+        from scipy.optimize import brentq
+
         hi = float(u)
         prev = 0.0
         for _ in range(2000):
@@ -160,6 +166,8 @@ class ConcaveRate:
         target = 1.0 / r
         if t == 0:
             return target
+        from scipy.optimize import brentq
+
         f = lambda c: self.growth_time(c, target) - t
         lo = target
         while lo > 1e-300:
@@ -232,6 +240,10 @@ class SubspaceProjector:
     def coeffs(self, x) -> np.ndarray:
         return np.asarray(x, dtype=float) @ self.basis.T
 
+    def embed(self, coeffs) -> np.ndarray:
+        """The projection G = coeffs @ basis in R^d, from coefficients on the basis rows."""
+        return coeffs @ self.basis
+
     def proj_norm_sq(self, x) -> np.ndarray:
         c = self.coeffs(x)
         return (c * c).sum(axis=-1)
@@ -256,7 +268,7 @@ def apply_generator(process, proj: SubspaceProjector, x):
     c = proj.coeffs(pts)
     gsq = (c * c).sum(axis=1)
     h = 1.0 / np.sqrt(1.0 + gsq)
-    G = c @ proj.basis
+    G = proj.embed(c)
     b = np.atleast_2d(process.drift(pts))
     adiag = np.asarray(process.dispersion_diag(pts), dtype=float)
     drift_term = -(h ** 3) * (b * G).sum(axis=1)
@@ -303,50 +315,63 @@ class LowerBoundReport:
 
 
 def tv_lower_bound(pi: SphericalMeasure, rho0, proj: SubspaceProjector, rate,
-                   r: float, t: float, n: int, seed: Seed) -> LowerBoundReport:
-    """Evaluate the three-term TV lower bound by Monte Carlo.
+                   r: float, times, n: int, seed: Seed) -> list[LowerBoundReport]:
+    """Evaluate the three-term TV lower bound by Monte Carlo at each of ``times``.
 
-    ``rho0`` is anything with ``sample(n, seed)`` returning (n, d) points (a
-    data mixture, or the noise measure itself for a stationarity sanity run).
-    The invariant-measure term uses the exact chi-square formula when ``pi``
-    is Gaussian and n samples of ``pi`` otherwise; the two data-side terms
-    always use n samples of ``rho0`` on an independent substream.
+    The bound reads x only through H(x) = (1 + |G(x)|^2)^{-1/2}, so each
+    side draws n values of |G(x)| once, in O(n k) whatever d is, and every
+    time reuses them (common random numbers): only the threshold level and
+    the envelope move with t.  ``rho0`` is a :class:`SphericalMeasure` (the
+    noise measure itself, for a stationarity sanity run), whose |G| comes
+    from :func:`projection_norm_samples`, or a :class:`MultiModalData`,
+    whose |G| is the row norm of :meth:`MultiModalData.sample_coefficients`
+    on the projector's basis; either way on substream (seed, 1).  The
+    invariant-measure term uses the exact chi-square formula when ``pi`` is
+    Gaussian and n draws of |G| under ``pi`` on substream (seed, 0)
+    otherwise.  Returns one report per time, in order.
     """
-    if pi.d != proj.d:
-        raise StructuralError("noise measure and projector dimensions differ")
+    if pi.d != proj.d or rho0.d != proj.d:
+        raise StructuralError("noise measure, start law and projector dimensions differ")
     n = int(n)
     if n < 2:
         raise DomainError("need at least 2 samples")
-    threshold = rate.threshold_level(r, t)
     if pi.profile.is_quadratic:
         pi_term = gaussian_projection_mass(proj.k, r, 2.0 * pi.profile.a)
         pi_se = 0.0
     else:
-        hs = proj.lyapunov(pi.sample(n, derive(seed, 0)))
-        ind = (hs >= 1.0 / r).astype(float)
+        g = projection_norm_samples(pi, proj.k, n, derive(seed, 0))
+        ind = (1.0 / np.sqrt(1.0 + g * g) >= 1.0 / r).astype(float)
         pi_term = float(ind.mean())
         pi_se = float(ind.std() / math.sqrt(n))
-    x = rho0.sample(n, derive(seed, 1))
-    hvals = proj.lyapunov(x)
-    tail = hvals >= threshold
-    gam = np.zeros(n)
-    if (~tail).any():
-        gam[~tail] = rate.grow(hvals[~tail], t)
-    integ = r * gam
-    rho_tail_term = float(tail.mean())
-    integral_term = float(integ.mean())
-    loss = np.where(tail, 1.0, integ)
-    total = pi_term - rho_tail_term - integral_term
-    return LowerBoundReport(
-        t=float(t), r=float(r), threshold=float(threshold),
-        pi_term=pi_term, rho_tail_term=rho_tail_term, integral_term=integral_term,
-        total=total,
-        pi_se=pi_se,
-        rho_tail_se=float(tail.std() / math.sqrt(n)),
-        integral_se=float(integ.std() / math.sqrt(n)),
-        total_se=float(math.hypot(pi_se, float(loss.std()) / math.sqrt(n))),
-        n=n,
-    )
+    if isinstance(rho0, SphericalMeasure):
+        g = projection_norm_samples(rho0, proj.k, n, derive(seed, 1))
+        gsq = g * g
+    else:
+        c = rho0.sample_coefficients(n, proj.basis, derive(seed, 1))
+        gsq = (c * c).sum(axis=1)
+    hvals = 1.0 / np.sqrt(1.0 + gsq)
+    reports = []
+    for t in times:
+        threshold = rate.threshold_level(r, t)
+        tail = hvals >= threshold
+        gam = np.zeros(n)
+        if (~tail).any():
+            gam[~tail] = rate.grow(hvals[~tail], t)
+        integ = r * gam
+        rho_tail_term = float(tail.mean())
+        integral_term = float(integ.mean())
+        loss = np.where(tail, 1.0, integ)
+        reports.append(LowerBoundReport(
+            t=float(t), r=float(r), threshold=float(threshold),
+            pi_term=pi_term, rho_tail_term=rho_tail_term, integral_term=integral_term,
+            total=pi_term - rho_tail_term - integral_term,
+            pi_se=pi_se,
+            rho_tail_se=float(tail.std() / math.sqrt(n)),
+            integral_se=float(integ.std() / math.sqrt(n)),
+            total_se=float(math.hypot(pi_se, float(loss.std()) / math.sqrt(n))),
+            n=n,
+        ))
+    return reports
 
 
 @dataclass(frozen=True)

@@ -85,8 +85,8 @@ def run_cutoff(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
     onset/mixing verification at the two characteristic horizons.
 
     Each grid time costs O(n) whatever d is: the start projections come from
-    :meth:`MultiModalData.sample_projection` and evolve under the exact 1-D
-    OU transition."""
+    :meth:`MultiModalData.sample_coefficients` on the one-row basis u and
+    evolve under the exact 1-D OU transition."""
     d, eps = cfg["d"], cfg["eps"]
     R = cfg["R"]
     # validates eps before log(1/eps) below
@@ -116,7 +116,7 @@ def run_cutoff(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
 
     def one(item):
         i, t = item
-        y0 = spec.sample_projection(n, direction, derive(seed, 1, i))
+        y0 = spec.sample_coefficients(n, direction[None, :], derive(seed, 1, i))[:, 0]
         yt = ou.evolve(y0[:, None], t, derive(seed, 2, i))
         return projected_tv_vs_gaussian(yt, np.array([1.0]), mu, bins=bins).value
 
@@ -153,7 +153,12 @@ def _build_process(cfg: dict):
 
 
 def run_lowerbound(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
-    """TV lower-bound terms over a time grid, final row at the bound horizon."""
+    """TV lower-bound terms over a time grid that contains the bound horizon t_lower.
+
+    One :func:`tv_lower_bound` call on substream (seed, 4) draws the samples
+    of rho0 and pi once, in O(n k) whatever d is, and every row reads them,
+    so the rows share their Monte-Carlo error.  The OU upper bound of row i
+    uses substream (seed, 5, i)."""
     proc, pi = _build_process(cfg)
     mu, d, k, n, eps = cfg["mu"], cfg["d"], cfg["k"], cfg["n"], cfg["eps"]
     R = cfg["R"]
@@ -178,18 +183,12 @@ def run_lowerbound(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
     )
     floor = (cfg["b_rho"] - eps) / 2.0
     is_ou = cfg["process"] == "ou"
-
-    def one(item):
-        i, t = item
-        rep = tv_lower_bound(pi, rho0, proj, rate, r_k, t, n, derive(seed, 4, i))
+    reps = tv_lower_bound(pi, rho0, proj, rate, r_k, times, n, derive(seed, 4))
+    rows = []
+    for i, (t, rep) in enumerate(zip(times, reps)):
         upper = None
         if is_ou and mu * t > math.log(2.0) / 2.0:
             upper = ou_tv_upper_bound(mu, spec, t, n=n, seed=derive(seed, 5, i))
-        return rep, upper
-
-    outs = parallel_map(one, list(enumerate(times)), threads)
-    rows = []
-    for t, (rep, upper) in zip(times, outs):
         rows.append({
             "t": t, "total": rep.total, "total_se": rep.total_se,
             "pi_term": rep.pi_term, "pi_se": rep.pi_se,

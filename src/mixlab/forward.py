@@ -292,7 +292,7 @@ def check_dispersion_balance(process, proj: SubspaceProjector, n_points: int, se
     adiag = np.asarray(adiag, dtype=float)
     lhs = adiag @ (basis * basis).sum(axis=0)
     coeff = proj.coeffs(x)
-    G = coeff @ basis
+    G = proj.embed(coeff)
     hsq = 1.0 / (1.0 + (coeff * coeff).sum(axis=1))
     rhs = 3.0 * hsq * (adiag * G * G).sum(axis=1)
     viol = (rhs - lhs) / np.maximum(np.abs(lhs) + np.abs(rhs), 1e-300)

@@ -315,59 +315,64 @@ class MultiModalData:
         out[idx] = self.bulk_scale * rng.standard_normal((len(idx), self.d))
         return out
 
-    def _chi2_rest(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """n draws of |(z_2, ..., z_d)|^2 for standard Gaussian z: chi2_{d-1}, zero at d = 1."""
-        return rng.chisquare(self.d - 1, n) if self.d > 1 else np.zeros(n)
+    def _chi2_rest(self, rng: np.random.Generator, n: int, k: int) -> np.ndarray:
+        """n draws of |(z_{k+1}, ..., z_d)|^2 for standard Gaussian z: chi2_{d-k}, zero at k = d."""
+        return rng.chisquare(self.d - k, n) if self.d > k else np.zeros(n)
 
-    def _mode_offset_projection(self, rng: np.random.Generator, mode: ModeSpec,
-                                n: int) -> np.ndarray:
-        """<x - center, u> for n draws of ``mode``, for any unit u.
+    def _mode_offset_coefficients(self, rng: np.random.Generator, mode: ModeSpec,
+                                  n: int, k: int) -> np.ndarray:
+        """(n, k) coefficients of x - center on k orthonormal rows, for n draws of ``mode``.
 
         Both mode laws are rotation invariant about the center, so the
-        projection has the law of the first coordinate of a d-dimensional
-        draw: g / sqrt(g^2 + chi2_{d-1}) for a uniform direction, and z_1
-        accepted jointly with w = |z_2..d|^2 ~ chi2_{d-1} for the truncated
-        Gaussian, which is the acceptance event of :meth:`_sample_mode`.
+        coefficients have the law of the first k coordinates of a
+        d-dimensional draw: radius * g_k / sqrt(|g_k|^2 + chi2_{d-k}) for a
+        uniform ball, and sigma * z_k accepted jointly with
+        w = |z_{k+1..d}|^2 ~ chi2_{d-k} for the truncated Gaussian, which is
+        the acceptance event of :meth:`_sample_mode`.
         """
         if self.mode_kind == "uniform-ball":
-            g = rng.standard_normal(n)
-            w = self._chi2_rest(rng, n)
+            g = rng.standard_normal((n, k))
+            w = self._chi2_rest(rng, n, k)
             radii = mode.radius * rng.random(n) ** (1.0 / self.d)
-            return radii * g / np.sqrt(g * g + w)
+            return radii[:, None] * g / np.sqrt((g * g).sum(axis=1) + w)[:, None]
         sigma = mode.radius / (math.sqrt(self.d) + 3.0)
-        z = rng.standard_normal(n)
-        w = self._chi2_rest(rng, n)
+        z = rng.standard_normal((n, k))
+        w = self._chi2_rest(rng, n, k)
         for _ in range(1000):
-            bad = np.flatnonzero(sigma * sigma * (z * z + w) > mode.radius ** 2)
+            bad = np.flatnonzero(sigma * sigma * ((z * z).sum(axis=1) + w) > mode.radius ** 2)
             if bad.size == 0:
                 return sigma * z
-            z[bad] = rng.standard_normal(bad.size)
-            w[bad] = self._chi2_rest(rng, bad.size)
+            z[bad] = rng.standard_normal((bad.size, k))
+            w[bad] = self._chi2_rest(rng, bad.size, k)
         raise RuntimeError("truncated-gaussian rejection sampling failed to converge")
 
-    def sample_projection(self, n: int, direction, seed: Seed) -> np.ndarray:
-        """Draw n values of <x, direction> for x from the mixture, in O(n).
+    def sample_coefficients(self, n: int, basis, seed: Seed) -> np.ndarray:
+        """Draw the (n, k) coefficients x @ basis.T of n mixture points, in O(n k).
 
-        Exact in law for any unit ``direction``: each mode contributes
-        <center, direction> plus a rotation-invariant scalar offset, and the
-        bulk contributes bulk_scale * N(0, 1).  No d-dimensional point is
-        built, so the cost does not grow with d.  Bitwise deterministic in
-        (n, direction, seed); the stream differs from :meth:`sample`.
+        ``basis`` is a (k, d) array of orthonormal rows.  Exact in law: each
+        mode contributes basis @ center plus rotation-invariant offset
+        coefficients, and the bulk contributes bulk_scale * N(0, I_k).  No
+        d-dimensional point is built, so the cost does not grow with d.
+        Bitwise deterministic in (n, basis, seed); the stream differs from
+        :meth:`sample`.
         """
-        u = np.asarray(direction, dtype=float).reshape(-1)
-        if u.shape != (self.d,):
-            raise StructuralError(f"direction has dimension {u.shape[0]}, expected {self.d}")
-        if abs(np.linalg.norm(u) - 1.0) > 1e-10:
-            raise StructuralError("direction must be a unit vector (1e-10 tolerance)")
+        b = np.asarray(basis, dtype=float)
+        if b.ndim != 2 or b.shape[1] != self.d:
+            raise StructuralError(f"basis must be a (k, {self.d}) array, got shape {b.shape}")
+        k = b.shape[0]
+        if not 1 <= k <= self.d:
+            raise StructuralError(f"basis has k={k} rows, need 1 <= k <= d={self.d}")
+        if np.max(np.abs(b @ b.T - np.eye(k))) > 1e-10:
+            raise StructuralError("basis rows must be orthonormal unit vectors (1e-10 tolerance)")
         n = int(n)
         rng = substream(seed)
         comp = self._components(rng, n)
-        out = np.empty(n)
+        out = np.empty((n, k))
         for i, mode in enumerate(self.modes):
             idx = np.flatnonzero(comp == i)
-            out[idx] = float(mode.center @ u) + self._mode_offset_projection(rng, mode, len(idx))
+            out[idx] = b @ mode.center + self._mode_offset_coefficients(rng, mode, len(idx), k)
         idx = np.flatnonzero(comp == len(self.modes))
-        out[idx] = self.bulk_scale * rng.standard_normal(len(idx))
+        out[idx] = self.bulk_scale * rng.standard_normal((len(idx), k))
         return out
 
     def mass_within_origin_ball(self, radius: float, n: int = 100_000, seed: Seed = 0) -> float:

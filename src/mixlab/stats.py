@@ -180,16 +180,3 @@ def coordinate_ks(coords, mu: float, standardize: bool = False) -> KSResult:
     root_mu = math.sqrt(mu)
     return ks_statistic(coords, lambda x: ndtr(np.asarray(x) * root_mu))
 
-
-def ks_sweep(process, start, mu: float, times: Sequence[float], seed: Seed,
-             standardize: bool = False) -> list[tuple[float, KSResult]]:
-    """KS statistic of the coordinates of one marginal at each time.
-
-    For each t, one marginal of the process is simulated from ``start`` (a
-    fixed point, or one draw when a sampleable mixture is given) and its d
-    coordinates are tested as d scalar draws against N(0, 1/mu).  With
-    ``standardize`` the coordinates are centred and scaled first and tested
-    against N(0, 1).  Meaningful only for large d (>= 100 recommended).
-    """
-    return [(t, coordinate_ks(coords, mu, standardize))
-            for t, coords in sweep_coordinates(process, start, times, seed)]

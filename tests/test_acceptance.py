@@ -166,8 +166,8 @@ def test_criterion_04_bound_ordering(acceptance_record):
     hz = mixing_horizons(mu, spec.R, spec.delta, spec.eps, spec.d, r_k=r_k)
     grid = np.linspace(0.5, 1.2 * hz.t_mix, 10)
     gaps = []
-    for i, t in enumerate(grid):
-        lower = tv_lower_bound(pi, spec, proj, rate, r_k, float(t), 50_000, (404, i))
+    lowers = tv_lower_bound(pi, spec, proj, rate, r_k, [float(t) for t in grid], 50_000, 404)
+    for t, lower in zip(grid, lowers):
         upper = ou_tv_upper_bound(mu, spec, float(t))
         gaps.append(upper + 3 * lower.total_se - lower.total)
         assert lower.total <= upper + 3 * lower.total_se, (t, lower.total, upper)

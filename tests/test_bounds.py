@@ -23,8 +23,10 @@ from mixlab import (
     check_generator_bound,
     check_growth_envelope,
     gaussian_kl,
+    gaussian_projection_mass,
     mixing_horizons,
     ou_tv_upper_bound,
+    projection_quantile,
     tv_lower_bound,
 )
 
@@ -267,6 +269,25 @@ class TestGenerator:
         assert rep.value > 0
 
 
+def oracle_lower_bound(pi, rho0, proj, rate, r, t, n, seed):
+    """The n x d evaluation: draw d-dimensional points of pi and rho0 for this
+    time alone and read H through the projector; returns (total, total_se)."""
+    if pi.profile.is_quadratic:
+        pi_term = gaussian_projection_mass(proj.k, r, 2.0 * pi.profile.a)
+        pi_se = 0.0
+    else:
+        ind = (proj.lyapunov(pi.sample(n, (seed, 0))) >= 1.0 / r).astype(float)
+        pi_term, pi_se = float(ind.mean()), float(ind.std() / math.sqrt(n))
+    hvals = proj.lyapunov(rho0.sample(n, (seed, 1)))
+    tail = hvals >= rate.threshold_level(r, t)
+    integ = np.zeros(n)
+    if (~tail).any():
+        integ[~tail] = r * rate.grow(hvals[~tail], t)
+    loss = np.where(tail, 1.0, integ)
+    total = pi_term - float(tail.mean()) - float(integ.mean())
+    return total, math.hypot(pi_se, float(loss.std()) / math.sqrt(n))
+
+
 class TestTVLowerBound:
     def setup_method(self):
         self.spec = single_mode_spec()
@@ -277,38 +298,80 @@ class TestTVLowerBound:
         self.r_k = 3.217
 
     def test_identity_exact(self):
-        rep = tv_lower_bound(self.pi, self.spec, self.proj, self.rate, self.r_k, 1.5, 20_000, 0)
+        rep, = tv_lower_bound(self.pi, self.spec, self.proj, self.rate, self.r_k, [1.5],
+                              20_000, 0)
         assert rep.total == rep.pi_term - rep.rho_tail_term - rep.integral_term
         assert 0.0 <= rep.pi_term <= 1.0
         assert 0.0 <= rep.rho_tail_term <= 1.0
         assert rep.integral_term >= 0.0
 
     def test_large_horizon_degenerates(self):
-        rep = tv_lower_bound(self.pi, self.spec, self.proj, self.rate, self.r_k, 50.0, 20_000, 1)
+        rep, = tv_lower_bound(self.pi, self.spec, self.proj, self.rate, self.r_k, [50.0],
+                              20_000, 1)
         assert rep.rho_tail_term == 1.0
         assert rep.total <= 0.0
 
     def test_far_mode_configuration(self):
         t_low = math.log(self.spec.R / (2 * self.r_k)) / self.mu
-        rep = tv_lower_bound(self.pi, self.spec, self.proj, self.rate, self.r_k, t_low, 50_000, 2)
+        rep, = tv_lower_bound(self.pi, self.spec, self.proj, self.rate, self.r_k, [t_low],
+                              50_000, 2)
         floor = (0.5 - 0.05) / 2.0
         assert rep.total >= floor - 3 * rep.total_se
 
     def test_stationary_start_is_null(self):
-        rep = tv_lower_bound(self.pi, self.pi, self.proj, self.rate, self.r_k, 1.0, 50_000, 3)
+        rep, = tv_lower_bound(self.pi, self.pi, self.proj, self.rate, self.r_k, [1.0],
+                              50_000, 3)
         assert rep.total <= 3 * rep.total_se
 
     def test_monte_carlo_pi_term(self):
         # non-Gaussian noise goes through the sampled pi-term path
         tl_pi = SphericalMeasure(self.spec.d, RadialProfile.power_tail(1.0, 1.0))
-        rep = tv_lower_bound(tl_pi, self.spec, self.proj, self.rate, 10.0, 0.5, 20_000, 4)
+        rep, = tv_lower_bound(tl_pi, self.spec, self.proj, self.rate, 10.0, [0.5], 20_000, 4)
         assert rep.pi_se > 0
         assert rep.total == rep.pi_term - rep.rho_tail_term - rep.integral_term
+
+    def test_times_share_one_draw(self):
+        # every time reads the same samples: a report does not depend on
+        # which other times are asked for, and the pi term is common to all
+        times = [0.5, 1.5, 2.5]
+        tl_pi = SphericalMeasure(self.spec.d, RadialProfile.power_tail(1.0, 1.0))
+        reps = tv_lower_bound(tl_pi, self.spec, self.proj, self.rate, 10.0, times, 20_000, 5)
+        assert [rep.t for rep in reps] == times
+        assert len({rep.pi_term for rep in reps}) == 1
+        alone, = tv_lower_bound(tl_pi, self.spec, self.proj, self.rate, 10.0, [1.5],
+                                20_000, 5)
+        assert alone == reps[1]
+
+    @pytest.mark.parametrize("noise", ["ou", "tempered"])
+    @pytest.mark.parametrize("start", ["data", "pi"])
+    def test_agrees_with_full_dimensional_oracle(self, noise, start):
+        d, n = 16, 20_000
+        if noise == "ou":
+            spec, pi, r = self.spec, self.pi, self.r_k
+        else:
+            spec = single_mode_spec(d=d, R=400.0, mode_kind="truncated-gaussian")
+            pi = SphericalMeasure(d, RadialProfile.power_tail(0.6, 1.0))
+            r = projection_quantile(pi, 3, 0.05, 20_000, 6).r
+        rho0 = spec if start == "data" else pi
+        proj = SubspaceProjector.containing_direction(spec.mode_direction, 3)
+        t_low = math.log(spec.R / (2 * r)) / self.mu
+        times = [0.0, 0.5 * t_low, t_low]
+        reps = tv_lower_bound(pi, rho0, proj, self.rate, r, times, n, 7)
+        for i, (t, rep) in enumerate(zip(times, reps)):
+            total, se = oracle_lower_bound(pi, rho0, proj, self.rate, r, t, n, 8 + i)
+            assert abs(rep.total - total) <= 4 * math.hypot(rep.total_se, se), (t, rep, total)
 
     def test_dimension_mismatch(self):
         with pytest.raises(StructuralError):
             tv_lower_bound(SphericalMeasure(4, RadialProfile.quadratic(0.5)), self.spec,
-                           self.proj, self.rate, 2.0, 1.0, 1000, 0)
+                           self.proj, self.rate, 2.0, [1.0], 1000, 0)
+        with pytest.raises(StructuralError):
+            tv_lower_bound(self.pi, SphericalMeasure(4, RadialProfile.quadratic(0.5)),
+                           self.proj, self.rate, 2.0, [1.0], 1000, 0)
+
+    def test_needs_two_samples(self):
+        with pytest.raises(DomainError):
+            tv_lower_bound(self.pi, self.spec, self.proj, self.rate, 2.0, [1.0], 1, 0)
 
 
 class TestGrowthEnvelope:

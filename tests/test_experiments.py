@@ -8,7 +8,7 @@ from scipy.stats import beta as beta_dist
 from scipy.stats import gamma as gamma_dist
 
 from mixlab import RadialProfile, SphericalMeasure, projection_quantile
-from mixlab.experiments import run_cutoff, run_ks_sweep, run_quantile_table
+from mixlab.experiments import run_cutoff, run_ks_sweep, run_lowerbound, run_quantile_table
 
 
 def quantile_oracle(p, d, a, eps, k=3):
@@ -101,3 +101,23 @@ class TestCutoffRun:
         assert peak < 50 * 2 ** 20
         assert len(res.rows) == 10
         assert all(0.0 <= r["tv"] <= 1.0 for r in res.rows)
+
+
+class TestLowerboundRun:
+    @pytest.mark.parametrize("process, R", [("ou", 50.0), ("tempered", 1e4)])
+    def test_memory_does_not_grow_with_dimension(self, process, R):
+        # one n x d sample of rho0 or pi at d = 1e5 would take n * d * 8 B = 1.6 GB;
+        # the tempered r_k at this d is about 1.6e3, so R = 1e4 keeps 2 r_k < R
+        cfg = {"process": process, "d": 100_000, "R": R, "delta": 0.02, "eps": 0.05,
+               "b_rho": 0.5, "bulk_scale": 0.0, "mode_kind": "truncated-gaussian", "mu": 1.0,
+               "k": 3, "profile_a": 0.6, "profile_p": 1.0, "ell": 0.4, "r_k": 0.0,
+               "rk_n": 1000, "n": 2000, "rho0": "data", "times": ()}
+        tracemalloc.start()
+        try:
+            res = run_lowerbound(cfg, 29)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2 ** 20
+        assert len(res.rows) == 6
+        assert all(-1.0 <= r["total"] <= 1.0 for r in res.rows)

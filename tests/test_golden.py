@@ -22,7 +22,7 @@ GOLDEN = {
         "process = tempered\nprofile_a = 0.6\nprofile_p = 1\nell = 0.4\n"
         "d = 8\nR = 400\ndelta = 0.02\neps = 0.05\nb_rho = 0.5\n"
         "n = 5000\nrk_n = 20000\n",
-        "5e40c40f9f343d51fb50bdad681bdb188799abd43a5ed6028e9ba66ea147d28a",
+        "23e6ec0a38a7f88b326f7752d12f1dd00b3a4a080207abb624110c9450b6f93a",
     ),
     "quantile-table": (
         "p_list = 1.8,1.2\nd_list = 3,30\nn = 20000\n",

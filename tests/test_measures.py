@@ -205,19 +205,25 @@ class TestDataMixture:
         assert 0.3 < part < 0.7
 
 
-class TestSampleProjection:
+def two_mode_spec(rng, d, mode_kind, bulk_scale):
+    """Designated mode on the first axis plus a second, off-axis mode and the bulk."""
+    far = np.zeros(d)
+    far[0] = 10.0 * 1.3
+    near = 4.0 * rng.standard_normal(d)
+    return MultiModalData(
+        d, 10.0, 0.3, 0.05,
+        modes=(ModeSpec(far, 3.0, 0.5), ModeSpec(near, 2.0, 0.2)),
+        bulk_scale=bulk_scale, mode_kind=mode_kind,
+    )
+
+
+class TestSampleCoefficientsOneRow:
+    """The k = 1 case: <x, u> for a single unit direction u."""
+
     @staticmethod
     def spec_and_direction(d, mode_kind, bulk_scale):
-        # designated mode plus a second, off-axis mode and the bulk
         rng = np.random.default_rng(d)
-        far = np.zeros(d)
-        far[0] = 10.0 * 1.3
-        near = 4.0 * rng.standard_normal(d)
-        spec = MultiModalData(
-            d, 10.0, 0.3, 0.05,
-            modes=(ModeSpec(far, 3.0, 0.5), ModeSpec(near, 2.0, 0.2)),
-            bulk_scale=bulk_scale, mode_kind=mode_kind,
-        )
+        spec = two_mode_spec(rng, d, mode_kind, bulk_scale)
         if d == 1:
             return spec, np.array([-1.0])
         u = rng.standard_normal(d) + spec.mode_direction
@@ -229,7 +235,7 @@ class TestSampleProjection:
     def test_matches_full_dimensional_sampler(self, d, mode_kind, bulk_scale):
         spec, u = self.spec_and_direction(d, mode_kind, bulk_scale)
         n = 20_000
-        fast = spec.sample_projection(n, u, 31)
+        fast = spec.sample_coefficients(n, u[None, :], 31)[:, 0]
         oracle = spec.sample(n, 32) @ u
         assert ks_2samp(fast, oracle).pvalue > 1e-3
 
@@ -239,47 +245,100 @@ class TestSampleProjection:
         center = np.array([3.0, 4.0, 0.0])
         spec = MultiModalData(3, 4.0, 0.25, 0.1, modes=(ModeSpec(center, 0.0, 0.6),),
                               bulk_scale=0.0)
-        u = np.array([0.6, 0.0, 0.8])
-        vals = spec.sample_projection(10_000, u, 5)
+        u = np.array([[0.6, 0.0, 0.8]])
+        vals = spec.sample_coefficients(10_000, u, 5)[:, 0]
         at_mode = np.isclose(vals, 1.8, rtol=0, atol=1e-12)
         assert np.all(at_mode | (vals == 0.0))
         assert abs(np.mean(at_mode) - 0.6) <= 4 * math.sqrt(0.24 / 10_000)
 
     def test_truncated_support_and_determinism(self):
         spec = single_mode_spec(d=8, mode_kind="truncated-gaussian", b_rho=1.0)
-        u = spec.mode_direction
-        vals = spec.sample_projection(5000, u, 17)
+        u = spec.mode_direction[None, :]
+        vals = spec.sample_coefficients(5000, u, 17)
         mode = spec.designated_mode
         assert np.all(np.abs(vals - mode.distance) <= mode.radius + 1e-9)
-        assert np.array_equal(vals, spec.sample_projection(5000, u, 17))
-        assert spec.sample_projection(0, u, 17).shape == (0,)
+        assert np.array_equal(vals, spec.sample_coefficients(5000, u, 17))
+        assert spec.sample_coefficients(0, u, 17).shape == (0, 1)
 
-    def test_truncated_acceptance_event(self):
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_truncated_acceptance_event(self, k):
         # the truncation is too rare to show in a KS test, so script the draws:
-        # (z_1, w) is rejected when z_1^2 + w exceeds (radius/sigma)^2 = 25
+        # (z_k, w) is rejected when |z_k|^2 + w exceeds (radius/sigma)^2 = 25
         class ScriptedRng:
             def __init__(self, normals, chisq):
                 self.normals, self.chisq = list(normals), list(chisq)
 
-            def standard_normal(self, n):
-                return np.array(self.normals.pop(0), dtype=float)
+            def standard_normal(self, shape):
+                out = np.array(self.normals.pop(0), dtype=float)
+                assert out.shape == shape
+                return out
 
             def chisquare(self, df, n):
+                assert df == 4 - k
                 return np.array(self.chisq.pop(0), dtype=float)
 
+        # the third draw splits |z_k|^2 = 1 over both coordinates when k = 2
+        first = [[1.0], [4.9], [1.0]] if k == 1 else [[1.0, 0.0], [4.9, 0.0], [0.6, 0.8]]
+        redraw = [[0.5], [-0.5]] if k == 1 else [[0.5, 0.0], [-0.5, 0.0]]
         spec = single_mode_spec(d=4, mode_kind="truncated-gaussian")
         sigma = spec.designated_mode.radius / 5.0
-        rng = ScriptedRng(normals=[[1.0, 4.9, 1.0], [0.5, -0.5]],
-                          chisq=[[1.0, 1.0, 24.5], [3.0, 3.0]])
-        got = spec._mode_offset_projection(rng, spec.designated_mode, 3)
-        assert np.allclose(got, sigma * np.array([1.0, 0.5, -0.5]), rtol=1e-15)
+        rng = ScriptedRng(normals=[first, redraw], chisq=[[1.0, 1.0, 24.5], [3.0, 3.0]])
+        got = spec._mode_offset_coefficients(rng, spec.designated_mode, 3, k)
+        expect = np.zeros((3, k))
+        expect[:, 0] = [1.0, 0.5, -0.5]
+        assert np.allclose(got, sigma * expect, rtol=1e-15)
 
-    def test_direction_validation(self):
+    def test_basis_validation(self):
         spec = single_mode_spec(d=4)
         with pytest.raises(StructuralError, match="unit"):
-            spec.sample_projection(10, np.ones(4), 0)
-        with pytest.raises(StructuralError, match="dimension"):
-            spec.sample_projection(10, np.array([1.0, 0.0, 0.0]), 0)
+            spec.sample_coefficients(10, np.ones((1, 4)), 0)
+        with pytest.raises(StructuralError, match="shape"):
+            spec.sample_coefficients(10, np.array([[1.0, 0.0, 0.0]]), 0)
+        with pytest.raises(StructuralError, match="shape"):
+            spec.sample_coefficients(10, np.array([1.0, 0.0, 0.0, 0.0]), 0)
+        with pytest.raises(StructuralError, match="rows"):
+            spec.sample_coefficients(10, np.zeros((0, 4)), 0)
+
+
+class TestSampleCoefficients:
+    """k >= 2 coefficients against the d-dimensional sampler projected on the basis."""
+
+    @staticmethod
+    def spec_and_basis(d, mode_kind, bulk_scale, k):
+        rng = np.random.default_rng(d)
+        spec = two_mode_spec(rng, d, mode_kind, bulk_scale)
+        # a generic orthonormal basis whose first row leans toward the far mode
+        a = rng.standard_normal((d, k))
+        a[:, 0] += 3.0 * spec.mode_direction
+        q, _ = np.linalg.qr(a)
+        return spec, q.T
+
+    # d = 3 with k = 3 is the k = d case, which draws no chi-square
+    @pytest.mark.parametrize("d", [3, 4, 16, 64])
+    @pytest.mark.parametrize("mode_kind", ["uniform-ball", "truncated-gaussian"])
+    @pytest.mark.parametrize("bulk_scale", [None, 0.0])
+    def test_matches_full_dimensional_sampler(self, d, mode_kind, bulk_scale):
+        k = 3
+        spec, basis = self.spec_and_basis(d, mode_kind, bulk_scale, k)
+        n = 20_000
+        fast = spec.sample_coefficients(n, basis, 41)
+        oracle = spec.sample(n, 42) @ basis.T
+        assert fast.shape == (n, k)
+        for f, o in ((np.linalg.norm(fast, axis=1), np.linalg.norm(oracle, axis=1)),
+                     (fast[:, 0], oracle[:, 0]), (fast[:, k - 1], oracle[:, k - 1])):
+            assert ks_2samp(f, o).pvalue > 1e-3
+
+    def test_full_basis_offsets_fill_the_ball(self):
+        # k = d: the coefficients are x itself in rotated coordinates, so the
+        # uniform ball's offsets stay inside the ball and reach its boundary
+        d = 3
+        spec = single_mode_spec(d=d, bulk_scale=0.0, b_rho=1.0)
+        rot, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((d, d)))
+        c = spec.sample_coefficients(20_000, rot.T, 9)
+        offset = np.linalg.norm(c - rot.T @ spec.designated_mode.center, axis=1)
+        mode = spec.designated_mode
+        assert np.all(offset <= mode.radius * (1 + 1e-12))
+        assert offset.max() > 0.99 * mode.radius
 
 
 class TestValidateDataSpec:

@@ -13,11 +13,12 @@ from mixlab import (
     SphericalMeasure,
     StructuralError,
     chisq_cdf,
+    coordinate_ks,
     empirical_tv_1d,
     gaussian_projection_mass,
     ks_statistic,
-    ks_sweep,
     projected_tv_vs_gaussian,
+    sweep_coordinates,
 )
 
 
@@ -228,9 +229,9 @@ class TestKSSweep:
         d, R, mu = 256, 100.0, 1.0
         ou = OUProcess(mu, d)
         x0 = R * np.ones(d) / math.sqrt(d)
-        out = ks_sweep(ou, x0, mu, [0.0, 12.0], 3)
-        assert out[0][1].statistic >= 0.3
-        assert out[1][1].statistic <= 0.08
+        out = [coordinate_ks(c, mu) for _, c in sweep_coordinates(ou, x0, [0.0, 12.0], 3)]
+        assert out[0].statistic >= 0.3
+        assert out[1].statistic <= 0.08
 
     def test_monotone_trend_small(self):
         d, R, mu = 256, 100.0, 1.0
@@ -239,17 +240,18 @@ class TestKSSweep:
         times = [0.0, 2.0, 4.0, 9.0]
         firsts, lasts = [], []
         for seed in range(5):
-            res = ks_sweep(ou, x0, mu, times, seed)
-            firsts.append(res[0][1].statistic)
-            lasts.append(res[-1][1].statistic)
+            res = [coordinate_ks(c, mu) for _, c in sweep_coordinates(ou, x0, times, seed)]
+            firsts.append(res[0].statistic)
+            lasts.append(res[-1].statistic)
         assert np.median(firsts) >= np.median(lasts)
 
     def test_standardize_flag(self):
         d = 128
         ou = OUProcess(1.0, d)
         x0 = 50.0 * np.ones(d) / math.sqrt(d)
-        raw = ks_sweep(ou, x0, 1.0, [0.5], 4)[0][1]
-        std = ks_sweep(ou, x0, 1.0, [0.5], 4, standardize=True)[0][1]
+        (_, coords), = sweep_coordinates(ou, x0, [0.5], 4)
+        raw = coordinate_ks(coords, 1.0)
+        std = coordinate_ks(coords, 1.0, standardize=True)
         # centring removes the residual mean shift, so the statistic drops
         assert std.statistic < raw.statistic
 
@@ -261,8 +263,8 @@ class TestKSSweep:
         center[0] = 51.0
         spec = MultiModalData(d, 50.0, 0.02, 0.05, modes=(ModeSpec(center, 1.0, 1.0),))
         ou = OUProcess(1.0, d)
-        out = ks_sweep(ou, spec, 1.0, [0.0, 10.0], 5)
-        assert out[0][1].statistic > out[1][1].statistic
+        out = [coordinate_ks(c, 1.0) for _, c in sweep_coordinates(ou, spec, [0.0, 10.0], 5)]
+        assert out[0].statistic > out[1].statistic
         # deterministic in the seed
-        again = ks_sweep(ou, spec, 1.0, [0.0, 10.0], 5)
-        assert again[0][1].statistic == out[0][1].statistic
+        again = [coordinate_ks(c, 1.0) for _, c in sweep_coordinates(ou, spec, [0.0, 10.0], 5)]
+        assert again[0].statistic == out[0].statistic
