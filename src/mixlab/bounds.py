@@ -21,7 +21,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import DomainError, StructuralError
 from .measures import CheckResult, MultiModalData, SphericalMeasure, projection_norm_samples
@@ -426,15 +425,16 @@ def gaussian_kl(m1, S1, m2, S2) -> float:
     if m2.size != d or S1.shape != (d, d) or S2.shape != (d, d):
         raise StructuralError("mean/covariance shapes are inconsistent")
     try:
-        c1 = cho_factor(S1, lower=True)
-        c2 = cho_factor(S2, lower=True)
+        L1 = np.linalg.cholesky(S1)
+        L2 = np.linalg.cholesky(S2)
     except np.linalg.LinAlgError as exc:
         raise DomainError(f"covariance not positive definite: {exc}") from exc
-    tr = float(np.trace(cho_solve(c2, S1)))
-    dm = m1 - m2
-    quad_term = float(dm @ cho_solve(c2, dm))
-    logdet1 = 2.0 * float(np.log(np.diag(c1[0])).sum())
-    logdet2 = 2.0 * float(np.log(np.diag(c2[0])).sum())
+    # with S2 = L2 L2^T, Tr(S2^-1 S1) = |L2^-1 L1|_F^2 and dm^T S2^-1 dm = |L2^-1 dm|^2
+    a = np.linalg.solve(L2, np.column_stack([L1, m1 - m2]))
+    tr = float(np.sum(a[:, :d] ** 2))
+    quad_term = float(a[:, d] @ a[:, d])
+    logdet1 = 2.0 * float(np.log(np.diag(L1)).sum())
+    logdet2 = 2.0 * float(np.log(np.diag(L2)).sum())
     kl = 0.5 * (tr - d + quad_term + logdet2 - logdet1)
     return 0.0 if -1e-9 < kl < 0.0 else kl
 

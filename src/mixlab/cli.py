@@ -39,7 +39,7 @@ from .experiments import (
 class Key:
     kind: str  # int | float | str | floats | ints
     default: object = None  # None means required
-    lo: float | None = None
+    lo: float | None = None  # inclusive bounds, checked on every element of a list
     hi: float | None = None
     choices: tuple | None = None
 
@@ -61,7 +61,7 @@ SCHEMAS: dict[str, dict[str, Key]] = {
         "mu": Key("float", default=1.0, lo=0.0),
         "n": Key("int", default=100_000, lo=100),
         "bins": Key("int", default=0, lo=0),
-        "times": Key("floats", default=()),
+        "times": Key("floats", default=(), lo=0.0),
     },
     "lowerbound": {
         **_DATA_KEYS,
@@ -75,11 +75,11 @@ SCHEMAS: dict[str, dict[str, Key]] = {
         "rk_n": Key("int", default=300_000, lo=1000),
         "n": Key("int", default=100_000, lo=100),
         "rho0": Key("str", default="data", choices=("data", "pi")),
-        "times": Key("floats", default=()),
+        "times": Key("floats", default=(), lo=0.0),
     },
     "quantile-table": {
-        "p_list": Key("floats", default=(1.0, 1.2, 1.4, 1.6, 1.8)),
-        "d_list": Key("ints", default=(3, 30, 300, 3000)),
+        "p_list": Key("floats", default=(1.0, 1.2, 1.4, 1.6, 1.8), lo=0.0, hi=2.0),
+        "d_list": Key("ints", default=(3, 30, 300, 3000), lo=1),
         "eps": Key("float", default=0.1, lo=0.0, hi=1.0),
         "n": Key("int", default=300_000, lo=1000),
         "a": Key("float", default=1.0, lo=0.0),
@@ -92,7 +92,7 @@ SCHEMAS: dict[str, dict[str, Key]] = {
         "eps": Key("float", default=0.1, lo=0.0, hi=1.0),
         "delta": Key("float", default=0.0, lo=-1e-12, hi=1.0),
         "reps": Key("int", default=20, lo=1),
-        "times": Key("floats", default=()),
+        "times": Key("floats", default=(), lo=0.0),
     },
     "classify": {
         "p": Key("float", lo=0.0),
@@ -106,7 +106,6 @@ SCHEMAS: dict[str, dict[str, Key]] = {
         "profile_a": Key("float", default=1.0, lo=0.0),
         "profile_p": Key("float", default=1.0, lo=0.0, hi=2.0),
         "ell": Key("float", default=0.0, lo=0.0),
-        "n": Key("int", default=100_000, lo=100),
         "n_points": Key("int", default=10_000, lo=100),
         "r_max": Key("float", default=0.0, lo=0.0),
         "envelope_scale": Key("float", default=0.0, lo=0.0),
@@ -161,16 +160,16 @@ def _parse_value(key: str, spec: Key, text: str):
             val = text
     except ValueError as exc:
         raise ConfigError(f"key '{key}': cannot parse {text!r} as {spec.kind}") from exc
-    if spec.kind in ("float", "floats"):
-        if not all(math.isfinite(v) for v in (val if spec.kind == "floats" else (val,))):
-            raise ConfigError(f"key '{key}': {text!r} is not a finite number")
+    items = val if isinstance(val, tuple) else (val,)
+    if spec.kind in ("float", "floats") and not all(math.isfinite(v) for v in items):
+        raise ConfigError(f"key '{key}': {text!r} is not a finite number")
     if spec.choices is not None and val not in spec.choices:
         raise ConfigError(f"key '{key}': {val!r} not one of {spec.choices}")
-    if spec.kind in ("int", "float"):
-        if spec.lo is not None and val < spec.lo:
-            raise ConfigError(f"key '{key}': {val} below minimum {spec.lo}")
-        if spec.hi is not None and val > spec.hi:
-            raise ConfigError(f"key '{key}': {val} above maximum {spec.hi}")
+    for v in items:
+        if spec.lo is not None and v < spec.lo:
+            raise ConfigError(f"key '{key}': {v} below minimum {spec.lo}")
+        if spec.hi is not None and v > spec.hi:
+            raise ConfigError(f"key '{key}': {v} above maximum {spec.hi}")
     return val
 
 

@@ -243,6 +243,13 @@ def run_ks_sweep(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
     if R > 0:
         hz = mixing_horizons(mu, R, delta, eps, d)
         t_onset, t_mix = hz.t_onset, hz.t_mix_simple
+        if t_onset < 0 and not cfg.get("times"):
+            # t_onset = log R - log(bound_r): the default grid would start before 0
+            bound_r = max(math.sqrt(2.0 * math.log(1.0 / eps)), 1.0)
+            raise ConfigError(
+                f"default ks-sweep times need R = 0 or R >= max(sqrt(2 log(1/eps)), 1) = "
+                f"{bound_r:.6g}, got R = {R:.6g}; set times to sweep a smaller R"
+            )
         defaults = [0.0, t_onset / 2, t_onset, t_mix]
     else:
         t_onset = t_mix = None
@@ -286,11 +293,11 @@ def run_ks_sweep(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
 def run_validate(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
     """Run every applicable admissibility check with measured margins."""
     proc, pi = _build_process(cfg)
-    mu, d, k, n = cfg["mu"], cfg["d"], cfg["k"], cfg["n"]
+    mu, d, k = cfg["mu"], cfg["d"], cfg["k"]
     spec = build_data_spec(cfg)
     scale = cfg.get("envelope_scale", 0.0) or spec.R
     checks = [replace(c, name=f"data/{c.name}")
-              for c in validate_data_spec(spec, n=n, seed=derive(seed, 8))]
+              for c in validate_data_spec(spec, seed=derive(seed, 8))]
     if isinstance(proc, TemperedLangevin):
         checks.append(check_drift_condition(proc, mu, r_max=cfg.get("r_max", 0.0) or 10.0 * spec.R))
     proj = SubspaceProjector.containing_direction(spec.mode_direction, k)

@@ -275,24 +275,6 @@ class MultiModalData:
         """Aggregated weight of all modes at distance >= R."""
         return sum(m.weight for m in self.modes if m.distance >= self.R)
 
-    def _sample_mode(self, rng: np.random.Generator, mode: ModeSpec, n: int) -> np.ndarray:
-        if n == 0:
-            return np.zeros((0, self.d))
-        dirs = rng.standard_normal((n, self.d))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        if self.mode_kind == "uniform-ball":
-            radii = mode.radius * rng.random(n) ** (1.0 / self.d)
-            return mode.center + radii[:, None] * dirs
-        # truncated Gaussian: sigma chosen so rejection stays cheap in any d
-        sigma = mode.radius / (math.sqrt(self.d) + 3.0)
-        pts = mode.center + sigma * rng.standard_normal((n, self.d))
-        for _ in range(1000):
-            bad = np.linalg.norm(pts - mode.center, axis=1) > mode.radius
-            if not bad.any():
-                return pts
-            pts[bad] = mode.center + sigma * rng.standard_normal((int(bad.sum()), self.d))
-        raise RuntimeError("truncated-gaussian rejection sampling failed to converge")
-
     def _components(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Mixture component of each of n draws; index len(modes) is the bulk."""
         weights = np.array([m.weight for m in self.modes] + [self.bulk_weight])
@@ -300,48 +282,58 @@ class MultiModalData:
         weights /= weights.sum()
         return rng.choice(len(weights), size=n, p=weights)
 
-    def sample(self, n: int, seed: Seed) -> np.ndarray:
-        """Draw n points from the mixture; bitwise deterministic in (n, seed)."""
-        n = int(n)
-        if n == 0:
-            return np.zeros((0, self.d))
+    def _mixture_coefficients(self, n: int, centers, seed: Seed) -> np.ndarray:
+        """(n, k) mixture draws with mode i placed at ``centers[i]``, a k-vector.
+
+        The offsets about each center and the bulk are rotation invariant, so
+        this is x in d coordinates when k = d and the centers are the mode
+        centers, and x @ basis.T when they are basis @ center.
+        """
+        k = len(centers[0])
         rng = substream(seed)
         comp = self._components(rng, n)
-        out = np.empty((n, self.d))
-        for i, mode in enumerate(self.modes):
+        out = np.empty((n, k))
+        for i, (mode, center) in enumerate(zip(self.modes, centers)):
             idx = np.flatnonzero(comp == i)
-            out[idx] = self._sample_mode(rng, mode, len(idx))
+            out[idx] = center + self._mode_offset_coefficients(rng, mode, len(idx), k)[0]
         idx = np.flatnonzero(comp == len(self.modes))
-        out[idx] = self.bulk_scale * rng.standard_normal((len(idx), self.d))
+        out[idx] = self.bulk_scale * rng.standard_normal((len(idx), k))
         return out
+
+    def sample(self, n: int, seed: Seed) -> np.ndarray:
+        """Draw n points from the mixture; bitwise deterministic in (n, seed)."""
+        return self._mixture_coefficients(int(n), [m.center for m in self.modes], seed)
 
     def _chi2_rest(self, rng: np.random.Generator, n: int, k: int) -> np.ndarray:
         """n draws of |(z_{k+1}, ..., z_d)|^2 for standard Gaussian z: chi2_{d-k}, zero at k = d."""
         return rng.chisquare(self.d - k, n) if self.d > k else np.zeros(n)
 
     def _mode_offset_coefficients(self, rng: np.random.Generator, mode: ModeSpec,
-                                  n: int, k: int) -> np.ndarray:
-        """(n, k) coefficients of x - center on k orthonormal rows, for n draws of ``mode``.
+                                  n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """n draws of ``mode``: the (n, k) coefficients of x - center on k
+        orthonormal rows, and the n squared norms |x - center|^2.
 
         Both mode laws are rotation invariant about the center, so the
         coefficients have the law of the first k coordinates of a
         d-dimensional draw: radius * g_k / sqrt(|g_k|^2 + chi2_{d-k}) for a
         uniform ball, and sigma * z_k accepted jointly with
-        w = |z_{k+1..d}|^2 ~ chi2_{d-k} for the truncated Gaussian, which is
-        the acceptance event of :meth:`_sample_mode`.
+        w = |z_{k+1..d}|^2 ~ chi2_{d-k} for the truncated Gaussian, whose
+        d-dimensional draw is accepted when sigma^2 (|z_k|^2 + w) <= radius^2.
+        At k = d they are the d offset coordinates themselves.
         """
         if self.mode_kind == "uniform-ball":
             g = rng.standard_normal((n, k))
             w = self._chi2_rest(rng, n, k)
             radii = mode.radius * rng.random(n) ** (1.0 / self.d)
-            return radii[:, None] * g / np.sqrt((g * g).sum(axis=1) + w)[:, None]
+            return radii[:, None] * g / np.sqrt((g * g).sum(axis=1) + w)[:, None], radii * radii
         sigma = mode.radius / (math.sqrt(self.d) + 3.0)
         z = rng.standard_normal((n, k))
         w = self._chi2_rest(rng, n, k)
         for _ in range(1000):
-            bad = np.flatnonzero(sigma * sigma * ((z * z).sum(axis=1) + w) > mode.radius ** 2)
+            sq = sigma * sigma * ((z * z).sum(axis=1) + w)
+            bad = np.flatnonzero(sq > mode.radius ** 2)
             if bad.size == 0:
-                return sigma * z
+                return sigma * z, sq
             z[bad] = rng.standard_normal((bad.size, k))
             w[bad] = self._chi2_rest(rng, bad.size, k)
         raise RuntimeError("truncated-gaussian rejection sampling failed to converge")
@@ -353,8 +345,8 @@ class MultiModalData:
         mode contributes basis @ center plus rotation-invariant offset
         coefficients, and the bulk contributes bulk_scale * N(0, I_k).  No
         d-dimensional point is built, so the cost does not grow with d.
-        Bitwise deterministic in (n, basis, seed); the stream differs from
-        :meth:`sample`.
+        Bitwise deterministic in (n, basis, seed); with basis = I it returns
+        the bytes of :meth:`sample`.
         """
         b = np.asarray(basis, dtype=float)
         if b.ndim != 2 or b.shape[1] != self.d:
@@ -364,23 +356,16 @@ class MultiModalData:
             raise StructuralError(f"basis has k={k} rows, need 1 <= k <= d={self.d}")
         if np.max(np.abs(b @ b.T - np.eye(k))) > 1e-10:
             raise StructuralError("basis rows must be orthonormal unit vectors (1e-10 tolerance)")
-        n = int(n)
-        rng = substream(seed)
-        comp = self._components(rng, n)
-        out = np.empty((n, k))
-        for i, mode in enumerate(self.modes):
-            idx = np.flatnonzero(comp == i)
-            out[idx] = b @ mode.center + self._mode_offset_coefficients(rng, mode, len(idx), k)
-        idx = np.flatnonzero(comp == len(self.modes))
-        out[idx] = self.bulk_scale * rng.standard_normal((len(idx), k))
-        return out
+        return self._mixture_coefficients(int(n), [b @ m.center for m in self.modes], seed)
 
     def mass_within_origin_ball(self, radius: float, n: int = 100_000, seed: Seed = 0) -> float:
         """Mixture mass of the closed ball B(0, radius).
 
         Closed form for the Gaussian bulk (chi-square CDF) and for modes whose
-        support lies entirely inside or outside; Monte Carlo only for modes
-        straddling the boundary.
+        support lies entirely inside or outside.  A mode straddling the
+        boundary is estimated from n draws on substream (seed, i) and counts
+        with its lower confidence limit, estimate minus 3 se, so the result
+        errs low: callers that need the mass outside the ball get it from above.
         """
         total = 0.0
         for i, mode in enumerate(self.modes):
@@ -391,10 +376,16 @@ class MultiModalData:
             elif lo > radius:
                 continue
             else:
-                pts = self._sample_mode(substream(derive(seed, i)), mode, int(n))
-                total += mode.weight * float(
-                    np.mean(np.linalg.norm(pts, axis=1) <= radius)
-                )
+                n = int(n)
+                if n < 1:
+                    raise DomainError("a mode straddling the ball needs n >= 1 draws")
+                # |x|^2 = |c|^2 + 2 |c| <x - c, c/|c|> + |x - c|^2, and the offset
+                # law is rotation invariant: one coefficient and the norm suffice
+                a, sq = self._mode_offset_coefficients(substream(derive(seed, i)), mode, n, 1)
+                c = mode.distance
+                p = float(np.mean(c * c + 2.0 * c * a[:, 0] + sq <= radius * radius))
+                se = math.sqrt(max(p * (1.0 - p), 1.0 / n) / n)
+                total += mode.weight * max(0.0, p - 3.0 * se)
         if self.bulk_weight > 0:
             if self.bulk_scale == 0:
                 total += self.bulk_weight
@@ -425,12 +416,12 @@ def validate_data_spec(spec: MultiModalData, n: int = 100_000,
 
     Checks the designated-mode placement (|x0| = R(1+delta) and radius =
     delta*R, both to 1e-12 relative), the mode-mass inequality b > 3*eps
-    against the stored weight, and the tail condition (mass outside
-    B(0, R(1+2delta)) below eps/2) by Monte Carlo: it passes only when the
-    estimate plus three standard errors stays below eps/2.
+    against the stored weight, and the tail condition: the mass outside
+    B(0, R(1+2delta)), 1 - :meth:`MultiModalData.mass_within_origin_ball`,
+    must lie below eps/2.  That mass is closed form unless a mode straddles
+    the sphere; such a mode is estimated from ``n`` draws on ``seed`` and
+    counted at its 3-se upper limit, so the gate errs toward failing.
     """
-    if n < 100_000:
-        n = 100_000
     checks: list[CheckResult] = []
     mode = spec.designated_mode
     target = spec.R * (1.0 + spec.delta)
@@ -459,14 +450,9 @@ def validate_data_spec(spec: MultiModalData, n: int = 100_000,
         CheckResult("far-mass-aggregate", spec.far_mass > 3.0 * spec.eps, spec.far_mass,
                     3.0 * spec.eps, ">", note="aggregate weight of modes at distance >= R")
     )
-    pts = spec.sample(n, seed)
-    outside = float(np.mean(np.linalg.norm(pts, axis=1) > spec.R * (1.0 + 2.0 * spec.delta)))
-    se = math.sqrt(max(outside * (1.0 - outside), 1.0 / n) / n)
-    # the 3 se allowance points toward failing: the estimate must clear
-    # eps/2 by three standard errors for the true mass to lie below eps/2
-    limit = spec.eps / 2.0 - 3.0 * se
+    outside = 1.0 - spec.mass_within_origin_ball(spec.R * (1.0 + 2.0 * spec.delta), n, seed)
     checks.append(
-        CheckResult("tail-mass", outside < limit, outside, limit, "<", se=se,
-                    note="Monte-Carlo mass outside B(0, R(1+2delta)) vs eps/2 - 3 se")
+        CheckResult("tail-mass", outside < spec.eps / 2.0, outside, spec.eps / 2.0, "<",
+                    note="mass outside B(0, R(1+2delta)) vs eps/2")
     )
     return tuple(checks)

@@ -29,6 +29,7 @@ from mixlab import (
     projection_quantile,
     tv_lower_bound,
 )
+from tests.test_measures import reference_sample
 
 
 def fd_generator(process, proj, x, h_rel=1e-4):
@@ -278,7 +279,11 @@ def oracle_lower_bound(pi, rho0, proj, rate, r, t, n, seed):
     else:
         ind = (proj.lyapunov(pi.sample(n, (seed, 0))) >= 1.0 / r).astype(float)
         pi_term, pi_se = float(ind.mean()), float(ind.std() / math.sqrt(n))
-    hvals = proj.lyapunov(rho0.sample(n, (seed, 1)))
+    if isinstance(rho0, MultiModalData):
+        x = reference_sample(rho0, n, (seed, 1))
+    else:
+        x = rho0.sample(n, (seed, 1))
+    hvals = proj.lyapunov(x)
     tail = hvals >= rate.threshold_level(r, t)
     integ = np.zeros(n)
     if (~tail).any():

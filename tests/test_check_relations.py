@@ -68,7 +68,7 @@ def test_mode_mass_at_three_eps_fails_strictly(b_rho, eps):
 
 def test_tail_mass_reports_the_bound_it_is_compared_with():
     # the true mass outside B(0, 52) is 0.5 P(chi2_8 > (52/13.225)^2) = 0.02540,
-    # above eps/2: the estimate must clear eps/2 by 3 se to pass, and cannot
+    # above eps/2: the check reads that closed form and must fail
     checks = {c.name: c for c in validate_data_spec(spec(bulk_scale=13.225), seed=2)}
     tail = checks["tail-mass"]
     assert not tail.passed

@@ -231,6 +231,35 @@ n = 1000
         assert main(["cutoff", "--config", cfg, "--seed", "1", "--out", str(tmp_path)]) == 2
         assert "eps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sub,text,key", [
+        ("cutoff", CUTOFF_CFG.replace("times = 0, 3.01685506", "times = -1, 2"), "times"),
+        ("ks-sweep", "d = 4\nR = 50\ntimes = 0, -0.5\n", "times"),
+        ("quantile-table", "d_list = 3, 0\n", "d_list"),
+        ("quantile-table", "p_list = 1, 2.5\n", "p_list"),
+        ("quantile-table", "p_list = -1\n", "p_list"),
+    ])
+    def test_list_element_out_of_range_exits_2(self, tmp_path, capsys, sub, text, key):
+        cfg = write_cfg(tmp_path / "c.cfg", text)
+        assert main([sub, "--config", cfg, "--seed", "1", "--out", str(tmp_path)]) == 2
+        assert f"key '{key}'" in capsys.readouterr().err
+
+    def test_ks_sweep_small_R_default_times_exits_2(self, tmp_path, capsys):
+        # with eps = 0.1, t_onset = log R - log(sqrt(2 log 10)) < 0 for R < 2.14597
+        cfg = write_cfg(tmp_path / "k.cfg", "d = 4\nR = 1.5\nreps = 2\n")
+        assert main(["ks-sweep", "--config", cfg, "--seed", "1", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "R = 1.5" in err and "2.14597" in err
+        # explicit times need no default grid
+        cfg = write_cfg(tmp_path / "k.cfg", "d = 4\nR = 1.5\nreps = 2\ntimes = 0, 1\n")
+        assert main(["ks-sweep", "--config", cfg, "--seed", "1", "--out", str(tmp_path)]) == 0
+
+    def test_validate_rejects_n(self, tmp_path, capsys):
+        # the tail mass is closed form, so validate has no sample size to set
+        cfg = write_cfg(tmp_path / "v.cfg", "process = ou\nd = 8\nR = 50\ndelta = 0.02\n"
+                                            "eps = 0.05\nn = 100000\n")
+        assert main(["validate", "--config", cfg, "--seed", "1", "--out", str(tmp_path)]) == 2
+        assert "key 'n'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("case", ["config-not-utf8", "config-is-directory", "out-is-file"])
     def test_path_errors_exit_2(self, tmp_path, case):
         cfg = write_cfg(tmp_path / "c.cfg", "p = 1\n")

@@ -35,7 +35,7 @@ GOLDEN = {
     "validate": (
         "process = ou\nd = 8\nR = 50\ndelta = 0.02\neps = 0.05\n"
         "b_rho = 0.5\nn_points = 2000\nbeta = 0.5\n",
-        "b179ed513b845b24391a7cf718885a3a0f5a5358e1505ce5fdf1ad3965bee0c5",
+        "9fb0bbbef18b25ea14ebc08e6a840063b360b36f578b32013ec0a6f1fb7bb14f",
     ),
 }
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,12 +18,50 @@ from mixlab import (
     projection_quantile,
     validate_data_spec,
 )
+from mixlab import measures
+from mixlab.rng import substream
 
 
 def single_mode_spec(d=16, R=50.0, delta=0.02, eps=0.05, b_rho=0.5, **kw):
     center = np.zeros(d)
     center[0] = R * (1 + delta)
     return MultiModalData(d, R, delta, eps, modes=(ModeSpec(center, delta * R, b_rho),), **kw)
+
+
+def sample_mode(spec, rng, mode, n):
+    """n d-dimensional draws of one mode, built coordinate by coordinate: a
+    uniform direction times a radius, or a Gaussian about the center redrawn
+    until it falls inside the ball."""
+    if n == 0:
+        return np.zeros((0, spec.d))
+    dirs = rng.standard_normal((n, spec.d))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    if spec.mode_kind == "uniform-ball":
+        radii = mode.radius * rng.random(n) ** (1.0 / spec.d)
+        return mode.center + radii[:, None] * dirs
+    sigma = mode.radius / (math.sqrt(spec.d) + 3.0)
+    pts = mode.center + sigma * rng.standard_normal((n, spec.d))
+    for _ in range(1000):
+        bad = np.linalg.norm(pts - mode.center, axis=1) > mode.radius
+        if not bad.any():
+            return pts
+        pts[bad] = mode.center + sigma * rng.standard_normal((int(bad.sum()), spec.d))
+    raise RuntimeError("truncated-gaussian rejection sampling failed to converge")
+
+
+def reference_sample(spec, n, seed):
+    """n full d-dimensional mixture points from :func:`sample_mode` and the
+    bulk; the reference the library's samplers are tested against."""
+    rng = substream(seed)
+    weights = np.array([m.weight for m in spec.modes] + [spec.bulk_weight])
+    comp = rng.choice(len(weights), size=n, p=weights / weights.sum())
+    out = np.empty((n, spec.d))
+    for i, mode in enumerate(spec.modes):
+        idx = np.flatnonzero(comp == i)
+        out[idx] = sample_mode(spec, rng, mode, len(idx))
+    idx = np.flatnonzero(comp == len(spec.modes))
+    out[idx] = spec.bulk_scale * rng.standard_normal((len(idx), spec.d))
+    return out
 
 
 class TestRadialProfile:
@@ -236,7 +275,7 @@ class TestSampleCoefficientsOneRow:
         spec, u = self.spec_and_direction(d, mode_kind, bulk_scale)
         n = 20_000
         fast = spec.sample_coefficients(n, u[None, :], 31)[:, 0]
-        oracle = spec.sample(n, 32) @ u
+        oracle = reference_sample(spec, n, 32) @ u
         assert ks_2samp(fast, oracle).pvalue > 1e-3
 
     def test_point_masses(self):
@@ -283,10 +322,12 @@ class TestSampleCoefficientsOneRow:
         spec = single_mode_spec(d=4, mode_kind="truncated-gaussian")
         sigma = spec.designated_mode.radius / 5.0
         rng = ScriptedRng(normals=[first, redraw], chisq=[[1.0, 1.0, 24.5], [3.0, 3.0]])
-        got = spec._mode_offset_coefficients(rng, spec.designated_mode, 3, k)
+        got, sq = spec._mode_offset_coefficients(rng, spec.designated_mode, 3, k)
         expect = np.zeros((3, k))
         expect[:, 0] = [1.0, 0.5, -0.5]
         assert np.allclose(got, sigma * expect, rtol=1e-15)
+        # the squared offset norms of the accepted draws: |z_k|^2 + w
+        assert np.allclose(sq, sigma ** 2 * np.array([2.0, 3.25, 3.25]), rtol=1e-15)
 
     def test_basis_validation(self):
         spec = single_mode_spec(d=4)
@@ -322,7 +363,7 @@ class TestSampleCoefficients:
         spec, basis = self.spec_and_basis(d, mode_kind, bulk_scale, k)
         n = 20_000
         fast = spec.sample_coefficients(n, basis, 41)
-        oracle = spec.sample(n, 42) @ basis.T
+        oracle = reference_sample(spec, n, 42) @ basis.T
         assert fast.shape == (n, k)
         for f, o in ((np.linalg.norm(fast, axis=1), np.linalg.norm(oracle, axis=1)),
                      (fast[:, 0], oracle[:, 0]), (fast[:, k - 1], oracle[:, k - 1])):
@@ -339,6 +380,59 @@ class TestSampleCoefficients:
         mode = spec.designated_mode
         assert np.all(offset <= mode.radius * (1 + 1e-12))
         assert offset.max() > 0.99 * mode.radius
+
+
+class TestMixtureSample:
+    """Full points: the per-mode coefficient draw at k = d."""
+
+    @pytest.mark.parametrize("d", [1, 2, 16, 64])
+    @pytest.mark.parametrize("mode_kind", ["uniform-ball", "truncated-gaussian"])
+    def test_matches_reference_sampler(self, d, mode_kind):
+        # zero bulk scale makes the bulk an atom at 0, so every point of the
+        # mixture has a known support: one of the two balls or the origin
+        spec, u = TestSampleCoefficientsOneRow.spec_and_direction(d, mode_kind, 0.0)
+        n = 20_000
+        x = spec.sample(n, 51)
+        oracle = reference_sample(spec, n, 52)
+        assert x.shape == (n, d)
+        far = spec.designated_mode.center
+        for f, o in ((np.linalg.norm(x - far, axis=1), np.linalg.norm(oracle - far, axis=1)),
+                     (x @ u, oracle @ u)):
+            assert ks_2samp(f, o).pvalue > 1e-3
+        inside = [np.linalg.norm(x - m.center, axis=1) <= m.radius * (1 + 1e-12)
+                  for m in spec.modes]
+        assert np.all(np.logical_or.reduce(inside) | np.all(x == 0.0, axis=1))
+
+    @pytest.mark.parametrize("mode_kind", ["uniform-ball", "truncated-gaussian"])
+    def test_is_the_identity_basis_case(self, mode_kind):
+        spec = two_mode_spec(np.random.default_rng(5), 5, mode_kind, None)
+        assert np.array_equal(spec.sample(3000, 8), spec.sample_coefficients(3000, np.eye(5), 8))
+        assert spec.sample(0, 8).shape == (0, 5)
+
+
+class TestMassWithinOriginBall:
+    @pytest.mark.parametrize("mode_kind", ["uniform-ball", "truncated-gaussian"])
+    def test_straddling_mode_lower_bound(self, mode_kind):
+        # one mode, half inside B(0, 5): the sole Monte-Carlo branch returns
+        # its estimate minus 3 se, a lower confidence limit of the inside mass
+        d, radius = 3, 5.0
+        spec = MultiModalData(d, 5.0, 0.2, 0.1, modes=(ModeSpec(np.array([5.0, 0.0, 0.0]),
+                                                                1.0, 1.0),),
+                              mode_kind=mode_kind)
+        n_oracle = 2_000_000
+        pts = reference_sample(spec, n_oracle, 61)
+        oracle = float(np.mean(np.linalg.norm(pts, axis=1) <= radius))
+        se_oracle = math.sqrt(oracle * (1 - oracle) / n_oracle)
+        assert 0.3 < oracle < 0.7
+        lb = spec.mass_within_origin_ball(radius, seed=62)
+        se = math.sqrt(oracle * (1 - oracle) / 100_000)
+        assert oracle - 6 * se <= lb <= oracle + 4 * se_oracle
+        # over seeds, the bound sits 3 se below the oracle on average
+        n = 10_000
+        se = math.sqrt(oracle * (1 - oracle) / n)
+        shifts = [(oracle - spec.mass_within_origin_ball(radius, n=n, seed=s)) / se
+                  for s in range(20)]
+        assert 2.0 <= np.mean(shifts) <= 4.0, shifts
 
 
 class TestValidateDataSpec:
@@ -365,6 +459,36 @@ class TestValidateDataSpec:
         tail = by_name["tail-mass"]
         assert not tail.passed
         assert abs(tail.value - escape_oracle) <= 4 * tail.se + 1e-3
+
+    @pytest.mark.parametrize("d", [2, 8, 256, 100_000])
+    @pytest.mark.parametrize("mode_kind", ["uniform-ball", "truncated-gaussian"])
+    def test_tail_mass_is_the_chi_square_closed_form(self, monkeypatch, d, mode_kind):
+        # a bulk scale that puts 4% of the bulk outside B(0, R(1+2delta)):
+        # 0.02 of the mixture, below eps/2 = 0.025
+        ball = 50.0 * 1.04
+        spec = single_mode_spec(d=d, mode_kind=mode_kind,
+                                bulk_scale=ball / math.sqrt(chi2.isf(0.04, d)))
+        oracle = spec.bulk_weight * (1.0 - chi2.cdf((ball / spec.bulk_scale) ** 2, d))
+
+        def no_draws(seed):
+            raise AssertionError("validate_data_spec drew random numbers")
+
+        monkeypatch.setattr(measures, "substream", no_draws)
+        tail = {c.name: c for c in validate_data_spec(spec, seed=1)}["tail-mass"]
+        assert abs(tail.value - oracle) <= 1e-12
+        assert tail.passed and tail.threshold == spec.eps / 2 and tail.se == 0.0
+
+    @pytest.mark.parametrize("d", [256, 100_000])
+    def test_memory_does_not_grow_with_d(self, d):
+        spec = single_mode_spec(d=d)
+        tracemalloc.start()
+        try:
+            report = validate_data_spec(spec, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(c.passed for c in report)
+        assert peak < 50e6, peak
 
     def test_distance_check(self):
         center = np.zeros(4)

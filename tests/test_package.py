@@ -21,9 +21,10 @@ def test_every_exported_name_resolves():
 
 
 def test_cli_import_leaves_out_optimize_and_integrate():
-    # only ConcaveRate uses them, and it imports them when called
-    code = ("import sys, mixlab.cli; "
-            "print([m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules])")
+    # only ConcaveRate uses them, and it imports them when called; no module
+    # needs scipy.linalg
+    code = ("import sys, mixlab.cli; print([m for m in "
+            "('scipy.optimize', 'scipy.integrate', 'scipy.linalg') if m in sys.modules])")
     src = str(Path(mixlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
