@@ -39,79 +39,75 @@ from .experiments import (
 class Key:
     kind: str  # int | float | str | floats | ints
     default: object = None  # None means required
-    lo: float | None = None  # inclusive bounds, checked on every element of a list
-    hi: float | None = None
+    within: str | None = None  # interval such as "(0, 2]" or "[1, inf)", checked per element
     choices: tuple | None = None
 
 
 _DATA_KEYS = {
-    "d": Key("int", lo=1),
-    "R": Key("float", lo=2.0),
-    "delta": Key("float", lo=0.0, hi=1.0),
-    "eps": Key("float", lo=0.0, hi=1.0),
-    "b_rho": Key("float", default=0.5, lo=0.0, hi=1.0),
-    "bulk_scale": Key("float", default=0.0, lo=0.0),  # 0 selects the built-in default
+    "d": Key("int", within="[1, inf)"),
+    "R": Key("float", within="(2, inf)"),
+    "delta": Key("float", within="(0, 1)"),
+    "eps": Key("float", within="(0, 1)"),
+    "b_rho": Key("float", default=0.5, within="(0, 1]"),
+    "bulk_scale": Key("float", default=0.0, within="[0, inf)"),  # 0 selects the built-in default
     "mode_kind": Key("str", default="uniform-ball",
                      choices=("uniform-ball", "truncated-gaussian")),
+}
+
+_PROCESS_KEYS = {
+    "process": Key("str", default="ou", choices=("ou", "tempered")),
+    "mu": Key("float", default=1.0, within="(0, inf)"),
+    "k": Key("int", default=3, within="[3, inf)"),
+    "profile_a": Key("float", default=1.0, within="(0, inf)"),
+    "profile_p": Key("float", default=1.0, within="(0, 2]"),
+    "ell": Key("float", default=0.0, within="[0, inf)"),
+    "r_k": Key("float", default=0.0, within="[0, inf)"),  # 0 requests estimation
+    "rk_n": Key("int", default=300_000, within="[1000, inf)"),
 }
 
 SCHEMAS: dict[str, dict[str, Key]] = {
     "cutoff": {
         **_DATA_KEYS,
-        "mu": Key("float", default=1.0, lo=0.0),
-        "n": Key("int", default=100_000, lo=100),
-        "bins": Key("int", default=0, lo=0),
-        "times": Key("floats", default=(), lo=0.0),
+        "mu": Key("float", default=1.0, within="(0, inf)"),
+        "n": Key("int", default=100_000, within="[100, inf)"),
+        "bins": Key("int", default=0, within="[0, inf)"),
+        "times": Key("floats", default=(), within="[0, inf)"),
     },
     "lowerbound": {
         **_DATA_KEYS,
-        "process": Key("str", default="ou", choices=("ou", "tempered")),
-        "mu": Key("float", default=1.0, lo=0.0),
-        "k": Key("int", default=3, lo=3),
-        "profile_a": Key("float", default=1.0, lo=0.0),
-        "profile_p": Key("float", default=1.0, lo=0.0, hi=2.0),
-        "ell": Key("float", default=0.0, lo=0.0),
-        "r_k": Key("float", default=0.0, lo=0.0),  # 0 requests estimation
-        "rk_n": Key("int", default=300_000, lo=1000),
-        "n": Key("int", default=100_000, lo=100),
+        **_PROCESS_KEYS,
+        "n": Key("int", default=100_000, within="[100, inf)"),
         "rho0": Key("str", default="data", choices=("data", "pi")),
-        "times": Key("floats", default=(), lo=0.0),
+        "times": Key("floats", default=(), within="[0, inf)"),
     },
     "quantile-table": {
-        "p_list": Key("floats", default=(1.0, 1.2, 1.4, 1.6, 1.8), lo=0.0, hi=2.0),
-        "d_list": Key("ints", default=(3, 30, 300, 3000), lo=1),
-        "eps": Key("float", default=0.1, lo=0.0, hi=1.0),
-        "n": Key("int", default=300_000, lo=1000),
-        "a": Key("float", default=1.0, lo=0.0),
-        "k": Key("int", default=3, lo=3),
+        "p_list": Key("floats", default=(1.0, 1.2, 1.4, 1.6, 1.8), within="(0, 2]"),
+        "d_list": Key("ints", default=(3, 30, 300, 3000), within="[1, inf)"),
+        "eps": Key("float", default=0.1, within="(0, 1)"),
+        "n": Key("int", default=300_000, within="[1000, inf)"),
+        "a": Key("float", default=1.0, within="(0, inf)"),
+        "k": Key("int", default=3, within="[3, inf)"),
     },
     "ks-sweep": {
-        "d": Key("int", lo=1),
-        "R": Key("float", lo=0.0),
-        "mu": Key("float", default=1.0, lo=0.0),
-        "eps": Key("float", default=0.1, lo=0.0, hi=1.0),
-        "delta": Key("float", default=0.0, lo=-1e-12, hi=1.0),
-        "reps": Key("int", default=20, lo=1),
-        "times": Key("floats", default=(), lo=0.0),
+        "d": Key("int", within="[1, inf)"),
+        "R": Key("float", within="[0, inf)"),  # 0 starts at stationarity
+        "mu": Key("float", default=1.0, within="(0, inf)"),
+        "eps": Key("float", default=0.1, within="(0, 1)"),
+        "delta": Key("float", default=0.0, within="[0, 1]"),
+        "reps": Key("int", default=20, within="[1, inf)"),
+        "times": Key("floats", default=(), within="[0, inf)"),
     },
     "classify": {
-        "p": Key("float", lo=0.0),
-        "ell": Key("float", default=0.0, lo=0.0),
+        "p": Key("float", within="(0, inf)"),
+        "ell": Key("float", default=0.0, within="[0, inf)"),
     },
     "validate": {
         **_DATA_KEYS,
-        "process": Key("str", default="ou", choices=("ou", "tempered")),
-        "mu": Key("float", default=1.0, lo=0.0),
-        "k": Key("int", default=3, lo=3),
-        "profile_a": Key("float", default=1.0, lo=0.0),
-        "profile_p": Key("float", default=1.0, lo=0.0, hi=2.0),
-        "ell": Key("float", default=0.0, lo=0.0),
-        "n_points": Key("int", default=10_000, lo=100),
-        "r_max": Key("float", default=0.0, lo=0.0),
-        "envelope_scale": Key("float", default=0.0, lo=0.0),
-        "beta": Key("float", default=0.0, lo=0.0, hi=1.0),
-        "r_k": Key("float", default=0.0, lo=0.0),
-        "rk_n": Key("int", default=300_000, lo=1000),
+        **_PROCESS_KEYS,
+        "n_points": Key("int", default=10_000, within="[100, inf)"),
+        "r_max": Key("float", default=0.0, within="[0, inf)"),
+        "envelope_scale": Key("float", default=0.0, within="[0, inf)"),
+        "beta": Key("float", default=0.0, within="[0, 1]"),
     },
 }
 
@@ -165,11 +161,13 @@ def _parse_value(key: str, spec: Key, text: str):
         raise ConfigError(f"key '{key}': {text!r} is not a finite number")
     if spec.choices is not None and val not in spec.choices:
         raise ConfigError(f"key '{key}': {val!r} not one of {spec.choices}")
-    for v in items:
-        if spec.lo is not None and v < spec.lo:
-            raise ConfigError(f"key '{key}': {v} below minimum {spec.lo}")
-        if spec.hi is not None and v > spec.hi:
-            raise ConfigError(f"key '{key}': {v} above maximum {spec.hi}")
+    if spec.within is not None:
+        lo, hi = (float(end) for end in spec.within[1:-1].split(","))
+        for v in items:
+            if v < lo or (v == lo and spec.within[0] == "("):
+                raise ConfigError(f"key '{key}': {v} below minimum of {spec.within}")
+            if v > hi or (v == hi and spec.within[-1] == ")"):
+                raise ConfigError(f"key '{key}': {v} above maximum of {spec.within}")
     return val
 
 

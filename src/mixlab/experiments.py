@@ -65,10 +65,10 @@ def build_data_spec(cfg: dict) -> MultiModalData:
     center = np.zeros(d)
     center[0] = cfg["R"] * (1.0 + cfg["delta"])
     mode = ModeSpec(center, cfg["delta"] * cfg["R"], cfg["b_rho"])
-    bulk = cfg.get("bulk_scale", 0.0)
+    bulk = cfg["bulk_scale"]
     return MultiModalData(
         d=d, R=cfg["R"], delta=cfg["delta"], eps=cfg["eps"], modes=(mode,),
-        bulk_scale=None if bulk <= 0 else bulk, mode_kind=cfg.get("mode_kind", "uniform-ball"),
+        bulk_scale=None if bulk <= 0 else bulk, mode_kind=cfg["mode_kind"],
     )
 
 
@@ -84,9 +84,11 @@ def run_cutoff(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
     """Projected TV along the mode direction over a time grid, with the
     onset/mixing verification at the two characteristic horizons.
 
-    Each grid time costs O(n) whatever d is: the start projections come from
-    :meth:`MultiModalData.sample_coefficients` on the one-row basis u and
-    evolve under the exact 1-D OU transition."""
+    The start projections <x, u> are drawn once per run on substream
+    (seed, 1), in O(n) whatever d is, by
+    :meth:`MultiModalData.sample_coefficients` on the one-row basis u, so
+    every row starts from the same sample of rho0.  Grid time i evolves
+    them under the exact 1-D OU transition on substream (seed, 2, i)."""
     d, eps = cfg["d"], cfg["eps"]
     R = cfg["R"]
     # validates eps before log(1/eps) below
@@ -101,7 +103,7 @@ def run_cutoff(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
     hz = mixing_horizons(mu, R, cfg["delta"], eps, d)
     t_onset, t_mix = hz.t_onset, hz.t_mix_simple
     times = _merged_times(
-        cfg.get("times"),
+        cfg["times"],
         [0.0, t_onset / 4, t_onset / 2, 3 * t_onset / 4, t_onset,
          (t_onset + t_mix) / 2, t_mix, 1.25 * t_mix, 1.5 * t_mix, 2 * t_mix],
         [t_onset, t_mix],
@@ -109,15 +111,14 @@ def run_cutoff(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
     # <X_t, u> of the d-dimensional OU process is itself a 1-D OU process, so
     # the statistic needs only the scalar projections of the start sample
     ou = OUProcess(mu, 1)
-    direction = spec.mode_direction
-    bins = cfg.get("bins", 0) or None
+    y0 = spec.sample_coefficients(n, spec.mode_direction[None, :], derive(seed, 1))
+    bins = cfg["bins"] or None
     floor = (cfg["b_rho"] - eps) / 2.0
     tv_se = 1.0 / (2.0 * math.sqrt(n))
 
     def one(item):
         i, t = item
-        y0 = spec.sample_coefficients(n, direction[None, :], derive(seed, 1, i))[:, 0]
-        yt = ou.evolve(y0[:, None], t, derive(seed, 2, i))
+        yt = ou.evolve(y0, t, derive(seed, 2, i))
         return projected_tv_vs_gaussian(yt, np.array([1.0]), mu, bins=bins).value
 
     tvs = parallel_map(one, list(enumerate(times)), threads)
@@ -136,7 +137,6 @@ def run_cutoff(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
     return ExperimentResult(
         columns=["t", "tv", "tv_se", "t_onset", "t_mix_simple", "floor", "eps"],
         rows=rows, checks=checks,
-        info={"t_onset": t_onset, "t_mix_simple": t_mix, "floor": floor},
         chart={"x": times, "series": {"projected TV": tvs}, "title": "projected TV vs time",
                "xlabel": "t", "ylabel": "TV"},
     )
@@ -157,13 +157,13 @@ def run_lowerbound(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
 
     One :func:`tv_lower_bound` call on substream (seed, 4) draws the samples
     of rho0 and pi once, in O(n k) whatever d is, and every row reads them,
-    so the rows share their Monte-Carlo error.  The OU upper bound of row i
-    uses substream (seed, 5, i)."""
+    so the rows share their Monte-Carlo error.  The OU upper bound reads a
+    ball mass that does not depend on t, so every row uses substream (seed, 5)."""
     proc, pi = _build_process(cfg)
     mu, d, k, n, eps = cfg["mu"], cfg["d"], cfg["k"], cfg["n"], cfg["eps"]
     R = cfg["R"]
     spec = build_data_spec(cfg)
-    r_k = cfg.get("r_k", 0.0)
+    r_k = cfg["r_k"]
     if r_k <= 0:
         r_k = projection_quantile(pi, k, eps, cfg["rk_n"], derive(seed, 3)).r
     if 2.0 * r_k >= R:
@@ -177,7 +177,7 @@ def run_lowerbound(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
     proj = SubspaceProjector.containing_direction(direction, k)
     rate = LinearRate(mu)
     times = _merged_times(
-        cfg.get("times"),
+        cfg["times"],
         [f * t_low for f in (0.25, 0.5, 0.75, 1.0, 1.25, 1.5)] if t_low > 0 else [0.0],
         [t_low],
     )
@@ -185,10 +185,10 @@ def run_lowerbound(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
     is_ou = cfg["process"] == "ou"
     reps = tv_lower_bound(pi, rho0, proj, rate, r_k, times, n, derive(seed, 4))
     rows = []
-    for i, (t, rep) in enumerate(zip(times, reps)):
+    for t, rep in zip(times, reps):
         upper = None
         if is_ou and mu * t > math.log(2.0) / 2.0:
-            upper = ou_tv_upper_bound(mu, spec, t, n=n, seed=derive(seed, 5, i))
+            upper = ou_tv_upper_bound(mu, spec, t, n=n, seed=derive(seed, 5))
         rows.append({
             "t": t, "total": rep.total, "total_se": rep.total_se,
             "pi_term": rep.pi_term, "pi_se": rep.pi_se,
@@ -201,7 +201,6 @@ def run_lowerbound(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
         columns=["t", "total", "total_se", "pi_term", "pi_se", "rho_tail", "rho_tail_se",
                  "integral", "integral_se", "threshold", "r_k", "t_lower", "floor", "tv_upper"],
         rows=rows,
-        info={"r_k": r_k, "t_lower": t_low, "floor": floor},
     )
 
 
@@ -243,7 +242,7 @@ def run_ks_sweep(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
     if R > 0:
         hz = mixing_horizons(mu, R, delta, eps, d)
         t_onset, t_mix = hz.t_onset, hz.t_mix_simple
-        if t_onset < 0 and not cfg.get("times"):
+        if t_onset < 0 and not cfg["times"]:
             # t_onset = log R - log(bound_r): the default grid would start before 0
             bound_r = max(math.sqrt(2.0 * math.log(1.0 / eps)), 1.0)
             raise ConfigError(
@@ -254,7 +253,7 @@ def run_ks_sweep(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
     else:
         t_onset = t_mix = None
         defaults = [0.0, 1.0, 2.0, 4.0]
-    times = _merged_times(cfg.get("times"), defaults, [])
+    times = _merged_times(cfg["times"], defaults, [])
     reps = cfg["reps"]
     ou = OUProcess(mu, d)
     # R = 0 means a stationary start: one draw from the invariant measure
@@ -295,11 +294,11 @@ def run_validate(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
     proc, pi = _build_process(cfg)
     mu, d, k = cfg["mu"], cfg["d"], cfg["k"]
     spec = build_data_spec(cfg)
-    scale = cfg.get("envelope_scale", 0.0) or spec.R
+    scale = cfg["envelope_scale"] or spec.R
     checks = [replace(c, name=f"data/{c.name}")
               for c in validate_data_spec(spec, seed=derive(seed, 8))]
     if isinstance(proc, TemperedLangevin):
-        checks.append(check_drift_condition(proc, mu, r_max=cfg.get("r_max", 0.0) or 10.0 * spec.R))
+        checks.append(check_drift_condition(proc, mu, r_max=cfg["r_max"] or 10.0 * spec.R))
     proj = SubspaceProjector.containing_direction(spec.mode_direction, k)
     checks += [
         check_linear_growth(proc, mu, n_points=cfg["n_points"], seed=derive(seed, 9),
@@ -309,9 +308,9 @@ def run_validate(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
         check_generator_bound(proc, proj, mu, n_points=cfg["n_points"], seed=derive(seed, 11),
                               envelope_scale=scale),
     ]
-    beta = cfg.get("beta", 0.0)
+    beta = cfg["beta"]
     if beta > 0:
-        r_k = cfg.get("r_k", 0.0)
+        r_k = cfg["r_k"]
         if r_k <= 0:
             r_k = projection_quantile(pi, k, cfg["eps"], cfg["rk_n"], derive(seed, 12)).r
         checks += [replace(c, name=f"bridge/{c.name}") for c in

@@ -14,10 +14,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc
 
 from .errors import DomainError, StructuralError
 from .rng import Seed, derive, substream
+from .stats import chisq_cdf
 
 MODE_KINDS = ("uniform-ball", "truncated-gaussian")
 
@@ -391,8 +391,7 @@ class MultiModalData:
                 total += self.bulk_weight
             else:
                 # |bulk|^2 / bulk_scale^2 is chi-square with d degrees of freedom
-                z = (radius / self.bulk_scale) ** 2
-                total += self.bulk_weight * float(gammainc(self.d / 2.0, z / 2.0))
+                total += self.bulk_weight * chisq_cdf(self.d, (radius / self.bulk_scale) ** 2)
         return min(1.0, total)
 
 

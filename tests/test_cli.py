@@ -237,11 +237,25 @@ n = 1000
         ("quantile-table", "d_list = 3, 0\n", "d_list"),
         ("quantile-table", "p_list = 1, 2.5\n", "p_list"),
         ("quantile-table", "p_list = -1\n", "p_list"),
+        ("quantile-table", "p_list = 0\n", "p_list"),
     ])
     def test_list_element_out_of_range_exits_2(self, tmp_path, capsys, sub, text, key):
         cfg = write_cfg(tmp_path / "c.cfg", text)
         assert main([sub, "--config", cfg, "--seed", "1", "--out", str(tmp_path)]) == 2
         assert f"key '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sub,text,key", [
+        ("cutoff", CUTOFF_CFG.replace("b_rho = 0.5", "b_rho = 0"), "b_rho"),
+        ("cutoff", CUTOFF_CFG.replace("R = 50", "R = 2"), "R"),
+        ("validate", "process = tempered\nprofile_p = 0\nd = 8\nR = 50\ndelta = 0.02\n"
+                     "eps = 0.05\n", "profile_p"),
+    ], ids=["b_rho", "R", "profile_p"])
+    def test_open_interval_end_exits_2(self, tmp_path, capsys, sub, text, key):
+        # each of these values sits on the excluded end of the key's interval
+        cfg = write_cfg(tmp_path / "c.cfg", text)
+        assert main([sub, "--config", cfg, "--seed", "1", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"key '{key}'" in err and "below minimum" in err
 
     def test_ks_sweep_small_R_default_times_exits_2(self, tmp_path, capsys):
         # with eps = 0.1, t_onset = log R - log(sqrt(2 log 10)) < 0 for R < 2.14597

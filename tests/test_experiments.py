@@ -7,8 +7,16 @@ from scipy.integrate import quad
 from scipy.stats import beta as beta_dist
 from scipy.stats import gamma as gamma_dist
 
-from mixlab import RadialProfile, SphericalMeasure, projection_quantile
-from mixlab.experiments import run_cutoff, run_ks_sweep, run_lowerbound, run_quantile_table
+from mixlab import OUProcess, RadialProfile, SphericalMeasure, projection_quantile
+from mixlab.cli import resolve_config
+from mixlab.experiments import (
+    build_data_spec,
+    run_cutoff,
+    run_ks_sweep,
+    run_lowerbound,
+    run_quantile_table,
+)
+from mixlab.stats import projected_tv_vs_gaussian
 
 
 def quantile_oracle(p, d, a, eps, k=3):
@@ -86,7 +94,46 @@ class TestKSSweepRun:
         assert med[-1] <= 0.05
 
 
+def cutoff_cfg(n):
+    return resolve_config("cutoff", {"d": "16", "R": "50", "delta": "0.02", "eps": "0.05",
+                                     "n": str(n)})
+
+
 class TestCutoffRun:
+    def test_rows_evolve_one_start_draw(self):
+        cfg, seed = cutoff_cfg(2000), 31
+        spec = build_data_spec(cfg)
+        y0 = spec.sample_coefficients(cfg["n"], spec.mode_direction[None, :], (seed, 1))
+        ou = OUProcess(cfg["mu"], 1)
+        res = run_cutoff(cfg, seed)
+        assert len(res.rows) == 10
+        for i, row in enumerate(res.rows):
+            yt = ou.evolve(y0, row["t"], (seed, 2, i))
+            assert row["tv"] == projected_tv_vs_gaussian(yt, [1.0], cfg["mu"]).value
+
+    def test_shared_start_draw_keeps_the_mean_tv(self):
+        # oracle: a fresh start draw per grid time, on (seed, 1, i); sharing one
+        # draw across the rows changes no row's law, so the means agree
+        cfg = cutoff_cfg(20_000)
+        spec = build_data_spec(cfg)
+        ou = OUProcess(cfg["mu"], 1)
+        shared = {"t_onset": [], "t_mix_simple": []}
+        redrawn = {"t_onset": [], "t_mix_simple": []}
+        for seed in range(1001, 1021):
+            for i, row in enumerate(run_cutoff(cfg, seed).rows):
+                for col in shared:
+                    if row["t"] == row[col]:
+                        shared[col].append(row["tv"])
+                        y0 = spec.sample_coefficients(cfg["n"], spec.mode_direction[None, :],
+                                                      (seed, 1, i))
+                        yt = ou.evolve(y0, row["t"], (seed, 2, i))
+                        redrawn[col].append(projected_tv_vs_gaussian(yt, [1.0], cfg["mu"]).value)
+        for col in shared:
+            a, b = np.array(shared[col]), np.array(redrawn[col])
+            assert len(a) == len(b) == 20
+            se = math.sqrt(a.var(ddof=1) / len(a) + b.var(ddof=1) / len(b))
+            assert abs(a.mean() - b.mean()) <= 4.0 * se, col
+
     def test_memory_does_not_grow_with_dimension(self):
         # one n x d start array at d = 1e5 would take n * d * 8 B = 1.6 GB
         cfg = {"d": 100_000, "R": 50.0, "delta": 0.02, "eps": 0.05, "b_rho": 0.5,

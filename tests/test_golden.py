@@ -16,7 +16,7 @@ from mixlab.cli import main
 GOLDEN = {
     "cutoff": (
         "d = 8\nR = 50\ndelta = 0.02\neps = 0.05\nb_rho = 0.5\nn = 5000\n",
-        "a70e7e97c84614de2a908c20f28494a49879235d8115fa34a950421412b0a65b",
+        "a22f5e91fe99f6d30db5f8087930287e610a114c510bbbb5c5db9fec1798fd16",
     ),
     "lowerbound": (
         "process = tempered\nprofile_a = 0.6\nprofile_p = 1\nell = 0.4\n"

@@ -3,8 +3,8 @@
 ``perfbench/tracer.py`` wraps every function it lists with a timing wrapper
 and reads some of their parameters by name.  This test installs the tracer
 against the live package, makes small traced calls through the
-Euler-Maruyama loop and through ``mixlab validate``, and restores the
-originals.
+Euler-Maruyama loop, ``mixlab validate`` and ``mixlab cutoff``, and restores
+the originals.
 """
 
 import importlib.util
@@ -79,3 +79,20 @@ def test_tracer_sees_the_admissibility_probes(tmp_path):
         assert names.count(probe) == 1, probe
     # the tail mass is closed form for the data law validate builds
     assert names.count("measures.MultiModalData.sample") == 0
+
+
+def test_cutoff_draws_its_start_projections_once(tmp_path):
+    cfg = tmp_path / "cutoff.cfg"
+    cfg.write_text("d = 16\nR = 50\ndelta = 0.02\neps = 0.05\nn = 1000\n")
+    tracer = load_tracer().Tracer()
+    try:
+        tracer.install()
+        code = mixlab.cli.main(["cutoff", "--config", str(cfg), "--seed", "3",
+                                "--out", str(tmp_path)])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    names = [span[0] for span in tracer.spans]
+    # one substream for the shared start draw, one per grid time for the transition
+    assert names.count("forward.OUProcess.evolve") == 10
+    assert names.count("rng.substream") == 11
