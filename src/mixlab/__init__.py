@@ -47,6 +47,7 @@ from .measures import (
     SphericalMeasure,
     projection_norm_samples,
     projection_quantile,
+    projection_tail,
     validate_data_spec,
 )
 from .stats import (

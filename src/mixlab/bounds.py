@@ -23,9 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, StructuralError
-from .measures import CheckResult, MultiModalData, SphericalMeasure, projection_norm_samples
+from .measures import (
+    CheckResult,
+    MultiModalData,
+    SphericalMeasure,
+    projection_norm_samples,
+    projection_tail,
+)
 from .rng import Seed, derive, substream
-from .stats import gaussian_projection_mass
 
 
 class LinearRate:
@@ -291,12 +296,11 @@ def check_generator_bound(process, proj: SubspaceProjector, mu: float, n_points:
 
 @dataclass(frozen=True)
 class LowerBoundReport:
-    """Monte-Carlo terms of the TV lower bound at horizon t and level r.
+    """Terms of the TV lower bound at horizon t and level r.
 
     total = pi_term - rho_tail_term - integral_term holds as an exact
-    arithmetic identity; pi_se is 0 when the invariant-measure term is
-    closed form (Gaussian noise).  total_se combines pi_se with the
-    standard error of the per-sample data-side loss.
+    arithmetic identity.  pi_term is exact (quadrature), so pi_se is 0 and
+    total_se is the standard error of the per-sample start-law loss.
     """
 
     t: float
@@ -315,33 +319,29 @@ class LowerBoundReport:
 
 def tv_lower_bound(pi: SphericalMeasure, rho0, proj: SubspaceProjector, rate,
                    r: float, times, n: int, seed: Seed) -> list[LowerBoundReport]:
-    """Evaluate the three-term TV lower bound by Monte Carlo at each of ``times``.
+    """Evaluate the three-term TV lower bound at each of ``times``.
 
-    The bound reads x only through H(x) = (1 + |G(x)|^2)^{-1/2}, so each
-    side draws n values of |G(x)| once, in O(n k) whatever d is, and every
-    time reuses them (common random numbers): only the threshold level and
-    the envelope move with t.  ``rho0`` is a :class:`SphericalMeasure` (the
-    noise measure itself, for a stationarity sanity run), whose |G| comes
-    from :func:`projection_norm_samples`, or a :class:`MultiModalData`,
-    whose |G| is the row norm of :meth:`MultiModalData.sample_coefficients`
-    on the projector's basis; either way on substream (seed, 1).  The
-    invariant-measure term uses the exact chi-square formula when ``pi`` is
-    Gaussian and n draws of |G| under ``pi`` on substream (seed, 0)
-    otherwise.  Returns one report per time, in order.
+    The bound reads x only through H(x) = (1 + |G(x)|^2)^{-1/2}.  The
+    invariant-measure term pi(H >= 1/r) = 1 - :func:`projection_tail`
+    (pi, k, sqrt(r^2 - 1)) is exact for every rotation-invariant ``pi``.
+    The start law is Monte Carlo: n values of |G(x)| are drawn once, in
+    O(n k) whatever d is, and every time reuses them (common random
+    numbers), so only the threshold level and the envelope move with t.
+    ``rho0`` is a :class:`SphericalMeasure` (the noise measure itself, for a
+    stationarity sanity run), whose |G| comes from
+    :func:`projection_norm_samples`, or a :class:`MultiModalData`, whose |G|
+    is the row norm of :meth:`MultiModalData.sample_coefficients` on the
+    projector's basis; either way on substream (seed, 1).  Returns one
+    report per time, in order.
     """
     if pi.d != proj.d or rho0.d != proj.d:
         raise StructuralError("noise measure, start law and projector dimensions differ")
     n = int(n)
     if n < 2:
         raise DomainError("need at least 2 samples")
-    if pi.profile.is_quadratic:
-        pi_term = gaussian_projection_mass(proj.k, r, 2.0 * pi.profile.a)
-        pi_se = 0.0
-    else:
-        g = projection_norm_samples(pi, proj.k, n, derive(seed, 0))
-        ind = (1.0 / np.sqrt(1.0 + g * g) >= 1.0 / r).astype(float)
-        pi_term = float(ind.mean())
-        pi_se = float(ind.std() / math.sqrt(n))
+    if not r >= 1:
+        raise DomainError("level r must be at least 1")
+    pi_term = 1.0 - projection_tail(pi, proj.k, math.sqrt(r * r - 1.0))
     if isinstance(rho0, SphericalMeasure):
         g = projection_norm_samples(rho0, proj.k, n, derive(seed, 1))
         gsq = g * g
@@ -364,10 +364,10 @@ def tv_lower_bound(pi: SphericalMeasure, rho0, proj: SubspaceProjector, rate,
             t=float(t), r=float(r), threshold=float(threshold),
             pi_term=pi_term, rho_tail_term=rho_tail_term, integral_term=integral_term,
             total=pi_term - rho_tail_term - integral_term,
-            pi_se=pi_se,
+            pi_se=0.0,
             rho_tail_se=float(tail.std() / math.sqrt(n)),
             integral_se=float(integ.std() / math.sqrt(n)),
-            total_se=float(math.hypot(pi_se, float(loss.std()) / math.sqrt(n))),
+            total_se=float(loss.std()) / math.sqrt(n),
             n=n,
         ))
     return reports
@@ -439,23 +439,28 @@ def gaussian_kl(m1, S1, m2, S2) -> float:
     return 0.0 if -1e-9 < kl < 0.0 else kl
 
 
-def ou_tv_upper_bound(mu: float, rho0: MultiModalData, t: float,
-                      n: int = 100_000, seed: Seed = 0) -> float:
-    """Pinsker upper bound on the TV between the time-t OU marginal and N(0, I/mu).
+def ou_tv_upper_bound(mu: float, rho0: MultiModalData, times,
+                      n: int = 100_000, seed: Seed = 0) -> list[float]:
+    """Pinsker upper bounds on the TV between the time-t OU marginal and
+    N(0, I/mu), one per t in ``times``, in order.
 
     Splits the start law on B = B(0, R(1+2 delta)): the inside part is
     bounded by sqrt(KLbar/2) with
     KLbar = (mu/2) e^{-2 mu t} R^2 (1+2 delta)^2 + (d/2) e^{-4 mu t},
-    the outside part contributes its full mass.  Requires mu*t > log(2)/2
+    the outside part contributes its full mass.  The mass of B does not
+    depend on t and is read once for all times.  Requires mu*t > log(2)/2
     for the trace + log-det estimate inside KLbar.
     """
-    if not mu * t > math.log(2.0) / 2.0:
+    if not all(mu * t > math.log(2.0) / 2.0 for t in times):
         raise DomainError("upper bound needs mu*t > log(2)/2")
     ball = rho0.R * (1.0 + 2.0 * rho0.delta)
     inside = rho0.mass_within_origin_ball(ball, n=n, seed=seed)
-    klbar = 0.5 * mu * math.exp(-2.0 * mu * t) * ball ** 2 \
-        + 0.5 * rho0.d * math.exp(-4.0 * mu * t)
-    return min(1.0, inside * math.sqrt(klbar / 2.0) + (1.0 - inside))
+    bounds = []
+    for t in times:
+        klbar = 0.5 * mu * math.exp(-2.0 * mu * t) * ball ** 2 \
+            + 0.5 * rho0.d * math.exp(-4.0 * mu * t)
+        bounds.append(min(1.0, inside * math.sqrt(klbar / 2.0) + (1.0 - inside)))
+    return bounds
 
 
 @dataclass(frozen=True)

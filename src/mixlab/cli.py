@@ -62,6 +62,7 @@ _PROCESS_KEYS = {
     "profile_p": Key("float", default=1.0, within="(0, 2]"),
     "ell": Key("float", default=0.0, within="[0, inf)"),
     "r_k": Key("float", default=0.0, within="[0, inf)"),  # 0 requests estimation
+    # accepted and ignored: r_k is computed exactly; perfbench/workloads.py still writes it
     "rk_n": Key("int", default=300_000, within="[1000, inf)"),
 }
 
@@ -84,7 +85,6 @@ SCHEMAS: dict[str, dict[str, Key]] = {
         "p_list": Key("floats", default=(1.0, 1.2, 1.4, 1.6, 1.8), within="(0, 2]"),
         "d_list": Key("ints", default=(3, 30, 300, 3000), within="[1, inf)"),
         "eps": Key("float", default=0.1, within="(0, 1)"),
-        "n": Key("int", default=300_000, within="[1000, inf)"),
         "a": Key("float", default=1.0, within="(0, inf)"),
         "k": Key("int", default=3, within="[3, inf)"),
     },

@@ -155,17 +155,19 @@ def _build_process(cfg: dict):
 def run_lowerbound(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
     """TV lower-bound terms over a time grid that contains the bound horizon t_lower.
 
-    One :func:`tv_lower_bound` call on substream (seed, 4) draws the samples
-    of rho0 and pi once, in O(n k) whatever d is, and every row reads them,
-    so the rows share their Monte-Carlo error.  The OU upper bound reads a
-    ball mass that does not depend on t, so every row uses substream (seed, 5)."""
+    r_k (unless configured) and the pi term are exact.  One
+    :func:`tv_lower_bound` call on substream (seed, 4) draws the sample of
+    rho0 once, in O(n k) whatever d is, and every row reads it, so the rows
+    share their Monte-Carlo error.  One :func:`ou_tv_upper_bound` call on
+    substream (seed, 5) serves every OU row, since the ball mass it reads
+    does not depend on t."""
     proc, pi = _build_process(cfg)
     mu, d, k, n, eps = cfg["mu"], cfg["d"], cfg["k"], cfg["n"], cfg["eps"]
     R = cfg["R"]
     spec = build_data_spec(cfg)
     r_k = cfg["r_k"]
     if r_k <= 0:
-        r_k = projection_quantile(pi, k, eps, cfg["rk_n"], derive(seed, 3)).r
+        r_k = projection_quantile(pi, k, eps).r
     if 2.0 * r_k >= R:
         raise ConfigError(
             f"lower-bound horizon requires 2 r_k < R, got r_k = {r_k:.6g}, R = {R:.6g}"
@@ -182,20 +184,20 @@ def run_lowerbound(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
         [t_low],
     )
     floor = (cfg["b_rho"] - eps) / 2.0
-    is_ou = cfg["process"] == "ou"
     reps = tv_lower_bound(pi, rho0, proj, rate, r_k, times, n, derive(seed, 4))
+    uppers = {}
+    if cfg["process"] == "ou":
+        up_times = [t for t in times if mu * t > math.log(2.0) / 2.0]
+        uppers = dict(zip(up_times, ou_tv_upper_bound(mu, spec, up_times, n, derive(seed, 5))))
     rows = []
     for t, rep in zip(times, reps):
-        upper = None
-        if is_ou and mu * t > math.log(2.0) / 2.0:
-            upper = ou_tv_upper_bound(mu, spec, t, n=n, seed=derive(seed, 5))
         rows.append({
             "t": t, "total": rep.total, "total_se": rep.total_se,
             "pi_term": rep.pi_term, "pi_se": rep.pi_se,
             "rho_tail": rep.rho_tail_term, "rho_tail_se": rep.rho_tail_se,
             "integral": rep.integral_term, "integral_se": rep.integral_se,
             "threshold": rep.threshold, "r_k": r_k, "t_lower": t_low,
-            "floor": floor, "tv_upper": upper,
+            "floor": floor, "tv_upper": uppers.get(t),
         })
     return ExperimentResult(
         columns=["t", "total", "total_se", "pi_term", "pi_se", "rho_tail", "rho_tail_se",
@@ -205,25 +207,25 @@ def run_lowerbound(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
 
 
 def run_quantile_table(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
-    """Projection-quantile grid over (p, d) for the configured noise family.
+    """Exact projection-quantile grid over (p, d) for the configured noise family.
 
     ``q_d*`` columns hold the raw (1-eps/2)-quantile of |first-k-coords|
     (the published-table convention); ``r_d*`` the level sqrt(1+q^2) used by
     the lower-bound machinery.
     """
     ps, ds = cfg["p_list"], cfg["d_list"]
-    eps, n, a, k = cfg["eps"], cfg["n"], cfg["a"], cfg["k"]
+    eps, a, k = cfg["eps"], cfg["a"], cfg["k"]
     cells = [(i, j) for i in range(len(ps)) for j in range(len(ds))]
 
     def one(cell):
         i, j = cell
         pi = SphericalMeasure(int(ds[j]), RadialProfile.power_tail(a, ps[i]))
-        return projection_quantile(pi, k, eps, n, derive(seed, 6, i, j))
+        return projection_quantile(pi, k, eps)
 
     ests = dict(zip(cells, parallel_map(one, cells, threads)))
     columns = ["p"]
     for dd in ds:
-        columns += [f"q_d{int(dd)}", f"r_d{int(dd)}", f"se_d{int(dd)}"]
+        columns += [f"q_d{int(dd)}", f"r_d{int(dd)}"]
     rows = []
     for i, p in enumerate(ps):
         row = {"p": p}
@@ -231,7 +233,6 @@ def run_quantile_table(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentRes
             est = ests[(i, j)]
             row[f"q_d{int(dd)}"] = est.ball_radius
             row[f"r_d{int(dd)}"] = est.r
-            row[f"se_d{int(dd)}"] = est.se_ball
         rows.append(row)
     return ExperimentResult(columns=columns, rows=rows)
 
@@ -312,7 +313,7 @@ def run_validate(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
     if beta > 0:
         r_k = cfg["r_k"]
         if r_k <= 0:
-            r_k = projection_quantile(pi, k, cfg["eps"], cfg["rk_n"], derive(seed, 12)).r
+            r_k = projection_quantile(pi, k, cfg["eps"]).r
         checks += [replace(c, name=f"bridge/{c.name}") for c in
                    check_compatibility(mu, spec.R, cfg["delta"], cfg["eps"], d, beta, r_k)]
     rows = [

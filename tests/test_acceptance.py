@@ -75,7 +75,7 @@ def single_mode_spec(d=16, R=50.0, delta=0.02, eps=0.05, b_rho=0.5, **kw):
 
 def test_criterion_01_quantile_table(tmp_path, acceptance_record):
     cfg = tmp_path / "qt.cfg"
-    cfg.write_text("eps = 0.1\nn = 300000\n")
+    cfg.write_text("eps = 0.1\n")
     t0 = time.perf_counter()
     code = main(["quantile-table", "--config", str(cfg), "--seed", "101",
                  "--out", str(tmp_path), "--threads", "4"])
@@ -166,9 +166,9 @@ def test_criterion_04_bound_ordering(acceptance_record):
     hz = mixing_horizons(mu, spec.R, spec.delta, spec.eps, spec.d, r_k=r_k)
     grid = np.linspace(0.5, 1.2 * hz.t_mix, 10)
     gaps = []
-    lowers = tv_lower_bound(pi, spec, proj, rate, r_k, [float(t) for t in grid], 50_000, 404)
-    for t, lower in zip(grid, lowers):
-        upper = ou_tv_upper_bound(mu, spec, float(t))
+    times = [float(t) for t in grid]
+    lowers = tv_lower_bound(pi, spec, proj, rate, r_k, times, 50_000, 404)
+    for t, lower, upper in zip(grid, lowers, ou_tv_upper_bound(mu, spec, times)):
         gaps.append(upper + 3 * lower.total_se - lower.total)
         assert lower.total <= upper + 3 * lower.total_se, (t, lower.total, upper)
     acceptance_record("criterion 4 (bound ordering)", True,
@@ -335,7 +335,7 @@ def test_criterion_11_determinism(tmp_path, acceptance_record):
         "lowerbound": ("process = tempered\nprofile_a = 0.6\nprofile_p = 1\nell = 0.4\n"
                        "d = 8\nR = 400\ndelta = 0.02\neps = 0.05\nb_rho = 0.5\n"
                        "n = 5000\nrk_n = 20000\n"),
-        "quantile-table": "p_list = 1.8,1.2\nd_list = 3,30\nn = 20000\n",
+        "quantile-table": "p_list = 1.8,1.2\nd_list = 3,30\n",
         "ks-sweep": "d = 64\nR = 50\nreps = 3\n",
         "validate": ("process = ou\nd = 8\nR = 50\ndelta = 0.02\neps = 0.05\n"
                      "b_rho = 0.5\nn_points = 2000\nbeta = 0.5\n"),

@@ -27,6 +27,7 @@ from mixlab import (
     mixing_horizons,
     ou_tv_upper_bound,
     projection_quantile,
+    projection_tail,
     tv_lower_bound,
 )
 from tests.test_measures import reference_sample
@@ -328,12 +329,23 @@ class TestTVLowerBound:
                               50_000, 3)
         assert rep.total <= 3 * rep.total_se
 
-    def test_monte_carlo_pi_term(self):
-        # non-Gaussian noise goes through the sampled pi-term path
+    def test_exact_pi_term(self):
+        # the pi term is 1 - projection_tail at sqrt(r^2 - 1), for Gaussian and
+        # non-Gaussian noise alike, with no standard error
         tl_pi = SphericalMeasure(self.spec.d, RadialProfile.power_tail(1.0, 1.0))
         rep, = tv_lower_bound(tl_pi, self.spec, self.proj, self.rate, 10.0, [0.5], 20_000, 4)
-        assert rep.pi_se > 0
+        assert rep.pi_se == 0.0
+        assert rep.pi_term == 1.0 - projection_tail(tl_pi, 3, math.sqrt(99.0))
         assert rep.total == rep.pi_term - rep.rho_tail_term - rep.integral_term
+        rep, = tv_lower_bound(self.pi, self.spec, self.proj, self.rate, self.r_k, [0.5],
+                              20_000, 4)
+        oracle = gaussian_projection_mass(3, self.r_k, 2.0 * self.pi.profile.a)
+        assert rep.pi_term == pytest.approx(oracle, abs=1e-14)
+        assert rep.pi_se == 0.0
+
+    def test_level_below_one(self):
+        with pytest.raises(DomainError):
+            tv_lower_bound(self.pi, self.spec, self.proj, self.rate, 0.5, [1.0], 1000, 0)
 
     def test_times_share_one_draw(self):
         # every time reads the same samples: a report does not depend on
@@ -356,7 +368,7 @@ class TestTVLowerBound:
         else:
             spec = single_mode_spec(d=d, R=400.0, mode_kind="truncated-gaussian")
             pi = SphericalMeasure(d, RadialProfile.power_tail(0.6, 1.0))
-            r = projection_quantile(pi, 3, 0.05, 20_000, 6).r
+            r = projection_quantile(pi, 3, 0.05).r
         rho0 = spec if start == "data" else pi
         proj = SubspaceProjector.containing_direction(spec.mode_direction, 3)
         t_low = math.log(spec.R / (2 * r)) / self.mu
@@ -364,7 +376,10 @@ class TestTVLowerBound:
         reps = tv_lower_bound(pi, rho0, proj, self.rate, r, times, n, 7)
         for i, (t, rep) in enumerate(zip(times, reps)):
             total, se = oracle_lower_bound(pi, rho0, proj, self.rate, r, t, n, 8 + i)
-            assert abs(rep.total - total) <= 4 * math.hypot(rep.total_se, se), (t, rep, total)
+            # the Gaussian pi terms, quadrature and closed form, agree to 1e-14; that
+            # is all that separates the totals where both standard errors are 0
+            slack = 4 * math.hypot(rep.total_se, se) + 1e-14
+            assert abs(rep.total - total) <= slack, (t, rep, total)
 
     def test_dimension_mismatch(self):
         with pytest.raises(StructuralError):
@@ -472,17 +487,17 @@ class TestOUUpperBound:
     def test_precondition(self):
         spec = single_mode_spec()
         with pytest.raises(DomainError):
-            ou_tv_upper_bound(1.0, spec, 0.3)
+            ou_tv_upper_bound(1.0, spec, [5.0, 0.3])
 
     def test_long_horizon_limit(self):
         # compact mixture: the bound collapses to the (zero) outside mass
         spec = single_mode_spec(b_rho=1.0, bulk_scale=0.0)
-        assert ou_tv_upper_bound(1.0, spec, 50.0) <= 1e-8
+        assert ou_tv_upper_bound(1.0, spec, [50.0])[0] <= 1e-8
 
     def test_below_eps_at_mixing_horizon(self):
         spec = single_mode_spec()
         hz = mixing_horizons(1.0, spec.R, spec.delta, spec.eps, spec.d)
-        assert ou_tv_upper_bound(1.0, spec, hz.t_mix) < spec.eps
+        assert ou_tv_upper_bound(1.0, spec, [hz.t_mix])[0] < spec.eps
 
     def test_dominates_exact_tv_in_1d(self):
         # 1D mixture: mode is the interval [10.0, 10.2]; the exact marginal
@@ -508,8 +523,9 @@ class TestOUUpperBound:
             val, _ = quad(lambda x: abs(f(x) - phi(x)), -12.0, 16.0, limit=400)
             return 0.5 * val
 
-        for t in (0.5, 1.0, 1.5, 2.5, 4.0):
-            assert ou_tv_upper_bound(1.0, spec, t) >= exact_tv(t) - 1e-9
+        times = (0.5, 1.0, 1.5, 2.5, 4.0)
+        for t, upper in zip(times, ou_tv_upper_bound(1.0, spec, times)):
+            assert upper >= exact_tv(t) - 1e-9
 
 
 class TestHorizons:

@@ -89,7 +89,7 @@ class TestConfigParsing:
 
     def test_defaults_applied(self):
         cfg = resolve_config("quantile-table", {})
-        assert cfg["eps"] == 0.1 and cfg["n"] == 300_000
+        assert cfg["eps"] == 0.1 and "n" not in cfg
         assert cfg["p_list"] == (1.0, 1.2, 1.4, 1.6, 1.8)
 
 
@@ -267,12 +267,15 @@ n = 1000
         cfg = write_cfg(tmp_path / "k.cfg", "d = 4\nR = 1.5\nreps = 2\ntimes = 0, 1\n")
         assert main(["ks-sweep", "--config", cfg, "--seed", "1", "--out", str(tmp_path)]) == 0
 
-    def test_validate_rejects_n(self, tmp_path, capsys):
-        # the tail mass is closed form, so validate has no sample size to set
-        cfg = write_cfg(tmp_path / "v.cfg", "process = ou\nd = 8\nR = 50\ndelta = 0.02\n"
-                                            "eps = 0.05\nn = 100000\n")
-        assert main(["validate", "--config", cfg, "--seed", "1", "--out", str(tmp_path)]) == 2
-        assert "key 'n'" in capsys.readouterr().err
+    @pytest.mark.parametrize("sub, text", [
+        ("validate", "process = ou\nd = 8\nR = 50\ndelta = 0.02\neps = 0.05\nn = 100000\n"),
+        ("quantile-table", "n = 300000\n"),
+    ])
+    def test_validate_rejects_n(self, tmp_path, capsys, sub, text):
+        # the validate tail mass and the quantiles are exact, so neither has a sample size
+        cfg = write_cfg(tmp_path / "v.cfg", text)
+        assert main([sub, "--config", cfg, "--seed", "1", "--out", str(tmp_path)]) == 2
+        assert "unknown configuration key 'n'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", ["config-not-utf8", "config-is-directory", "out-is-file"])
     def test_path_errors_exit_2(self, tmp_path, case):
@@ -335,12 +338,12 @@ class TestOutputs:
         assert "uniform" in out
 
     def test_quantile_table_matches_direct_call(self, tmp_path):
-        cfg = write_cfg(tmp_path / "q.cfg", "p_list = 1.8\nd_list = 3\nn = 20000\n")
+        cfg = write_cfg(tmp_path / "q.cfg", "p_list = 1.8\nd_list = 3\n")
         main(["quantile-table", "--config", cfg, "--seed", "5", "--out", str(tmp_path)])
         text = (tmp_path / "quantile-table.csv").read_text()
         row = text.splitlines()[-1].split(",")
         direct = run_quantile_table(
-            {"p_list": (1.8,), "d_list": (3,), "eps": 0.1, "n": 20_000, "a": 1.0, "k": 3},
+            {"p_list": (1.8,), "d_list": (3,), "eps": 0.1, "a": 1.0, "k": 3},
             5,
         )
         assert float(row[1]) == pytest.approx(direct.rows[0]["q_d3"], rel=1e-8)

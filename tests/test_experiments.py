@@ -4,12 +4,19 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.stats import beta as beta_dist
-from scipy.stats import gamma as gamma_dist
+from scipy.special import gammainc
 
-from mixlab import OUProcess, RadialProfile, SphericalMeasure, projection_quantile
+from mixlab import (
+    MultiModalData,
+    OUProcess,
+    RadialProfile,
+    SphericalMeasure,
+    projection_quantile,
+)
+from mixlab.bounds import ou_tv_upper_bound
 from mixlab.cli import resolve_config
 from mixlab.experiments import (
+    _build_process,
     build_data_spec,
     run_cutoff,
     run_ks_sweep,
@@ -27,14 +34,17 @@ def quantile_oracle(p, d, a, eps, k=3):
     """
     shape = d / p
     lev = 1.0 - eps / 2.0
+    ka, kb = k / 2.0, (d - k) / 2.0
 
     def cdf(q):
         if d == k:
-            return gamma_dist.cdf(a * q**p, shape)
+            return gammainc(shape, a * q**p)
+        log_norm = math.lgamma(ka + kb) - math.lgamma(ka) - math.lgamma(kb)
 
         def integrand(b):
-            return gamma_dist.cdf(a * (q / math.sqrt(b)) ** p, shape) * beta_dist.pdf(
-                b, k / 2.0, (d - k) / 2.0)
+            # Gamma CDF of the radius times the Beta(k/2, (d-k)/2) density of B
+            log_pdf = log_norm + (ka - 1.0) * math.log(b) + (kb - 1.0) * math.log1p(-b)
+            return gammainc(shape, a * (q / math.sqrt(b)) ** p) * math.exp(log_pdf)
 
         return quad(integrand, 0.0, 1.0, limit=300)[0]
 
@@ -51,21 +61,22 @@ def quantile_oracle(p, d, a, eps, k=3):
 
 
 class TestQuantileOracle:
-    @pytest.mark.parametrize("p,d", [(1.0, 3), (1.4, 300), (1.8, 3000)])
+    # d = 3 is k = d, and d = 4 leaves one coordinate out (d - k = 1)
+    @pytest.mark.parametrize("d", [3, 4, 16, 300, 3000])
+    @pytest.mark.parametrize("p", [0.5, 1.0, 1.4, 1.8, 2.0])
     def test_estimator_matches_quadrature(self, p, d):
         q_exact = quantile_oracle(p, d, 1.0, 0.1)
         pi = SphericalMeasure(d, RadialProfile.power_tail(1.0, p))
-        est = projection_quantile(pi, 3, 0.1, 300_000, 99)
-        assert est.ball_radius == pytest.approx(q_exact, rel=0.01)
-        assert est.r == pytest.approx(math.sqrt(1.0 + q_exact**2), rel=0.01)
+        est = projection_quantile(pi, 3, 0.1)
+        assert est.ball_radius == pytest.approx(q_exact, rel=1e-9)
+        assert est.r == pytest.approx(math.sqrt(1.0 + q_exact**2), rel=1e-9)
 
 
 class TestQuantileTableRun:
     def test_gaussian_profile_is_dimension_free(self):
         # p = 2: the k-coordinate marginal does not depend on d
         res = run_quantile_table(
-            {"p_list": (2.0,), "d_list": (3, 100, 1000), "eps": 0.1, "n": 100_000,
-             "a": 1.0, "k": 3},
+            {"p_list": (2.0,), "d_list": (3, 100, 1000), "eps": 0.1, "a": 1.0, "k": 3},
             7,
         )
         row = res.rows[0]
@@ -168,3 +179,45 @@ class TestLowerboundRun:
         assert peak < 50 * 2 ** 20
         assert len(res.rows) == 6
         assert all(-1.0 <= r["total"] <= 1.0 for r in res.rows)
+
+
+def lowerbound_cfg(**extra):
+    return resolve_config("lowerbound", {"d": "8", "R": "50", "delta": "0.02", "eps": "0.05",
+                                         "n": "2000", **extra})
+
+
+class TestLowerboundExactTerms:
+    @pytest.mark.parametrize("process", ["ou", "tempered"])
+    def test_pi_term_at_the_horizon_is_one_minus_half_eps(self, process):
+        cfg = lowerbound_cfg(process=process, R="400", profile_a="0.6", ell="0.4")
+        res = run_lowerbound(cfg, 41)
+        row, = [r for r in res.rows if r["t"] == r["t_lower"]]
+        assert abs(row["pi_term"] - (1.0 - cfg["eps"] / 2.0)) <= 1e-12
+        assert row["pi_se"] == 0.0
+        _, pi = _build_process(cfg)
+        assert row["r_k"] == projection_quantile(pi, cfg["k"], cfg["eps"]).r
+
+    def test_rk_n_is_ignored(self):
+        a = run_lowerbound(lowerbound_cfg(rk_n="1000"), 43)
+        b = run_lowerbound(lowerbound_cfg(rk_n="300000"), 43)
+        assert a.rows == b.rows
+
+    def test_upper_bound_reads_the_ball_mass_once(self, monkeypatch):
+        cfg = lowerbound_cfg(times="0.2,0.5,1,2,4,8")
+        calls = []
+        original = MultiModalData.mass_within_origin_ball
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(MultiModalData, "mass_within_origin_ball", counted)
+        res = run_lowerbound(cfg, 47)
+        assert len(calls) == 1
+        spec = build_data_spec(cfg)
+        uppers = [r["tv_upper"] for r in res.rows]
+        # mu * t > log(2)/2 excludes t = 0.2 only
+        assert uppers[0] is None and None not in uppers[1:]
+        for row in res.rows[1:]:
+            alone, = ou_tv_upper_bound(cfg["mu"], spec, [row["t"]], cfg["n"], (47, 5))
+            assert row["tv_upper"] == alone

@@ -22,11 +22,11 @@ GOLDEN = {
         "process = tempered\nprofile_a = 0.6\nprofile_p = 1\nell = 0.4\n"
         "d = 8\nR = 400\ndelta = 0.02\neps = 0.05\nb_rho = 0.5\n"
         "n = 5000\nrk_n = 20000\n",
-        "23e6ec0a38a7f88b326f7752d12f1dd00b3a4a080207abb624110c9450b6f93a",
+        "dfbfb0c4e9f5200e155fb482aa42122d2a2be9c062c251072c6da0e1f330a40c",
     ),
     "quantile-table": (
-        "p_list = 1.8,1.2\nd_list = 3,30\nn = 20000\n",
-        "785cb98dd8046578c4cc7eb613fcb6c2fcbacb35935229a0262a4a347813ba68",
+        "p_list = 1.8,1.2\nd_list = 3,30\n",
+        "28a7d5b8105afc2702e7f73a020fa009f9039a22c457ec6a0e85d1648cde59f0",
     ),
     "ks-sweep": (
         "d = 64\nR = 50\nreps = 3\n",
@@ -35,7 +35,7 @@ GOLDEN = {
     "validate": (
         "process = ou\nd = 8\nR = 50\ndelta = 0.02\neps = 0.05\n"
         "b_rho = 0.5\nn_points = 2000\nbeta = 0.5\n",
-        "9fb0bbbef18b25ea14ebc08e6a840063b360b36f578b32013ec0a6f1fb7bb14f",
+        "ed1a78609da94ca2091be524dd6a8b5800777b74b84e415ca4e61d037836fc1b",
     ),
 }
 

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gammaincc
 from scipy.stats import chi2, ks_2samp
 
 from mixlab import (
@@ -16,6 +17,7 @@ from mixlab import (
     chisq_cdf,
     projection_norm_samples,
     projection_quantile,
+    projection_tail,
     validate_data_spec,
 )
 from mixlab import measures
@@ -136,7 +138,9 @@ class TestSphericalSampler:
     @pytest.mark.parametrize("draw", [
         lambda pi: pi.sample(10, 0),
         lambda pi: projection_norm_samples(pi, 3, 10, 0),
-    ], ids=["sample", "projection_norm_samples"])
+        lambda pi: projection_tail(pi, 3, 1.0),
+        lambda pi: projection_quantile(pi, 3, 0.1),
+    ], ids=["sample", "projection_norm_samples", "projection_tail", "projection_quantile"])
     def test_gamma_shape_guard(self, draw):
         # the guard fires before any d-dimensional array is allocated
         pi = SphericalMeasure(20_000_001, RadialProfile.power_tail(1.0, 1.0))
@@ -500,30 +504,59 @@ class TestValidateDataSpec:
 
 
 class TestProjectionQuantile:
-    def test_gaussian_closed_form(self):
-        # for N(0, I/mu), q^2 * mu is the chi2(3) quantile at 1 - eps/2
-        mu, eps = 1.0, 0.05
-        pi = SphericalMeasure(16, RadialProfile.quadratic(mu / 2.0))
-        est = projection_quantile(pi, 3, eps, 200_000, 3)
+    @pytest.mark.parametrize("d", [3, 4, 16, 300, 100_000])
+    def test_gaussian_closed_form(self, d):
+        # for N(0, I/mu), q^2 * mu is the chi2(3) quantile at 1 - eps/2, in every d
+        mu, eps = 2.0, 0.05
+        pi = SphericalMeasure(d, RadialProfile.quadratic(mu / 2.0))
+        est = projection_quantile(pi, 3, eps)
         expected_q = math.sqrt(chi2.ppf(1 - eps / 2, 3) / mu)
-        assert est.ball_radius == pytest.approx(expected_q, rel=0.02)
-        assert est.r == pytest.approx(math.sqrt(1 + expected_q**2), rel=0.02)
-        assert est.se_ball > 0
+        assert est.ball_radius == pytest.approx(expected_q, rel=1e-12)
+        assert est.r == pytest.approx(math.sqrt(1 + expected_q**2), rel=1e-12)
+        assert (est.k, est.eps) == (3, eps)
+
+    @pytest.mark.parametrize("p, d", [(0.5, 4), (1.0, 16), (1.4, 300), (2.0, 3000)])
+    def test_tail_at_the_quantile_is_half_eps(self, p, d):
+        pi = SphericalMeasure(d, RadialProfile.power_tail(0.7, p))
+        for eps in (0.01, 0.1, 0.5):
+            q = projection_quantile(pi, 3, eps).ball_radius
+            assert abs(projection_tail(pi, 3, q) - eps / 2) <= 1e-12
+
+    @pytest.mark.parametrize("p, d", [(1.0, 16), (0.6, 300)])
+    def test_sampled_norms_agree(self, p, d):
+        # the share of exact draws of |G_k| at or below q is 1 - eps/2
+        # within 4 binomial standard errors
+        eps, n = 0.05, 200_000
+        pi = SphericalMeasure(d, RadialProfile.power_tail(0.6, p))
+        q = projection_quantile(pi, 3, eps).ball_radius
+        se = math.sqrt(eps / 2 * (1 - eps / 2) / n)
+        for seed in (1, 2, 3):
+            share = np.mean(projection_norm_samples(pi, 3, n, seed) <= q)
+            assert abs(share - (1 - eps / 2)) <= 4 * se, seed
+
+    @pytest.mark.parametrize("p", [0.1, 1.0, 2.0])
+    def test_finite_and_monotone_at_large_d(self, p):
+        pi = SphericalMeasure(100_000, RadialProfile.power_tail(1.0, p))
+        q = projection_quantile(pi, 3, 0.05).ball_radius
+        assert math.isfinite(q) and q > 0
+        tails = [projection_tail(pi, 3, q * f) for f in np.linspace(0.5, 1.5, 41)]
+        assert all(math.isfinite(t) and 0.0 <= t <= 1.0 for t in tails)
+        assert all(a >= b for a, b in zip(tails, tails[1:]))
+        assert tails[0] > 0.025 > tails[-1]
+
+    def test_ignores_sample_count(self):
+        pi = SphericalMeasure(30, RadialProfile.power_tail(1.0, 1.4))
+        assert projection_quantile(pi, 3, 0.1) == projection_quantile(pi, 3, 0.1, n=1000)
 
     def test_errors(self):
         pi = SphericalMeasure(4, RadialProfile.quadratic(0.5))
         with pytest.raises(StructuralError):
-            projection_quantile(pi, 5, 0.1, 1000, 0)  # k > d
+            projection_quantile(pi, 5, 0.1)  # k > d
         with pytest.raises(StructuralError):
-            projection_quantile(pi, 2, 0.1, 1000, 0)  # k < 3
-        with pytest.raises(DomainError):
-            projection_quantile(pi, 3, 1.5, 1000, 0)
-
-    def test_determinism(self):
-        pi = SphericalMeasure(30, RadialProfile.power_tail(1.0, 1.4))
-        a = projection_quantile(pi, 3, 0.1, 50_000, 9)
-        b = projection_quantile(pi, 3, 0.1, 50_000, 9)
-        assert a.ball_radius == b.ball_radius and a.r == b.r
+            projection_quantile(pi, 2, 0.1)  # k < 3
+        for eps in (0.0, 1.0, 1.5):
+            with pytest.raises(DomainError):
+                projection_quantile(pi, 3, eps)
 
     def test_rotation_invariance(self):
         # projecting rotated samples agrees with the coordinate projection
@@ -542,3 +575,33 @@ class TestProjectionQuantile:
         diffs = np.array(diffs)
         se = diffs.std(ddof=1) / math.sqrt(len(diffs))
         assert abs(diffs.mean()) <= 3 * se + 1e-12
+
+
+class TestProjectionTail:
+    def test_full_projection_is_the_radial_tail(self):
+        pi = SphericalMeasure(5, RadialProfile.power_tail(0.8, 1.3))
+        for q in (0.5, 2.0, 6.0):
+            assert projection_tail(pi, 5, q) == gammaincc(5 / 1.3, 0.8 * q**1.3)
+
+    @pytest.mark.parametrize("k, d", [(1, 2), (3, 4), (3, 5), (3, 16), (7, 300), (3, 100_000)])
+    def test_gaussian_is_chi_square(self, k, d):
+        # from the bulk (where d - k = 1 puts a boundary layer at w = W) to the far tail
+        mu = 1.5
+        pi = SphericalMeasure(d, RadialProfile.quadratic(mu / 2.0))
+        for q in np.geomspace(1e-3, 200.0, 60):
+            assert abs(projection_tail(pi, k, q) - chi2.sf(mu * q * q, k)) <= 2e-14, q
+
+    def test_ends(self):
+        pi = SphericalMeasure(16, RadialProfile.power_tail(1.0, 1.0))
+        assert projection_tail(pi, 3, 0.0) == pytest.approx(1.0, abs=1e-15)
+        assert projection_tail(pi, 3, 1e4) == 0.0
+        assert projection_tail(pi, 3, math.inf) == 0.0
+
+    def test_errors(self):
+        pi = SphericalMeasure(4, RadialProfile.quadratic(0.5))
+        with pytest.raises(StructuralError):
+            projection_tail(pi, 5, 1.0)
+        with pytest.raises(StructuralError):
+            projection_tail(pi, 0, 1.0)
+        with pytest.raises(DomainError):
+            projection_tail(pi, 3, -1.0)

@@ -20,13 +20,30 @@ def test_every_exported_name_resolves():
         assert hasattr(mixlab, name), name
 
 
-def test_cli_import_leaves_out_optimize_and_integrate():
+LOADED = ("print([m for m in ('scipy.optimize', 'scipy.integrate', 'scipy.linalg') "
+          "if m in sys.modules])")
+
+
+def test_cli_import_leaves_out_optimize_and_integrate(tmp_path):
     # only ConcaveRate uses them, and it imports them when called; no module
-    # needs scipy.linalg
-    code = ("import sys, mixlab.cli; print([m for m in "
-            "('scipy.optimize', 'scipy.integrate', 'scipy.linalg') if m in sys.modules])")
+    # needs scipy.linalg.  The exact r_k and quantile root finding must not pull
+    # them in either, so a lowerbound and a quantile-table call follow the import
+    (tmp_path / "lb.cfg").write_text("process = tempered\nd = 8\nR = 400\ndelta = 0.02\n"
+                                     "eps = 0.05\nn = 200\n")
+    (tmp_path / "qt.cfg").write_text("p_list = 1.2\nd_list = 3,30\n")
+    code = "\n".join([
+        "import sys, mixlab.cli",
+        LOADED,
+        "from mixlab.cli import main",
+        f"assert main(['lowerbound', '--config', {str(tmp_path / 'lb.cfg')!r}, "
+        f"'--out', {str(tmp_path)!r}]) == 0",
+        f"assert main(['quantile-table', '--config', {str(tmp_path / 'qt.cfg')!r}, "
+        f"'--out', {str(tmp_path)!r}]) == 0",
+        LOADED,
+    ])
     src = str(Path(mixlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, timeout=120, check=True)
-    assert out.stdout.strip() == "[]"
+    lines = [line for line in out.stdout.splitlines() if line.startswith("[")]
+    assert lines == ["[]", "[]"]

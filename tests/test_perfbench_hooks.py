@@ -96,3 +96,23 @@ def test_cutoff_draws_its_start_projections_once(tmp_path):
     # one substream for the shared start draw, one per grid time for the transition
     assert names.count("forward.OUProcess.evolve") == 10
     assert names.count("rng.substream") == 11
+
+
+def test_tracer_reads_the_quantile_sample_count(tmp_path):
+    # the tracer's unit count for projection_quantile reads its argument n,
+    # which the exact quantile accepts and ignores: nothing is drawn
+    cfg = tmp_path / "lowerbound.cfg"
+    cfg.write_text("process = tempered\nd = 8\nR = 400\ndelta = 0.02\neps = 0.05\n"
+                   "n = 200\nrk_n = 1000\n")
+    tracer = load_tracer().Tracer()
+    try:
+        tracer.install()
+        code = mixlab.cli.main(["lowerbound", "--config", str(cfg), "--seed", "3",
+                                "--out", str(tmp_path)])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    quantile, = [s for s in tracer.spans if s[0] == "measures.projection_quantile"]
+    assert quantile[4:] == (0, 0)
+    # one draw of rho0 and no draw of pi
+    assert [s[0] for s in tracer.spans].count("measures.projection_norm_samples") == 0
