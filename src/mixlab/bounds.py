@@ -23,13 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, StructuralError
-from .measures import (
-    CheckResult,
-    MultiModalData,
-    SphericalMeasure,
-    projection_norm_samples,
-    projection_tail,
-)
+from .measures import CheckResult, MultiModalData, SphericalMeasure, projection_tail
 from .rng import Seed, derive, substream
 
 
@@ -296,7 +290,7 @@ def check_generator_bound(process, proj: SubspaceProjector, mu: float, n_points:
 
 @dataclass(frozen=True)
 class LowerBoundReport:
-    """Terms of the TV lower bound at horizon t and level r.
+    """Terms of the TV lower bound at horizon t.
 
     total = pi_term - rho_tail_term - integral_term holds as an exact
     arithmetic identity.  pi_term is exact (quadrature), so pi_se is 0 and
@@ -304,7 +298,6 @@ class LowerBoundReport:
     """
 
     t: float
-    r: float
     threshold: float
     pi_term: float
     rho_tail_term: float
@@ -314,7 +307,6 @@ class LowerBoundReport:
     rho_tail_se: float
     integral_se: float
     total_se: float
-    n: int
 
 
 def tv_lower_bound(pi: SphericalMeasure, rho0, proj: SubspaceProjector, rate,
@@ -324,15 +316,13 @@ def tv_lower_bound(pi: SphericalMeasure, rho0, proj: SubspaceProjector, rate,
     The bound reads x only through H(x) = (1 + |G(x)|^2)^{-1/2}.  The
     invariant-measure term pi(H >= 1/r) = 1 - :func:`projection_tail`
     (pi, k, sqrt(r^2 - 1)) is exact for every rotation-invariant ``pi``.
-    The start law is Monte Carlo: n values of |G(x)| are drawn once, in
-    O(n k) whatever d is, and every time reuses them (common random
-    numbers), so only the threshold level and the envelope move with t.
-    ``rho0`` is a :class:`SphericalMeasure` (the noise measure itself, for a
-    stationarity sanity run), whose |G| comes from
-    :func:`projection_norm_samples`, or a :class:`MultiModalData`, whose |G|
-    is the row norm of :meth:`MultiModalData.sample_coefficients` on the
-    projector's basis; either way on substream (seed, 1).  Returns one
-    report per time, in order.
+    The start law is Monte Carlo: n values of |G(x)| are drawn once, as
+    the row norms of ``rho0.sample_coefficients`` on the projector's basis
+    and substream (seed, 1), in O(n k) whatever d is, and every time reuses
+    them (common random numbers), so only the threshold level and the
+    envelope move with t.  ``rho0`` is a :class:`MultiModalData` or a
+    :class:`SphericalMeasure` (the noise measure itself, for a stationarity
+    sanity run).  Returns one report per time, in order.
     """
     if pi.d != proj.d or rho0.d != proj.d:
         raise StructuralError("noise measure, start law and projector dimensions differ")
@@ -342,13 +332,8 @@ def tv_lower_bound(pi: SphericalMeasure, rho0, proj: SubspaceProjector, rate,
     if not r >= 1:
         raise DomainError("level r must be at least 1")
     pi_term = 1.0 - projection_tail(pi, proj.k, math.sqrt(r * r - 1.0))
-    if isinstance(rho0, SphericalMeasure):
-        g = projection_norm_samples(rho0, proj.k, n, derive(seed, 1))
-        gsq = g * g
-    else:
-        c = rho0.sample_coefficients(n, proj.basis, derive(seed, 1))
-        gsq = (c * c).sum(axis=1)
-    hvals = 1.0 / np.sqrt(1.0 + gsq)
+    c = rho0.sample_coefficients(n, proj.basis, derive(seed, 1))
+    hvals = 1.0 / np.sqrt(1.0 + (c * c).sum(axis=1))
     reports = []
     for t in times:
         threshold = rate.threshold_level(r, t)
@@ -361,14 +346,13 @@ def tv_lower_bound(pi: SphericalMeasure, rho0, proj: SubspaceProjector, rate,
         integral_term = float(integ.mean())
         loss = np.where(tail, 1.0, integ)
         reports.append(LowerBoundReport(
-            t=float(t), r=float(r), threshold=float(threshold),
+            t=float(t), threshold=float(threshold),
             pi_term=pi_term, rho_tail_term=rho_tail_term, integral_term=integral_term,
             total=pi_term - rho_tail_term - integral_term,
             pi_se=0.0,
             rho_tail_se=float(tail.std() / math.sqrt(n)),
             integral_se=float(integ.std() / math.sqrt(n)),
             total_se=float(loss.std()) / math.sqrt(n),
-            n=n,
         ))
     return reports
 
@@ -391,16 +375,10 @@ class GrowthEnvelopeReport:
 
 def check_growth_envelope(process, proj: SubspaceProjector, rate, x, t: float,
                           n: int, seed: Seed, cfg=None) -> GrowthEnvelopeReport:
-    """Estimate E_x[H(X_t)] from n simulated endpoints and compare to the envelope.
-
-    ``process`` is a built-in process or a callable (x0, t, n, seed) -> points.
-    """
+    """Estimate E_x[H(X_t)] from n endpoints of ``process.sample_endpoints``
+    and compare to the envelope."""
     x = np.asarray(x, dtype=float).reshape(-1)
-    if callable(process) and not hasattr(process, "sample_endpoints"):
-        pts = process(x, t, n, seed)
-    else:
-        pts = process.sample_endpoints(x, t, int(n), seed, cfg)
-    vals = proj.lyapunov(np.asarray(pts, dtype=float))
+    vals = proj.lyapunov(process.sample_endpoints(x, t, int(n), seed, cfg))
     h0 = float(proj.lyapunov(x[None, :])[0])
     return GrowthEnvelopeReport(
         estimate=float(vals.mean()),
@@ -526,12 +504,9 @@ def check_compatibility(mu: float, R: float, delta: float, eps: float, d: int,
     """
     checks = []
     need_a = math.sqrt(eps / mu) * d ** 0.25
-    checks.append(CheckResult("mode-distance-vs-dimension", R >= need_a, R, need_a, ">=",
-                              note="R >= sqrt(eps/mu) d^(1/4)"))
+    checks.append(CheckResult("mode-distance-vs-dimension", R >= need_a, R, need_a, ">="))
     rb = R ** beta
     need_b = 2.0 * math.sqrt(mu) * (1.0 + 2.0 * delta) / eps
-    checks.append(CheckResult("tolerance-vs-distance", rb >= need_b, rb, need_b, ">=",
-                              note="R^beta >= 2 sqrt(mu) (1+2 delta)/eps"))
-    checks.append(CheckResult("quantile-vs-distance", 2.0 * r_k <= rb, 2.0 * r_k, rb, "<=",
-                              note="2 r_k <= R^beta"))
+    checks.append(CheckResult("tolerance-vs-distance", rb >= need_b, rb, need_b, ">="))
+    checks.append(CheckResult("quantile-vs-distance", 2.0 * r_k <= rb, 2.0 * r_k, rb, "<="))
     return tuple(checks)

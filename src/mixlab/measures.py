@@ -103,46 +103,82 @@ class SphericalMeasure:
         return shape
 
     def _radius_at_tail(self, w):
-        """Radius whose tail mass pi(|x| > r) is w: (gammainccinv(d/p, w)/a)^(1/p)."""
-        return (gammainccinv(self._gamma_shape(), w) / self.profile.a) ** (1.0 / self.profile.p)
+        """Radius whose tail mass pi(|x| > r) is w: (gammainccinv(d/p, w)/a)^(1/p).
 
-    def _radii(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """n exact radial draws: s = a*r^p is Gamma(d/p, 1), so r = (s/a)^(1/p)."""
-        s = rng.gamma(self._gamma_shape(), 1.0, size=n)
-        return (s / self.profile.a) ** (1.0 / self.profile.p)
+        A radius beyond the float range reads as inf.
+        """
+        with np.errstate(over="ignore"):
+            return (gammainccinv(self._gamma_shape(), w) / self.profile.a) ** (1.0 / self.profile.p)
+
+    def _coefficients(self, n: int, k: int, seed: Seed) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`_radial_coefficients` on substream ``seed`` with the exact
+        radius: s = a*r^p is Gamma(d/p, 1), so r = (s/a)^(1/p)."""
+        shape = self._gamma_shape()  # the guard fires before anything is drawn
+        a, p = self.profile.a, self.profile.p
+        return _radial_coefficients(substream(seed), int(n), self.d, k,
+                                    lambda rng, m: (rng.gamma(shape, 1.0, size=m) / a) ** (1.0 / p))
 
     def sample(self, n: int, seed: Seed) -> np.ndarray:
         """Draw n points: exact Gamma radius times a uniform direction.
 
+        The k = d case of :meth:`sample_coefficients`, bit for bit.
         Deterministic in (n, seed); n = 0 yields an empty (0, d) array.
         """
-        n = int(n)
-        if n == 0:
-            return np.zeros((0, self.d))
-        rng = substream(seed)
-        r = self._radii(rng, n)
-        z = rng.standard_normal((n, self.d))
-        z /= np.linalg.norm(z, axis=1, keepdims=True)
-        return r[:, None] * z
+        return self._coefficients(n, self.d, seed)[0]
+
+    def sample_coefficients(self, n: int, basis, seed: Seed) -> np.ndarray:
+        """Draw the (n, k) coefficients x @ basis.T of n points, in O(n k).
+
+        Same contract as :meth:`MultiModalData.sample_coefficients`.  The
+        measure is rotation invariant, so only the number k of rows enters.
+        """
+        return self._coefficients(n, _checked_basis(basis, self.d).shape[0], seed)[0]
+
+
+def _chi2_rest(rng: np.random.Generator, n: int, d: int, k: int) -> np.ndarray:
+    """n draws of |(z_{k+1}, ..., z_d)|^2 for standard Gaussian z: chi2_{d-k}, zero at k = d."""
+    return rng.chisquare(d - k, n) if d > k else np.zeros(n)
+
+
+def _radial_coefficients(rng: np.random.Generator, n: int, d: int, k: int,
+                         radii) -> tuple[np.ndarray, np.ndarray]:
+    """n draws of a radius times a uniform direction in R^d, read on k
+    orthonormal rows: the (n, k) coefficients and the n squared radii.
+
+    The coefficients have the law of the first k coordinates of r z/|z| for
+    standard Gaussian z, that is r g/sqrt(|g|^2 + chi2_{d-k}) with
+    g ~ N(0, I_k).  Draws g, then the chi-square (none at k = d), then
+    r = ``radii(rng, n)``.  At k = d they are the d coordinates themselves.
+    """
+    g = rng.standard_normal((n, k))
+    w = _chi2_rest(rng, n, d, k)
+    r = radii(rng, n)
+    return r[:, None] * g / np.sqrt((g * g).sum(axis=1) + w)[:, None], r * r
+
+
+def _checked_basis(basis, d: int) -> np.ndarray:
+    """``basis`` as a float (k, d) array of 1 <= k <= d orthonormal rows."""
+    b = np.asarray(basis, dtype=float)
+    if b.ndim != 2 or b.shape[1] != d:
+        raise StructuralError(f"basis must be a (k, {d}) array, got shape {b.shape}")
+    k = b.shape[0]
+    if not 1 <= k <= d:
+        raise StructuralError(f"basis has k={k} rows, need 1 <= k <= d={d}")
+    if np.max(np.abs(b @ b.T - np.eye(k))) > 1e-10:
+        raise StructuralError("basis rows must be orthonormal unit vectors (1e-10 tolerance)")
+    return b
 
 
 def projection_norm_samples(pi: SphericalMeasure, k: int, n: int, seed: Seed) -> np.ndarray:
-    """Draw n values of |first-k-coordinates| under ``pi``.
-
-    Uses |G_k(x)|^2 = r^2 * u/(u+w) with independent u ~ chi2(k) and
-    w ~ chi2(d-k), exact for any rotation-invariant measure.  Costs O(n)
-    regardless of d; :func:`projection_tail` gives the same law's tail exactly.
+    """Draw n values of |first-k-coordinates| under ``pi``: the row norms of
+    the k-row :meth:`SphericalMeasure.sample_coefficients`, in O(n k)
+    regardless of d.  :func:`projection_tail` gives the same law's tail exactly.
     """
     k = int(k)
     if not 1 <= k <= pi.d:
         raise StructuralError(f"projection dimension k={k} must satisfy 1 <= k <= d={pi.d}")
-    rng = substream(seed)
-    r = pi._radii(rng, int(n))
-    if k == pi.d:
-        return r
-    u = rng.chisquare(k, size=int(n))
-    w = rng.chisquare(pi.d - k, size=int(n))
-    return r * np.sqrt(u / (u + w))
+    c = pi._coefficients(n, k, seed)[0]
+    return np.sqrt((c * c).sum(axis=1))
 
 
 def projection_tail(pi: SphericalMeasure, k: int, q: float) -> float:
@@ -151,11 +187,12 @@ def projection_tail(pi: SphericalMeasure, k: int, q: float) -> float:
     |G_k|^2 = |x|^2 B with B ~ Beta(k/2, (d-k)/2) independent of |x|, so
     with w = pi(|x| > r) as the variable of integration,
 
-        Tail(q) = int_0^W betaincc(k/2, (d-k)/2, min(1, q^2/r(w)^2)) dw,
+        Tail(q) = int_0^W betaincc(k/2, (d-k)/2, min(1, (q/r(w))^2)) dw,
 
     where W = pi(|x| > q) = gammaincc(d/p, a q^p) and r(w) is the radius of
     tail mass w.  The integral runs through a fixed 97-node tanh-sinh rule;
-    at k = d (or W = 0) the tail is W itself.
+    at k = d (or W = 0) the tail is W itself.  The ratio q/r is formed before
+    squaring, so heavy tails whose radii pass sqrt(DBL_MAX) do not overflow.
     """
     k = int(k)
     if not 1 <= k <= pi.d:
@@ -165,8 +202,8 @@ def projection_tail(pi: SphericalMeasure, k: int, q: float) -> float:
     big_w = float(gammaincc(pi._gamma_shape(), pi.profile.a * q ** pi.profile.p))
     if k == pi.d or big_w == 0.0:
         return big_w
-    r2 = pi._radius_at_tail(big_w * _TS_NODES) ** 2
-    b = betaincc(k / 2.0, (pi.d - k) / 2.0, np.minimum(1.0, q * q / r2))
+    ratio = q / pi._radius_at_tail(big_w * _TS_NODES)
+    b = betaincc(k / 2.0, (pi.d - k) / 2.0, np.minimum(1.0, ratio * ratio))
     return big_w * float(_TS_WEIGHTS @ b)
 
 
@@ -209,8 +246,6 @@ class QuantileEstimate:
 
     r: float
     ball_radius: float
-    k: int
-    eps: float
 
 
 def projection_quantile(pi: SphericalMeasure, k: int, eps: float, *, n: int = 0) -> QuantileEstimate:
@@ -218,7 +253,9 @@ def projection_quantile(pi: SphericalMeasure, k: int, eps: float, *, n: int = 0)
     :func:`projection_tail` (pi, k, q) = eps/2.
 
     Deterministic; nothing is drawn.  ``n`` is accepted and ignored, because
-    ``perfbench/tracer.py`` reads it as the call's sample count.
+    ``perfbench/tracer.py`` reads it as the call's sample count.  Raises
+    :class:`DomainError` when the (1 - eps/2)-quantile of |x|, which brackets
+    q from above, lies beyond the float range.
     """
     k = int(k)
     if k < 3:
@@ -230,9 +267,14 @@ def projection_quantile(pi: SphericalMeasure, k: int, eps: float, *, n: int = 0)
     target = eps / 2.0
     # |G_k| <= |x|, so the (1 - eps/2)-quantile of |x| bounds q from above; at k = d it is q
     q = float(pi._radius_at_tail(target))
+    if not math.isfinite(q):
+        raise DomainError(
+            f"projection quantile out of float range: the radial (1 - eps/2)-quantile "
+            f"overflows at d = {pi.d}, p = {pi.profile.p:g}"
+        )
     if k < pi.d:
         q = _falling_root(lambda s: projection_tail(pi, k, s) - target, 0.0, q)
-    return QuantileEstimate(r=math.sqrt(1.0 + q * q), ball_radius=q, k=k, eps=float(eps))
+    return QuantileEstimate(r=math.hypot(1.0, q), ball_radius=q)
 
 
 @dataclass(frozen=True)
@@ -365,10 +407,6 @@ class MultiModalData:
         """Draw n points from the mixture; bitwise deterministic in (n, seed)."""
         return self._mixture_coefficients(int(n), [m.center for m in self.modes], seed)
 
-    def _chi2_rest(self, rng: np.random.Generator, n: int, k: int) -> np.ndarray:
-        """n draws of |(z_{k+1}, ..., z_d)|^2 for standard Gaussian z: chi2_{d-k}, zero at k = d."""
-        return rng.chisquare(self.d - k, n) if self.d > k else np.zeros(n)
-
     def _mode_offset_coefficients(self, rng: np.random.Generator, mode: ModeSpec,
                                   n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
         """n draws of ``mode``: the (n, k) coefficients of x - center on k
@@ -376,27 +414,26 @@ class MultiModalData:
 
         Both mode laws are rotation invariant about the center, so the
         coefficients have the law of the first k coordinates of a
-        d-dimensional draw: radius * g_k / sqrt(|g_k|^2 + chi2_{d-k}) for a
-        uniform ball, and sigma * z_k accepted jointly with
+        d-dimensional draw: :func:`_radial_coefficients` with radius
+        rho U^(1/d) for a uniform ball, and sigma * z_k accepted jointly with
         w = |z_{k+1..d}|^2 ~ chi2_{d-k} for the truncated Gaussian, whose
         d-dimensional draw is accepted when sigma^2 (|z_k|^2 + w) <= radius^2.
         At k = d they are the d offset coordinates themselves.
         """
         if self.mode_kind == "uniform-ball":
-            g = rng.standard_normal((n, k))
-            w = self._chi2_rest(rng, n, k)
-            radii = mode.radius * rng.random(n) ** (1.0 / self.d)
-            return radii[:, None] * g / np.sqrt((g * g).sum(axis=1) + w)[:, None], radii * radii
+            power = 1.0 / self.d
+            return _radial_coefficients(rng, n, self.d, k,
+                                        lambda rng, m: mode.radius * rng.random(m) ** power)
         sigma = mode.radius / (math.sqrt(self.d) + 3.0)
         z = rng.standard_normal((n, k))
-        w = self._chi2_rest(rng, n, k)
+        w = _chi2_rest(rng, n, self.d, k)
         for _ in range(1000):
             sq = sigma * sigma * ((z * z).sum(axis=1) + w)
             bad = np.flatnonzero(sq > mode.radius ** 2)
             if bad.size == 0:
                 return sigma * z, sq
             z[bad] = rng.standard_normal((bad.size, k))
-            w[bad] = self._chi2_rest(rng, bad.size, k)
+            w[bad] = _chi2_rest(rng, bad.size, self.d, k)
         raise RuntimeError("truncated-gaussian rejection sampling failed to converge")
 
     def sample_coefficients(self, n: int, basis, seed: Seed) -> np.ndarray:
@@ -409,14 +446,7 @@ class MultiModalData:
         Bitwise deterministic in (n, basis, seed); with basis = I it returns
         the bytes of :meth:`sample`.
         """
-        b = np.asarray(basis, dtype=float)
-        if b.ndim != 2 or b.shape[1] != self.d:
-            raise StructuralError(f"basis must be a (k, {self.d}) array, got shape {b.shape}")
-        k = b.shape[0]
-        if not 1 <= k <= self.d:
-            raise StructuralError(f"basis has k={k} rows, need 1 <= k <= d={self.d}")
-        if np.max(np.abs(b @ b.T - np.eye(k))) > 1e-10:
-            raise StructuralError("basis rows must be orthonormal unit vectors (1e-10 tolerance)")
+        b = _checked_basis(basis, self.d)
         return self._mixture_coefficients(int(n), [b @ m.center for m in self.modes], seed)
 
     def mass_within_origin_ball(self, radius: float, n: int = 100_000, seed: Seed = 0) -> float:
@@ -467,7 +497,6 @@ class CheckResult:
     threshold: float
     relation: str
     se: float = 0.0
-    note: str = ""
 
 
 def validate_data_spec(spec: MultiModalData, n: int = 100_000,
@@ -482,37 +511,20 @@ def validate_data_spec(spec: MultiModalData, n: int = 100_000,
     the sphere; such a mode is estimated from ``n`` draws on ``seed`` and
     counted at its 3-se upper limit, so the gate errs toward failing.
     """
-    checks: list[CheckResult] = []
     mode = spec.designated_mode
     target = spec.R * (1.0 + spec.delta)
     rel = abs(mode.distance - target) / target
-    checks.append(
-        CheckResult("furthest-mode-distance", rel <= 1e-12, mode.distance, target, "==",
-                    note="|x0| vs R(1+delta), 1e-12 relative")
-    )
     rad_target = spec.delta * spec.R
     rel_rad = abs(mode.radius - rad_target) / rad_target
-    checks.append(
-        CheckResult("furthest-mode-radius", rel_rad <= 1e-12, mode.radius, rad_target, "==",
-                    note="radius vs delta*R, 1e-12 relative")
-    )
     dists = np.array([m.distance for m in spec.modes])
     n_at_max = int(np.sum(dists >= dists.max() * (1.0 - 1e-9)))
-    checks.append(
-        CheckResult("furthest-mode-unique", n_at_max == 1, n_at_max, 1, "==",
-                    note="exactly one furthest mode")
-    )
-    checks.append(
-        CheckResult("mode-mass", mode.weight > 3.0 * spec.eps, mode.weight, 3.0 * spec.eps,
-                    ">", note="designated-mode weight vs 3*eps")
-    )
-    checks.append(
-        CheckResult("far-mass-aggregate", spec.far_mass > 3.0 * spec.eps, spec.far_mass,
-                    3.0 * spec.eps, ">", note="aggregate weight of modes at distance >= R")
-    )
     outside = 1.0 - spec.mass_within_origin_ball(spec.R * (1.0 + 2.0 * spec.delta), n, seed)
-    checks.append(
-        CheckResult("tail-mass", outside < spec.eps / 2.0, outside, spec.eps / 2.0, "<",
-                    note="mass outside B(0, R(1+2delta)) vs eps/2")
+    return (
+        CheckResult("furthest-mode-distance", rel <= 1e-12, mode.distance, target, "=="),
+        CheckResult("furthest-mode-radius", rel_rad <= 1e-12, mode.radius, rad_target, "=="),
+        CheckResult("furthest-mode-unique", n_at_max == 1, n_at_max, 1, "=="),
+        CheckResult("mode-mass", mode.weight > 3.0 * spec.eps, mode.weight, 3.0 * spec.eps, ">"),
+        CheckResult("far-mass-aggregate", spec.far_mass > 3.0 * spec.eps, spec.far_mass,
+                    3.0 * spec.eps, ">"),
+        CheckResult("tail-mass", outside < spec.eps / 2.0, outside, spec.eps / 2.0, "<"),
     )
-    return tuple(checks)

@@ -425,18 +425,6 @@ class TestGrowthEnvelope:
                                     cfg=IntegratorConfig(0.005))
         assert rep.passed
 
-    def test_callable_endpoint_hook(self):
-        d = 5
-        proj = SubspaceProjector.containing_direction(np.ones(d), 3)
-
-        def sampler(x0, t, n, seed):
-            return np.tile(x0, (n, 1))  # frozen process
-
-        x = np.full(d, 2.0)
-        rep = check_growth_envelope(sampler, proj, LinearRate(1.0), x, 0.7, 100, 0)
-        assert rep.estimate == pytest.approx(rep.start_value, rel=1e-14)
-        assert rep.passed
-
 
 class TestGaussianKL:
     def test_identical_is_zero(self):

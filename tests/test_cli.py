@@ -267,6 +267,19 @@ n = 1000
         cfg = write_cfg(tmp_path / "k.cfg", "d = 4\nR = 1.5\nreps = 2\ntimes = 0, 1\n")
         assert main(["ks-sweep", "--config", cfg, "--seed", "1", "--out", str(tmp_path)]) == 0
 
+    def test_heavy_tailed_quantile_out_of_range_exits_2(self, tmp_path):
+        # at p = 0.01 the d = 4 quantile is finite, about 4.1e263; the d = 30 one overflows
+        cfg = write_cfg(tmp_path / "q.cfg", "p_list = 0.01\nd_list = 4\n")
+        code, text = run_cli(["quantile-table", "--config", cfg, "--out", str(tmp_path)])
+        assert code == 0 and "Warning" not in text
+        row = (tmp_path / "quantile-table.csv").read_text().splitlines()[-1].split(",")
+        assert row[0] == "0.01" and 1e263 < float(row[1]) < 1e264
+        cfg = write_cfg(tmp_path / "q.cfg", "p_list = 0.01\nd_list = 4,30\n")
+        code, text = run_cli(["quantile-table", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "d = 30, p = 0.01" in text
+        assert "Traceback" not in text and "Warning" not in text
+
     @pytest.mark.parametrize("sub, text", [
         ("validate", "process = ou\nd = 8\nR = 50\ndelta = 0.02\neps = 0.05\nn = 100000\n"),
         ("quantile-table", "n = 300000\n"),

@@ -180,6 +180,23 @@ class TestLowerboundRun:
         assert len(res.rows) == 6
         assert all(-1.0 <= r["total"] <= 1.0 for r in res.rows)
 
+    @pytest.mark.parametrize("process, R", [("ou", 50.0), ("tempered", 1e4)])
+    def test_stationary_start_memory_does_not_grow_with_dimension(self, process, R):
+        # rho0 = pi draws its k coefficients through SphericalMeasure.sample_coefficients
+        cfg = {"process": process, "d": 100_000, "R": R, "delta": 0.02, "eps": 0.05,
+               "b_rho": 0.5, "bulk_scale": 0.0, "mode_kind": "uniform-ball", "mu": 1.0,
+               "k": 3, "profile_a": 0.6, "profile_p": 1.0, "ell": 0.4, "r_k": 0.0,
+               "rk_n": 1000, "n": 2000, "rho0": "pi", "times": ()}
+        tracemalloc.start()
+        try:
+            res = run_lowerbound(cfg, 31)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2 ** 20
+        assert len(res.rows) == 6
+        assert all(-1.0 <= r["total"] <= 1.0 for r in res.rows)
+
 
 def lowerbound_cfg(**extra):
     return resolve_config("lowerbound", {"d": "8", "R": "50", "delta": "0.02", "eps": "0.05",

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -169,6 +170,81 @@ class TestSphericalSampler:
         for x in (0.5, 1.5, 3.0, 5.0, 9.0):
             emp = np.mean(u <= x)
             assert abs(emp - chisq_cdf(k, x)) <= band
+
+
+def reference_spherical_sample(pi, n, seed):
+    """n full d-dimensional draws of ``pi``: exact Gamma radius times a
+    normalised n x d Gaussian, the reference the library's samplers are
+    tested against."""
+    rng = substream(seed)
+    r = (rng.gamma(pi.d / pi.profile.p, 1.0, size=n) / pi.profile.a) ** (1.0 / pi.profile.p)
+    z = rng.standard_normal((n, pi.d))
+    return r[:, None] * z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
+def reference_projection_norms(pi, k, n, seed):
+    """n values of |first-k-coordinates| from the chi-square ratio
+    |G_k|^2 = r^2 u/(u + w), u ~ chi2(k), w ~ chi2(d - k)."""
+    rng = substream(seed)
+    r = (rng.gamma(pi.d / pi.profile.p, 1.0, size=n) / pi.profile.a) ** (1.0 / pi.profile.p)
+    if k == pi.d:
+        return r
+    u = rng.chisquare(k, size=n)
+    w = rng.chisquare(pi.d - k, size=n)
+    return r * np.sqrt(u / (u + w))
+
+
+SPHERICAL_CASES = [(d, k) for d in (1, 2, 3, 16, 64) for k in sorted({1, 3, d}) if k <= d]
+
+
+class TestSphericalCoefficients:
+    """Radius times uniform direction, read on k rows, against the n x d sampler."""
+
+    @pytest.mark.parametrize("d, k", SPHERICAL_CASES)
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
+    def test_matches_full_dimensional_sampler(self, d, k, p):
+        pi = SphericalMeasure(d, RadialProfile.power_tail(0.8, p))
+        q, _ = np.linalg.qr(np.random.default_rng(d).standard_normal((d, k)))
+        n = 20_000
+        fast = pi.sample_coefficients(n, q.T, 71)
+        oracle = reference_spherical_sample(pi, n, 72) @ q
+        assert fast.shape == (n, k)
+        for f, o in ((np.linalg.norm(fast, axis=1), np.linalg.norm(oracle, axis=1)),
+                     (fast[:, 0], oracle[:, 0]), (fast[:, k - 1], oracle[:, k - 1])):
+            assert ks_2samp(f, o).pvalue > 1e-3
+
+    @pytest.mark.parametrize("d, k", SPHERICAL_CASES)
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
+    def test_norms_match_the_chi_square_ratio(self, d, k, p):
+        pi = SphericalMeasure(d, RadialProfile.power_tail(0.8, p))
+        n = 20_000
+        fast = projection_norm_samples(pi, k, n, 73)
+        assert fast.shape == (n,)
+        assert ks_2samp(fast, reference_projection_norms(pi, k, n, 74)).pvalue > 1e-3
+
+    @pytest.mark.parametrize("d", [1, 5])
+    def test_sample_is_the_identity_basis_case(self, d):
+        pi = SphericalMeasure(d, RadialProfile.power_tail(1.0, 1.4))
+        assert np.array_equal(pi.sample(3000, 8), pi.sample_coefficients(3000, np.eye(d), 8))
+        assert pi.sample_coefficients(0, np.eye(d), 8).shape == (0, d)
+
+    def test_only_the_row_count_enters(self):
+        # the law is rotation invariant, so two bases with k rows give the same bytes
+        pi = SphericalMeasure(6, RadialProfile.power_tail(1.0, 1.0))
+        q, _ = np.linalg.qr(np.random.default_rng(2).standard_normal((6, 3)))
+        assert np.array_equal(pi.sample_coefficients(500, q.T, 4),
+                              pi.sample_coefficients(500, np.eye(6)[:3], 4))
+        g = projection_norm_samples(pi, 3, 500, 4)
+        assert np.array_equal(g, np.linalg.norm(pi.sample_coefficients(500, q.T, 4), axis=1))
+
+    def test_basis_validation(self):
+        pi = SphericalMeasure(4, RadialProfile.quadratic(0.5))
+        with pytest.raises(StructuralError, match="unit"):
+            pi.sample_coefficients(10, np.ones((1, 4)), 0)
+        with pytest.raises(StructuralError, match="shape"):
+            pi.sample_coefficients(10, np.array([[1.0, 0.0, 0.0]]), 0)
+        with pytest.raises(StructuralError, match="rows"):
+            pi.sample_coefficients(10, np.zeros((0, 4)), 0)
 
 
 class TestDataMixture:
@@ -513,7 +589,6 @@ class TestProjectionQuantile:
         expected_q = math.sqrt(chi2.ppf(1 - eps / 2, 3) / mu)
         assert est.ball_radius == pytest.approx(expected_q, rel=1e-12)
         assert est.r == pytest.approx(math.sqrt(1 + expected_q**2), rel=1e-12)
-        assert (est.k, est.eps) == (3, eps)
 
     @pytest.mark.parametrize("p, d", [(0.5, 4), (1.0, 16), (1.4, 300), (2.0, 3000)])
     def test_tail_at_the_quantile_is_half_eps(self, p, d):
@@ -543,6 +618,25 @@ class TestProjectionQuantile:
         assert all(math.isfinite(t) and 0.0 <= t <= 1.0 for t in tails)
         assert all(a >= b for a, b in zip(tails, tails[1:]))
         assert tails[0] > 0.025 > tails[-1]
+
+    def test_heavy_tail_beyond_sqrt_dbl_max(self):
+        # q is far past sqrt(DBL_MAX), where q^2 overflows; the tail still reads eps/2
+        pi = SphericalMeasure(4, RadialProfile.power_tail(1.0, 0.01))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = projection_quantile(pi, 3, 0.1)
+            tail = projection_tail(pi, 3, est.ball_radius)
+        assert math.isfinite(est.ball_radius) and est.ball_radius > 1e200
+        assert est.r == est.ball_radius  # sqrt(1 + q^2) rounds to q
+        assert abs(tail / 0.05 - 1.0) <= 1e-12
+
+    def test_radial_bracket_out_of_float_range(self):
+        # at d = 30 the (1 - eps/2)-quantile of |x| itself exceeds DBL_MAX
+        pi = SphericalMeasure(30, RadialProfile.power_tail(1.0, 0.01))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"d = 30, p = 0\.01"):
+                projection_quantile(pi, 3, 0.1)
 
     def test_ignores_sample_count(self):
         pi = SphericalMeasure(30, RadialProfile.power_tail(1.0, 1.4))

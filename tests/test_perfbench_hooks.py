@@ -7,7 +7,9 @@ Euler-Maruyama loop, ``mixlab validate`` and ``mixlab cutoff``, and restores
 the originals.
 """
 
+import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +25,34 @@ def load_tracer():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def unit_keys(units_fn):
+    """The bound-argument names a unit function reads: its string constants.
+
+    The tracer's unit functions read their arguments only as ``a["name"]``
+    and carry no docstring, so every string constant is such a name.
+    """
+    return {c for c in units_fn.__code__.co_consts if isinstance(c, str)}
+
+
+def test_every_traced_name_binds():
+    tracer_mod = load_tracer()
+    for layer, qual, _, units_fn in tracer_mod.functions():
+        module = importlib.import_module(tracer_mod.LAYERS[layer][0])
+        parts = qual.split(".")[1:]
+        if len(parts) == 2:
+            # the tracer patches methods in the class's own __dict__
+            cls = getattr(module, parts[0])
+            assert parts[1] in cls.__dict__, qual
+            target = cls.__dict__[parts[1]]
+        else:
+            target = getattr(module, parts[0])
+        assert callable(target), qual
+        if units_fn is not None:
+            params = inspect.signature(target).parameters
+            missing = unit_keys(units_fn) - set(params)
+            assert not missing, (qual, missing)
 
 
 def test_tracer_installs_and_uninstalls():
