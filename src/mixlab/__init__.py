@@ -56,7 +56,6 @@ from .stats import (
     chisq_cdf,
     coordinate_ks,
     empirical_tv_1d,
-    gaussian_projection_mass,
     ks_statistic,
     projected_tv_vs_gaussian,
     sweep_coordinates,

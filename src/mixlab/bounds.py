@@ -23,7 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, StructuralError
-from .measures import CheckResult, MultiModalData, SphericalMeasure, projection_tail
+from .measures import (
+    CheckResult,
+    MultiModalData,
+    SphericalMeasure,
+    _checked_basis,
+    _checked_k,
+    projection_tail,
+)
 from .rng import Seed, derive, substream
 
 
@@ -186,17 +193,7 @@ class SubspaceProjector:
     basis: np.ndarray
 
     def __post_init__(self):
-        b = np.asarray(self.basis, dtype=float)
-        if b.ndim != 2:
-            raise StructuralError("basis must be a (k, d) array")
-        k, d = b.shape
-        if k < 3:
-            raise StructuralError("need at least 3 basis vectors")
-        if k > d:
-            raise StructuralError(f"k={k} basis vectors cannot be orthonormal in dimension d={d}")
-        if np.max(np.abs(b @ b.T - np.eye(k))) > 1e-10:
-            raise StructuralError("basis is not orthonormal (1e-10 tolerance)")
-        b = b.copy()
+        b = _checked_basis(self.basis, None, least=3).copy()
         b.setflags(write=False)
         object.__setattr__(self, "basis", b)
 
@@ -216,13 +213,12 @@ class SubspaceProjector:
         direction, orthonormalized by QR.
         """
         y1 = np.asarray(direction, dtype=float).reshape(-1)
+        d = y1.size
+        k = _checked_k(k, d, least=3)
         nrm = np.linalg.norm(y1)
         if nrm == 0:
             raise StructuralError("direction must be nonzero")
         y1 = y1 / nrm
-        d = y1.size
-        if not 3 <= k <= d:
-            raise StructuralError(f"need 3 <= k <= d, got k={k}, d={d}")
         cols = [y1]
         for j in np.argsort(np.abs(y1), kind="stable"):
             if len(cols) == k:
@@ -284,15 +280,14 @@ def check_generator_bound(process, proj: SubspaceProjector, mu: float, n_points:
     rng = substream(seed)
     x = envelope_scale * rng.standard_normal((int(n_points), proj.d))
     max_excess = float(np.max(apply_generator(process, proj, x) - mu * proj.lyapunov(x)))
-    limit = 1e-9
-    return CheckResult("generator-bound", max_excess <= limit, max_excess, limit, "<=")
+    return CheckResult("generator-bound", max_excess, 1e-9, "<=")
 
 
 @dataclass(frozen=True)
 class LowerBoundReport:
     """Terms of the TV lower bound at horizon t.
 
-    total = pi_term - rho_tail_term - integral_term holds as an exact
+    total = pi_term - rho_tail - integral holds as an exact
     arithmetic identity.  pi_term is exact (quadrature), so pi_se is 0 and
     total_se is the standard error of the per-sample start-law loss.
     """
@@ -300,8 +295,8 @@ class LowerBoundReport:
     t: float
     threshold: float
     pi_term: float
-    rho_tail_term: float
-    integral_term: float
+    rho_tail: float
+    integral: float
     total: float
     pi_se: float
     rho_tail_se: float
@@ -342,13 +337,13 @@ def tv_lower_bound(pi: SphericalMeasure, rho0, proj: SubspaceProjector, rate,
         if (~tail).any():
             gam[~tail] = rate.grow(hvals[~tail], t)
         integ = r * gam
-        rho_tail_term = float(tail.mean())
-        integral_term = float(integ.mean())
+        rho_tail = float(tail.mean())
+        integral = float(integ.mean())
         loss = np.where(tail, 1.0, integ)
         reports.append(LowerBoundReport(
             t=float(t), threshold=float(threshold),
-            pi_term=pi_term, rho_tail_term=rho_tail_term, integral_term=integral_term,
-            total=pi_term - rho_tail_term - integral_term,
+            pi_term=pi_term, rho_tail=rho_tail, integral=integral,
+            total=pi_term - rho_tail - integral,
             pi_se=0.0,
             rho_tail_se=float(tail.std() / math.sqrt(n)),
             integral_se=float(integ.std() / math.sqrt(n)),
@@ -502,11 +497,10 @@ def check_compatibility(mu: float, R: float, delta: float, eps: float, d: int,
     (a) R >= sqrt(eps/mu) d^(1/4); (b) R^beta >= 2 sqrt(mu)(1+2 delta)/eps;
     (c) 2 r_k <= R^beta.  Reported with measured values and margins.
     """
-    checks = []
-    need_a = math.sqrt(eps / mu) * d ** 0.25
-    checks.append(CheckResult("mode-distance-vs-dimension", R >= need_a, R, need_a, ">="))
     rb = R ** beta
-    need_b = 2.0 * math.sqrt(mu) * (1.0 + 2.0 * delta) / eps
-    checks.append(CheckResult("tolerance-vs-distance", rb >= need_b, rb, need_b, ">="))
-    checks.append(CheckResult("quantile-vs-distance", 2.0 * r_k <= rb, 2.0 * r_k, rb, "<="))
-    return tuple(checks)
+    return (
+        CheckResult("mode-distance-vs-dimension", R, math.sqrt(eps / mu) * d ** 0.25, ">="),
+        CheckResult("tolerance-vs-distance", rb, 2.0 * math.sqrt(mu) * (1.0 + 2.0 * delta) / eps,
+                    ">="),
+        CheckResult("quantile-vs-distance", 2.0 * r_k, rb, "<="),
+    )

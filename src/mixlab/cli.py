@@ -45,11 +45,12 @@ class Key:
 
 _DATA_KEYS = {
     "d": Key("int", within="[1, inf)"),
-    "R": Key("float", within="(2, inf)"),
+    # R and bulk_scale end at 1e150, which keeps |x|^2 of a mode or bulk point finite
+    "R": Key("float", within="(2, 1e150]"),
     "delta": Key("float", within="(0, 1)"),
     "eps": Key("float", within="(0, 1)"),
     "b_rho": Key("float", default=0.5, within="(0, 1]"),
-    "bulk_scale": Key("float", default=0.0, within="[0, inf)"),  # 0 selects the built-in default
+    "bulk_scale": Key("float", default=0.0, within="[0, 1e150]"),  # 0 selects the built-in default
     "mode_kind": Key("str", default="uniform-ball",
                      choices=("uniform-ball", "truncated-gaussian")),
 }
@@ -62,8 +63,6 @@ _PROCESS_KEYS = {
     "profile_p": Key("float", default=1.0, within="(0, 2]"),
     "ell": Key("float", default=0.0, within="[0, inf)"),
     "r_k": Key("float", default=0.0, within="[0, inf)"),  # 0 requests estimation
-    # accepted and ignored: r_k is computed exactly; perfbench/workloads.py still writes it
-    "rk_n": Key("int", default=300_000, within="[1000, inf)"),
 }
 
 SCHEMAS: dict[str, dict[str, Key]] = {
@@ -80,6 +79,8 @@ SCHEMAS: dict[str, dict[str, Key]] = {
         "n": Key("int", default=100_000, within="[100, inf)"),
         "rho0": Key("str", default="data", choices=("data", "pi")),
         "times": Key("floats", default=(), within="[0, inf)"),
+        # accepted and ignored: r_k is computed exactly; perfbench/workloads.py still writes it
+        "rk_n": Key("int", default=300_000, within="[1000, inf)"),
     },
     "quantile-table": {
         "p_list": Key("floats", default=(1.0, 1.2, 1.4, 1.6, 1.8), within="(0, 2]"),

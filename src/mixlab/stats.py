@@ -31,19 +31,6 @@ def chisq_cdf(k: int, x: float):
     return float(out) if out.ndim == 0 else out
 
 
-def gaussian_projection_mass(k: int, r: float, mu: float) -> float:
-    """Mass pi(1 + |G_k|^2 <= r^2) for the Gaussian noise measure N(0, I/mu).
-
-    Under N(0, I/mu) the squared projection norm times mu is chi-square with
-    k degrees of freedom, so the value is P(chi2_k <= mu (r^2 - 1)) exactly.
-    """
-    if not r > 1:
-        raise DomainError("level r must exceed 1")
-    if not mu > 0:
-        raise DomainError("mu must be positive")
-    return float(chisq_cdf(k, mu * (r * r - 1.0)))
-
-
 @dataclass(frozen=True)
 class TVEstimate:
     """Binned 1D total-variation estimate between two distributions."""

@@ -23,14 +23,15 @@ from mixlab import (
     check_generator_bound,
     check_growth_envelope,
     gaussian_kl,
-    gaussian_projection_mass,
     mixing_horizons,
     ou_tv_upper_bound,
     projection_quantile,
     projection_tail,
     tv_lower_bound,
 )
+from mixlab.measures import _checked_basis
 from tests.test_measures import reference_sample
+from tests.test_stats import gaussian_projection_mass
 
 
 def fd_generator(process, proj, x, h_rel=1e-4):
@@ -183,6 +184,16 @@ class TestSubspaceProjector:
         with pytest.raises(StructuralError):
             SubspaceProjector(np.ones((4, 3)))  # k > d
 
+    @pytest.mark.parametrize("basis", [
+        np.eye(4)[:2], np.ones((4, 3)), np.eye(4)[:3] * 1.001, np.ones(4),
+    ], ids=["k<3", "k>d", "not-orthonormal", "not-2d"])
+    def test_basis_errors_come_from_checked_basis(self, basis):
+        with pytest.raises(StructuralError) as want:
+            _checked_basis(basis, None, least=3)
+        with pytest.raises(StructuralError) as got:
+            SubspaceProjector(basis)
+        assert str(got.value) == str(want.value)
+
     def test_lyapunov_values(self):
         proj = SubspaceProjector(np.eye(5)[:3])
         assert proj.lyapunov(np.zeros((1, 5)))[0] == 1.0
@@ -274,7 +285,7 @@ class TestGenerator:
 def oracle_lower_bound(pi, rho0, proj, rate, r, t, n, seed):
     """The n x d evaluation: draw d-dimensional points of pi and rho0 for this
     time alone and read H through the projector; returns (total, total_se)."""
-    if pi.profile.is_quadratic:
+    if pi.profile.p == 2:
         pi_term = gaussian_projection_mass(proj.k, r, 2.0 * pi.profile.a)
         pi_se = 0.0
     else:
@@ -306,15 +317,15 @@ class TestTVLowerBound:
     def test_identity_exact(self):
         rep, = tv_lower_bound(self.pi, self.spec, self.proj, self.rate, self.r_k, [1.5],
                               20_000, 0)
-        assert rep.total == rep.pi_term - rep.rho_tail_term - rep.integral_term
+        assert rep.total == rep.pi_term - rep.rho_tail - rep.integral
         assert 0.0 <= rep.pi_term <= 1.0
-        assert 0.0 <= rep.rho_tail_term <= 1.0
-        assert rep.integral_term >= 0.0
+        assert 0.0 <= rep.rho_tail <= 1.0
+        assert rep.integral >= 0.0
 
     def test_large_horizon_degenerates(self):
         rep, = tv_lower_bound(self.pi, self.spec, self.proj, self.rate, self.r_k, [50.0],
                               20_000, 1)
-        assert rep.rho_tail_term == 1.0
+        assert rep.rho_tail == 1.0
         assert rep.total <= 0.0
 
     def test_far_mode_configuration(self):
@@ -336,7 +347,7 @@ class TestTVLowerBound:
         rep, = tv_lower_bound(tl_pi, self.spec, self.proj, self.rate, 10.0, [0.5], 20_000, 4)
         assert rep.pi_se == 0.0
         assert rep.pi_term == 1.0 - projection_tail(tl_pi, 3, math.sqrt(99.0))
-        assert rep.total == rep.pi_term - rep.rho_tail_term - rep.integral_term
+        assert rep.total == rep.pi_term - rep.rho_tail - rep.integral
         rep, = tv_lower_bound(self.pi, self.spec, self.proj, self.rate, self.r_k, [0.5],
                               20_000, 4)
         oracle = gaussian_projection_mass(3, self.r_k, 2.0 * self.pi.profile.a)

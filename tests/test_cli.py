@@ -290,6 +290,25 @@ n = 1000
         assert main([sub, "--config", cfg, "--seed", "1", "--out", str(tmp_path)]) == 2
         assert "unknown configuration key 'n'" in capsys.readouterr().err
 
+    def test_validate_rejects_rk_n(self, tmp_path, capsys):
+        # r_k is exact; only lowerbound still accepts (and ignores) rk_n
+        cfg = write_cfg(tmp_path / "v.cfg", "d = 8\nR = 50\ndelta = 0.02\neps = 0.05\n"
+                                            "rk_n = 20000\n")
+        assert main(["validate", "--config", cfg, "--seed", "1", "--out", str(tmp_path)]) == 2
+        assert "unknown configuration key 'rk_n'" in capsys.readouterr().err
+
+    def test_k_above_d_reads_the_same_in_every_subcommand(self, tmp_path, capsys):
+        data = "d = 4\nR = 50\ndelta = 0.02\neps = 0.05\nk = 5\n"
+        errs = []
+        for sub, text in (("lowerbound", data + "n = 1000\n"),
+                          ("validate", data + "n_points = 100\n"),
+                          ("quantile-table", "d_list = 4\nk = 5\n")):
+            cfg = write_cfg(tmp_path / f"{sub}.cfg", text)
+            assert main([sub, "--config", cfg, "--out", str(tmp_path / sub)]) == 2
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1] == errs[2]
+        assert "k = 5" in errs[0] and "d = 4" in errs[0]
+
     @pytest.mark.parametrize("case", ["config-not-utf8", "config-is-directory", "out-is-file"])
     def test_path_errors_exit_2(self, tmp_path, case):
         cfg = write_cfg(tmp_path / "c.cfg", "p = 1\n")
@@ -306,6 +325,47 @@ n = 1000
         assert code == 2
         assert "Traceback" not in text
         assert named in text
+
+
+SMALL_RUNS = {"cutoff": "n = 2000\n", "lowerbound": "n = 2000\n", "validate": "n_points = 500\n"}
+
+
+def data_cfg(tmp_path, sub, R="50", extra=""):
+    text = f"d = 8\nR = {R}\ndelta = 0.02\neps = 0.05\nb_rho = 0.5\n" + SMALL_RUNS[sub] + extra
+    return write_cfg(tmp_path / f"{sub}.cfg", text)
+
+
+class TestExtremeScales:
+    """Data keys at the ends of the float range end in a documented exit.
+
+    The suite turns RuntimeWarnings into errors, so an overflow on the way
+    fails these tests as well as a traceback does.
+    """
+
+    @pytest.mark.parametrize("sub", ["validate", "lowerbound"])
+    @pytest.mark.parametrize("scale", ["1e-300", "1e-160"])
+    def test_tiny_bulk_scale_runs(self, tmp_path, sub, scale):
+        # (radius / bulk_scale)^2 passes DBL_MAX: the bulk's chi-square CDF reads 1
+        cfg = data_cfg(tmp_path, sub, extra=f"bulk_scale = {scale}\n")
+        assert main([sub, "--config", cfg, "--seed", "1", "--out", str(tmp_path)]) in (0, 3)
+
+    @pytest.mark.parametrize("sub", ["cutoff", "lowerbound", "validate"])
+    @pytest.mark.parametrize("key, value", [
+        ("R", "1e300"), ("R", "1.3e154"), ("R", "1.000001e150"), ("bulk_scale", "1e300"),
+    ])
+    def test_beyond_the_finite_end_exits_2(self, tmp_path, capsys, sub, key, value):
+        extra = f"bulk_scale = {value}\n" if key == "bulk_scale" else ""
+        cfg = data_cfg(tmp_path, sub, R=value if key == "R" else "50", extra=extra)
+        assert main([sub, "--config", cfg, "--seed", "1", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"key '{key}'" in err and "above maximum" in err
+
+    @pytest.mark.parametrize("sub", ["cutoff", "lowerbound", "validate"])
+    @pytest.mark.parametrize("key", ["R", "bulk_scale"])
+    def test_finite_end_runs(self, tmp_path, sub, key):
+        cfg = data_cfg(tmp_path, sub, R="1e150" if key == "R" else "50",
+                       extra="bulk_scale = 1e150\n" if key == "bulk_scale" else "")
+        assert main([sub, "--config", cfg, "--seed", "1", "--out", str(tmp_path)]) in (0, 3)
 
 
 class TestOutputs:

@@ -64,7 +64,7 @@ class TestOUTransitions:
     def test_invariant_measure(self):
         pi = OUProcess(2.0, 5).invariant_measure()
         assert isinstance(pi, SphericalMeasure)
-        assert pi.profile.is_quadratic and pi.profile.a == 1.0
+        assert pi.profile.p == 2 and pi.profile.a == 1.0
 
 
 class TestTemperedLangevinCoefficients:

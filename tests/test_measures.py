@@ -15,6 +15,7 @@ from mixlab import (
     RadialProfile,
     SphericalMeasure,
     StructuralError,
+    SubspaceProjector,
     chisq_cdf,
     projection_norm_samples,
     projection_quantile,
@@ -75,8 +76,8 @@ class TestRadialProfile:
             RadialProfile(1.0, 0.0)
         with pytest.raises(StructuralError):
             RadialProfile(1.0, 2.5)
-        assert RadialProfile.quadratic(0.5).is_quadratic
-        assert not RadialProfile.power_tail(1.0, 1.0).is_quadratic
+        assert RadialProfile.quadratic(0.5).p == 2
+        assert RadialProfile.power_tail(1.0, 1.0).p != 2
 
     def test_value_and_deriv(self):
         prof = RadialProfile.power_tail(2.0, 1.5)
@@ -699,3 +700,24 @@ class TestProjectionTail:
             projection_tail(pi, 0, 1.0)
         with pytest.raises(DomainError):
             projection_tail(pi, 3, -1.0)
+
+
+@pytest.mark.parametrize("k", [0, 2, 5])
+def test_row_count_errors_come_from_checked_k(k):
+    # one rule, one message: each function that takes a row count k at d = 4
+    # raises what measures._checked_k raises for its least k
+    pi = SphericalMeasure(4, RadialProfile.quadratic(0.5))
+    calls = {
+        1: [lambda: projection_tail(pi, k, 1.0), lambda: projection_norm_samples(pi, k, 10, 0)],
+        3: [lambda: projection_quantile(pi, k, 0.1),
+            lambda: SubspaceProjector.containing_direction(np.ones(4), k)],
+    }
+    for least, fns in calls.items():
+        if least <= k <= 4:
+            continue
+        with pytest.raises(StructuralError) as want:
+            measures._checked_k(k, 4, least)
+        for fn in fns:
+            with pytest.raises(StructuralError) as got:
+                fn()
+            assert str(got.value) == str(want.value)
