@@ -42,9 +42,6 @@ class LinearRate:
             raise StructuralError("mu must be positive")
         self.mu = float(mu)
 
-    def xi(self, s):
-        return self.mu * np.asarray(s, dtype=float)
-
     def growth_time(self, u: float, v: float) -> float:
         """Integral of 1/xi from u to v: log(v/u)/mu."""
         if not u > 0:
@@ -98,9 +95,6 @@ class ConcaveRate:
         slopes = dv / np.diff(g)
         if np.any(np.diff(slopes) > 1e-8):
             raise StructuralError("rate must be concave (chord slopes nonincreasing, 1e-8)")
-
-    def xi(self, s):
-        return self._fn(s)
 
     def growth_time(self, u: float, v: float) -> float:
         if not u > 0:
@@ -234,10 +228,6 @@ class SubspaceProjector:
     def coeffs(self, x) -> np.ndarray:
         return np.asarray(x, dtype=float) @ self.basis.T
 
-    def embed(self, coeffs) -> np.ndarray:
-        """The projection G = coeffs @ basis in R^d, from coefficients on the basis rows."""
-        return coeffs @ self.basis
-
     def proj_norm_sq(self, x) -> np.ndarray:
         c = self.coeffs(x)
         return (c * c).sum(axis=-1)
@@ -245,6 +235,13 @@ class SubspaceProjector:
     def lyapunov(self, x) -> np.ndarray:
         """H(x) = (1 + |G(x)|^2)^{-1/2}; equals 1 at the origin."""
         return 1.0 / np.sqrt(1.0 + self.proj_norm_sq(x))
+
+    def bounded(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """(H(x), G_hat(x) = H(x) G(x)) for an (n, d) batch, by hypot: no |G|^2
+        is formed, so both stay finite while the coefficients of G do."""
+        c = self.coeffs(x)
+        h = 1.0 / np.hypot(1.0, np.hypot.reduce(c, axis=1))
+        return h, (c * h[:, None]) @ self.basis
 
 
 def apply_generator(process, proj: SubspaceProjector, x):
@@ -254,21 +251,21 @@ def apply_generator(process, proj: SubspaceProjector, x):
     Hess H = H^3 (3 H^2 G G^T - sum_j y_j y_j^T), so only the drift and the
     dispersion diagonal of the process are needed:
 
-        A H(x) = <b(x), grad H(x)> + 0.5 * Tr(a(x) Hess H(x)).
+        A H(x) = <b(x), grad H(x)> + 0.5 * Tr(a(x) Hess H(x))
+               = -H^2 <b, G_hat> + 0.5 H^3 (3 <a G_hat, G_hat> - sum_j <a y_j, y_j>)
+
+    with G_hat = H G from :meth:`SubspaceProjector.bounded`, finite at far points.
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = np.atleast_2d(x)
-    c = proj.coeffs(pts)
-    gsq = (c * c).sum(axis=1)
-    h = 1.0 / np.sqrt(1.0 + gsq)
-    G = proj.embed(c)
+    h, ghat = proj.bounded(pts)
     b = np.atleast_2d(process.drift(pts))
     adiag = np.asarray(process.dispersion_diag(pts), dtype=float)
-    drift_term = -(h ** 3) * (b * G).sum(axis=1)
-    agg = (adiag * G * G).sum(axis=1)
+    drift_term = -(h * h) * (b * ghat).sum(axis=1)
+    agg = (adiag * ghat * ghat).sum(axis=1)
     ayy = adiag @ (proj.basis * proj.basis).sum(axis=0)
-    disp_term = 0.5 * h ** 3 * (3.0 * h * h * agg - ayy)
+    disp_term = 0.5 * h ** 3 * (3.0 * agg - ayy)
     out = drift_term + disp_term
     return float(out[0]) if single else out
 
@@ -446,21 +443,17 @@ class HorizonSet:
     t_mix         (1/mu) max(log(2 d^(1/4)/eps^(1/2)),
                   log(2 R (1+2 delta) sqrt(mu)/eps)): TV < eps beyond it.
     t_mix_simple  log R + log(1+2 delta) + log(1/eps): mu=1 variant.
-    envelope_*    (1 -+ beta)/mu log R when beta is supplied.
     """
 
     t_lower: float | None
     t_onset: float
     t_mix: float
     t_mix_simple: float
-    envelope_lower: float | None
-    envelope_upper: float | None
-    t_lower_note: str = ""
 
 
 def mixing_horizons(mu: float, R: float, delta: float, eps: float, d: int,
-                    r_k: float | None = None, beta: float | None = None) -> HorizonSet:
-    """Evaluate every horizon formula; t_lower needs r_k and R > 2 r_k."""
+                    r_k: float | None = None) -> HorizonSet:
+    """Evaluate every horizon formula; t_lower needs r_k and R > 2 r_k (else None)."""
     if not 0 < eps < 1:
         raise DomainError("eps must lie in (0, 1)")
     if not mu > 0:
@@ -468,26 +461,15 @@ def mixing_horizons(mu: float, R: float, delta: float, eps: float, d: int,
     if not R > 0:
         raise DomainError("R must be positive")
     t_lower = None
-    note = ""
-    if r_k is not None:
-        if R > 2.0 * r_k:
-            t_lower = math.log(R / (2.0 * r_k)) / mu
-        else:
-            note = f"undefined: requires R > 2 r_k (R={R:.6g}, r_k={r_k:.6g})"
+    if r_k is not None and R > 2.0 * r_k:
+        t_lower = math.log(R / (2.0 * r_k)) / mu
     t_onset = math.log(R) - math.log(max(math.sqrt(2.0 * math.log(1.0 / eps)), 1.0))
     t_mix = max(
         math.log(2.0 * d ** 0.25 / math.sqrt(eps)),
         math.log(2.0 * R * (1.0 + 2.0 * delta) * math.sqrt(mu) / eps),
     ) / mu
     t_mix_simple = math.log(R) + math.log(1.0 + 2.0 * delta) + math.log(1.0 / eps)
-    env_lo = env_hi = None
-    if beta is not None:
-        env_lo = (1.0 - beta) / mu * math.log(R)
-        env_hi = (1.0 + beta) / mu * math.log(R)
-    return HorizonSet(
-        t_lower=t_lower, t_onset=t_onset, t_mix=t_mix, t_mix_simple=t_mix_simple,
-        envelope_lower=env_lo, envelope_upper=env_hi, t_lower_note=note,
-    )
+    return HorizonSet(t_lower=t_lower, t_onset=t_onset, t_mix=t_mix, t_mix_simple=t_mix_simple)
 
 
 def check_compatibility(mu: float, R: float, delta: float, eps: float, d: int,

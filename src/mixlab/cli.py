@@ -107,7 +107,7 @@ SCHEMAS: dict[str, dict[str, Key]] = {
         **_PROCESS_KEYS,
         "n_points": Key("int", default=10_000, within="[100, inf)"),
         "r_max": Key("float", default=0.0, within="[0, inf)"),
-        "envelope_scale": Key("float", default=0.0, within="[0, inf)"),
+        "envelope_scale": Key("float", default=0.0, within="[0, 1e150]"),  # ends like R
         "beta": Key("float", default=0.0, within="[0, 1]"),
     },
 }

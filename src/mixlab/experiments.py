@@ -119,7 +119,7 @@ def run_cutoff(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
     def one(item):
         i, t = item
         yt = ou.evolve(y0, t, derive(seed, 2, i))
-        return projected_tv_vs_gaussian(yt, np.array([1.0]), mu, bins=bins).value
+        return projected_tv_vs_gaussian(yt, mu, bins=bins).value
 
     tvs = parallel_map(one, list(enumerate(times)), threads)
     rows = [
@@ -150,6 +150,14 @@ def _build_process(cfg: dict):
     return proc, proc.invariant_measure()
 
 
+def _level_r_k(cfg: dict, pi: SphericalMeasure) -> float:
+    """The configured level r_k = sqrt(1 + q^2) >= 1, or the exact one when r_k = 0."""
+    r_k = cfg["r_k"]
+    if 0 < r_k < 1:
+        raise ConfigError(f"r_k must be 0 (the exact quantile) or at least 1, got {r_k:.6g}")
+    return r_k or projection_quantile(pi, cfg["k"], cfg["eps"]).r
+
+
 def run_lowerbound(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
     """TV lower-bound terms over a time grid that contains the bound horizon t_lower.
 
@@ -163,9 +171,7 @@ def run_lowerbound(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
     mu, d, k, n, eps = cfg["mu"], cfg["d"], cfg["k"], cfg["n"], cfg["eps"]
     R = cfg["R"]
     spec = build_data_spec(cfg)
-    r_k = cfg["r_k"]
-    if r_k <= 0:
-        r_k = projection_quantile(pi, k, eps).r
+    r_k = _level_r_k(cfg, pi)
     if 2.0 * r_k >= R:
         raise ConfigError(
             f"lower-bound horizon requires 2 r_k < R, got r_k = {r_k:.6g}, R = {R:.6g}"
@@ -242,7 +248,6 @@ def run_ks_sweep(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
             )
         defaults = [0.0, t_onset / 2, t_onset, t_mix]
     else:
-        t_onset = t_mix = None
         defaults = [0.0, 1.0, 2.0, 4.0]
     times = _merged_times(cfg["times"], defaults, [])
     reps = cfg["reps"]
@@ -273,8 +278,6 @@ def run_ks_sweep(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
     return ExperimentResult(
         columns=["t", "rep", "ks_stat", "ks_p", "ks_stat_std", "ks_p_std"],
         rows=rows,
-        info={"times": times, "median_ks": medians,
-              "t_onset": t_onset, "t_mix_simple": t_mix},
         chart={"x": times, "series": {"median KS": medians}, "title": "median KS vs time",
                "xlabel": "t", "ylabel": "KS statistic"},
     )
@@ -301,11 +304,9 @@ def run_validate(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
     ]
     beta = cfg["beta"]
     if beta > 0:
-        r_k = cfg["r_k"]
-        if r_k <= 0:
-            r_k = projection_quantile(pi, k, cfg["eps"]).r
         checks += [replace(c, name=f"bridge/{c.name}") for c in
-                   check_compatibility(mu, spec.R, cfg["delta"], cfg["eps"], d, beta, r_k)]
+                   check_compatibility(mu, spec.R, cfg["delta"], cfg["eps"], d, beta,
+                                       _level_r_k(cfg, pi))]
     rows = [
         {"check": c.name, "passed": int(c.passed), "value": c.value, "bound": c.threshold,
          "relation": c.relation}

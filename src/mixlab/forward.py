@@ -278,22 +278,18 @@ def check_dispersion_balance(process, proj: SubspaceProjector, n_points: int, se
                              envelope_scale: float = 1.0) -> CheckResult:
     """Probe sum_j <a y_j, y_j> >= 3 <a G_hat, G_hat> over an envelope sample.
 
-    ``process`` either exposes ``dispersion_diag`` or is a callable giving
-    the dispersion diagonal at a point batch.  G_hat = G/sqrt(1+|G|^2) with
-    G the projection onto the span of the projector's k >= 3 orthonormal
+    G_hat = G/sqrt(1+|G|^2) from :meth:`SubspaceProjector.bounded`, with G
+    the projection onto the span of the projector's k >= 3 orthonormal
     rows.  Violations are measured relative to |lhs| + |rhs|; the largest
     passes at most 1e-9.
     """
     basis = proj.basis
     rng = substream(seed)
     x = envelope_scale * rng.standard_normal((int(n_points), proj.d))
-    adiag = process(x) if callable(process) else process.dispersion_diag(x)
-    adiag = np.asarray(adiag, dtype=float)
+    adiag = np.asarray(process.dispersion_diag(x), dtype=float)
     lhs = adiag @ (basis * basis).sum(axis=0)
-    coeff = proj.coeffs(x)
-    G = proj.embed(coeff)
-    hsq = 1.0 / (1.0 + (coeff * coeff).sum(axis=1))
-    rhs = 3.0 * hsq * (adiag * G * G).sum(axis=1)
+    ghat = proj.bounded(x)[1]
+    rhs = 3.0 * (adiag * ghat * ghat).sum(axis=1)
     viol = (rhs - lhs) / np.maximum(np.abs(lhs) + np.abs(rhs), 1e-300)
     return CheckResult("dispersion-balance", float(np.max(viol)), 1e-9, "<=")
 

@@ -84,12 +84,6 @@ class SphericalMeasure:
             raise StructuralError("dimension d must be a positive integer")
         object.__setattr__(self, "d", int(self.d))
 
-    def log_density_unnormalized(self, x) -> np.ndarray:
-        """Return -H(|x|) for a single point or an (n, d) batch."""
-        x = np.asarray(x, dtype=float)
-        r = np.linalg.norm(x, axis=-1)
-        return -self.profile.value(r)
-
     def _gamma_shape(self) -> float:
         """Shape d/p of the Gamma law of s = a*|x|^p, within the supported range."""
         shape = self.d / self.profile.p
@@ -357,13 +351,9 @@ class MultiModalData:
         return max(0.0, 1.0 - sum(m.weight for m in self.modes))
 
     @property
-    def designated_index(self) -> int:
-        """Index of the furthest mode."""
-        return int(np.argmax([m.distance for m in self.modes]))
-
-    @property
     def designated_mode(self) -> ModeSpec:
-        return self.modes[self.designated_index]
+        """The furthest mode; the first of equal distances."""
+        return max(self.modes, key=lambda m: m.distance)
 
     @property
     def mode_direction(self) -> np.ndarray:

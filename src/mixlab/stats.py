@@ -36,10 +36,7 @@ class TVEstimate:
     """Binned 1D total-variation estimate between two distributions."""
 
     value: float
-    n_a: int
-    n_b: int
     bins: int
-    bin_range: tuple[float, float]
 
 
 def empirical_tv_1d(samples_a, b, bins: int | None = None,
@@ -49,21 +46,19 @@ def empirical_tv_1d(samples_a, b, bins: int | None = None,
     Computes 0.5 * sum_i |p_i - q_i| over equal-width bins on ``bin_range``;
     mass outside the range is clipped into the edge bins.  When ``b`` is a
     CDF callable, the q_i are exact per-bin masses (with the CDF tails
-    absorbed into the edge bins).  Default bins = ceil(sqrt(min(n_a, n_b))).
+    absorbed into the edge bins).  Default bins = ceil(sqrt(smaller sample size)).
     """
     a = np.asarray(samples_a, dtype=float).reshape(-1)
     if a.size == 0:
         raise DomainError("empty samples")
     cdf_mode = callable(b)
     if cdf_mode:
-        n_b = 0
         n_eff = a.size
     else:
         bs = np.asarray(b, dtype=float).reshape(-1)
         if bs.size == 0:
             raise DomainError("empty samples")
-        n_b = bs.size
-        n_eff = min(a.size, n_b)
+        n_eff = min(a.size, bs.size)
     if bins is None:
         bins = max(2, int(math.ceil(math.sqrt(n_eff))))
     bins = int(bins)
@@ -86,25 +81,21 @@ def empirical_tv_1d(samples_a, b, bins: int | None = None,
         q[0] += F[0]
         q[-1] += 1.0 - F[-1]
     else:
-        q = np.histogram(np.clip(bs, lo, hi), bins=edges)[0] / n_b
+        q = np.histogram(np.clip(bs, lo, hi), bins=edges)[0] / bs.size
     value = 0.5 * float(np.abs(p - q).sum())
-    return TVEstimate(value=value, n_a=a.size, n_b=n_b, bins=bins, bin_range=(lo, hi))
+    return TVEstimate(value=value, bins=bins)
 
 
-def projected_tv_vs_gaussian(samples, direction, mu: float, bins: int | None = None,
-                             bin_range: tuple[float, float] | None = None) -> TVEstimate:
-    """Binned TV of <x, direction> against the exact N(0, 1/mu) CDF.
+def projected_tv_vs_gaussian(samples, mu: float, bins: int | None = None) -> TVEstimate:
+    """Binned TV of the projections <x, u> in ``samples`` (flattened) against
+    the exact N(0, 1/mu) CDF, on a range that covers +-8 sd of it.
 
     This lower-bounds the full-space TV against the Gaussian noise measure
-    N(0, I/mu), whose pushforward along any unit vector is N(0, 1/mu).
+    N(0, I/mu), whose pushforward along any unit vector u is N(0, 1/mu).
     """
-    direction = np.asarray(direction, dtype=float).reshape(-1)
-    if abs(np.linalg.norm(direction) - 1.0) > 1e-10:
-        raise StructuralError("direction must be a unit vector (1e-10 tolerance)")
-    t = np.asarray(samples, dtype=float) @ direction
+    t = np.asarray(samples, dtype=float).reshape(-1)
     root_mu = math.sqrt(mu)
-    if bin_range is None:
-        bin_range = (min(float(t.min()), -8.0 / root_mu), max(float(t.max()), 8.0 / root_mu))
+    bin_range = (min(float(t.min()), -8.0 / root_mu), max(float(t.max()), 8.0 / root_mu))
     return empirical_tv_1d(t, lambda x: ndtr(np.asarray(x) * root_mu), bins, bin_range)
 
 
@@ -112,7 +103,6 @@ def projected_tv_vs_gaussian(samples, direction, mu: float, bins: int | None = N
 class KSResult:
     statistic: float
     p_value: float
-    n: int
 
 
 def ks_statistic(samples, cdf: Callable[[np.ndarray], np.ndarray]) -> KSResult:
@@ -132,7 +122,7 @@ def ks_statistic(samples, cdf: Callable[[np.ndarray], np.ndarray]) -> KSResult:
     d_plus = float(np.max(i / n - F))
     d_minus = float(np.max(F - (i - 1) / n))
     stat = min(1.0, max(0.0, max(d_plus, d_minus)))
-    return KSResult(statistic=stat, p_value=float(kolmogorov(math.sqrt(n) * stat)), n=n)
+    return KSResult(statistic=stat, p_value=float(kolmogorov(math.sqrt(n) * stat)))
 
 
 def sweep_coordinates(process, start, times: Sequence[float],

@@ -203,6 +203,21 @@ class TestSubspaceProjector:
         x[0, 4] = 100.0  # orthogonal to the span: no effect
         assert proj.lyapunov(x)[0] == pytest.approx(1.0 / math.sqrt(5.0), rel=1e-14)
 
+    def test_bounded_matches_h_and_hg(self):
+        proj = SubspaceProjector.containing_direction(np.ones(6), 3)
+        x = 3.0 * np.random.default_rng(4).standard_normal((50, 6))
+        h, ghat = proj.bounded(x)
+        np.testing.assert_allclose(h, proj.lyapunov(x), rtol=1e-14)
+        np.testing.assert_allclose(ghat, h[:, None] * (proj.coeffs(x) @ proj.basis),
+                                   rtol=1e-13, atol=1e-15)
+
+    def test_bounded_stays_finite_where_g_squared_overflows(self):
+        proj = SubspaceProjector(np.eye(4)[:3])
+        x = np.array([[3e200, -4e200, 0.0, 1.0]])
+        h, ghat = proj.bounded(x)
+        assert h[0] == pytest.approx(2e-201, rel=1e-14)
+        np.testing.assert_allclose(ghat[0], [0.6, -0.8, 0.0, 0.0], rtol=1e-14)
+
     def test_containing_direction(self):
         rng = np.random.default_rng(3)
         for d, k in [(5, 3), (16, 3), (8, 5)]:
@@ -551,15 +566,9 @@ class TestHorizons:
         ) / mu
         assert hz.t_mix == pytest.approx(expected, rel=1e-12)
 
-    def test_envelopes(self):
-        hz = mixing_horizons(2.0, 100.0, 0.01, 0.05, 16, beta=0.3)
-        assert hz.envelope_lower == pytest.approx(0.35 * math.log(100.0), rel=1e-12)
-        assert hz.envelope_upper == pytest.approx(0.65 * math.log(100.0), rel=1e-12)
-
     def test_t_lower_unavailable(self):
         hz = mixing_horizons(1.0, 10.0, 0.01, 0.05, 4, r_k=6.0)
         assert hz.t_lower is None
-        assert "R > 2 r_k" in hz.t_lower_note
         assert mixing_horizons(1.0, 10.0, 0.01, 0.05, 4).t_lower is None
 
 

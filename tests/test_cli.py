@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 
 from mixlab import ConfigError, DivergenceError
 from mixlab.cli import (
+    SCHEMAS,
     format_number,
     main,
     parse_config_file,
@@ -226,6 +228,17 @@ n = 1000
         assert main(["lowerbound", "--config", cfg, "--seed", "1", "--out", str(tmp_path)]) == 2
         assert "r_k" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sub, text", [
+        ("lowerbound", "n = 1000\n"),
+        ("validate", "n_points = 100\nbeta = 0.5\n"),
+    ], ids=["lowerbound", "validate"])
+    def test_r_k_below_one_exits_2(self, tmp_path, capsys, sub, text):
+        # r_k = sqrt(1 + q^2) >= 1; 0 requests the exact quantile
+        cfg = write_cfg(tmp_path / "c.cfg", "process = ou\nd = 8\nR = 50\ndelta = 0.02\n"
+                                            "eps = 0.05\nr_k = 0.5\n" + text)
+        assert main([sub, "--config", cfg, "--seed", "1", "--out", str(tmp_path)]) == 2
+        assert "r_k" in capsys.readouterr().err
+
     def test_cutoff_eps_zero_exits_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "c.cfg", CUTOFF_CFG.replace("eps = 0.05", "eps = 0"))
         assert main(["cutoff", "--config", cfg, "--seed", "1", "--out", str(tmp_path)]) == 2
@@ -366,6 +379,74 @@ class TestExtremeScales:
         cfg = data_cfg(tmp_path, sub, R="1e150" if key == "R" else "50",
                        extra="bulk_scale = 1e150\n" if key == "bulk_scale" else "")
         assert main([sub, "--config", cfg, "--seed", "1", "--out", str(tmp_path)]) in (0, 3)
+
+    @pytest.mark.parametrize("text", [
+        "d = 3\nR = 1e150\nmu = 1e10\nn_points = 500\n",
+        "d = 8\nR = 50\nenvelope_scale = 1e150\nn_points = 500\n",
+    ], ids=["far-and-fast", "envelope-end"])
+    def test_ou_probes_at_scale_pass(self, tmp_path, capsys, text):
+        # OU meets every probe exactly; far points must not turn H^3 <b, G> into 0 * inf
+        cfg = write_cfg(tmp_path / "v.cfg", "process = ou\ndelta = 0.02\neps = 0.05\n" + text)
+        assert main(["validate", "--config", cfg, "--seed", "1", "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        for name in ("linear-growth", "dispersion-balance", "generator-bound"):
+            assert f"PASS {name}:" in out
+
+    @pytest.mark.parametrize("value", ["1e160", "1e300"])
+    def test_envelope_scale_beyond_the_finite_end_exits_2(self, tmp_path, capsys, value):
+        cfg = data_cfg(tmp_path, "validate", extra=f"envelope_scale = {value}\n")
+        assert main(["validate", "--config", cfg, "--seed", "1", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "key 'envelope_scale'" in err and "above maximum" in err
+
+
+# small runs, so that no swept value makes a run allocate much memory
+SWEEP_BASES = {
+    "cutoff": "d = 4\nR = 50\ndelta = 0.02\neps = 0.05\nn = 200\n",
+    "lowerbound": "d = 4\nR = 50\ndelta = 0.02\neps = 0.05\nn = 200\n",
+    "quantile-table": "p_list = 1.5\nd_list = 3\n",
+    "ks-sweep": "d = 4\nR = 50\nreps = 2\n",
+    "classify": "p = 1\n",
+    "validate": "d = 4\nR = 50\ndelta = 0.02\neps = 0.05\nn_points = 100\n",
+}
+SWEEP_VALUES = (1e-300, 0.5, 1.0, 1.5, 1e10, 1e150, 1e300)
+
+
+def _sweep_cases():
+    """(subcommand, key, value) for every float key: its finite interval ends,
+    then each sweep value inside its interval.  Size keys are ints or lists."""
+    for sub, schema in SCHEMAS.items():
+        for key, spec in schema.items():
+            if spec.kind != "float":
+                continue
+            lo, hi = (float(end) for end in spec.within[1:-1].split(","))
+            values = [v for v in (lo, hi) if math.isfinite(v)]
+            values += [v for v in SWEEP_VALUES if lo < v < hi]
+            for v in values:
+                yield pytest.param(sub, key, v, id=f"{sub}-{key}-{v:g}")
+
+
+class TestScaleSweep:
+    """Every float key at the ends of its interval and across the float range
+    ends in a documented exit with no NaN in its output.
+
+    The suite turns RuntimeWarnings into errors, so an overflow on the way
+    fails a case as well as a traceback does.
+    """
+
+    @pytest.mark.parametrize("sub, key, value", list(_sweep_cases()))
+    def test_documented_exit_and_no_nan(self, tmp_path, capsys, sub, key, value):
+        base = "".join(line + "\n" for line in SWEEP_BASES[sub].splitlines()
+                       if not line.startswith(f"{key} ="))
+        cfg = write_cfg(tmp_path / "c.cfg", base + f"{key} = {value!r}\n")
+        code = main([sub, "--config", cfg, "--seed", "1", "--out", str(tmp_path)])
+        assert code in (0, 2, 3, 4)
+        verdicts = [line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith(("PASS", "FAIL"))]
+        assert not any("nan" in line for line in verdicts)
+        csv = tmp_path / f"{sub}.csv"
+        if csv.exists():
+            assert "nan" not in csv.read_text()
 
 
 class TestOutputs:

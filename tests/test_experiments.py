@@ -91,8 +91,9 @@ class TestKSSweepRun:
              "times": (0.0, 1.0, 4.0)},
             17,
         )
-        for t, med in zip(res.info["times"], res.info["median_ks"]):
-            assert med <= 0.08, t
+        for row in res.rows:
+            if row["rep"] is None:
+                assert row["ks_stat"] <= 0.08, row["t"]
 
     def test_far_start_decays(self):
         res = run_ks_sweep(
@@ -100,7 +101,7 @@ class TestKSSweepRun:
              "times": ()},
             18,
         )
-        med = res.info["median_ks"]
+        med = [row["ks_stat"] for row in res.rows if row["rep"] is None]
         assert med[0] >= 0.3
         assert med[-1] <= 0.05
 
@@ -120,7 +121,7 @@ class TestCutoffRun:
         assert len(res.rows) == 10
         for i, row in enumerate(res.rows):
             yt = ou.evolve(y0, row["t"], (seed, 2, i))
-            assert row["tv"] == projected_tv_vs_gaussian(yt, [1.0], cfg["mu"]).value
+            assert row["tv"] == projected_tv_vs_gaussian(yt, cfg["mu"]).value
 
     def test_shared_start_draw_keeps_the_mean_tv(self):
         # oracle: a fresh start draw per grid time, on (seed, 1, i); sharing one
@@ -138,7 +139,7 @@ class TestCutoffRun:
                         y0 = spec.sample_coefficients(cfg["n"], spec.mode_direction[None, :],
                                                       (seed, 1, i))
                         yt = ou.evolve(y0, row["t"], (seed, 2, i))
-                        redrawn[col].append(projected_tv_vs_gaussian(yt, [1.0], cfg["mu"]).value)
+                        redrawn[col].append(projected_tv_vs_gaussian(yt, cfg["mu"]).value)
         for col in shared:
             a, b = np.array(shared[col]), np.array(redrawn[col])
             assert len(a) == len(b) == 20

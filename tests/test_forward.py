@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -337,14 +338,15 @@ class TestDispersionBalance:
         e_last = np.zeros(d)
         e_last[-1] = 1.0
         proj = SubspaceProjector.containing_direction(e_last, 3)
-        rep = check_dispersion_balance(adiag, proj, 5000, 1, envelope_scale=5.0)
+        rep = check_dispersion_balance(SimpleNamespace(dispersion_diag=adiag), proj, 5000, 1,
+                                       envelope_scale=5.0)
         assert not rep.passed
 
     def test_identity_full_dimension(self):
         d = 4
         rep = check_dispersion_balance(
-            lambda x: np.ones((x.shape[0], d)), SubspaceProjector(np.eye(d)), 2000, 2,
-            envelope_scale=3.0
+            SimpleNamespace(dispersion_diag=lambda x: np.ones((x.shape[0], d))),
+            SubspaceProjector(np.eye(d)), 2000, 2, envelope_scale=3.0
         )
         assert rep.passed
 
@@ -352,8 +354,9 @@ class TestDispersionBalance:
         d = 5
         bad = np.eye(d)[:3] * 1.01
         with pytest.raises(StructuralError):
-            check_dispersion_balance(lambda x: np.ones((x.shape[0], d)),
-                                     SubspaceProjector(bad), 100, 0)
+            check_dispersion_balance(
+                SimpleNamespace(dispersion_diag=lambda x: np.ones((x.shape[0], d))),
+                SubspaceProjector(bad), 100, 0)
 
 
 class TestClassifyErgodicity:

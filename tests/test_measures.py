@@ -86,31 +86,6 @@ class TestRadialProfile:
         assert prof.value(0.0) == 0.0
 
 
-class TestLogDensity:
-    def test_origin(self):
-        pi = SphericalMeasure(3, RadialProfile.quadratic(1.0))
-        assert pi.log_density_unnormalized(np.zeros(3)) == 0.0
-
-    def test_quadratic(self):
-        pi = SphericalMeasure(2, RadialProfile.quadratic(0.5))
-        x = np.array([2.0, 0.0])
-        assert pi.log_density_unnormalized(x) == pytest.approx(-2.0, abs=1e-14)
-
-    def test_power_tail(self):
-        pi = SphericalMeasure(3, RadialProfile.power_tail(1.0, 1.5))
-        x = np.array([0.0, 4.0, 0.0])
-        assert pi.log_density_unnormalized(x) == pytest.approx(-8.0, rel=1e-14)
-
-    def test_rotation_invariance(self):
-        pi = SphericalMeasure(4, RadialProfile.power_tail(1.3, 1.2))
-        rng = np.random.default_rng(0)
-        q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
-        x = rng.standard_normal((50, 4))
-        np.testing.assert_allclose(
-            pi.log_density_unnormalized(x), pi.log_density_unnormalized(x @ q), rtol=1e-12
-        )
-
-
 class TestSphericalSampler:
     def test_gaussian_1d_variance(self):
         # exp(-r^2/2) radial law in one dimension is standard normal
