@@ -109,17 +109,37 @@ class ConcaveRate:
                       epsabs=0.0, epsrel=1e-10, limit=200)
         return float(val)
 
-    def _sup_growth_time(self, u: float) -> float:
-        from scipy.integrate import quad
+    def _walk(self, level: float, y: float, up: bool) -> float:
+        """Level v with growth_time(level, v) = y (``up``) or growth_time(v, level) = y.
 
-        try:
+        Sums growth_time over factor-2 steps from ``level``, so each quadrature
+        spans one step, then solves inside the step that reaches y.  A step that
+        adds nothing (1e-12 relative: the integral converges short of y) or a
+        level past 1e280 (up) or 1e-300 (down) raises DomainError naming the sum.
+        """
+        from scipy.optimize import brentq
+
+        acc, a = 0.0, level
+        while True:
+            b = a * 2.0 if up else a / 2.0
+            lo, hi = (a, b) if up else (b, a)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                val, _ = quad(lambda s: 1.0 / float(self._fn(s)), u, np.inf,
-                              epsabs=0.0, epsrel=1e-10, limit=500)
-            return float(val)
-        except Exception:
-            return math.inf
+                g = self.growth_time(lo, hi)
+            if acc + g >= y:
+                break
+            if g <= 1e-12 * max(1.0, acc) or not (b <= 1e280 if up else b >= 1e-300):
+                raise DomainError(
+                    f"time {y} outside the envelope domain [0, {acc + g:.6g}) "
+                    f"at level {level:.6g}"
+                )
+            acc, a = acc + g, b
+        rest = y - acc
+        if up:
+            f = lambda v: self.growth_time(a, v) - rest
+        else:
+            f = lambda c: self.growth_time(c, a) - rest
+        return float(brentq(f, lo, hi, xtol=1e-300, rtol=1e-12))
 
     def _grow_scalar(self, u: float, y: float) -> float:
         if not u > 0:
@@ -128,27 +148,7 @@ class ConcaveRate:
             raise DomainError("time must be nonnegative")
         if y == 0:
             return float(u)
-        from scipy.optimize import brentq
-
-        hi = float(u)
-        prev = 0.0
-        for _ in range(2000):
-            hi *= 2.0
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                g = self.growth_time(u, hi)
-            if g >= y:
-                break
-            # a genuinely concave rate keeps gaining per doubling; stagnation
-            # means the tail integral converges and y is out of range
-            if hi > 1e280 or g - prev <= 1e-12 * max(1.0, g):
-                sup = self._sup_growth_time(u)
-                raise DomainError(
-                    f"time {y} outside the envelope domain [0, {sup:.6g}) for start {u}"
-                )
-            prev = g
-        return float(brentq(lambda v: self.growth_time(u, v) - y, u, hi,
-                            xtol=1e-300, rtol=1e-12))
+        return self._walk(float(u), y, up=True)
 
     def grow(self, u, y: float):
         u = np.asarray(u, dtype=float)
@@ -162,21 +162,14 @@ class ConcaveRate:
             raise DomainError("level r must be at least 1")
         if t < 0:
             raise DomainError("time must be nonnegative")
-        target = 1.0 / r
         if t == 0:
-            return target
-        from scipy.optimize import brentq
+            return 1.0 / r
+        return self._walk(1.0 / r, t, up=False)
 
-        f = lambda c: self.growth_time(c, target) - t
-        lo = target
-        while lo > 1e-300:
-            lo /= 2.0
-            if f(lo) >= 0.0:
-                return float(brentq(f, lo, target, xtol=1e-300, rtol=1e-12))
-        raise DomainError(
-            f"level 1/r = {target:.6g} is below the time-{t} envelope floor "
-            "(no starting level reaches it)"
-        )
+
+def _h(c) -> np.ndarray:
+    """H = (1 + |c|^2)^{-1/2} from the coefficients c of G on the projector's basis."""
+    return 1.0 / np.sqrt(1.0 + (c * c).sum(axis=-1))
 
 
 @dataclass(frozen=True)
@@ -228,13 +221,9 @@ class SubspaceProjector:
     def coeffs(self, x) -> np.ndarray:
         return np.asarray(x, dtype=float) @ self.basis.T
 
-    def proj_norm_sq(self, x) -> np.ndarray:
-        c = self.coeffs(x)
-        return (c * c).sum(axis=-1)
-
     def lyapunov(self, x) -> np.ndarray:
         """H(x) = (1 + |G(x)|^2)^{-1/2}; equals 1 at the origin."""
-        return 1.0 / np.sqrt(1.0 + self.proj_norm_sq(x))
+        return _h(self.coeffs(x))
 
     def bounded(self, x) -> tuple[np.ndarray, np.ndarray]:
         """(H(x), G_hat(x) = H(x) G(x)) for an (n, d) batch, by hypot: no |G|^2
@@ -242,6 +231,15 @@ class SubspaceProjector:
         c = self.coeffs(x)
         h = 1.0 / np.hypot(1.0, np.hypot.reduce(c, axis=1))
         return h, (c * h[:, None]) @ self.basis
+
+
+def _dispersion_terms(process, proj: SubspaceProjector, pts):
+    """(H, G_hat, 3 <a G_hat, G_hat>, sum_j <a y_j, y_j>) on an (n, d) batch,
+    with a the dispersion diagonal of ``process`` and y_j the projector's rows."""
+    h, ghat = proj.bounded(pts)
+    adiag = np.asarray(process.dispersion_diag(pts), dtype=float)
+    return (h, ghat, 3.0 * (adiag * ghat * ghat).sum(axis=1),
+            adiag @ (proj.basis * proj.basis).sum(axis=0))
 
 
 def apply_generator(process, proj: SubspaceProjector, x):
@@ -259,14 +257,9 @@ def apply_generator(process, proj: SubspaceProjector, x):
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = np.atleast_2d(x)
-    h, ghat = proj.bounded(pts)
+    h, ghat, agg3, ayy = _dispersion_terms(process, proj, pts)
     b = np.atleast_2d(process.drift(pts))
-    adiag = np.asarray(process.dispersion_diag(pts), dtype=float)
-    drift_term = -(h * h) * (b * ghat).sum(axis=1)
-    agg = (adiag * ghat * ghat).sum(axis=1)
-    ayy = adiag @ (proj.basis * proj.basis).sum(axis=0)
-    disp_term = 0.5 * h ** 3 * (3.0 * agg - ayy)
-    out = drift_term + disp_term
+    out = -(h * h) * (b * ghat).sum(axis=1) + 0.5 * h ** 3 * (agg3 - ayy)
     return float(out[0]) if single else out
 
 
@@ -325,7 +318,7 @@ def tv_lower_bound(pi: SphericalMeasure, rho0, proj: SubspaceProjector, rate,
         raise DomainError("level r must be at least 1")
     pi_term = 1.0 - projection_tail(pi, proj.k, math.sqrt(r * r - 1.0))
     c = rho0.sample_coefficients(n, proj.basis, derive(seed, 1))
-    hvals = 1.0 / np.sqrt(1.0 + (c * c).sum(axis=1))
+    hvals = _h(c)
     reports = []
     for t in times:
         threshold = rate.threshold_level(r, t)
@@ -409,8 +402,7 @@ def gaussian_kl(m1, S1, m2, S2) -> float:
     return 0.0 if -1e-9 < kl < 0.0 else kl
 
 
-def ou_tv_upper_bound(mu: float, rho0: MultiModalData, times,
-                      n: int = 100_000, seed: Seed = 0) -> list[float]:
+def ou_tv_upper_bound(mu: float, rho0: MultiModalData, times) -> list[float]:
     """Pinsker upper bounds on the TV between the time-t OU marginal and
     N(0, I/mu), one per t in ``times``, in order.
 
@@ -424,7 +416,7 @@ def ou_tv_upper_bound(mu: float, rho0: MultiModalData, times,
     if not all(mu * t > math.log(2.0) / 2.0 for t in times):
         raise DomainError("upper bound needs mu*t > log(2)/2")
     ball = rho0.R * (1.0 + 2.0 * rho0.delta)
-    inside = rho0.mass_within_origin_ball(ball, n=n, seed=seed)
+    inside = rho0.mass_within_origin_ball(ball)
     bounds = []
     for t in times:
         klbar = 0.5 * mu * math.exp(-2.0 * mu * t) * ball ** 2 \
@@ -438,11 +430,15 @@ class HorizonSet:
     """Characteristic horizons of the forward process on a data mixture.
 
     t_lower       (1/mu) log(R/(2 r_k)): below it the TV lower bound holds.
-    t_onset       log R - log(max(sqrt(2 log(1/eps)), 1)): mu=1 onset time,
-                  TV still >= (b - eps)/2 there.
+    t_onset       (1/mu) (log(R sqrt(mu)) - log(max(sqrt(2 log(1/eps)), 1))):
+                  onset time, TV still >= (b - eps)/2 there.
     t_mix         (1/mu) max(log(2 d^(1/4)/eps^(1/2)),
                   log(2 R (1+2 delta) sqrt(mu)/eps)): TV < eps beyond it.
-    t_mix_simple  log R + log(1+2 delta) + log(1/eps): mu=1 variant.
+    t_mix_simple  (1/mu) (log(R sqrt(mu)) + log(1+2 delta) + log(1/eps)).
+
+    The OU law at (mu, R) at time t is the law at (1, R sqrt(mu)) at time
+    mu t scaled by 1/sqrt(mu), so the last three read R sqrt(mu) on the
+    clock 1/mu.
     """
 
     t_lower: float | None
@@ -463,12 +459,13 @@ def mixing_horizons(mu: float, R: float, delta: float, eps: float, d: int,
     t_lower = None
     if r_k is not None and R > 2.0 * r_k:
         t_lower = math.log(R / (2.0 * r_k)) / mu
-    t_onset = math.log(R) - math.log(max(math.sqrt(2.0 * math.log(1.0 / eps)), 1.0))
+    log_r = math.log(R * math.sqrt(mu))
+    t_onset = (log_r - math.log(max(math.sqrt(2.0 * math.log(1.0 / eps)), 1.0))) / mu
     t_mix = max(
         math.log(2.0 * d ** 0.25 / math.sqrt(eps)),
         math.log(2.0 * R * (1.0 + 2.0 * delta) * math.sqrt(mu) / eps),
     ) / mu
-    t_mix_simple = math.log(R) + math.log(1.0 + 2.0 * delta) + math.log(1.0 / eps)
+    t_mix_simple = (log_r + math.log(1.0 + 2.0 * delta) + math.log(1.0 / eps)) / mu
     return HorizonSet(t_lower=t_lower, t_onset=t_onset, t_mix=t_mix, t_mix_simple=t_mix_simple)
 
 

@@ -89,17 +89,16 @@ def run_cutoff(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
     :meth:`MultiModalData.sample_coefficients` on the one-row basis u, so
     every row starts from the same sample of rho0.  Grid time i evolves
     them under the exact 1-D OU transition on substream (seed, 2, i)."""
-    d, eps = cfg["d"], cfg["eps"]
+    d, eps, mu, n = cfg["d"], cfg["eps"], cfg["mu"], cfg["n"]
     R = cfg["R"]
     # validates eps before log(1/eps) below
     spec = build_data_spec(cfg)
     bound_r = max(math.sqrt(eps) * d ** 0.25, math.sqrt(2.0 * math.log(1.0 / eps)))
-    if R < bound_r:
+    if R * math.sqrt(mu) < bound_r:
         raise ConfigError(
-            f"cut-off hypothesis violated: needs R >= max(eps^(1/2) d^(1/4), "
-            f"sqrt(2 log(1/eps))) = {bound_r:.6g}, got R = {R:.6g}"
+            f"cut-off hypothesis violated: needs R sqrt(mu) >= max(eps^(1/2) d^(1/4), "
+            f"sqrt(2 log(1/eps))) = {bound_r:.6g}, got R = {R:.6g}, mu = {mu:.6g}"
         )
-    mu, n = cfg["mu"], cfg["n"]
     hz = mixing_horizons(mu, R, cfg["delta"], eps, d)
     t_onset, t_mix = hz.t_onset, hz.t_mix_simple
     times = _merged_times(
@@ -164,20 +163,18 @@ def run_lowerbound(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
     r_k (unless configured) and the pi term are exact.  One
     :func:`tv_lower_bound` call on substream (seed, 4) draws the sample of
     rho0 once, in O(n k) whatever d is, and every row reads it, so the rows
-    share their Monte-Carlo error.  One :func:`ou_tv_upper_bound` call on
-    substream (seed, 5) serves every OU row, since the ball mass it reads
-    does not depend on t."""
+    share their Monte-Carlo error.  One :func:`ou_tv_upper_bound` call
+    serves every OU row, since the ball mass it reads does not depend on t."""
     proc, pi = _build_process(cfg)
     mu, d, k, n, eps = cfg["mu"], cfg["d"], cfg["k"], cfg["n"], cfg["eps"]
     R = cfg["R"]
     spec = build_data_spec(cfg)
     r_k = _level_r_k(cfg, pi)
-    if 2.0 * r_k >= R:
+    t_low = mixing_horizons(mu, R, cfg["delta"], eps, d, r_k=r_k).t_lower
+    if t_low is None:
         raise ConfigError(
             f"lower-bound horizon requires 2 r_k < R, got r_k = {r_k:.6g}, R = {R:.6g}"
         )
-    hz = mixing_horizons(mu, R, cfg["delta"], eps, d, r_k=r_k)
-    t_low = hz.t_lower
     rho0 = pi if cfg["rho0"] == "pi" else spec
     direction = spec.mode_direction
     proj = SubspaceProjector.containing_direction(direction, k)
@@ -192,7 +189,7 @@ def run_lowerbound(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
     uppers = {}
     if cfg["process"] == "ou":
         up_times = [t for t in times if mu * t > math.log(2.0) / 2.0]
-        uppers = dict(zip(up_times, ou_tv_upper_bound(mu, spec, up_times, n, derive(seed, 5))))
+        uppers = dict(zip(up_times, ou_tv_upper_bound(mu, spec, up_times)))
     rows = [{**asdict(rep), "r_k": r_k, "t_lower": t_low, "floor": floor,
              "tv_upper": uppers.get(rep.t)} for rep in reps]
     return ExperimentResult(
@@ -240,11 +237,13 @@ def run_ks_sweep(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
         hz = mixing_horizons(mu, R, delta, eps, d)
         t_onset, t_mix = hz.t_onset, hz.t_mix_simple
         if t_onset < 0 and not cfg["times"]:
-            # t_onset = log R - log(bound_r): the default grid would start before 0
+            # t_onset = (log(R sqrt(mu)) - log(bound_r))/mu: the default grid
+            # would start before 0
             bound_r = max(math.sqrt(2.0 * math.log(1.0 / eps)), 1.0)
             raise ConfigError(
-                f"default ks-sweep times need R = 0 or R >= max(sqrt(2 log(1/eps)), 1) = "
-                f"{bound_r:.6g}, got R = {R:.6g}; set times to sweep a smaller R"
+                f"default ks-sweep times need R = 0 or R sqrt(mu) >= "
+                f"max(sqrt(2 log(1/eps)), 1) = {bound_r:.6g}, got R = {R:.6g}, "
+                f"mu = {mu:.6g}; set times to sweep a smaller R"
             )
         defaults = [0.0, t_onset / 2, t_onset, t_mix]
     else:

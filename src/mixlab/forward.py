@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .bounds import SubspaceProjector
+from .bounds import SubspaceProjector, _dispersion_terms
 from .errors import ConfigError, DivergenceError, DomainError, StructuralError
 from .measures import CheckResult, RadialProfile, SphericalMeasure
 from .rng import Seed, substream
@@ -111,12 +111,14 @@ class TemperedLangevin:
             raise StructuralError("dimension d must be a positive integer")
         object.__setattr__(self, "d", int(self.d))
 
+    def _drift_magnitude(self, h, r):
+        """h^(2 ell - 1) (h - 2 ell) H'(r), the inward drift at radius r read at level h."""
+        return h ** (2.0 * self.ell - 1.0) * (h - 2.0 * self.ell) * self.profile.deriv(r)
+
     def radial_drift(self, r):
         """Signed drift magnitude along x/|x| at radius r > 0 (floored)."""
         r = np.asarray(r, dtype=float)
-        h = self.profile.value(r)
-        hf = np.maximum(h, H_FLOOR)
-        return -(hf ** (2.0 * self.ell - 1.0)) * (hf - 2.0 * self.ell) * self.profile.deriv(r)
+        return -self._drift_magnitude(np.maximum(self.profile.value(r), H_FLOOR), r)
 
     def _drift_coefficient(self, r):
         """radial_drift(r) / r, and 0 at r = 0: the drift at x is this times x."""
@@ -268,8 +270,7 @@ def check_drift_condition(tl: TemperedLangevin, mu: float, r_max: float) -> Chec
     if not r_max > 0:
         raise DomainError("r_max must be positive")
     grid = np.geomspace(r_max * 1e-8, r_max, 4096)
-    h = tl.profile.value(grid)
-    lhs = h ** (2.0 * tl.ell - 1.0) * (h - 2.0 * tl.ell) * tl.profile.deriv(grid)
+    lhs = tl._drift_magnitude(tl.profile.value(grid), grid)
     max_excess = float(np.max(lhs - mu * grid - 1e-9 * (1.0 + mu * grid)))
     return CheckResult("drift-condition", max_excess, 0.0, "<=")
 
@@ -283,13 +284,9 @@ def check_dispersion_balance(process, proj: SubspaceProjector, n_points: int, se
     rows.  Violations are measured relative to |lhs| + |rhs|; the largest
     passes at most 1e-9.
     """
-    basis = proj.basis
     rng = substream(seed)
     x = envelope_scale * rng.standard_normal((int(n_points), proj.d))
-    adiag = np.asarray(process.dispersion_diag(x), dtype=float)
-    lhs = adiag @ (basis * basis).sum(axis=0)
-    ghat = proj.bounded(x)[1]
-    rhs = 3.0 * (adiag * ghat * ghat).sum(axis=1)
+    _, _, rhs, lhs = _dispersion_terms(process, proj, x)
     viol = (rhs - lhs) / np.maximum(np.abs(lhs) + np.abs(rhs), 1e-300)
     return CheckResult("dispersion-balance", float(np.max(viol)), 1e-9, "<=")
 

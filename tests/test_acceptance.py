@@ -329,7 +329,7 @@ def test_criterion_10_ks_sweep(tmp_path, acceptance_record):
     assert elapsed < 60.0
 
 
-def test_criterion_11_determinism(tmp_path, acceptance_record):
+def test_criterion_11_determinism(tmp_path, capsys, acceptance_record):
     configs = {
         "cutoff": "d = 8\nR = 50\ndelta = 0.02\neps = 0.05\nb_rho = 0.5\nn = 5000\n",
         "lowerbound": ("process = tempered\nprofile_a = 0.6\nprofile_p = 1\nell = 0.4\n"
@@ -351,9 +351,17 @@ def test_criterion_11_determinism(tmp_path, acceptance_record):
             code = main([sub, "--config", str(cfg), "--seed", "1111",
                          "--out", str(out), "--threads", threads])
             assert code in (0, 3)
-            csv = out / f"{sub}.csv"
-            payloads.append(csv.read_bytes() if csv.exists() else b"")
-        assert payloads[0] == payloads[1], sub
-        compared.append(sub)
+            stdout = capsys.readouterr().out
+            if sub == "classify":
+                # classify writes no CSV; its product is the stdout line
+                payloads.append(stdout.encode())
+            else:
+                csv = out / f"{sub}.csv"
+                assert csv.exists(), sub
+                payloads.append(csv.read_bytes())
+        assert payloads[0] and payloads[0] == payloads[1], sub
+        if sub != "classify":
+            compared.append(sub)
     acceptance_record("criterion 11 (determinism)", True,
-                      f"byte-identical CSVs with 1 vs 8 threads: {', '.join(compared)}")
+                      f"byte-identical CSVs with 1 vs 8 threads: {', '.join(compared)}; "
+                      "identical classify stdout line")

@@ -168,6 +168,18 @@ class TestConcaveRate:
         with pytest.raises(DomainError, match="domain"):
             rate.grow(1.0, sup + 10.0)
 
+    def test_domain_error_reports_the_summed_end(self):
+        # the walk sums growth_time over factor-2 steps, so the domain end it
+        # reports is int_1^inf 1/xi = 298 for the start level 1, and
+        # int_0^(1/2) 1/sqrt(s) = sqrt(2) below the level 1/2
+        def sneaky(s):
+            return math.sqrt(s) if s <= 1e4 else s * s / 1e6
+
+        with pytest.raises(DomainError, match=r"\[0, 298\)"):
+            ConcaveRate(sneaky).grow(1.0, 308.0)
+        with pytest.raises(DomainError, match=r"\[0, 1\.41421\)"):
+            self.rate.threshold_level(2.0, 2.0)
+
     def test_vector_grow(self):
         us = np.array([0.25, 1.0, 2.25])
         out = self.rate.grow(us, 1.0)
@@ -254,7 +266,8 @@ class TestGenerator:
         proj = SubspaceProjector.containing_direction(np.ones(d), k)
         rng = np.random.default_rng(4)
         x = 5.0 * rng.standard_normal((50, d))
-        gsq = proj.proj_norm_sq(x)
+        c = proj.coeffs(x)
+        gsq = (c * c).sum(axis=1)
         h = 1.0 / np.sqrt(1.0 + gsq)
         expected = mu * h**3 * gsq + h**3 * (3 * h * h * gsq - k)
         np.testing.assert_allclose(apply_generator(ou, proj, x), expected, rtol=1e-12)

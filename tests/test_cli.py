@@ -280,6 +280,16 @@ n = 1000
         cfg = write_cfg(tmp_path / "k.cfg", "d = 4\nR = 1.5\nreps = 2\ntimes = 0, 1\n")
         assert main(["ks-sweep", "--config", cfg, "--seed", "1", "--out", str(tmp_path)]) == 0
 
+    @pytest.mark.parametrize("mu", ["0.5", "1e10"])
+    def test_cutoff_gates_pass_off_the_unit_clock(self, tmp_path, capsys, mu):
+        # both horizons read R sqrt(mu) on the clock 1/mu; a mu = 1 copy of the
+        # clock failed tv-at-mix at mu = 0.5 and tv-at-onset at mu = 1e10
+        cfg = write_cfg(tmp_path / "c.cfg", f"d = 4\nR = 50\ndelta = 0.02\neps = 0.05\n"
+                                            f"n = 200\nmu = {mu}\n")
+        assert main(["cutoff", "--config", cfg, "--seed", "1", "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "PASS tv-at-onset:" in out and "PASS tv-at-mix:" in out
+
     def test_heavy_tailed_quantile_out_of_range_exits_2(self, tmp_path):
         # at p = 0.01 the d = 4 quantile is finite, about 4.1e263; the d = 30 one overflows
         cfg = write_cfg(tmp_path / "q.cfg", "p_list = 0.01\nd_list = 4\n")

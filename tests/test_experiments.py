@@ -146,6 +146,27 @@ class TestCutoffRun:
             se = math.sqrt(a.var(ddof=1) / len(a) + b.var(ddof=1) / len(b))
             assert abs(a.mean() - b.mean()) <= 4.0 * se, col
 
+    @pytest.mark.parametrize("mu, R", [(4.0, "25"), (0.25, "100"), (16.0, "12.5")])
+    def test_horizons_run_on_the_ou_clock(self, mu, R):
+        # the OU law at (mu, R) at time t is the law at (1, R sqrt(mu)) at time
+        # mu t scaled by 1/sqrt(mu); with sqrt(mu) a power of 2 the run at
+        # (mu, R) must reproduce the (1, 50) run bit for bit on that clock
+        def run(mu, R):
+            cfg = resolve_config("cutoff", {"d": "16", "R": R, "delta": "0.02",
+                                            "eps": "0.05", "n": "5000", "mu": repr(mu)})
+            return run_cutoff(cfg, 5)
+
+        ref, res = run(1.0, "50"), run(mu, R)
+        assert len(res.rows) == len(ref.rows)
+        for row, base in zip(res.rows, ref.rows):
+            assert row["t"] * mu == base["t"]
+            assert row["t_onset"] * mu == base["t_onset"]
+            assert row["t_mix_simple"] * mu == base["t_mix_simple"]
+            assert row["tv"] == base["tv"]
+        assert [(c.value, c.threshold) for c in res.checks] == \
+            [(c.value, c.threshold) for c in ref.checks]
+        assert res.passed
+
     def test_memory_does_not_grow_with_dimension(self):
         # one n x d start array at d = 1e5 would take n * d * 8 B = 1.6 GB
         cfg = {"d": 100_000, "R": 50.0, "delta": 0.02, "eps": 0.05, "b_rho": 0.5,
@@ -237,5 +258,5 @@ class TestLowerboundExactTerms:
         # mu * t > log(2)/2 excludes t = 0.2 only
         assert uppers[0] is None and None not in uppers[1:]
         for row in res.rows[1:]:
-            alone, = ou_tv_upper_bound(cfg["mu"], spec, [row["t"]], cfg["n"], (47, 5))
+            alone, = ou_tv_upper_bound(cfg["mu"], spec, [row["t"]])
             assert row["tv_upper"] == alone
