@@ -31,7 +31,7 @@ from .measures import (
     _checked_k,
     projection_tail,
 )
-from .rng import Seed, derive, substream
+from .rng import Seed, substream
 
 
 class LinearRate:
@@ -277,9 +277,8 @@ def check_generator_bound(process, proj: SubspaceProjector, mu: float, n_points:
 class LowerBoundReport:
     """Terms of the TV lower bound at horizon t.
 
-    total = pi_term - rho_tail - integral holds as an exact
-    arithmetic identity.  pi_term is exact (quadrature), so pi_se is 0 and
-    total_se is the standard error of the per-sample start-law loss.
+    Every term is exact (deterministic quadrature), and
+    total = pi_term - rho_tail - integral holds as an arithmetic identity.
     """
 
     t: float
@@ -288,56 +287,66 @@ class LowerBoundReport:
     rho_tail: float
     integral: float
     total: float
-    pi_se: float
-    rho_tail_se: float
-    integral_se: float
-    total_se: float
 
 
-def tv_lower_bound(pi: SphericalMeasure, rho0, proj: SubspaceProjector, rate,
-                   r: float, times, n: int, seed: Seed) -> list[LowerBoundReport]:
-    """Evaluate the three-term TV lower bound at each of ``times``.
+def _h_of_norm(g):
+    """H = (1 + |G|^2)^{-1/2} from |G|; a square past the float range reads H = 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / np.sqrt(1.0 + g * g)
 
-    The bound reads x only through H(x) = (1 + |G(x)|^2)^{-1/2}.  The
-    invariant-measure term pi(H >= 1/r) = 1 - :func:`projection_tail`
-    (pi, k, sqrt(r^2 - 1)) is exact for every rotation-invariant ``pi``.
-    The start law is Monte Carlo: n values of |G(x)| are drawn once, as
-    the row norms of ``rho0.sample_coefficients`` on the projector's basis
-    and substream (seed, 1), in O(n k) whatever d is, and every time reuses
-    them (common random numbers), so only the threshold level and the
-    envelope move with t.  ``rho0`` is a :class:`MultiModalData` or a
+
+def _norm_at_level(level: float) -> float:
+    """The |G| at which H = 1/level: sqrt(level^2 - 1).  From 1e150 on, where
+    the square could pass the float range, that is level itself to the last bit."""
+    return math.sqrt(level * level - 1.0) if level < 1e150 else level
+
+
+def tv_lower_bound(pi: SphericalMeasure, rho0, proj: SubspaceProjector, rate: LinearRate,
+                   r: float, times) -> list[LowerBoundReport]:
+    """Evaluate the three-term TV lower bound at each of ``times``, exactly.
+
+    The bound reads x only through H(x) = (1 + |G(x)|^2)^{-1/2}, so every
+    term is a statement about the 1-D law of |G|.  The invariant-measure term
+    pi(H >= 1/r) = 1 - :func:`projection_tail` (pi, k, sqrt(r^2 - 1)).  With
+    C = e^{-mu t}/r the threshold level and q0 = sqrt(1/C^2 - 1), the
+    start-law terms are
+
+        rho_tail = rho0(|G| <= q0),
+        integral = E_rho0[r grow(H, t); |G| > q0] = E_rho0[H; |G| > q0] / C,
+
+    the last because the linear envelope gives r grow(H, t) = H / C.  Both
+    come from ``rho0.norm_laws`` on the projector's basis, one fixed
+    quadrature per mixture component, so no draw is made and the cost does
+    not grow with d.  ``rho0`` is a :class:`MultiModalData` or a
     :class:`SphericalMeasure` (the noise measure itself, for a stationarity
-    sanity run).  Returns one report per time, in order.
+    sanity run, whose rho_tail is then 1 - projection_tail at q0).  Returns
+    one report per time, in order.
     """
     if pi.d != proj.d or rho0.d != proj.d:
         raise StructuralError("noise measure, start law and projector dimensions differ")
-    n = int(n)
-    if n < 2:
-        raise DomainError("need at least 2 samples")
+    if not isinstance(rate, LinearRate):
+        raise StructuralError("the exact start-law terms need a LinearRate envelope")
     if not r >= 1:
         raise DomainError("level r must be at least 1")
-    pi_term = 1.0 - projection_tail(pi, proj.k, math.sqrt(r * r - 1.0))
-    c = rho0.sample_coefficients(n, proj.basis, derive(seed, 1))
-    hvals = _h(c)
+    pi_term = 1.0 - projection_tail(pi, proj.k, _norm_at_level(r))
+    laws = rho0.norm_laws(proj.basis)
     reports = []
     for t in times:
         threshold = rate.threshold_level(r, t)
-        tail = hvals >= threshold
-        gam = np.zeros(n)
-        if (~tail).any():
-            gam[~tail] = rate.grow(hvals[~tail], t)
-        integ = r * gam
-        rho_tail = float(tail.mean())
-        integral = float(integ.mean())
-        loss = np.where(tail, 1.0, integ)
+        # 1/C = r e^{mu t}, formed so that it is r itself at t = 0; past the
+        # float range every start has H >= C
+        decay = rate.threshold_level(1.0, t)
+        level = r / decay if decay > 0 else math.inf
+        rho_tail, integral = 1.0, 0.0
+        if math.isfinite(level):
+            q0 = _norm_at_level(level)
+            for weight, law in laws:
+                beyond, mean_h = law.beyond(q0, _h_of_norm)
+                rho_tail -= weight * beyond
+                integral += weight * mean_h * level
         reports.append(LowerBoundReport(
-            t=float(t), threshold=float(threshold),
-            pi_term=pi_term, rho_tail=rho_tail, integral=integral,
-            total=pi_term - rho_tail - integral,
-            pi_se=0.0,
-            rho_tail_se=float(tail.std() / math.sqrt(n)),
-            integral_se=float(integ.std() / math.sqrt(n)),
-            total_se=float(loss.std()) / math.sqrt(n),
+            t=float(t), threshold=float(threshold), pi_term=pi_term, rho_tail=rho_tail,
+            integral=integral, total=pi_term - rho_tail - integral,
         ))
     return reports
 

@@ -76,11 +76,12 @@ SCHEMAS: dict[str, dict[str, Key]] = {
     "lowerbound": {
         **_DATA_KEYS,
         **_PROCESS_KEYS,
-        "n": Key("int", default=100_000, within="[100, inf)"),
+        # n and rk_n are accepted and ignored, with no range to fail: every term
+        # and r_k are computed exactly; perfbench/workloads.py still writes both
+        "n": Key("int", default=100_000),
         "rho0": Key("str", default="data", choices=("data", "pi")),
         "times": Key("floats", default=(), within="[0, inf)"),
-        # accepted and ignored: r_k is computed exactly; perfbench/workloads.py still writes it
-        "rk_n": Key("int", default=300_000, within="[1000, inf)"),
+        "rk_n": Key("int", default=300_000),
     },
     "quantile-table": {
         "p_list": Key("floats", default=(1.0, 1.2, 1.4, 1.6, 1.8), within="(0, 2]"),
@@ -91,7 +92,8 @@ SCHEMAS: dict[str, dict[str, Key]] = {
     },
     "ks-sweep": {
         "d": Key("int", within="[1, inf)"),
-        "R": Key("float", within="[0, inf)"),  # 0 starts at stationarity
+        # 0 starts at stationarity; the end 1e150 keeps R sqrt(mu) finite
+        "R": Key("float", within="[0, 1e150]"),
         "mu": Key("float", default=1.0, within="(0, inf)"),
         "eps": Key("float", default=0.1, within="(0, 1)"),
         "delta": Key("float", default=0.0, within="[0, 1]"),

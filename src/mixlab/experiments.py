@@ -160,13 +160,19 @@ def _level_r_k(cfg: dict, pi: SphericalMeasure) -> float:
 def run_lowerbound(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
     """TV lower-bound terms over a time grid that contains the bound horizon t_lower.
 
-    r_k (unless configured) and the pi term are exact.  One
-    :func:`tv_lower_bound` call on substream (seed, 4) draws the sample of
-    rho0 once, in O(n k) whatever d is, and every row reads it, so the rows
-    share their Monte-Carlo error.  One :func:`ou_tv_upper_bound` call
-    serves every OU row, since the ball mass it reads does not depend on t."""
+    Every term is exact and nothing is drawn, so the CSV is a function of the
+    configuration alone: r_k (unless configured) and the pi term by
+    :func:`projection_quantile` and :func:`projection_tail`, the start-law
+    terms by :func:`tv_lower_bound`'s quadrature on the laws of |G|.  ``n``
+    and the seed do not enter; the ``total_se`` column reads 0.  One
+    :func:`ou_tv_upper_bound` call serves every OU row, since the ball mass
+    it reads does not depend on t.
+
+    Run-end checks: from data, the bound at t_lower reaches the floor
+    (b - eps)/2 and no OU row exceeds its upper bound; from pi, no row is
+    positive, since a stationary start is at TV 0."""
     proc, pi = _build_process(cfg)
-    mu, d, k, n, eps = cfg["mu"], cfg["d"], cfg["k"], cfg["n"], cfg["eps"]
+    mu, d, k, eps = cfg["mu"], cfg["d"], cfg["k"], cfg["eps"]
     R = cfg["R"]
     spec = build_data_spec(cfg)
     r_k = _level_r_k(cfg, pi)
@@ -185,17 +191,26 @@ def run_lowerbound(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
         [t_low],
     )
     floor = (cfg["b_rho"] - eps) / 2.0
-    reps = tv_lower_bound(pi, rho0, proj, rate, r_k, times, n, derive(seed, 4))
+    reps = tv_lower_bound(pi, rho0, proj, rate, r_k, times)
     uppers = {}
     if cfg["process"] == "ou":
         up_times = [t for t in times if mu * t > math.log(2.0) / 2.0]
         uppers = dict(zip(up_times, ou_tv_upper_bound(mu, spec, up_times)))
-    rows = [{**asdict(rep), "r_k": r_k, "t_lower": t_low, "floor": floor,
+    # total_se stays, at 0, because perfbench/workloads.py gates on it
+    rows = [{**asdict(rep), "total_se": 0.0, "r_k": r_k, "t_lower": t_low, "floor": floor,
              "tv_upper": uppers.get(rep.t)} for rep in reps]
+    if rho0 is pi:
+        checks = [CheckResult("stationary-sanity", max(rep.total for rep in reps), 0.0, "<=")]
+    else:
+        at_low = min(reps, key=lambda rep: abs(rep.t - t_low))
+        checks = [CheckResult("lower-bound-at-horizon", at_low.total, floor, ">=")]
+        if uppers:
+            checks.append(CheckResult("bound-ordering", max(
+                rep.total - uppers[rep.t] for rep in reps if rep.t in uppers), 0.0, "<="))
     return ExperimentResult(
-        columns=["t", "total", "total_se", "pi_term", "pi_se", "rho_tail", "rho_tail_se",
-                 "integral", "integral_se", "threshold", "r_k", "t_lower", "floor", "tv_upper"],
-        rows=rows,
+        columns=["t", "total", "total_se", "pi_term", "rho_tail", "integral", "threshold",
+                 "r_k", "t_lower", "floor", "tv_upper"],
+        rows=rows, checks=checks,
     )
 
 

@@ -70,7 +70,7 @@ class OUProcess:
         if T < 0:
             raise DomainError("horizon T must be nonnegative")
         decay = math.exp(-self.mu * T)
-        scale = math.sqrt((1.0 - math.exp(-2.0 * self.mu * T)) / self.mu)
+        scale = math.sqrt((1.0 - math.exp(-2.0 * (self.mu * T))) / self.mu)
         rng = substream(seed)
         return decay * pts + scale * rng.standard_normal(pts.shape)
 

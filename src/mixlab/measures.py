@@ -14,9 +14,20 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
-from scipy.special import betaincc, gammaincc, gammainccinv
+from scipy.special import (
+    betainc,
+    betaincc,
+    betainccinv,
+    betaincinv,
+    betaln,
+    gammainc,
+    gammaincc,
+    gammainccinv,
+)
 
 from .errors import DomainError, StructuralError
 from .rng import Seed, derive, substream
@@ -101,13 +112,21 @@ class SphericalMeasure:
         with np.errstate(over="ignore"):
             return (gammainccinv(self._gamma_shape(), w) / self.profile.a) ** (1.0 / self.profile.p)
 
+    def _tail_at_radius(self, r: float) -> float:
+        """pi(|x| > r) = gammaincc(d/p, a r^p); past the float range a r^p reads inf."""
+        with np.errstate(over="ignore"):
+            s = self.profile.a * np.float64(r) ** self.profile.p
+        return float(gammaincc(self._gamma_shape(), s))
+
+    def _radii(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n exact radii: s = a*r^p is Gamma(d/p, 1), so r = (s/a)^(1/p)."""
+        shape = self._gamma_shape()
+        return (rng.gamma(shape, 1.0, size=n) / self.profile.a) ** (1.0 / self.profile.p)
+
     def _coefficients(self, n: int, k: int, seed: Seed) -> tuple[np.ndarray, np.ndarray]:
-        """:func:`_radial_coefficients` on substream ``seed`` with the exact
-        radius: s = a*r^p is Gamma(d/p, 1), so r = (s/a)^(1/p)."""
-        shape = self._gamma_shape()  # the guard fires before anything is drawn
-        a, p = self.profile.a, self.profile.p
-        return _radial_coefficients(substream(seed), int(n), self.d, k,
-                                    lambda rng, m: (rng.gamma(shape, 1.0, size=m) / a) ** (1.0 / p))
+        """:func:`_radial_coefficients` on substream ``seed`` with the exact radius."""
+        self._gamma_shape()  # the guard fires before anything is drawn
+        return _radial_coefficients(substream(seed), int(n), self.d, k, self._radii)
 
     def sample(self, n: int, seed: Seed) -> np.ndarray:
         """Draw n points: exact Gamma radius times a uniform direction.
@@ -124,6 +143,11 @@ class SphericalMeasure:
         measure is rotation invariant, so only the number k of rows enters.
         """
         return self._coefficients(n, len(_checked_basis(basis, self.d)), seed)[0]
+
+    def norm_laws(self, basis) -> list[tuple[float, "_SphericalNormLaw"]]:
+        """The law of |x @ basis.T| as one (weight, law) pair, as in
+        :meth:`MultiModalData.norm_laws`."""
+        return [(1.0, _SphericalNormLaw(self, len(_checked_basis(basis, self.d))))]
 
 
 def _chi2_rest(rng: np.random.Generator, n: int, d: int, k: int) -> np.ndarray:
@@ -170,9 +194,13 @@ def _checked_basis(basis, d: int | None, least: int = 1) -> np.ndarray:
 def projection_norm_samples(pi: SphericalMeasure, k: int, n: int, seed: Seed) -> np.ndarray:
     """Draw n values of |first-k-coordinates| under ``pi``: the row norms of
     the k-row :meth:`SphericalMeasure.sample_coefficients`, in O(n k)
-    regardless of d.  :func:`projection_tail` gives the same law's tail exactly.
+    regardless of d; at k = d the norm is the radius, drawn alone in O(n).
+    :func:`projection_tail` gives the same law's tail exactly.
     """
-    c = pi._coefficients(n, _checked_k(k, pi.d), seed)[0]
+    k = _checked_k(k, pi.d)
+    if k == pi.d:
+        return pi._radii(substream(seed), int(n))
+    c = pi._coefficients(n, k, seed)[0]
     return np.sqrt((c * c).sum(axis=1))
 
 
@@ -188,16 +216,214 @@ def projection_tail(pi: SphericalMeasure, k: int, q: float) -> float:
     tail mass w.  The integral runs through a fixed 97-node tanh-sinh rule;
     at k = d (or W = 0) the tail is W itself.  The ratio q/r is formed before
     squaring, so heavy tails whose radii pass sqrt(DBL_MAX) do not overflow.
+    This is the probability half of the projected norm law's
+    :meth:`_SphericalNormLaw.beyond`.
     """
     k = _checked_k(k, pi.d)
     if not q >= 0:
         raise DomainError("tail level q must be nonnegative")
-    big_w = float(gammaincc(pi._gamma_shape(), pi.profile.a * q ** pi.profile.p))
-    if k == pi.d or big_w == 0.0:
-        return big_w
-    ratio = q / pi._radius_at_tail(big_w * _TS_NODES)
-    b = betaincc(k / 2.0, (pi.d - k) / 2.0, np.minimum(1.0, ratio * ratio))
-    return big_w * float(_TS_WEIGHTS @ b)
+    return _SphericalNormLaw(pi, k).beyond(q)[0]
+
+
+def _ts_rule(lo, hi, every: int = 1):
+    """The tanh-sinh rule on [lo, hi] (arrays broadcast) at ``every`` times the
+    step: its nodes, its weights, and each node's distance below hi, read off
+    the mirrored nodes so that neither end loses digits."""
+    nodes, weights = _TS_NODES[::every], _TS_WEIGHTS[::every]
+    span = hi - lo
+    return lo + span * nodes, span * (weights / weights.sum()), span * nodes[::-1]
+
+
+@dataclass(frozen=True)
+class _OffsetLength:
+    """Law of the length S = scale * sqrt(T) of a rotation-invariant offset
+    read on k orthonormal rows.  T has density ``weight(T)`` (1 when None)
+    against a base law with upper tail ``tail`` and its inverse ``at_tail``,
+    on T <= t_max."""
+
+    scale: float
+    tail: Callable
+    at_tail: Callable
+    t_max: float = math.inf
+    weight: Callable | None = None
+
+    @property
+    def s_max(self) -> float:
+        return self.scale * math.sqrt(self.t_max)
+
+    @cached_property
+    def _whole(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._mapped(0.0, math.inf)
+
+    def rule(self, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes and masses of the law on lo <= S <= hi: the tanh-sinh rule
+        mapped onto that interval in the base law's tail-mass coordinate, so
+        no node sits outside it and no indicator is needed.  The rule for the
+        whole support is built once."""
+        return self._whole if lo <= 0 and hi >= self.s_max else self._mapped(lo, hi)
+
+    def _mapped(self, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+        t_lo, t_hi = lo / self.scale, hi / self.scale
+        w_lo = float(self.tail(min(t_hi * t_hi, self.t_max)))
+        w_hi = float(self.tail(t_lo * t_lo))
+        if not w_hi - w_lo > 1e-280:
+            # no mass in float range: every node would sit at the same tail
+            return np.empty(0), np.empty(0)
+        w, m, _ = _ts_rule(w_lo, w_hi)
+        t = self.at_tail(w)
+        if self.weight is not None:
+            m = m * self.weight(t)
+        return self.scale * np.sqrt(t), m
+
+
+def _beyond_on_sphere(a: float, s: np.ndarray, top, f, k: int):
+    """(P(V > v*), E[f(|G|); V > v*]) per length s, for |G|^2 = a^2 + 2 a s V + s^2
+    with V the first coordinate of a uniform point on S^{k-1}, given
+    top = 1 - v* in [0, 2].
+
+    (1 + V)/2 is Beta((k-1)/2, (k-1)/2), so the probability is closed form.
+    The expectation maps the tanh-sinh rule onto [v*, 1] with V's density
+    (1 - v^2)^{(k-3)/2} / (2^{k-2} B); past |v| = 9/sqrt(k) that density
+    holds under 1e-17 of the mass, so the rule stops there and stays
+    resolved at large k.
+    """
+    if a == 0.0:
+        return np.ones_like(s), f(s)
+    half = (k - 1) / 2.0
+    top = np.broadcast_to(top, s.shape)[:, None]
+    edge = max(0.0, 1.0 - 9.0 / math.sqrt(k))  # distance of the stop from +-1
+    bottom = np.clip(2.0 - top, edge, 2.0 - edge)  # 1 + the lower end
+    dbot, w, dtop = _ts_rule(bottom, 2.0 - edge)
+    dtop = dtop + edge
+    norm = math.exp((k - 2) * math.log(2.0) + betaln(half, half))
+    dens = (dtop * dbot) ** ((k - 3) / 2.0) / norm
+    # |a - s|^2 + 2 a s (1 + v): every term is nonnegative
+    g = np.sqrt((a - s[:, None]) ** 2 + 2.0 * a * s[:, None] * dbot)
+    return betainc(half, half, top[:, 0] / 2.0), (w * dens * f(g)).sum(axis=1)
+
+
+@dataclass(frozen=True)
+class _ComponentNormLaw:
+    """Law of |G| for G = c + Y read on k orthonormal rows: one mixture
+    component, with |c| = ``a`` and Y a rotation-invariant offset whose
+    length has the law ``length`` (None: Y = 0).
+
+    |G|^2 = a^2 + 2 a S V + S^2 with V the first coordinate of a uniform
+    direction in R^k, so every expectation is a fixed quadrature over S
+    (:class:`_OffsetLength`) with V's part in closed form or on its own rule.
+    """
+
+    a: float
+    k: int
+    length: _OffsetLength | None
+
+    def beyond(self, q: float, f) -> tuple[float, float]:
+        """(P(|G| > q), E[f(|G|); |G| > q]) for a vectorised f, deterministic.
+
+        Since |a - S| <= |G| <= a + S, a length below q - a is inside the
+        ball for every direction and one below a - q or above a + q outside
+        it, so the quadrature splits S at those cuts and maps one rule onto
+        each piece: the integrand is smooth on every piece.
+        """
+        a = self.a
+        if self.length is None:
+            return (1.0, float(f(np.float64(a)))) if a > q else (0.0, 0.0)
+        s_max = self.length.s_max
+        edges = sorted({0.0, min(abs(a - q), s_max), min(a + q, s_max), s_max})
+        prob = mean = 0.0
+        for lo, hi in zip(edges, edges[1:]):
+            if hi <= q - a:
+                continue
+            s, m = self.length.rule(lo, hi)
+            if lo >= a + q or hi <= a - q:
+                top = 2.0
+            else:
+                # 1 - v* with v* the direction at which |G| = q
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    top = np.clip((a + s - q) * (a + s + q) / (2.0 * a * s), 0.0, 2.0)
+            p, e = _beyond_on_sphere(a, s, top, f, self.k)
+            prob += float(m @ p)
+            mean += float(m @ e)
+        return prob, mean
+
+
+# Beta(k/2, (d-k)/2) quantiles, by tail mass, at which the rule for B is split:
+# between them the density changes by a bounded factor, so a rule in B itself
+# resolves every piece at any d, and the piece that holds a cut is truncated there
+_BETA_SPLIT_TAILS = (1e-13, 1e-10, 1e-7, 1e-4, 1e-2)
+_BETA_SPLIT_MIDDLE = (0.1, 0.5, 0.9)
+
+
+@dataclass(frozen=True)
+class _SphericalNormLaw:
+    """Law of |G| = |x| sqrt(B) for x ~ ``pi`` read on k rows, where
+    B ~ Beta(k/2, (d-k)/2) is independent of |x| (B = 1 at k = d)."""
+
+    pi: SphericalMeasure
+    k: int
+
+    def beyond(self, q: float, f=None) -> tuple[float, float]:
+        """(pi(|G| > q), E[f(|G|); |G| > q]) for a vectorised f (0 without f).
+
+        Both halves read one rule: the radii past q in their tail-mass
+        coordinate, as :func:`projection_tail` documents.  Given a radius x,
+        the probability is betaincc at B = (q/x)^2, and the expectation is
+        :meth:`_beyond_cut`.
+        """
+        pi, k = self.pi, self.k
+        big_w = pi._tail_at_radius(q)
+        if big_w == 0.0 or (k == pi.d and f is None):
+            return big_w, 0.0
+        x = pi._radius_at_tail(big_w * _TS_NODES)
+        if k == pi.d:
+            return big_w, big_w * float(_TS_WEIGHTS @ f(x))
+        ratio = q / x
+        cut = np.minimum(1.0, ratio * ratio)
+        prob = big_w * float(_TS_WEIGHTS @ betaincc(*self._shape, cut))
+        if f is None:
+            return prob, 0.0
+        return prob, big_w * float(_TS_WEIGHTS @ self._beyond_cut(cut, x, f))
+
+    @property
+    def _shape(self) -> tuple[float, float]:
+        return self.k / 2.0, (self.pi.d - self.k) / 2.0
+
+    @cached_property
+    def _pieces(self) -> tuple[np.ndarray, np.ndarray]:
+        """Lower and upper ends of the pieces of (0, 1) the rule for B runs on,
+        split at fixed quantiles of B: the only inverse calls, made once."""
+        a, b = self._shape
+        cuts = np.concatenate((
+            [0.0, 1.0],
+            betaincinv(a, b, _BETA_SPLIT_TAILS + _BETA_SPLIT_MIDDLE),
+            betainccinv(a, b, _BETA_SPLIT_TAILS),
+        ))
+        cuts = np.unique(cuts)
+        return cuts[:-1], cuts[1:]
+
+    def _beyond_cut(self, cut: np.ndarray, x: np.ndarray, f) -> np.ndarray:
+        """E[f(x sqrt(B)); B > cut] for each pair of ``cut`` and ``x``.
+
+        The tanh-sinh rule at twice the step (49 nodes) maps onto each piece
+        above the cut, the piece that holds the cut starting there, and weighs
+        its nodes by the Beta density, so no indicator sits on a node.  At
+        k >= 3 that step stays within 2e-11 of step 1/32 for d up to 1e5 and
+        k up to d - 1, at half the cost of the 97-node rule.
+        """
+        a, b = self._shape
+        lo_end, hi_end = self._pieces
+        keep = hi_end > cut.min()  # pieces below every cut hold no mass
+        lo_end, hi_end = lo_end[keep], hi_end[keep]
+        lo = np.clip(cut[:, None], lo_end, hi_end)[..., None]
+        hi = hi_end[:, None]
+        bv, w, below = _ts_rule(lo, hi, every=2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # 1 - B is read off the distance below the piece's end, exact near B = 1
+            dens = np.exp((a - 1.0) * np.log(bv) + (b - 1.0) * np.log(below + (1.0 - hi))
+                          - betaln(a, b))
+            # an empty piece (w = 0) may read 0 * inf at B = 1
+            mass = np.where(w > 0.0, w * dens, 0.0)
+        return (mass * f(x[:, None, None] * np.sqrt(bv))).sum(axis=(1, 2))
 
 
 def _falling_root(f, lo: float, hi: float) -> float:
@@ -366,12 +592,20 @@ class MultiModalData:
         """Aggregated weight of all modes at distance >= R."""
         return sum(m.weight for m in self.modes if m.distance >= self.R)
 
-    def _components(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Mixture component of each of n draws; index len(modes) is the bulk."""
+    def _component_weights(self) -> np.ndarray:
+        """Normalised mixture weights; the last entry is the bulk."""
         weights = np.array([m.weight for m in self.modes] + [self.bulk_weight])
         weights = np.maximum(weights, 0.0)
-        weights /= weights.sum()
+        return weights / weights.sum()
+
+    def _components(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """Mixture component of each of n draws; index len(modes) is the bulk."""
+        weights = self._component_weights()
         return rng.choice(len(weights), size=n, p=weights)
+
+    def _sigmas_per_radius(self) -> float:
+        """A truncated-Gaussian mode's radius in units of its scale sigma."""
+        return math.sqrt(self.d) + 3.0
 
     def _mixture_coefficients(self, n: int, centers, seed: Seed) -> np.ndarray:
         """(n, k) mixture draws with mode i placed at ``centers[i]``, a k-vector.
@@ -412,7 +646,7 @@ class MultiModalData:
             power = 1.0 / self.d
             return _radial_coefficients(rng, n, self.d, k,
                                         lambda rng, m: mode.radius * rng.random(m) ** power)
-        sigma = mode.radius / (math.sqrt(self.d) + 3.0)
+        sigma = mode.radius / self._sigmas_per_radius()
         z = rng.standard_normal((n, k))
         w = _chi2_rest(rng, n, self.d, k)
         for _ in range(1000):
@@ -436,6 +670,41 @@ class MultiModalData:
         """
         b = _checked_basis(basis, self.d)
         return self._mixture_coefficients(int(n), [b @ m.center for m in self.modes], seed)
+
+    def norm_laws(self, basis) -> list[tuple[float, _ComponentNormLaw]]:
+        """The law of |x @ basis.T| as one (weight, law) pair per mixture
+        component, the bulk last; ``law.beyond(q, f)`` gives P(|G| > q) and
+        E[f(|G|); |G| > q] by fixed quadrature.  The offset lengths S have
+        closed-form laws on the k rows:
+
+        - bulk: |G|^2 / bulk_scale^2 is chi2_k;
+        - uniform-ball mode of radius rho: S^2 / rho^2 is Beta(k/2, (d-k)/2 + 1);
+        - truncated-Gaussian mode: T = S^2 / sigma^2 has the chi2_k density
+          times P(chi2_{d-k} <= L - T) / P(chi2_d <= L) on T <= L = (rho/sigma)^2.
+        """
+        b = _checked_basis(basis, self.d)
+        k, d = len(b), self.d
+        half = k / 2.0
+        chi2 = (lambda t: gammaincc(half, t / 2.0), lambda w: 2.0 * gammainccinv(half, w))
+        if self.mode_kind == "uniform-ball":
+            rest = (d - k) / 2.0 + 1.0
+            per_radius, t_max, weight = 1.0, 1.0, None
+            base = (lambda t: betaincc(half, rest, t), lambda w: betainccinv(half, rest, w))
+        else:
+            per_radius = self._sigmas_per_radius()
+            t_max = per_radius ** 2
+            norm = float(gammainc(d / 2.0, t_max / 2.0))
+            if k == d:
+                weight = lambda t: np.full(np.shape(t), 1.0 / norm)
+            else:
+                weight = lambda t: gammainc((d - k) / 2.0, np.maximum(t_max - t, 0.0) / 2.0) / norm
+            base = chi2
+        laws = [_ComponentNormLaw(float(np.linalg.norm(b @ mode.center)), k,
+                        _OffsetLength(mode.radius / per_radius, *base, t_max, weight)
+                        if mode.radius > 0 else None) for mode in self.modes]
+        bulk = _OffsetLength(self.bulk_scale, *chi2) if self.bulk_scale > 0 else None
+        laws.append(_ComponentNormLaw(0.0, k, bulk))
+        return list(zip(self._component_weights().tolist(), laws))
 
     def mass_within_origin_ball(self, radius: float, n: int = 100_000, seed: Seed = 0) -> float:
         """Mixture mass of the closed ball B(0, radius).

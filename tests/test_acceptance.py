@@ -29,6 +29,7 @@ from mixlab import (
     gaussian_kl,
     mixing_horizons,
     ou_tv_upper_bound,
+    projection_tail,
     tv_lower_bound,
 )
 from mixlab.cli import main
@@ -118,7 +119,7 @@ def test_criterion_02_cutoff(tmp_path, acceptance_record):
     assert elapsed < 30.0
 
 
-def test_criterion_03_lower_bound(tmp_path, acceptance_record):
+def test_criterion_03_lower_bound(tmp_path, capsys, acceptance_record):
     base = ("d = 16\nR = 50\ndelta = 0.02\neps = 0.05\nb_rho = 0.5\n"
             "mu = 1\nn = 100000\n")
     # tempered coefficients from the closed-form sufficient condition:
@@ -130,7 +131,6 @@ def test_criterion_03_lower_bound(tmp_path, acceptance_record):
         "tl": ("d = 16\nR = 400\ndelta = 0.02\neps = 0.05\nb_rho = 0.5\nmu = 1\n"
                f"n = 100000\nprocess = tempered\nprofile_p = {p}\nprofile_a = {a}\n"
                f"ell = {ell}\n"),
-        "sanity": base + "process = ou\nrho0 = pi\n",
     }
     details = []
     all_ok = True
@@ -140,18 +140,29 @@ def test_criterion_03_lower_bound(tmp_path, acceptance_record):
         out = tmp_path / name
         code = main(["lowerbound", "--config", str(cfg), "--seed", "303", "--out", str(out)])
         assert code == 0
+        assert "PASS lower-bound-at-horizon:" in capsys.readouterr().out
         rows = read_csv(out / "lowerbound.csv")
         floor = rows[0]["floor"]
-        if name == "sanity":
-            ok = all(r["total"] <= 3 * r["total_se"] + 1e-12 for r in rows)
-            details.append(f"sanity max total {max(r['total'] for r in rows):.4f} <= 3se")
-        else:
-            at_tc = row_at_time(rows, rows[0]["t_lower"])
-            ok = at_tc["total"] >= floor - 3 * at_tc["total_se"]
-            details.append(f"{name} total {at_tc['total']:.4f} >= "
-                           f"{floor - 3 * at_tc['total_se']:.4f}")
+        at_tc = row_at_time(rows, rows[0]["t_lower"])
+        # every term is exact, so the gate has no standard-error allowance
+        ok = at_tc["total"] >= floor
+        details.append(f"{name} total {at_tc['total']:.4f} >= {floor:.4f}")
         all_ok = all_ok and ok
         assert ok, (name, rows)
+    # a stationary start is at TV 0: from pi, rho_tail is pi's own mass of
+    # |G| <= q0 on a grid that starts at t = 0, where q0 is the pi term's radius
+    pi = OUProcess(mu, 16).invariant_measure()
+    proj = SubspaceProjector.containing_direction(np.eye(16)[0], 3)
+    r_k = 3.217
+    reps = tv_lower_bound(pi, pi, proj, LinearRate(mu), r_k, [0.0, 0.1, 0.5, 1.0, 2.0, 3.0])
+    worst = max(abs(rep.rho_tail - (1.0 - projection_tail(
+        pi, 3, math.sqrt(1.0 / rep.threshold ** 2 - 1.0)))) for rep in reps)
+    ok = (reps[0].rho_tail == reps[0].pi_term and worst <= 1e-12
+          and max(rep.total for rep in reps) <= 0.0)
+    details.append(f"sanity max total {max(rep.total for rep in reps):.4f} <= 0, "
+                   f"rho_tail off pi's tail by {worst:.1e}")
+    all_ok = all_ok and ok
+    assert ok, reps
     acceptance_record("criterion 3 (lower bound at horizon)", all_ok, "; ".join(details))
 
 
@@ -167,10 +178,10 @@ def test_criterion_04_bound_ordering(acceptance_record):
     grid = np.linspace(0.5, 1.2 * hz.t_mix, 10)
     gaps = []
     times = [float(t) for t in grid]
-    lowers = tv_lower_bound(pi, spec, proj, rate, r_k, times, 50_000, 404)
+    lowers = tv_lower_bound(pi, spec, proj, rate, r_k, times)
     for t, lower, upper in zip(grid, lowers, ou_tv_upper_bound(mu, spec, times)):
-        gaps.append(upper + 3 * lower.total_se - lower.total)
-        assert lower.total <= upper + 3 * lower.total_se, (t, lower.total, upper)
+        gaps.append(upper - lower.total)
+        assert lower.total <= upper, (t, lower.total, upper)
     acceptance_record("criterion 4 (bound ordering)", True,
                       f"10 grid times, min slack {min(gaps):.4f} >= 0")
 

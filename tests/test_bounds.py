@@ -29,6 +29,8 @@ from mixlab import (
     projection_tail,
     tv_lower_bound,
 )
+from mixlab import measures
+from mixlab.bounds import _h
 from mixlab.measures import _checked_basis
 from tests.test_measures import reference_sample
 from tests.test_stats import gaussian_projection_mass
@@ -312,7 +314,8 @@ class TestGenerator:
 
 def oracle_lower_bound(pi, rho0, proj, rate, r, t, n, seed):
     """The n x d evaluation: draw d-dimensional points of pi and rho0 for this
-    time alone and read H through the projector; returns (total, total_se)."""
+    time alone and read H through the projector; returns (total, the pi
+    term's standard error, the sample sd of the start-law loss)."""
     if pi.profile.p == 2:
         pi_term = gaussian_projection_mass(proj.k, r, 2.0 * pi.profile.a)
         pi_se = 0.0
@@ -330,7 +333,55 @@ def oracle_lower_bound(pi, rho0, proj, rate, r, t, n, seed):
         integ[~tail] = r * rate.grow(hvals[~tail], t)
     loss = np.where(tail, 1.0, integ)
     total = pi_term - float(tail.mean()) - float(integ.mean())
-    return total, math.hypot(pi_se, float(loss.std()) / math.sqrt(n))
+    return total, pi_se, float(loss.std())
+
+
+def spread(sample_sd, exact_mean):
+    """The sd to gate an n-draw mean of values in [0, 1] with: the sample's,
+    or, where the sample shows none (an event rarer than 1/n drew nothing),
+    the Bhatia-Davis bound sqrt(m (1 - m)) at the exact mean m."""
+    if sample_sd > 0.0:
+        return sample_sd
+    return math.sqrt(max(exact_mean * (1.0 - exact_mean), 0.0))
+
+
+def tanh_sinh(step):
+    """The tanh-sinh rule of measures._TS_NODES and _TS_WEIGHTS at another step."""
+    t = np.arange(-round(3.0 / step), round(3.0 / step) + 1) * step
+    weights = np.cosh(t) / np.cosh(0.5 * math.pi * np.sinh(t)) ** 2
+    return 1.0 / (1.0 + np.exp(-math.pi * np.sinh(t))), weights / weights.sum()
+
+
+def bound_case(d, k, mode_kind, noise, start):
+    """(pi, rho0, projector, level r, times) for one exact-vs-oracle case.
+
+    The times run from 0 past t_lower and include the two at which the
+    threshold radius q0 meets the mode centre a and a + rho/2, so the
+    mode's length rule is split inside its support."""
+    R = (50.0 if noise == "ou" else 400.0) * (100 if d > 1000 else 1)
+    spec = single_mode_spec(d=d, R=R, mode_kind=mode_kind)
+    if noise == "ou":
+        pi = OUProcess(1.0, d).invariant_measure()
+    else:
+        pi = SphericalMeasure(d, RadialProfile.power_tail(0.6, 1.0))
+    r = projection_quantile(pi, k, 0.05).r
+    proj = SubspaceProjector.containing_direction(spec.mode_direction, k)
+    mode = spec.designated_mode
+    t_low = math.log(R / (2 * r))
+    meets = [math.log(math.hypot(1.0, q) / r) for q in (mode.distance,
+                                                       mode.distance + mode.radius / 2)]
+    times = sorted(t for t in [0.0, 0.5 * t_low, t_low, *meets, 1.25 * t_low] if t >= 0)
+    return pi, (spec if start == "data" else pi), proj, r, times
+
+
+BOUND_CASES = [(d, k, kind, noise, "data")
+               for d, k in ((3, 3), (16, 3), (16, 16), (100_000, 3))
+               for kind, noise in (("uniform-ball", "ou"), ("truncated-gaussian", "tempered"))]
+# d = 4, k = 3 puts the Beta(3/2, 1/2) density's pole at B = 1
+BOUND_CASES += [(d, k, "uniform-ball", noise, "pi")
+                for d, k in ((3, 3), (4, 3), (16, 3), (16, 16), (100_000, 3))
+                for noise in ("ou", "tempered")]
+CASE_IDS = ["-".join(map(str, case)) for case in BOUND_CASES]
 
 
 class TestTVLowerBound:
@@ -343,59 +394,90 @@ class TestTVLowerBound:
         self.r_k = 3.217
 
     def test_identity_exact(self):
-        rep, = tv_lower_bound(self.pi, self.spec, self.proj, self.rate, self.r_k, [1.5],
-                              20_000, 0)
+        rep, = tv_lower_bound(self.pi, self.spec, self.proj, self.rate, self.r_k, [1.5])
         assert rep.total == rep.pi_term - rep.rho_tail - rep.integral
         assert 0.0 <= rep.pi_term <= 1.0
         assert 0.0 <= rep.rho_tail <= 1.0
         assert rep.integral >= 0.0
 
-    def test_large_horizon_degenerates(self):
-        rep, = tv_lower_bound(self.pi, self.spec, self.proj, self.rate, self.r_k, [50.0],
-                              20_000, 1)
-        assert rep.rho_tail == 1.0
-        assert rep.total <= 0.0
+    @pytest.mark.parametrize("start", ["data", "pi", "tempered-pi"])
+    def test_large_horizon_degenerates(self, start):
+        # at t = 700 the radius q0 ~ 1e304 squares past the float range; a
+        # heavy-tailed pi still holds mass near 1e-54 past q0 ~ 290 at t = 4.5,
+        # and the integral, an average of H / C <= 1 there, stays below it
+        pi = self.pi
+        if start == "tempered-pi":
+            pi = SphericalMeasure(self.spec.d, RadialProfile.power_tail(0.6, 1.0))
+        rho0 = self.spec if start == "data" else pi
+        for t in (4.5, 50.0, 700.0, 800.0):
+            rep, = tv_lower_bound(pi, rho0, self.proj, self.rate, self.r_k, [t])
+            assert rep.rho_tail == 1.0
+            assert rep.total <= 0.0
+            if rho0 is pi:
+                level = 1.0 / rep.threshold if rep.threshold > 0 else math.inf
+                q0 = math.sqrt((level - 1.0) * (level + 1.0))
+                assert 0.0 <= rep.integral <= projection_tail(pi, 3, q0)
 
     def test_far_mode_configuration(self):
         t_low = math.log(self.spec.R / (2 * self.r_k)) / self.mu
-        rep, = tv_lower_bound(self.pi, self.spec, self.proj, self.rate, self.r_k, [t_low],
-                              50_000, 2)
-        floor = (0.5 - 0.05) / 2.0
-        assert rep.total >= floor - 3 * rep.total_se
+        rep, = tv_lower_bound(self.pi, self.spec, self.proj, self.rate, self.r_k, [t_low])
+        assert rep.total >= (0.5 - 0.05) / 2.0
 
     def test_stationary_start_is_null(self):
-        rep, = tv_lower_bound(self.pi, self.pi, self.proj, self.rate, self.r_k, [1.0],
-                              50_000, 3)
-        assert rep.total <= 3 * rep.total_se
+        reps = tv_lower_bound(self.pi, self.pi, self.proj, self.rate, self.r_k,
+                              [0.0, 0.5, 1.0, 3.0])
+        assert max(rep.total for rep in reps) <= 0.0
+
+    def test_stationary_rho_tail_reads_projection_tail(self):
+        # from pi, rho0(|G| <= q0) is 1 - projection_tail at q0 = sqrt(1/C^2 - 1),
+        # on a grid that starts at t = 0, where q0 is the pi term's own radius
+        tl_pi = SphericalMeasure(self.spec.d, RadialProfile.power_tail(0.6, 1.0))
+        r = projection_quantile(tl_pi, 3, 0.05).r
+        times = [0.0, 0.05, 0.2, 0.5, 1.0, 2.0]
+        reps = tv_lower_bound(tl_pi, tl_pi, self.proj, self.rate, r, times)
+        assert reps[0].rho_tail == reps[0].pi_term
+        for rep in reps:
+            q0 = math.sqrt(1.0 / rep.threshold ** 2 - 1.0)
+            assert abs(rep.rho_tail - (1.0 - projection_tail(tl_pi, 3, q0))) <= 1e-12
+            assert rep.total <= 0.0
+
+    def test_stationary_start_inverts_the_beta_law_once(self, monkeypatch):
+        # the expectation over B runs on pieces split at fixed Beta quantiles:
+        # those are the only Beta inverse calls, made once per call, not per time
+        values = []
+        for name in ("betaincinv", "betainccinv"):
+            real = getattr(measures, name)
+            monkeypatch.setattr(measures, name, lambda a, b, v, real=real: (
+                values.append(np.size(v)), real(a, b, v))[1])
+        tl_pi = SphericalMeasure(self.spec.d, RadialProfile.power_tail(0.6, 1.0))
+        tv_lower_bound(tl_pi, tl_pi, self.proj, self.rate, 3.0, [0.0, 0.2, 0.5, 1.0, 2.0])
+        assert sum(values) == (2 * len(measures._BETA_SPLIT_TAILS)
+                               + len(measures._BETA_SPLIT_MIDDLE))
 
     def test_exact_pi_term(self):
         # the pi term is 1 - projection_tail at sqrt(r^2 - 1), for Gaussian and
-        # non-Gaussian noise alike, with no standard error
+        # non-Gaussian noise alike
         tl_pi = SphericalMeasure(self.spec.d, RadialProfile.power_tail(1.0, 1.0))
-        rep, = tv_lower_bound(tl_pi, self.spec, self.proj, self.rate, 10.0, [0.5], 20_000, 4)
-        assert rep.pi_se == 0.0
+        rep, = tv_lower_bound(tl_pi, self.spec, self.proj, self.rate, 10.0, [0.5])
         assert rep.pi_term == 1.0 - projection_tail(tl_pi, 3, math.sqrt(99.0))
         assert rep.total == rep.pi_term - rep.rho_tail - rep.integral
-        rep, = tv_lower_bound(self.pi, self.spec, self.proj, self.rate, self.r_k, [0.5],
-                              20_000, 4)
+        rep, = tv_lower_bound(self.pi, self.spec, self.proj, self.rate, self.r_k, [0.5])
         oracle = gaussian_projection_mass(3, self.r_k, 2.0 * self.pi.profile.a)
         assert rep.pi_term == pytest.approx(oracle, abs=1e-14)
-        assert rep.pi_se == 0.0
 
     def test_level_below_one(self):
         with pytest.raises(DomainError):
-            tv_lower_bound(self.pi, self.spec, self.proj, self.rate, 0.5, [1.0], 1000, 0)
+            tv_lower_bound(self.pi, self.spec, self.proj, self.rate, 0.5, [1.0])
 
-    def test_times_share_one_draw(self):
-        # every time reads the same samples: a report does not depend on
-        # which other times are asked for, and the pi term is common to all
+    def test_report_reads_its_own_time_alone(self):
+        # a report does not depend on which other times are asked for, and the
+        # pi term is common to all
         times = [0.5, 1.5, 2.5]
         tl_pi = SphericalMeasure(self.spec.d, RadialProfile.power_tail(1.0, 1.0))
-        reps = tv_lower_bound(tl_pi, self.spec, self.proj, self.rate, 10.0, times, 20_000, 5)
+        reps = tv_lower_bound(tl_pi, self.spec, self.proj, self.rate, 10.0, times)
         assert [rep.t for rep in reps] == times
         assert len({rep.pi_term for rep in reps}) == 1
-        alone, = tv_lower_bound(tl_pi, self.spec, self.proj, self.rate, 10.0, [1.5],
-                                20_000, 5)
+        alone, = tv_lower_bound(tl_pi, self.spec, self.proj, self.rate, 10.0, [1.5])
         assert alone == reps[1]
 
     @pytest.mark.parametrize("noise", ["ou", "tempered"])
@@ -412,25 +494,72 @@ class TestTVLowerBound:
         proj = SubspaceProjector.containing_direction(spec.mode_direction, 3)
         t_low = math.log(spec.R / (2 * r)) / self.mu
         times = [0.0, 0.5 * t_low, t_low]
-        reps = tv_lower_bound(pi, rho0, proj, self.rate, r, times, n, 7)
+        reps = tv_lower_bound(pi, rho0, proj, self.rate, r, times)
         for i, (t, rep) in enumerate(zip(times, reps)):
-            total, se = oracle_lower_bound(pi, rho0, proj, self.rate, r, t, n, 8 + i)
-            # the Gaussian pi terms, quadrature and closed form, agree to 1e-14; that
-            # is all that separates the totals where both standard errors are 0
-            slack = 4 * math.hypot(rep.total_se, se) + 1e-14
+            total, pi_se, loss_sd = oracle_lower_bound(pi, rho0, proj, self.rate, r, t, n, 8 + i)
+            # the Gaussian pi terms, quadrature and closed form, agree to 1e-14
+            sd = spread(loss_sd, rep.rho_tail + rep.integral)
+            slack = 4 * math.hypot(pi_se, sd / math.sqrt(n)) + 1e-14
             assert abs(rep.total - total) <= slack, (t, rep, total)
+
+    @pytest.mark.parametrize("case", BOUND_CASES, ids=CASE_IDS)
+    def test_start_terms_agree_with_monte_carlo(self, case):
+        # the oracle draws n coefficients of rho0 on the projector's rows and
+        # reads every term from them, as the start-law terms once were computed
+        pi, rho0, proj, r, times = bound_case(*case)
+        n = 1_000_000
+        h = _h(rho0.sample_coefficients(n, proj.basis, 17))
+        for rep in tv_lower_bound(pi, rho0, proj, self.rate, r, times):
+            tail = h >= rep.threshold
+            integ = np.where(tail, 0.0, r * self.rate.grow(h, rep.t))
+            for sample, exact in ((tail, rep.rho_tail), (integ, rep.integral),
+                                  (np.where(tail, 1.0, integ), rep.rho_tail + rep.integral)):
+                # both start terms average values in [0, 1]
+                slack = 4 * spread(sample.std(), exact) / math.sqrt(n)
+                assert abs(sample.mean() - exact) <= slack, (rep, sample.mean())
+
+    @pytest.mark.parametrize("case", BOUND_CASES, ids=CASE_IDS)
+    def test_terms_agree_with_a_refined_rule(self, case, monkeypatch):
+        # double the nodes and halve the step of every rule the terms read
+        pi, rho0, proj, r, times = bound_case(*case)
+        reps = tv_lower_bound(pi, rho0, proj, self.rate, r, times)
+        nodes, weights = tanh_sinh(1.0 / 32.0)
+        monkeypatch.setattr(measures, "_TS_NODES", nodes)
+        monkeypatch.setattr(measures, "_TS_WEIGHTS", weights)
+        for rep, fine in zip(reps, tv_lower_bound(pi, rho0, proj, self.rate, r, times)):
+            for term in ("pi_term", "rho_tail", "integral", "total"):
+                assert abs(getattr(rep, term) - getattr(fine, term)) <= 1e-9, (term, rep, fine)
+
+    def test_refined_rule_helper_rebuilds_the_rule(self):
+        nodes, weights = tanh_sinh(1.0 / 16.0)
+        assert np.array_equal(nodes, measures._TS_NODES)
+        assert np.allclose(weights, measures._TS_WEIGHTS, rtol=1e-15, atol=0)
+
+    def test_point_masses(self):
+        # a mode of radius 0 and a bulk of scale 0 put |G| at the mode distance and at 0
+        d = 16
+        center = np.zeros(d)
+        center[0] = 51.0
+        spec = MultiModalData(d, 50.0, 0.02, 0.05, (ModeSpec(center, 0.0, 0.5),),
+                              bulk_scale=0.0)
+        t = math.log(math.hypot(1.0, 40.0) / self.r_k)  # q0 = 40 < 51
+        rep, = tv_lower_bound(self.pi, spec, self.proj, self.rate, self.r_k, [t])
+        assert rep.rho_tail == 0.5
+        assert rep.integral == pytest.approx(0.5 * math.hypot(1.0, 40.0) / math.hypot(1.0, 51.0),
+                                             rel=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(StructuralError):
             tv_lower_bound(SphericalMeasure(4, RadialProfile.quadratic(0.5)), self.spec,
-                           self.proj, self.rate, 2.0, [1.0], 1000, 0)
+                           self.proj, self.rate, 2.0, [1.0])
         with pytest.raises(StructuralError):
             tv_lower_bound(self.pi, SphericalMeasure(4, RadialProfile.quadratic(0.5)),
-                           self.proj, self.rate, 2.0, [1.0], 1000, 0)
+                           self.proj, self.rate, 2.0, [1.0])
 
-    def test_needs_two_samples(self):
-        with pytest.raises(DomainError):
-            tv_lower_bound(self.pi, self.spec, self.proj, self.rate, 2.0, [1.0], 1, 0)
+    def test_needs_the_linear_envelope(self):
+        # the start terms integrate r grow(H, t) = H / C, which holds for LinearRate
+        with pytest.raises(StructuralError, match="LinearRate"):
+            tv_lower_bound(self.pi, self.spec, self.proj, ConcaveRate(math.sqrt), 2.0, [1.0])
 
 
 class TestGrowthEnvelope:

@@ -24,12 +24,13 @@ def write_cfg(path, text):
     return str(path)
 
 
-def run_cli(argv):
+def run_cli(argv, warnings_as_errors=False):
     """Run ``python -m mixlab.cli`` in a fresh interpreter; return (exit code, stdout + stderr)."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-m", "mixlab.cli", *argv], env=env,
+    flags = ["-W", "error"] if warnings_as_errors else []
+    proc = subprocess.run([sys.executable, *flags, "-m", "mixlab.cli", *argv], env=env,
                           capture_output=True, text=True, timeout=120)
     return proc.returncode, proc.stdout + proc.stderr
 
@@ -269,6 +270,52 @@ n = 1000
         assert main([sub, "--config", cfg, "--seed", "1", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert f"key '{key}'" in err and "below minimum" in err
+
+    def test_ks_sweep_R_beyond_the_finite_end_exits_2(self, tmp_path):
+        # R = 1e300 used to overflow R sqrt(mu) and x sqrt(mu) into rows at t = inf
+        cfg = write_cfg(tmp_path / "k.cfg", "d = 4\nR = 1e300\nmu = 1e100\nreps = 2\n")
+        code, text = run_cli(["ks-sweep", "--config", cfg, "--out", str(tmp_path)],
+                             warnings_as_errors=True)
+        assert code == 2
+        assert "key 'R'" in text and "above maximum" in text
+        assert "Traceback" not in text and "Warning" not in text
+
+    def test_ks_sweep_at_the_largest_mu_runs(self, tmp_path):
+        # at t = 0 the OU transition once formed 2 mu = inf before multiplying by
+        # t, and its NaN variance stopped the run with a message naming no key
+        cfg = write_cfg(tmp_path / "k.cfg", "d = 4\nR = 1e150\nmu = 1.7e308\nreps = 2\n")
+        code, text = run_cli(["ks-sweep", "--config", cfg, "--out", str(tmp_path)],
+                             warnings_as_errors=True)
+        assert code == 0
+        assert "Traceback" not in text and "Warning" not in text
+        rows = [line.split(",") for line in (tmp_path / "ks-sweep.csv").read_text().splitlines()
+                if not line.startswith(("#", "t,"))]
+        assert rows and all(math.isfinite(float(c)) for row in rows for c in row if c)
+
+    def test_lowerbound_reads_neither_seed_nor_n(self, tmp_path):
+        bodies = []
+        for seed, n in (("1", "100"), ("2", "100000")):
+            cfg = write_cfg(tmp_path / "l.cfg", "process = tempered\nd = 8\nR = 400\n"
+                                                f"delta = 0.02\neps = 0.05\nn = {n}\n")
+            out = tmp_path / seed
+            assert main(["lowerbound", "--config", cfg, "--seed", seed, "--out", str(out)]) == 0
+            bodies.append([line for line in (out / "lowerbound.csv").read_text().splitlines()
+                           if not line.startswith("#")])
+        assert bodies[0] == bodies[1]
+
+    def test_lowerbound_accepts_any_ignored_count(self, tmp_path):
+        # n and rk_n enter no term, so no value of theirs stops the run
+        cfg = write_cfg(tmp_path / "l.cfg", "d = 8\nR = 50\ndelta = 0.02\neps = 0.05\n"
+                                            "n = -1\nrk_n = 0\n")
+        assert main(["lowerbound", "--config", cfg, "--seed", "1", "--out", str(tmp_path)]) == 0
+
+    def test_lowerbound_failed_check_exits_3(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "l.cfg", "d = 8\nR = 50\ndelta = 0.02\neps = 0.05\n"
+                                            "r_k = 1\n")
+        assert main(["lowerbound", "--config", cfg, "--seed", "1", "--out", str(tmp_path)]) == 3
+        out = capsys.readouterr().out
+        assert "FAIL lower-bound-at-horizon:" in out and "PASS bound-ordering:" in out
+        assert (tmp_path / "lowerbound.csv").exists()
 
     def test_ks_sweep_small_R_default_times_exits_2(self, tmp_path, capsys):
         # with eps = 0.1, t_onset = log R - log(sqrt(2 log 10)) < 0 for R < 2.14597

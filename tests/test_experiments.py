@@ -204,7 +204,7 @@ class TestLowerboundRun:
 
     @pytest.mark.parametrize("process, R", [("ou", 50.0), ("tempered", 1e4)])
     def test_stationary_start_memory_does_not_grow_with_dimension(self, process, R):
-        # rho0 = pi draws its k coefficients through SphericalMeasure.sample_coefficients
+        # rho0 = pi reads the law of pi's norm on the k rows, by quadrature
         cfg = {"process": process, "d": 100_000, "R": R, "delta": 0.02, "eps": 0.05,
                "b_rho": 0.5, "bulk_scale": 0.0, "mode_kind": "uniform-ball", "mu": 1.0,
                "k": 3, "profile_a": 0.6, "profile_p": 1.0, "ell": 0.4, "r_k": 0.0,
@@ -232,9 +232,32 @@ class TestLowerboundExactTerms:
         res = run_lowerbound(cfg, 41)
         row, = [r for r in res.rows if r["t"] == r["t_lower"]]
         assert abs(row["pi_term"] - (1.0 - cfg["eps"] / 2.0)) <= 1e-12
-        assert row["pi_se"] == 0.0
+        assert row["total_se"] == 0.0
         _, pi = _build_process(cfg)
         assert row["r_k"] == projection_quantile(pi, cfg["k"], cfg["eps"]).r
+
+    @pytest.mark.parametrize("extra, names", [
+        ({}, ["lower-bound-at-horizon", "bound-ordering"]),
+        ({"process": "tempered", "R": "400", "profile_a": "0.6", "ell": "0.4"},
+         ["lower-bound-at-horizon"]),
+        ({"rho0": "pi"}, ["stationary-sanity"]),
+    ], ids=["ou", "tempered", "stationary"])
+    def test_run_end_checks_pass(self, extra, names):
+        res = run_lowerbound(lowerbound_cfg(**extra), 45)
+        assert [c.name for c in res.checks] == names
+        assert res.passed
+        if "rho0" in extra:
+            assert res.checks[0].value == max(r["total"] for r in res.rows)
+        else:
+            at_low, = [r for r in res.rows if r["t"] == r["t_lower"]]
+            assert res.checks[0].value == at_low["total"]
+            assert res.checks[0].threshold == at_low["floor"]
+
+    def test_level_one_fails_the_horizon_check(self):
+        # at r_k = 1 the pi term pi(H >= 1) is 0, so the bound cannot reach the floor
+        res = run_lowerbound(lowerbound_cfg(r_k="1"), 45)
+        assert not res.passed
+        assert [c.name for c in res.checks if not c.passed] == ["lower-bound-at-horizon"]
 
     def test_rk_n_is_ignored(self):
         a = run_lowerbound(lowerbound_cfg(rk_n="1000"), 43)

@@ -22,7 +22,7 @@ GOLDEN = {
         "process = tempered\nprofile_a = 0.6\nprofile_p = 1\nell = 0.4\n"
         "d = 8\nR = 400\ndelta = 0.02\neps = 0.05\nb_rho = 0.5\n"
         "n = 5000\nrk_n = 20000\n",
-        "dfbfb0c4e9f5200e155fb482aa42122d2a2be9c062c251072c6da0e1f330a40c",
+        "f65c140ae16bba9daae45b147436ba3b18c6184d24e4f63f1928cd75d24049c5",
     ),
     "quantile-table": (
         "p_list = 1.8,1.2\nd_list = 3,30\n",

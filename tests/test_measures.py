@@ -198,6 +198,18 @@ class TestSphericalCoefficients:
         assert fast.shape == (n,)
         assert ks_2samp(fast, reference_projection_norms(pi, k, n, 74)).pvalue > 1e-3
 
+    def test_full_projection_norm_is_the_radius_in_O_n(self):
+        # at k = d the norm of every coordinate is the radius: n draws, no n x d block
+        pi = SphericalMeasure(20_000, RadialProfile.power_tail(0.8, 1.0))
+        tracemalloc.start()
+        try:
+            g = projection_norm_samples(pi, pi.d, 500, 9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20  # the n x d block alone would be 80 MB
+        assert np.array_equal(g, pi._radii(substream(9), 500))
+
     @pytest.mark.parametrize("d", [1, 5])
     def test_sample_is_the_identity_basis_case(self, d):
         pi = SphericalMeasure(d, RadialProfile.power_tail(1.0, 1.4))

@@ -20,14 +20,15 @@ def test_every_exported_name_resolves():
         assert hasattr(mixlab, name), name
 
 
-LOADED = ("print([m for m in ('scipy.optimize', 'scipy.integrate', 'scipy.linalg') "
-          "if m in sys.modules])")
+LOADED = ("print([m for m in ('scipy.optimize', 'scipy.integrate', 'scipy.linalg', "
+          "'scipy.stats') if m in sys.modules])")
 
 
 def test_cli_import_leaves_out_optimize_and_integrate(tmp_path):
-    # only ConcaveRate uses them, and it imports them when called; no module
-    # needs scipy.linalg.  The exact r_k and quantile root finding must not pull
-    # them in either, so a lowerbound and a quantile-table call follow the import
+    # only ConcaveRate uses the first two, and it imports them when called; no
+    # module needs scipy.linalg or scipy.stats.  The exact r_k, the quantile root
+    # finding and the start-law quadrature must not pull them in either, so a
+    # lowerbound and a quantile-table call follow the import
     (tmp_path / "lb.cfg").write_text("process = tempered\nd = 8\nR = 400\ndelta = 0.02\n"
                                      "eps = 0.05\nn = 200\n")
     (tmp_path / "qt.cfg").write_text("p_list = 1.2\nd_list = 3,30\n")

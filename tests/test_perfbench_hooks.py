@@ -144,5 +144,7 @@ def test_tracer_reads_the_quantile_sample_count(tmp_path):
     assert code == 0
     quantile, = [s for s in tracer.spans if s[0] == "measures.projection_quantile"]
     assert quantile[4:] == (0, 0)
-    # one draw of rho0 and no draw of pi
-    assert [s[0] for s in tracer.spans].count("measures.projection_norm_samples") == 0
+    # every lowerbound term is exact: no substream is opened, nothing is drawn
+    names = [s[0] for s in tracer.spans]
+    assert names.count("measures.projection_norm_samples") == 0
+    assert names.count("rng.substream") == 0
