@@ -33,6 +33,7 @@ from .experiments import (
     run_quantile_table,
     run_validate,
 )
+from .measures import MODE_KINDS
 
 
 @dataclass(frozen=True)
@@ -51,8 +52,7 @@ _DATA_KEYS = {
     "eps": Key("float", within="(0, 1)"),
     "b_rho": Key("float", default=0.5, within="(0, 1]"),
     "bulk_scale": Key("float", default=0.0, within="[0, 1e150]"),  # 0 selects the built-in default
-    "mode_kind": Key("str", default="uniform-ball",
-                     choices=("uniform-ball", "truncated-gaussian")),
+    "mode_kind": Key("str", default=MODE_KINDS[0], choices=MODE_KINDS),
 }
 
 _PROCESS_KEYS = {

@@ -303,19 +303,27 @@ def run_validate(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
     mu, d, k = cfg["mu"], cfg["d"], cfg["k"]
     spec = build_data_spec(cfg)
     scale = cfg["envelope_scale"] or spec.R
-    checks = [replace(c, name=f"data/{c.name}")
-              for c in validate_data_spec(spec, seed=derive(seed, 8))]
-    if isinstance(proc, TemperedLangevin):
-        checks.append(check_drift_condition(proc, mu, r_max=cfg["r_max"] or 10.0 * spec.R))
+    checks = [replace(c, name=f"data/{c.name}") for c in validate_data_spec(spec)]
     proj = SubspaceProjector.containing_direction(spec.mode_direction, k)
-    checks += [
-        check_linear_growth(proc, mu, n_points=cfg["n_points"], seed=derive(seed, 9),
-                            envelope_scale=scale),
-        check_dispersion_balance(proc, proj, n_points=cfg["n_points"], seed=derive(seed, 10),
-                                 envelope_scale=scale),
-        check_generator_bound(proc, proj, mu, n_points=cfg["n_points"], seed=derive(seed, 11),
-                              envelope_scale=scale),
-    ]
+    try:
+        # a probe that overflows would report inf or nan as its measured value
+        with np.errstate(over="raise", invalid="raise"):
+            if isinstance(proc, TemperedLangevin):
+                checks.append(check_drift_condition(proc, mu,
+                                                    r_max=cfg["r_max"] or 10.0 * spec.R))
+            checks += [
+                check_linear_growth(proc, mu, n_points=cfg["n_points"], seed=derive(seed, 9),
+                                    envelope_scale=scale),
+                check_dispersion_balance(proc, proj, n_points=cfg["n_points"],
+                                         seed=derive(seed, 10), envelope_scale=scale),
+                check_generator_bound(proc, proj, mu, n_points=cfg["n_points"],
+                                      seed=derive(seed, 11), envelope_scale=scale),
+            ]
+    except FloatingPointError as exc:
+        raise ConfigError(
+            f"the process probes leave the float range ({exc}) at ell = {cfg['ell']:g}, "
+            f"profile_p = {cfg['profile_p']:g}, R = {cfg['R']:g}"
+        ) from exc
     beta = cfg["beta"]
     if beta > 0:
         checks += [replace(c, name=f"bridge/{c.name}") for c in

@@ -30,7 +30,7 @@ from scipy.special import (
 )
 
 from .errors import DomainError, StructuralError
-from .rng import Seed, derive, substream
+from .rng import Seed, substream
 from .stats import chisq_cdf
 
 MODE_KINDS = ("uniform-ball", "truncated-gaussian")
@@ -123,7 +123,7 @@ class SphericalMeasure:
         shape = self._gamma_shape()
         return (rng.gamma(shape, 1.0, size=n) / self.profile.a) ** (1.0 / self.profile.p)
 
-    def _coefficients(self, n: int, k: int, seed: Seed) -> tuple[np.ndarray, np.ndarray]:
+    def _coefficients(self, n: int, k: int, seed: Seed) -> np.ndarray:
         """:func:`_radial_coefficients` on substream ``seed`` with the exact radius."""
         self._gamma_shape()  # the guard fires before anything is drawn
         return _radial_coefficients(substream(seed), int(n), self.d, k, self._radii)
@@ -134,7 +134,7 @@ class SphericalMeasure:
         The k = d case of :meth:`sample_coefficients`, bit for bit.
         Deterministic in (n, seed); n = 0 yields an empty (0, d) array.
         """
-        return self._coefficients(n, self.d, seed)[0]
+        return self._coefficients(n, self.d, seed)
 
     def sample_coefficients(self, n: int, basis, seed: Seed) -> np.ndarray:
         """Draw the (n, k) coefficients x @ basis.T of n points, in O(n k).
@@ -142,7 +142,7 @@ class SphericalMeasure:
         Same contract as :meth:`MultiModalData.sample_coefficients`.  The
         measure is rotation invariant, so only the number k of rows enters.
         """
-        return self._coefficients(n, len(_checked_basis(basis, self.d)), seed)[0]
+        return self._coefficients(n, len(_checked_basis(basis, self.d)), seed)
 
     def norm_laws(self, basis) -> list[tuple[float, "_SphericalNormLaw"]]:
         """The law of |x @ basis.T| as one (weight, law) pair, as in
@@ -156,9 +156,9 @@ def _chi2_rest(rng: np.random.Generator, n: int, d: int, k: int) -> np.ndarray:
 
 
 def _radial_coefficients(rng: np.random.Generator, n: int, d: int, k: int,
-                         radii) -> tuple[np.ndarray, np.ndarray]:
+                         radii) -> np.ndarray:
     """n draws of a radius times a uniform direction in R^d, read on k
-    orthonormal rows: the (n, k) coefficients and the n squared radii.
+    orthonormal rows: the (n, k) coefficients.
 
     The coefficients have the law of the first k coordinates of r z/|z| for
     standard Gaussian z, that is r g/sqrt(|g|^2 + chi2_{d-k}) with
@@ -168,7 +168,7 @@ def _radial_coefficients(rng: np.random.Generator, n: int, d: int, k: int,
     g = rng.standard_normal((n, k))
     w = _chi2_rest(rng, n, d, k)
     r = radii(rng, n)
-    return r[:, None] * g / np.sqrt((g * g).sum(axis=1) + w)[:, None], r * r
+    return r[:, None] * g / np.sqrt((g * g).sum(axis=1) + w)[:, None]
 
 
 def _checked_k(k, d: int, least: int = 1) -> int:
@@ -200,7 +200,7 @@ def projection_norm_samples(pi: SphericalMeasure, k: int, n: int, seed: Seed) ->
     k = _checked_k(k, pi.d)
     if k == pi.d:
         return pi._radii(substream(seed), int(n))
-    c = pi._coefficients(n, k, seed)[0]
+    c = pi._coefficients(n, k, seed)
     return np.sqrt((c * c).sum(axis=1))
 
 
@@ -279,18 +279,25 @@ class _OffsetLength:
 def _beyond_on_sphere(a: float, s: np.ndarray, top, f, k: int):
     """(P(V > v*), E[f(|G|); V > v*]) per length s, for |G|^2 = a^2 + 2 a s V + s^2
     with V the first coordinate of a uniform point on S^{k-1}, given
-    top = 1 - v* in [0, 2].
+    top = 1 - v* in [0, 2]; the expectation is 0 without f.
 
-    (1 + V)/2 is Beta((k-1)/2, (k-1)/2), so the probability is closed form.
+    At k = 1, V = +-1 with half the mass each.  Otherwise (1 + V)/2 is
+    Beta((k-1)/2, (k-1)/2), so the probability is closed form.
     The expectation maps the tanh-sinh rule onto [v*, 1] with V's density
     (1 - v^2)^{(k-3)/2} / (2^{k-2} B); past |v| = 9/sqrt(k) that density
     holds under 1e-17 of the mass, so the rule stops there and stays
     resolved at large k.
     """
-    if a == 0.0:
-        return np.ones_like(s), f(s)
+    top = np.broadcast_to(top, s.shape)
+    if k == 1:
+        # V = 1 puts |G| at a + s, beyond q when top > 0; V = -1 at |a - s|, when top = 2
+        up, down = 0.5 * (top > 0.0), 0.5 * (top >= 2.0)
+        return up + down, np.zeros_like(s) if f is None else up * f(a + s) + down * f(abs(a - s))
     half = (k - 1) / 2.0
-    top = np.broadcast_to(top, s.shape)[:, None]
+    prob = betainc(half, half, top / 2.0)
+    if f is None or a == 0.0:
+        return prob, np.zeros_like(s) if f is None else f(s)
+    top = top[:, None]
     edge = max(0.0, 1.0 - 9.0 / math.sqrt(k))  # distance of the stop from +-1
     bottom = np.clip(2.0 - top, edge, 2.0 - edge)  # 1 + the lower end
     dbot, w, dtop = _ts_rule(bottom, 2.0 - edge)
@@ -299,7 +306,7 @@ def _beyond_on_sphere(a: float, s: np.ndarray, top, f, k: int):
     dens = (dtop * dbot) ** ((k - 3) / 2.0) / norm
     # |a - s|^2 + 2 a s (1 + v): every term is nonnegative
     g = np.sqrt((a - s[:, None]) ** 2 + 2.0 * a * s[:, None] * dbot)
-    return betainc(half, half, top[:, 0] / 2.0), (w * dens * f(g)).sum(axis=1)
+    return prob, (w * dens * f(g)).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -317,8 +324,8 @@ class _ComponentNormLaw:
     k: int
     length: _OffsetLength | None
 
-    def beyond(self, q: float, f) -> tuple[float, float]:
-        """(P(|G| > q), E[f(|G|); |G| > q]) for a vectorised f, deterministic.
+    def beyond(self, q: float, f=None) -> tuple[float, float]:
+        """(P(|G| > q), E[f(|G|); |G| > q]) for a vectorised f (0 without f).
 
         Since |a - S| <= |G| <= a + S, a length below q - a is inside the
         ball for every direction and one below a - q or above a + q outside
@@ -327,7 +334,7 @@ class _ComponentNormLaw:
         """
         a = self.a
         if self.length is None:
-            return (1.0, float(f(np.float64(a)))) if a > q else (0.0, 0.0)
+            return (1.0, 0.0 if f is None else float(f(np.float64(a)))) if a > q else (0.0, 0.0)
         s_max = self.length.s_max
         edges = sorted({0.0, min(abs(a - q), s_max), min(a + q, s_max), s_max})
         prob = mean = 0.0
@@ -374,15 +381,16 @@ class _SphericalNormLaw:
         big_w = pi._tail_at_radius(q)
         if big_w == 0.0 or (k == pi.d and f is None):
             return big_w, 0.0
-        x = pi._radius_at_tail(big_w * _TS_NODES)
+        w, m, _ = _ts_rule(0.0, big_w)
+        x = pi._radius_at_tail(w)
         if k == pi.d:
-            return big_w, big_w * float(_TS_WEIGHTS @ f(x))
+            return big_w, float(m @ f(x))
         ratio = q / x
         cut = np.minimum(1.0, ratio * ratio)
-        prob = big_w * float(_TS_WEIGHTS @ betaincc(*self._shape, cut))
+        prob = float(m @ betaincc(*self._shape, cut))
         if f is None:
             return prob, 0.0
-        return prob, big_w * float(_TS_WEIGHTS @ self._beyond_cut(cut, x, f))
+        return prob, float(m @ self._beyond_cut(cut, x, f))
 
     @property
     def _shape(self) -> tuple[float, float]:
@@ -620,7 +628,7 @@ class MultiModalData:
         out = np.empty((n, k))
         for i, (mode, center) in enumerate(zip(self.modes, centers)):
             idx = np.flatnonzero(comp == i)
-            out[idx] = center + self._mode_offset_coefficients(rng, mode, len(idx), k)[0]
+            out[idx] = center + self._mode_offset_coefficients(rng, mode, len(idx), k)
         idx = np.flatnonzero(comp == len(self.modes))
         out[idx] = self.bulk_scale * rng.standard_normal((len(idx), k))
         return out
@@ -630,9 +638,8 @@ class MultiModalData:
         return self._mixture_coefficients(int(n), [m.center for m in self.modes], seed)
 
     def _mode_offset_coefficients(self, rng: np.random.Generator, mode: ModeSpec,
-                                  n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """n draws of ``mode``: the (n, k) coefficients of x - center on k
-        orthonormal rows, and the n squared norms |x - center|^2.
+                                  n: int, k: int) -> np.ndarray:
+        """n draws of ``mode``: the (n, k) coefficients of x - center on k rows.
 
         Both mode laws are rotation invariant about the center, so the
         coefficients have the law of the first k coordinates of a
@@ -653,7 +660,7 @@ class MultiModalData:
             sq = sigma * sigma * ((z * z).sum(axis=1) + w)
             bad = np.flatnonzero(sq > mode.radius ** 2)
             if bad.size == 0:
-                return sigma * z, sq
+                return sigma * z
             z[bad] = rng.standard_normal((bad.size, k))
             w[bad] = _chi2_rest(rng, bad.size, self.d, k)
         raise RuntimeError("truncated-gaussian rejection sampling failed to converge")
@@ -683,8 +690,13 @@ class MultiModalData:
           times P(chi2_{d-k} <= L - T) / P(chi2_d <= L) on T <= L = (rho/sigma)^2.
         """
         b = _checked_basis(basis, self.d)
-        k, d = len(b), self.d
-        half = k / 2.0
+        distances = [float(np.linalg.norm(b @ m.center)) for m in self.modes]
+        return list(zip(self._component_weights().tolist(), self._laws(len(b), distances)))
+
+    def _laws(self, k: int, distances) -> list[_ComponentNormLaw]:
+        """The :meth:`norm_laws` laws on k rows, each mode's center at its
+        given distance; at k = d those are the modes' own, with no basis."""
+        d, half = self.d, k / 2.0
         chi2 = (lambda t: gammaincc(half, t / 2.0), lambda w: 2.0 * gammainccinv(half, w))
         if self.mode_kind == "uniform-ball":
             rest = (d - k) / 2.0 + 1.0
@@ -699,41 +711,29 @@ class MultiModalData:
             else:
                 weight = lambda t: gammainc((d - k) / 2.0, np.maximum(t_max - t, 0.0) / 2.0) / norm
             base = chi2
-        laws = [_ComponentNormLaw(float(np.linalg.norm(b @ mode.center)), k,
-                        _OffsetLength(mode.radius / per_radius, *base, t_max, weight)
-                        if mode.radius > 0 else None) for mode in self.modes]
+        laws = [_ComponentNormLaw(a, k, _OffsetLength(mode.radius / per_radius, *base, t_max,
+                                                      weight) if mode.radius > 0 else None)
+                for mode, a in zip(self.modes, distances)]
         bulk = _OffsetLength(self.bulk_scale, *chi2) if self.bulk_scale > 0 else None
         laws.append(_ComponentNormLaw(0.0, k, bulk))
-        return list(zip(self._component_weights().tolist(), laws))
+        return laws
 
-    def mass_within_origin_ball(self, radius: float, n: int = 100_000, seed: Seed = 0) -> float:
-        """Mixture mass of the closed ball B(0, radius).
+    def mass_within_origin_ball(self, radius: float, n: int = 100_000) -> float:
+        """Mixture mass of the closed ball B(0, radius), deterministic.
 
         Closed form for the Gaussian bulk (chi-square CDF) and for modes whose
         support lies entirely inside or outside.  A mode straddling the
-        boundary is estimated from n draws on substream (seed, i) and counts
-        with its lower confidence limit, estimate minus 3 se, so the result
-        errs low: callers that need the mass outside the ball get it from above.
+        boundary counts 1 - P(|x| > radius) from its own law of |x| (the
+        k = d case of :meth:`norm_laws`).  Nothing is drawn; ``n`` is accepted
+        and ignored, because ``perfbench/tracer.py`` reads it.
         """
         total = 0.0
         for i, mode in enumerate(self.modes):
-            lo = mode.distance - mode.radius
-            hi = mode.distance + mode.radius
-            if hi <= radius * (1.0 + 1e-12):
+            if mode.distance + mode.radius <= radius * (1.0 + 1e-12):
                 total += mode.weight
-            elif lo > radius:
-                continue
-            else:
-                n = int(n)
-                if n < 1:
-                    raise DomainError("a mode straddling the ball needs n >= 1 draws")
-                # |x|^2 = |c|^2 + 2 |c| <x - c, c/|c|> + |x - c|^2, and the offset
-                # law is rotation invariant: one coefficient and the norm suffice
-                a, sq = self._mode_offset_coefficients(substream(derive(seed, i)), mode, n, 1)
-                c = mode.distance
-                p = float(np.mean(c * c + 2.0 * c * a[:, 0] + sq <= radius * radius))
-                se = math.sqrt(max(p * (1.0 - p), 1.0 / n) / n)
-                total += mode.weight * max(0.0, p - 3.0 * se)
+            elif mode.distance - mode.radius <= radius:
+                law = self._laws(self.d, [m.distance for m in self.modes])[i]
+                total += mode.weight * (1.0 - law.beyond(radius)[0])
         if self.bulk_weight > 0:
             if self.bulk_scale == 0:
                 total += self.bulk_weight
@@ -766,29 +766,26 @@ class CheckResult:
     value: float
     threshold: float
     relation: str
-    se: float = 0.0
 
     @property
     def passed(self) -> bool:
         return bool(RELATIONS[self.relation](self.value, self.threshold))
 
 
-def validate_data_spec(spec: MultiModalData, n: int = 100_000,
-                       seed: Seed = 0) -> tuple[CheckResult, ...]:
+def validate_data_spec(spec: MultiModalData, n: int = 100_000) -> tuple[CheckResult, ...]:
     """Measure the admissibility constraints of a data mixture.
 
     Checks the designated-mode placement (|x0| = R(1+delta) and radius =
     delta*R, both to 1e-12 relative), the mode-mass inequality b > 3*eps
     against the stored weight, and the tail condition: the mass outside
     B(0, R(1+2delta)), 1 - :meth:`MultiModalData.mass_within_origin_ball`,
-    must lie below eps/2.  That mass is closed form unless a mode straddles
-    the sphere; such a mode is estimated from ``n`` draws on ``seed`` and
-    counted at its 3-se upper limit, so the gate errs toward failing.
+    must lie below eps/2, read without a draw.  ``n`` is accepted and
+    ignored, because ``perfbench/tracer.py`` reads it.
     """
     mode = spec.designated_mode
     dists = np.array([m.distance for m in spec.modes])
     n_at_max = int(np.sum(dists >= dists.max() * (1.0 - 1e-9)))
-    outside = 1.0 - spec.mass_within_origin_ball(spec.R * (1.0 + 2.0 * spec.delta), n, seed)
+    outside = 1.0 - spec.mass_within_origin_ball(spec.R * (1.0 + 2.0 * spec.delta))
     return (
         CheckResult("furthest-mode-distance", mode.distance, spec.R * (1.0 + spec.delta), "=="),
         CheckResult("furthest-mode-radius", mode.radius, spec.delta * spec.R, "=="),

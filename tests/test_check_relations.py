@@ -82,18 +82,18 @@ def test_mode_mass_at_three_eps_fails_strictly(b_rho, eps):
 def test_tail_mass_reports_the_bound_it_is_compared_with():
     # the true mass outside B(0, 52) is 0.5 P(chi2_8 > (52/13.225)^2) = 0.02540,
     # above eps/2: the check reads that closed form and must fail
-    checks = {c.name: c for c in validate_data_spec(spec(bulk_scale=13.225), seed=2)}
+    checks = {c.name: c for c in validate_data_spec(spec(bulk_scale=13.225))}
     tail = checks["tail-mass"]
     assert not tail.passed
     assert tail.value > 0.05 / 2
-    assert tail.threshold == pytest.approx(0.05 / 2 - 3.0 * tail.se, rel=1e-12)
+    assert tail.threshold == pytest.approx(0.05 / 2, rel=1e-12)
     assert_relations_agree(checks.values())
 
 
 class TestVerdict:
     def test_fields(self):
         assert [f.name for f in fields(CheckResult)] == [
-            "name", "value", "threshold", "relation", "se"]
+            "name", "value", "threshold", "relation"]
 
     @pytest.mark.parametrize("relation", sorted(ORDER))
     @pytest.mark.parametrize("value", [0.5, 1.0, 2.0, 1, 3])

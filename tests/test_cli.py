@@ -449,6 +449,18 @@ class TestExtremeScales:
         for name in ("linear-growth", "dispersion-balance", "generator-bound"):
             assert f"PASS {name}:" in out
 
+    def test_tempered_probes_that_overflow_exit_2(self, tmp_path):
+        # the drift probe reads inf and three probes nan here; the run must not
+        # report them as measured values or write them to validate.csv
+        cfg = write_cfg(tmp_path / "v.cfg", "process = tempered\nd = 8\nR = 100\n"
+                        "delta = 0.02\neps = 0.05\nell = 40\nprofile_p = 2\nn_points = 500\n")
+        code, text = run_cli(["validate", "--config", cfg, "--out", str(tmp_path)],
+                             warnings_as_errors=True)
+        assert code == 2
+        assert "ell = 40" in text and "profile_p = 2" in text and "R = 100" in text
+        assert "Traceback" not in text and "Warning" not in text
+        assert not (tmp_path / "validate.csv").exists()
+
     @pytest.mark.parametrize("value", ["1e160", "1e300"])
     def test_envelope_scale_beyond_the_finite_end_exits_2(self, tmp_path, capsys, value):
         cfg = data_cfg(tmp_path, "validate", extra=f"envelope_scale = {value}\n")
