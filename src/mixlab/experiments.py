@@ -40,7 +40,7 @@ from .measures import (
     projection_quantile,
     validate_data_spec,
 )
-from .rng import Seed, derive, parallel_map
+from .rng import Seed, derive, parallel_map, substream
 from .stats import coordinate_ks, projected_tv_vs_gaussian, sweep_coordinates
 
 
@@ -266,13 +266,14 @@ def run_ks_sweep(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
     times = _merged_times(cfg["times"], defaults, [])
     reps = cfg["reps"]
     ou = OUProcess(mu, d)
-    # R = 0 means a stationary start: one draw from the invariant measure
-    start = ou.invariant_measure() if R == 0 else R * np.ones(d) / math.sqrt(d)
 
     def one(rep):
+        # R = 0 means a stationary start: one draw from the invariant measure
+        x0 = (ou.invariant_measure().sample(1, derive(seed, 7, rep, 0))[0] if R == 0
+              else R * np.ones(d) / math.sqrt(d))
         # raw and standardized statistics read the same simulated coordinates
         return [(t, coordinate_ks(coords, mu), coordinate_ks(coords, mu, standardize=True))
-                for t, coords in sweep_coordinates(ou, start, times, derive(seed, 7, rep))]
+                for t, coords in sweep_coordinates(ou, x0, times, derive(seed, 7, rep))]
 
     outs = parallel_map(one, list(range(reps)), threads)
     rows = []
@@ -311,13 +312,17 @@ def run_validate(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
             if isinstance(proc, TemperedLangevin):
                 checks.append(check_drift_condition(proc, mu,
                                                     r_max=cfg["r_max"] or 10.0 * spec.R))
+            # one envelope sample N(0, scale^2 I), read by all three process probes
+            x = scale * substream(derive(seed, 9)).standard_normal((cfg["n_points"], d))
+            if not np.max(np.linalg.norm(x, axis=1)) >= 1e-12:
+                raise ConfigError(
+                    f"envelope_scale = {scale:g} is too small for the process probes: "
+                    "every sampled |x| is below 1e-12"
+                )
             checks += [
-                check_linear_growth(proc, mu, n_points=cfg["n_points"], seed=derive(seed, 9),
-                                    envelope_scale=scale),
-                check_dispersion_balance(proc, proj, n_points=cfg["n_points"],
-                                         seed=derive(seed, 10), envelope_scale=scale),
-                check_generator_bound(proc, proj, mu, n_points=cfg["n_points"],
-                                      seed=derive(seed, 11), envelope_scale=scale),
+                check_linear_growth(proc, mu, x),
+                check_dispersion_balance(proc, proj, x),
+                check_generator_bound(proc, proj, mu, x),
             ]
     except FloatingPointError as exc:
         raise ConfigError(

@@ -325,33 +325,47 @@ class _ComponentNormLaw:
     length: _OffsetLength | None
 
     def beyond(self, q: float, f=None) -> tuple[float, float]:
-        """(P(|G| > q), E[f(|G|); |G| > q]) for a vectorised f (0 without f).
-
-        Since |a - S| <= |G| <= a + S, a length below q - a is inside the
-        ball for every direction and one below a - q or above a + q outside
-        it, so the quadrature splits S at those cuts and maps one rule onto
-        each piece: the integrand is smooth on every piece.
-        """
+        """(P(|G| > q), E[f(|G|); |G| > q]) for a vectorised f (0 without f)."""
         a = self.a
         if self.length is None:
             return (1.0, 0.0 if f is None else float(f(np.float64(a)))) if a > q else (0.0, 0.0)
-        s_max = self.length.s_max
-        edges = sorted({0.0, min(abs(a - q), s_max), min(a + q, s_max), s_max})
         prob = mean = 0.0
-        for lo, hi in zip(edges, edges[1:]):
-            if hi <= q - a:
-                continue
-            s, m = self.length.rule(lo, hi)
-            if lo >= a + q or hi <= a - q:
-                top = 2.0
-            else:
-                # 1 - v* with v* the direction at which |G| = q
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    top = np.clip((a + s - q) * (a + s + q) / (2.0 * a * s), 0.0, 2.0)
+        for s, m, top in self._pieces(q):
             p, e = _beyond_on_sphere(a, s, top, f, self.k)
             prob += float(m @ p)
             mean += float(m @ e)
         return prob, mean
+
+    def within(self, q: float) -> float:
+        """P(|G| <= q), summed from the inside's own side rather than read as
+        1 - P(|G| > q), so a mass far below 1e-16 keeps its digits.  V is
+        symmetric, so P(V <= v*) is the probability beyond -v*."""
+        if self.length is None:
+            return float(self.a <= q)
+        return sum(float(m @ _beyond_on_sphere(self.a, s, 2.0 - top, None, self.k)[0])
+                   for s, m, top in self._pieces(q, inside=True))
+
+    def _pieces(self, q: float, inside: bool = False):
+        """(s, m, top) per piece of S: the rule's nodes and masses, and
+        top = 1 - v* with v* the direction at which |G| = q.  Since
+        |a - S| <= |G| <= a + S, a length below q - a is inside the ball for
+        every direction (top = 0, yielded only with ``inside``) and one below
+        a - q or above a + q outside it (top = 2), so S is split at those cuts
+        and one rule maps onto each piece, where the integrand is smooth."""
+        a, s_max = self.a, self.length.s_max
+        edges = sorted({0.0, min(abs(a - q), s_max), min(a + q, s_max), s_max})
+        for lo, hi in zip(edges, edges[1:]):
+            if hi <= q - a and not inside:
+                continue
+            s, m = self.length.rule(lo, hi)
+            if hi <= q - a:
+                top = 0.0
+            elif lo >= a + q or hi <= a - q:
+                top = 2.0
+            else:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    top = np.clip((a + s - q) * (a + s + q) / (2.0 * a * s), 0.0, 2.0)
+            yield s, m, top
 
 
 # Beta(k/2, (d-k)/2) quantiles, by tail mass, at which the rule for B is split:
@@ -723,8 +737,8 @@ class MultiModalData:
 
         Closed form for the Gaussian bulk (chi-square CDF) and for modes whose
         support lies entirely inside or outside.  A mode straddling the
-        boundary counts 1 - P(|x| > radius) from its own law of |x| (the
-        k = d case of :meth:`norm_laws`).  Nothing is drawn; ``n`` is accepted
+        boundary counts P(|x| <= radius) from its own law of |x| (the k = d
+        case of :meth:`norm_laws`).  Nothing is drawn; ``n`` is accepted
         and ignored, because ``perfbench/tracer.py`` reads it.
         """
         total = 0.0
@@ -733,7 +747,7 @@ class MultiModalData:
                 total += mode.weight
             elif mode.distance - mode.radius <= radius:
                 law = self._laws(self.d, [m.distance for m in self.modes])[i]
-                total += mode.weight * (1.0 - law.beyond(radius)[0])
+                total += mode.weight * law.within(radius)
         if self.bulk_weight > 0:
             if self.bulk_scale == 0:
                 total += self.bulk_weight

@@ -125,17 +125,11 @@ def ks_statistic(samples, cdf: Callable[[np.ndarray], np.ndarray]) -> KSResult:
     return KSResult(statistic=stat, p_value=float(kolmogorov(math.sqrt(n) * stat)))
 
 
-def sweep_coordinates(process, start, times: Sequence[float],
+def sweep_coordinates(process, x0, times: Sequence[float],
                       seed: Seed) -> list[tuple[float, np.ndarray]]:
-    """One simulated marginal per time: the d coordinates of X_t.
-
-    ``start`` is a fixed point, or a sampleable mixture from which one point
-    is drawn on substream (seed, 0); time i simulates on (seed, 1 + i).
-    """
-    if hasattr(start, "sample"):
-        x0 = np.asarray(start.sample(1, derive(seed, 0))[0], dtype=float)
-    else:
-        x0 = np.asarray(start, dtype=float).reshape(-1)
+    """One simulated marginal per time from the start point x0: the d
+    coordinates of X_t.  Time i simulates on substream (seed, 1 + i)."""
+    x0 = np.asarray(x0, dtype=float).reshape(-1)
     out = []
     for i, t in enumerate(times):
         pts = process.sample_endpoints(x0, float(t), 1, derive(seed, 1 + i))

@@ -33,6 +33,7 @@ from mixlab import (
     tv_lower_bound,
 )
 from mixlab.cli import main
+from mixlab.rng import substream
 from tests.test_bounds import fd_generator
 
 # frozen reference quantile grid at eps = 0.1, n = 3e5 (columns d = 3, 30, 300, 3000)
@@ -197,7 +198,8 @@ def test_criterion_05_generator_inequality(acceptance_record):
     worst_excess = -math.inf
     worst_rel = 0.0
     for name, proc, scale in cases:
-        rep = check_generator_bound(proc, proj, 1.0, 10_000, 506, envelope_scale=scale)
+        pts = scale * substream(506).standard_normal((10_000, d))
+        rep = check_generator_bound(proc, proj, 1.0, pts)
         worst_excess = max(worst_excess, rep.value)
         assert rep.value <= 1e-9, name
         for _ in range(100):

@@ -32,6 +32,7 @@ from mixlab import (
 from mixlab import measures
 from mixlab.bounds import _h
 from mixlab.measures import _checked_basis
+from mixlab.rng import substream
 from tests.test_measures import reference_sample
 from tests.test_stats import gaussian_projection_mass
 
@@ -293,9 +294,11 @@ class TestGenerator:
         d = 16
         proj = SubspaceProjector.containing_direction(np.eye(d)[0], 3)
         ou = OUProcess(1.0, d)
-        assert check_generator_bound(ou, proj, 1.0, 5000, 0, envelope_scale=50.0).passed
+        x = 50.0 * substream(0).standard_normal((5000, d))
+        assert check_generator_bound(ou, proj, 1.0, x).passed
         tl = TemperedLangevin(RadialProfile.power_tail(0.6, 1.0), 0.4, d)
-        assert check_generator_bound(tl, proj, 1.0, 5000, 1, envelope_scale=50.0).passed
+        x = 50.0 * substream(1).standard_normal((5000, d))
+        assert check_generator_bound(tl, proj, 1.0, x).passed
 
         class DoubledOU:
             def __init__(self, mu, d):
@@ -307,7 +310,8 @@ class TestGenerator:
             def dispersion_diag(self, x):
                 return np.full(np.atleast_2d(x).shape, 2.0)
 
-        rep = check_generator_bound(DoubledOU(1.0, d), proj, 1.0, 5000, 2, envelope_scale=50.0)
+        rep = check_generator_bound(DoubledOU(1.0, d), proj, 1.0,
+                                    50.0 * substream(2).standard_normal((5000, d)))
         assert not rep.passed
         assert rep.value > 0
 

@@ -23,6 +23,7 @@ from mixlab import (
 )
 from mixlab.bounds import SubspaceProjector
 from mixlab.forward import DIVERGENCE_RADIUS
+from mixlab.rng import substream
 
 
 class TestOUTransitions:
@@ -279,21 +280,26 @@ class TestEulerMaruyama:
 class TestLinearGrowthCheck:
     def test_ou_equality(self):
         ou = OUProcess(1.3, 5)
-        rep = check_linear_growth(ou, 1.3, 20_000, 0, envelope_scale=10.0)
+        rep = check_linear_growth(ou, 1.3, 10.0 * substream(0).standard_normal((20_000, 5)))
         assert rep.passed
         # equality case: ratio is 1 up to dot-product rounding
         assert abs(rep.value - 1.0) <= 1e-9
 
     def test_wrong_mu_fails(self):
         ou = OUProcess(1.0, 5)
-        rep = check_linear_growth(ou, 0.5, 20_000, 0, envelope_scale=10.0)
+        rep = check_linear_growth(ou, 0.5, 10.0 * substream(0).standard_normal((20_000, 5)))
         assert not rep.passed
         assert rep.value == pytest.approx(2.0, rel=1e-9)
 
     def test_compliant_tempered(self):
         tl = TemperedLangevin(RadialProfile.power_tail(0.6, 1.0), 0.4, 16)
-        rep = check_linear_growth(tl, 1.0, 20_000, 1, envelope_scale=50.0)
+        rep = check_linear_growth(tl, 1.0, 50.0 * substream(1).standard_normal((20_000, 16)))
         assert rep.passed
+
+    def test_batch_at_the_origin_raises(self):
+        # no point is left once |x| < 1e-12 is skipped, so nothing was checked
+        with pytest.raises(DomainError):
+            check_linear_growth(OUProcess(1.0, 3), 1.0, np.zeros((4, 3)))
 
 
 class TestDriftCondition:
@@ -322,7 +328,7 @@ class TestDispersionBalance:
     def test_scalar_dispersion_passes(self):
         tl = TemperedLangevin(RadialProfile.power_tail(1.0, 1.0), 0.5, 6)
         proj = SubspaceProjector.containing_direction(np.ones(6), 3)
-        rep = check_dispersion_balance(tl, proj, 5000, 0, envelope_scale=5.0)
+        rep = check_dispersion_balance(tl, proj, 5.0 * substream(0).standard_normal((5000, 6)))
         assert rep.passed
 
     def test_unbalanced_diagonal_fails(self):
@@ -338,15 +344,15 @@ class TestDispersionBalance:
         e_last = np.zeros(d)
         e_last[-1] = 1.0
         proj = SubspaceProjector.containing_direction(e_last, 3)
-        rep = check_dispersion_balance(SimpleNamespace(dispersion_diag=adiag), proj, 5000, 1,
-                                       envelope_scale=5.0)
+        rep = check_dispersion_balance(SimpleNamespace(dispersion_diag=adiag), proj,
+                                       5.0 * substream(1).standard_normal((5000, d)))
         assert not rep.passed
 
     def test_identity_full_dimension(self):
         d = 4
         rep = check_dispersion_balance(
             SimpleNamespace(dispersion_diag=lambda x: np.ones((x.shape[0], d))),
-            SubspaceProjector(np.eye(d)), 2000, 2, envelope_scale=3.0
+            SubspaceProjector(np.eye(d)), 3.0 * substream(2).standard_normal((2000, d))
         )
         assert rep.passed
 
@@ -356,7 +362,7 @@ class TestDispersionBalance:
         with pytest.raises(StructuralError):
             check_dispersion_balance(
                 SimpleNamespace(dispersion_diag=lambda x: np.ones((x.shape[0], d))),
-                SubspaceProjector(bad), 100, 0)
+                SubspaceProjector(bad), substream(0).standard_normal((100, d)))
 
 
 class TestClassifyErgodicity:

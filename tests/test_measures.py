@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import gammaincc
+from scipy.special import betainc, gammaincc
 from scipy.stats import chi2, ks_2samp
 
 from mixlab import (
@@ -495,6 +495,24 @@ class TestMassWithinOriginBall:
         # cut out, over the mode's volume
         spec = straddling_spec(3, distance=distance, radius=radius, R=ball)
         assert abs(spec.mass_within_origin_ball(ball) - lens) <= 1e-12
+
+    def test_straddling_mass_far_below_the_rounding_of_one(self):
+        # a ball of radius 1 at distance 5 against B(0, 5) at d = 1e5 puts a lens
+        # of mass about 4e-221 inside, where 1 - P(|x| > 5) reads 1e-16; the
+        # Gaussian bulk of scale 1 holds no float mass inside at this d
+        d = 100_000
+        center = np.zeros(d)
+        center[0] = 5.0
+        spec = MultiModalData(d, 5.0, 0.2, 0.1, modes=(ModeSpec(center, 1.0, 0.5),),
+                              bulk_scale=1.0)
+        mass = spec.mass_within_origin_ball(5.0)
+        assert 0.0 < mass < 1e-200
+        # the mode's radius S has density d s^(d-1), and at S = s the share of
+        # directions inside is P(V <= -s/10) = I_{1/2 - s/20}((d-1)/2, (d-1)/2)
+        half = (d - 1) / 2.0
+        lens, _ = quad(lambda s: d * s ** (d - 1) * betainc(half, half, 0.5 - s / 20.0),
+                       0.99, 1.0, epsabs=0.0, epsrel=1e-10, points=[0.999, 0.9999], limit=200)
+        assert mass == pytest.approx(0.5 * lens, rel=1e-9)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 8, 64])
     @pytest.mark.parametrize("mode_kind", ["uniform-ball", "truncated-gaussian"])

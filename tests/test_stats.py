@@ -272,8 +272,9 @@ class TestKSSweep:
         center[0] = 51.0
         spec = MultiModalData(d, 50.0, 0.02, 0.05, modes=(ModeSpec(center, 1.0, 1.0),))
         ou = OUProcess(1.0, d)
-        out = [coordinate_ks(c, 1.0) for _, c in sweep_coordinates(ou, spec, [0.0, 10.0], 5)]
+        x0 = spec.sample(1, (5, 0))[0]
+        out = [coordinate_ks(c, 1.0) for _, c in sweep_coordinates(ou, x0, [0.0, 10.0], 5)]
         assert out[0].statistic > out[1].statistic
         # deterministic in the seed
-        again = [coordinate_ks(c, 1.0) for _, c in sweep_coordinates(ou, spec, [0.0, 10.0], 5)]
+        again = [coordinate_ks(c, 1.0) for _, c in sweep_coordinates(ou, x0, [0.0, 10.0], 5)]
         assert again[0].statistic == out[0].statistic
