@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 configuration error, 3 run-end check failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -297,7 +298,12 @@ def _seed(text: str) -> int:
     return val
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and each build leaves about 300 objects in reference cycles
+    for the garbage collector, which an in-process caller such as
+    ``perfbench/run.py`` would pile up call after call."""
     parser = argparse.ArgumentParser(
         prog="mixlab",
         description="Forward-diffusion mixing laboratory: cut-off curves, TV bounds, "

@@ -139,8 +139,18 @@ def run_cutoff(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
     )
 
 
+def _checked_rows(k: int, d: int, where: str) -> None:
+    """ConfigError naming the keys when the k projection rows exceed the
+    dimension d, which ``where`` names."""
+    if k > d:
+        raise ConfigError(f"key 'k' = {k} exceeds {where}: the projection needs k <= d "
+                          "orthonormal rows")
+
+
 def _build_process(cfg: dict):
+    """The configured process and its invariant measure, once k <= d is checked."""
     mu, d = cfg["mu"], cfg["d"]
+    _checked_rows(cfg["k"], d, f"key 'd' = {d}")
     if cfg["process"] == "ou":
         proc = OUProcess(mu, d)
         return proc, proc.invariant_measure()
@@ -223,6 +233,8 @@ def run_quantile_table(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentRes
     """
     ps, ds = cfg["p_list"], cfg["d_list"]
     eps, a, k = cfg["eps"], cfg["a"], cfg["k"]
+    for dd in map(int, ds):
+        _checked_rows(k, dd, f"d = {dd} in key 'd_list' (cells q_d{dd}, r_d{dd})")
     cells = [(i, j) for i in range(len(ps)) for j in range(len(ds))]
 
     def one(cell):

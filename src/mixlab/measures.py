@@ -386,25 +386,59 @@ class _SphericalNormLaw:
     def beyond(self, q: float, f=None) -> tuple[float, float]:
         """(pi(|G| > q), E[f(|G|); |G| > q]) for a vectorised f (0 without f).
 
-        Both halves read one rule: the radii past q in their tail-mass
-        coordinate, as :func:`projection_tail` documents.  Given a radius x,
-        the probability is betaincc at B = (q/x)^2, and the expectation is
+        Both halves read one rule, :meth:`_past`.  Given a radius x, the
+        probability is betaincc at B = (q/x)^2, and the expectation is
         :meth:`_beyond_cut`.
         """
-        pi, k = self.pi, self.k
+        if self.k == self.pi.d and f is None:
+            return self.pi._tail_at_radius(q), 0.0
+        prob, m, x, cut = self._past(q)
+        if f is None or not m.size:
+            return prob, 0.0
+        if self.k == self.pi.d:
+            return prob, float(m @ f(x))
+        return prob, float(m @ self._beyond_cut(cut, x, f))
+
+    def tail_slope(self, q: float) -> tuple[float, float]:
+        """(pi(|G| > q), its derivative in q) at k < d, from one :meth:`_past`.
+
+        The upper end W of the integral in :func:`projection_tail` moves with
+        q, but its term vanishes, since betaincc(., ., 1) = 0 at r(W) = q, so
+
+            Tail'(q) = -int_0^W f_B((q/r(w))^2) 2 (q/r(w)) / r(w) dw,
+
+        with f_B the Beta(k/2, (d-k)/2) density, in exp/log form on the same
+        nodes.  The factor is read as ratio / x, never as q / x^2, so radii
+        past sqrt(DBL_MAX) keep it finite.  A node whose cut rounds to 0 or 1
+        carries no slope.  At d - k = 1 the density's (1 - B)^(-1/2) end
+        leaves the rule about 4e-7 short of the slope, which only steers the
+        search in :func:`projection_quantile`; elsewhere it agrees with a
+        central difference of the tail to better than 1e-7.
+        """
+        prob, m, x, cut = self._past(q)
+        a, b = self._shape
+        inner = (cut > 0.0) & (cut < 1.0)
+        c = np.where(inner, cut, 0.5)
+        dens = np.exp((a - 1.0) * np.log(c) + (b - 1.0) * np.log1p(-c) - betaln(a, b))
+        return prob, -float(m @ np.where(inner, dens * (2.0 * (q / x) / x), 0.0))
+
+    def _past(self, q: float):
+        """The rule both :meth:`beyond` and :meth:`tail_slope` read: the
+        radii x past q in their tail-mass coordinate, as
+        :func:`projection_tail` documents, with their masses m (none at
+        W = 0); then pi(|G| > q), which is W at k = d and otherwise the sum
+        of m betaincc(k/2, (d-k)/2, cut) with cut = min(1, (q/x)^2)."""
+        pi = self.pi
         big_w = pi._tail_at_radius(q)
-        if big_w == 0.0 or (k == pi.d and f is None):
-            return big_w, 0.0
+        if big_w == 0.0:
+            return big_w, np.empty(0), np.empty(0), np.empty(0)
         w, m, _ = _ts_rule(0.0, big_w)
         x = pi._radius_at_tail(w)
-        if k == pi.d:
-            return big_w, float(m @ f(x))
+        if self.k == pi.d:
+            return big_w, m, x, None
         ratio = q / x
         cut = np.minimum(1.0, ratio * ratio)
-        prob = float(m @ betaincc(*self._shape, cut))
-        if f is None:
-            return prob, 0.0
-        return prob, float(m @ self._beyond_cut(cut, x, f))
+        return float(m @ betaincc(*self._shape, cut)), m, x, cut
 
     @property
     def _shape(self) -> tuple[float, float]:
@@ -448,38 +482,6 @@ class _SphericalNormLaw:
         return (mass * f(x[:, None, None] * np.sqrt(bv))).sum(axis=(1, 2))
 
 
-def _falling_root(f, lo: float, hi: float) -> float:
-    """Root of a decreasing f with f(lo) > 0 >= f(hi), to about 2 ulp of hi.
-
-    Regula falsi with the Illinois step (the retained end's value is halved
-    when the same end survives twice), which converges superlinearly; a
-    secant point outside the bracket falls back to bisection.  It stands in
-    for ``scipy.optimize.brentq`` because importing ``scipy.optimize`` after
-    ``scipy.special`` costs 0.15-0.30 s (2-core x86 host, scipy 1.17), which
-    every ``lowerbound`` and ``quantile-table`` call would pay at start-up.
-    """
-    flo, fhi = f(lo), f(hi)
-    side = 0
-    while hi - lo > 4e-16 * hi:
-        x = (lo * fhi - hi * flo) / (fhi - flo)
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-        fx = f(x)
-        if fx == 0:
-            return x
-        if fx > 0:
-            lo, flo = x, fx
-            if side == 1:
-                fhi *= 0.5
-            side = 1
-        else:
-            hi, fhi = x, fx
-            if side == -1:
-                flo *= 0.5
-            side = -1
-    return 0.5 * (lo + hi)
-
-
 @dataclass(frozen=True)
 class QuantileEstimate:
     """Concentration level of the k-dimensional projection of a noise measure.
@@ -500,6 +502,19 @@ def projection_quantile(pi: SphericalMeasure, k: int, eps: float, *, n: int = 0)
     ``perfbench/tracer.py`` reads it as the call's sample count.  Raises
     :class:`DomainError` when the (1 - eps/2)-quantile of |x|, which brackets
     q from above, lies beyond the float range.
+
+    The root is Newton's method on log Tail(q) - log(eps/2), with the slope
+    of :meth:`_SphericalNormLaw.tail_slope` read off the tail's own nodes,
+    started at the bracket's upper end and kept inside the bracket
+    [0, radial quantile]: a step that leaves it, or a tail or slope that
+    reads 0, falls back to bisection.  It stops once a step is within
+    4e-16 q, tested before the bracket, because a converged step can land
+    on the bracket's end.  It takes 6 tail evaluations at d = 16, p = 1,
+    and a median of 9 (at most 13) over 300 random configs up to d = 1e5.
+    It is hand-rolled rather than ``scipy.optimize``, because importing
+    ``scipy.optimize`` after ``scipy.special`` costs 0.15-0.30 s (2-core x86
+    host, scipy 1.17), which every ``lowerbound`` and ``quantile-table``
+    call would pay at start-up.
     """
     k = _checked_k(k, pi.d, least=3)
     if not 0 < eps < 1:
@@ -513,7 +528,20 @@ def projection_quantile(pi: SphericalMeasure, k: int, eps: float, *, n: int = 0)
             f"overflows at d = {pi.d}, p = {pi.profile.p:g}"
         )
     if k < pi.d:
-        q = _falling_root(lambda s: projection_tail(pi, k, s) - target, 0.0, q)
+        law, lo, hi, log_target = _SphericalNormLaw(pi, k), 0.0, q, math.log(target)
+        while hi - lo > 4e-16 * hi:
+            tail, slope = law.tail_slope(q)
+            if tail > 0.0 and slope < 0.0:
+                step = (math.log(tail) - log_target) * tail / slope
+                if abs(step) <= 4e-16 * q:
+                    break
+            else:
+                step = math.nan
+            if tail > target:
+                lo = q
+            else:
+                hi = q
+            q = q - step if lo < q - step < hi else 0.5 * (lo + hi)
     return QuantileEstimate(r=math.hypot(1.0, q), ball_radius=q)
 
 

@@ -367,17 +367,20 @@ n = 1000
         assert main(["validate", "--config", cfg, "--seed", "1", "--out", str(tmp_path)]) == 2
         assert "unknown configuration key 'rk_n'" in capsys.readouterr().err
 
-    def test_k_above_d_reads_the_same_in_every_subcommand(self, tmp_path, capsys):
-        data = "d = 4\nR = 50\ndelta = 0.02\neps = 0.05\nk = 5\n"
-        errs = []
-        for sub, text in (("lowerbound", data + "n = 1000\n"),
-                          ("validate", data + "n_points = 100\n"),
-                          ("quantile-table", "d_list = 4\nk = 5\n")):
-            cfg = write_cfg(tmp_path / f"{sub}.cfg", text)
-            assert main([sub, "--config", cfg, "--out", str(tmp_path / sub)]) == 2
-            errs.append(capsys.readouterr().err)
-        assert errs[0] == errs[1] == errs[2]
-        assert "k = 5" in errs[0] and "d = 4" in errs[0]
+    @pytest.mark.parametrize("sub, text, keys", [
+        ("lowerbound", "d = 4\nR = 50\ndelta = 0.02\neps = 0.05\nk = 5\n",
+         "key 'k' = 5 exceeds key 'd' = 4"),
+        ("validate", "d = 2\nR = 50\ndelta = 0.02\neps = 0.05\nn_points = 100\n",
+         "key 'k' = 3 exceeds key 'd' = 2"),
+        ("quantile-table", "d_list = 30,2\n",
+         "key 'k' = 3 exceeds d = 2 in key 'd_list' (cells q_d2, r_d2)"),
+    ], ids=["lowerbound", "validate", "quantile-table"])
+    def test_k_above_d_names_its_keys(self, tmp_path, capsys, sub, text, keys):
+        cfg = write_cfg(tmp_path / f"{sub}.cfg", text)
+        assert main([sub, "--config", cfg, "--out", str(tmp_path / sub)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and keys in err
+        assert not (tmp_path / sub / f"{sub}.csv").exists()
 
     @pytest.mark.parametrize("case", ["config-not-utf8", "config-is-directory", "out-is-file"])
     def test_path_errors_exit_2(self, tmp_path, case):

@@ -651,7 +651,46 @@ class TestValidateDataSpec:
         assert not by_name["furthest-mode-distance"].passed
 
 
+def counted_tail_evaluations(fn):
+    """fn()'s result and the number of tail evaluations it made, counted on
+    the evaluator that :func:`projection_quantile` reads."""
+    real, calls = measures._SphericalNormLaw.tail_slope, []
+
+    def counted(law, q):
+        calls.append(q)
+        return real(law, q)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures._SphericalNormLaw, "tail_slope", counted)
+        out = fn()
+    return out, len(calls)
+
+
+# r_k at a = 0.6, k = 3, eps = 0.05 from the regula-falsi (Illinois) search the
+# Newton search replaced: the benchmark's d = 16 and larger d, and the golden
+# lowerbound config at d = 8
+BRACKETED_R_K = {
+    (16, 1.0): 22.21980008598252,
+    (16, 2.0): 2.964850137372852,
+    (256, 1.0): 82.04160779430974,
+    (1024, 2.0): 2.9648501373729004,
+    (100_000, 1.0): 1611.4782670338398,
+    (8, 1.0): 16.803408069232074,
+}
+
+
 class TestProjectionQuantile:
+    @pytest.mark.parametrize("d, p", list(BRACKETED_R_K))
+    def test_root_within_4_ulp_of_the_bracketed_search(self, d, p):
+        want = BRACKETED_R_K[d, p]
+        r = projection_quantile(SphericalMeasure(d, RadialProfile.power_tail(0.6, p)), 3, 0.05).r
+        assert abs(r - want) <= 4 * math.ulp(want)
+
+    def test_evaluations_at_the_benchmark_config(self):
+        pi = SphericalMeasure(16, RadialProfile.power_tail(0.6, 1.0))
+        _, calls = counted_tail_evaluations(lambda: projection_quantile(pi, 3, 0.05))
+        assert calls <= 8
+
     @pytest.mark.parametrize("d", [3, 4, 16, 300, 100_000])
     def test_gaussian_closed_form(self, d):
         # for N(0, I/mu), q^2 * mu is the chi2(3) quantile at 1 - eps/2, in every d
@@ -684,8 +723,9 @@ class TestProjectionQuantile:
     @pytest.mark.parametrize("p", [0.1, 1.0, 2.0])
     def test_finite_and_monotone_at_large_d(self, p):
         pi = SphericalMeasure(100_000, RadialProfile.power_tail(1.0, p))
-        q = projection_quantile(pi, 3, 0.05).ball_radius
-        assert math.isfinite(q) and q > 0
+        est, calls = counted_tail_evaluations(lambda: projection_quantile(pi, 3, 0.05))
+        q = est.ball_radius
+        assert math.isfinite(q) and q > 0 and calls <= 16
         tails = [projection_tail(pi, 3, q * f) for f in np.linspace(0.5, 1.5, 41)]
         assert all(math.isfinite(t) and 0.0 <= t <= 1.0 for t in tails)
         assert all(a >= b for a, b in zip(tails, tails[1:]))
@@ -756,6 +796,31 @@ class TestProjectionTail:
         pi = SphericalMeasure(d, RadialProfile.quadratic(mu / 2.0))
         for q in np.geomspace(1e-3, 200.0, 60):
             assert abs(projection_tail(pi, k, q) - chi2.sf(mu * q * q, k)) <= 2e-14, q
+
+    @pytest.mark.parametrize("d, p, q, tail_max", [
+        (4, 2.0, 1.0, 1.0),  # d - k = 1: the Beta density diverges at B = 1
+        (5, 1.0, 7.5, 1.0),
+        (16, 1.0, 12.0, 1.0),
+        (16, 1.0, 620.0, 1e-250),
+        (300, 1.4, 7.5, 1.0),
+        (100_000, 0.5, 3.5e8, 1.0),
+        (4, 0.01, 4e263, 1.0),  # past sqrt(DBL_MAX), where q^2 overflows
+    ])
+    def test_slope_is_the_tails_central_difference(self, d, p, q, tail_max):
+        pi = SphericalMeasure(d, RadialProfile.power_tail(1.0, p))
+        tail, slope = measures._SphericalNormLaw(pi, 3).tail_slope(q)
+        h = 1e-6 * q
+        diff = (projection_tail(pi, 3, q + h) - projection_tail(pi, 3, q - h)) / (2.0 * h)
+        assert 0.0 < tail < tail_max
+        assert slope < 0.0 and math.isfinite(slope)
+        assert abs(slope / diff - 1.0) <= 1e-6
+
+    @pytest.mark.parametrize("k, d", [(3, 4), (3, 16), (7, 300), (3, 100_000)])
+    def test_slope_evaluator_reads_the_tail_bit_for_bit(self, k, d):
+        pi = SphericalMeasure(d, RadialProfile.power_tail(0.8, 1.3))
+        law = measures._SphericalNormLaw(pi, k)
+        for q in (0.0, 0.3, 2.0, 9.0, 60.0, 1e4):
+            assert law.tail_slope(q)[0] == projection_tail(pi, k, q), q
 
     def test_ends(self):
         pi = SphericalMeasure(16, RadialProfile.power_tail(1.0, 1.0))
