@@ -1,12 +1,12 @@
 """Forward noising diffusions: exact OU transitions and tempered Langevin paths.
 
-Both process families expose ``drift(x)`` and the diagonal of the dispersion
-matrix a = sigma sigma^T on point batches, plus ``sample_endpoints`` for
-drawing time-t marginals.  OU marginals are exact in distribution; tempered
-Langevin paths use Euler-Maruyama.  The tempered drift and noise read only
-|x|, so its Euler-Maruyama chain is run, exactly in law, on two scalars per
-path (the coordinate along x0 and the distance from that axis) and the d
-coordinates are rebuilt once at the end: a step costs O(n) whatever d.
+Both families are radial, b(x) = c(|x|) x and sigma(x) = s(|x|) I, and state
+c and s once, as ``drift_coefficient(r)`` and ``noise_scale(r)``: the
+admissibility probes and the tempered Euler-Maruyama step read a process only
+through them.  ``sample_endpoints`` draws time-t marginals, exact for OU.  As
+c and s read only |x|, the tempered chain is run, exactly in law, on two
+scalars per path (the coordinate along x0 and the distance from that axis) and
+the d coordinates are rebuilt once at the end: a step costs O(n) whatever d.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .bounds import SubspaceProjector, _dispersion_terms
+from .bounds import SubspaceProjector, _frame, _radius
 from .errors import DivergenceError, DomainError, StructuralError
 from .measures import CheckResult, RadialProfile, SphericalMeasure
 from .rng import Seed, substream
@@ -54,12 +54,16 @@ class OUProcess:
             raise StructuralError("dimension d must be a positive integer")
         object.__setattr__(self, "d", int(self.d))
 
+    def drift_coefficient(self, r):
+        """c(r) = -mu at every radius: the drift at x is c(|x|) x."""
+        return np.full(np.shape(r), -self.mu)
+
+    def noise_scale(self, r):
+        """s(r) = sqrt(2) at every radius: the dispersion at x is s(|x|) I."""
+        return np.full(np.shape(r), math.sqrt(2.0))
+
     def drift(self, x):
         return -self.mu * np.asarray(x, dtype=float)
-
-    def dispersion_diag(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return np.full(x.shape, 2.0)
 
     def invariant_measure(self) -> SphericalMeasure:
         return SphericalMeasure(self.d, RadialProfile.quadratic(self.mu / 2.0))
@@ -115,37 +119,27 @@ class TemperedLangevin:
         """h^(2 ell - 1) (h - 2 ell) H'(r), the inward drift at radius r read at level h."""
         return h ** (2.0 * self.ell - 1.0) * (h - 2.0 * self.ell) * self.profile.deriv(r)
 
-    def radial_drift(self, r):
-        """Signed drift magnitude along x/|x| at radius r > 0 (floored)."""
-        r = np.asarray(r, dtype=float)
-        return -self._drift_magnitude(np.maximum(self.profile.value(r), H_FLOOR), r)
-
-    def _drift_coefficient(self, r):
-        """radial_drift(r) / r, and 0 at r = 0: the drift at x is this times x."""
+    def drift_coefficient(self, r):
+        """c(r) = -Hf^(2 ell - 1) (Hf - 2 ell) H'(r) / r on an array of radii; 0 at r = 0."""
         out = np.zeros_like(r)
         nz = r > 0
-        out[nz] = self.radial_drift(r[nz]) / r[nz]
+        h = np.maximum(self.profile.value(r[nz]), H_FLOOR)
+        out[nz] = -self._drift_magnitude(h, r[nz]) / r[nz]
         return out
 
-    def _noise_scale(self, r):
-        """sqrt(2) H(r)^ell, unfloored; vanishes at r = 0 when ell > 0."""
+    def noise_scale(self, r):
+        """s(r) = sqrt(2) H(r)^ell, unfloored; vanishes at r = 0 when ell > 0."""
         return math.sqrt(2.0) * self.profile.value(r) ** self.ell
 
     def drift(self, x):
         x = np.asarray(x, dtype=float)
         pts = np.atleast_2d(x)
-        out = self._drift_coefficient(np.linalg.norm(pts, axis=1))[:, None] * pts
+        out = self.drift_coefficient(_radius(pts))[:, None] * pts
         return out[0] if x.ndim == 1 else out
 
     def dispersion_scalar(self, x):
-        """sqrt(2) H(|x|)^ell, unfloored; vanishes at the origin when ell > 0."""
-        pts = np.atleast_2d(np.asarray(x, dtype=float))
-        return self._noise_scale(np.linalg.norm(pts, axis=1))
-
-    def dispersion_diag(self, x):
-        s = self.dispersion_scalar(x)
-        pts = np.atleast_2d(np.asarray(x, dtype=float))
-        return np.repeat((s * s)[:, None], pts.shape[1], axis=1)
+        """noise_scale(|x|) per row of a point batch."""
+        return self.noise_scale(_radius(x))
 
     def invariant_measure(self) -> SphericalMeasure:
         return SphericalMeasure(self.d, self.profile)
@@ -163,7 +157,7 @@ class TemperedLangevin:
         """Euler-Maruyama endpoints of n independent paths from x0, shape (n, d).
 
         One step of the d-dimensional chain is X' = g X + s xi with
-        g = 1 + (radial_drift(r) / r) dt, s = sqrt(2) H(r)^ell sqrt(dt),
+        g = 1 + drift_coefficient(r) dt, s = noise_scale(r) sqrt(dt),
         r = |X| and xi ~ N(0, I_d).  The chain is run, exactly in law, on two
         scalars per path: A = <X, e1> with e1 = x0/|x0| (the first axis when
         x0 = 0) and W = |X - A e1|.  Split xi into its part zeta1 along e1,
@@ -204,8 +198,8 @@ class TemperedLangevin:
         r = np.full(n, r0)
         t = 0.0
         for i, dt in enumerate(self._steps(T, cfg.step)):
-            g = 1.0 + self._drift_coefficient(r) * dt
-            s = self._noise_scale(r) * math.sqrt(dt)
+            g = 1.0 + self.drift_coefficient(r) * dt
+            s = self.noise_scale(r) * math.sqrt(dt)
             z = rng.standard_normal((min(d, 2), n))
             a = g * a + s * z[0]
             if d > 1:
@@ -233,20 +227,17 @@ class TemperedLangevin:
 def check_linear_growth(process, mu: float, x) -> CheckResult:
     """Bound the radial drift |<b(x), x/|x|>| / (mu |x|) over an (n, d) point batch.
 
-    For the radial drifts b = c(|x|) x of both library processes this is
-    |b(x)| / (mu |x|), formed without squaring b.  Points with |x| < 1e-12
-    are skipped, and a batch with none left raises ``DomainError``; the
-    largest ratio passes at most 1 + 1e-9.  The probe checks only the
-    points it is given (``validate`` passes an N(0, scale^2 I) sample).
+    With b(x) = c(|x|) x this is |c(|x|)| / mu.  Points with |x| < 1e-12 are
+    skipped, and a batch with none left raises ``DomainError``; the largest
+    ratio passes at most 1 + 1e-9.  The probe checks only the points it is
+    given (``validate`` passes an N(0, scale^2 I) sample).
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    r = np.linalg.norm(x, axis=1)
-    keep = r >= 1e-12
-    if not keep.any():
+    r = _radius(x)
+    r = r[r >= 1e-12]
+    if not r.size:
         raise DomainError("every probe point lies within 1e-12 of the origin")
-    x, r = x[keep], r[keep]
-    radial = np.abs(np.sum(process.drift(x) * (x / r[:, None]), axis=1))
-    return CheckResult("linear-growth", float(np.max(radial / (mu * r))), 1.0 + 1e-9, "<=")
+    return CheckResult("linear-growth", float(np.max(np.abs(process.drift_coefficient(r)))) / mu,
+                       1.0 + 1e-9, "<=")
 
 
 def check_drift_condition(tl: TemperedLangevin, mu: float, r_max: float) -> CheckResult:
@@ -269,12 +260,15 @@ def check_drift_condition(tl: TemperedLangevin, mu: float, r_max: float) -> Chec
 def check_dispersion_balance(process, proj: SubspaceProjector, x) -> CheckResult:
     """Check sum_j <a y_j, y_j> >= 3 <a G_hat, G_hat> at an (n, d) point batch.
 
-    G_hat = G/sqrt(1+|G|^2) from :meth:`SubspaceProjector.bounded`, with G
-    the projection onto the span of the projector's k >= 3 orthonormal
-    rows.  Violations are measured relative to |lhs| + |rhs|; the largest
-    passes at most 1e-9.
+    G_hat = H G, with G the projection on the projector's k >= 3 rows.  With
+    a(x) = s(|x|)^2 I the sides are s^2 k and 3 s^2 (H|G|)^2, and H|G| < 1, so
+    the inequality holds wherever s(r)^2 is finite: the row catches a noise
+    scale that is not (inf - inf reads NaN, which fails).  Violations are
+    relative to |lhs| + |rhs|; the largest passes at most 1e-9.
     """
-    _, _, rhs, lhs = _dispersion_terms(process, proj, x)
+    r, _, hg = _frame(proj, x)
+    s = process.noise_scale(r)
+    lhs, rhs = s * s * proj.k, 3.0 * s * s * hg * hg
     viol = (rhs - lhs) / np.maximum(np.abs(lhs) + np.abs(rhs), 1e-300)
     return CheckResult("dispersion-balance", float(np.max(viol)), 1e-9, "<=")
 

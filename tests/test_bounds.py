@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,8 +21,10 @@ from mixlab import (
     TemperedLangevin,
     apply_generator,
     check_compatibility,
+    check_dispersion_balance,
     check_generator_bound,
     check_growth_envelope,
+    check_linear_growth,
     gaussian_kl,
     mixing_horizons,
     ou_tv_upper_bound,
@@ -30,7 +33,7 @@ from mixlab import (
     tv_lower_bound,
 )
 from mixlab import measures
-from mixlab.bounds import _h
+from mixlab.bounds import _frame, _h
 from mixlab.measures import _checked_basis
 from mixlab.rng import substream
 from tests.test_measures import reference_sample
@@ -38,12 +41,16 @@ from tests.test_stats import gaussian_projection_mass
 
 
 def fd_generator(process, proj, x, h_rel=1e-4):
-    """Centered-difference oracle for <b, grad H> + 0.5 Tr(a Hess H)."""
+    """Centered-difference oracle for <b, grad H> + 0.5 Tr(a Hess H).
+
+    Reads the drift b(x) in d coordinates and a = noise_scale(|x|)^2, the
+    isotropic dispersion, so it shares no algebra with the radial closed form.
+    """
     x = np.asarray(x, dtype=float)
     d = x.size
     h = h_rel * (1.0 + np.linalg.norm(x))
     b = np.atleast_2d(process.drift(x[None, :]))[0]
-    adiag = np.asarray(process.dispersion_diag(x[None, :]))[0]
+    a = float(process.noise_scale(np.array([np.linalg.norm(x)]))[0]) ** 2
     hx = float(proj.lyapunov(x[None, :])[0])
     val = 0.0
     for i in range(d):
@@ -52,7 +59,7 @@ def fd_generator(process, proj, x, h_rel=1e-4):
         hp = float(proj.lyapunov((x + e)[None, :])[0])
         hm = float(proj.lyapunov((x - e)[None, :])[0])
         val += b[i] * (hp - hm) / (2 * h)
-        val += 0.5 * adiag[i] * (hp - 2 * hx + hm) / (h * h)
+        val += 0.5 * a * (hp - 2 * hx + hm) / (h * h)
     return val
 
 
@@ -218,20 +225,13 @@ class TestSubspaceProjector:
         x[0, 4] = 100.0  # orthogonal to the span: no effect
         assert proj.lyapunov(x)[0] == pytest.approx(1.0 / math.sqrt(5.0), rel=1e-14)
 
-    def test_bounded_matches_h_and_hg(self):
+    def test_frame_matches_radius_h_and_hg(self):
         proj = SubspaceProjector.containing_direction(np.ones(6), 3)
         x = 3.0 * np.random.default_rng(4).standard_normal((50, 6))
-        h, ghat = proj.bounded(x)
+        r, h, hg = _frame(proj, x)
+        np.testing.assert_allclose(r, np.linalg.norm(x, axis=1), rtol=1e-15)
         np.testing.assert_allclose(h, proj.lyapunov(x), rtol=1e-14)
-        np.testing.assert_allclose(ghat, h[:, None] * (proj.coeffs(x) @ proj.basis),
-                                   rtol=1e-13, atol=1e-15)
-
-    def test_bounded_stays_finite_where_g_squared_overflows(self):
-        proj = SubspaceProjector(np.eye(4)[:3])
-        x = np.array([[3e200, -4e200, 0.0, 1.0]])
-        h, ghat = proj.bounded(x)
-        assert h[0] == pytest.approx(2e-201, rel=1e-14)
-        np.testing.assert_allclose(ghat[0], [0.6, -0.8, 0.0, 0.0], rtol=1e-14)
+        np.testing.assert_allclose(hg, h * np.linalg.norm(proj.coeffs(x), axis=1), rtol=1e-14)
 
     def test_containing_direction(self):
         rng = np.random.default_rng(3)
@@ -275,6 +275,15 @@ class TestGenerator:
         expected = mu * h**3 * gsq + h**3 * (3 * h * h * gsq - k)
         np.testing.assert_allclose(apply_generator(ou, proj, x), expected, rtol=1e-12)
 
+    def test_far_point_stays_finite(self):
+        # |x|^2 and |G|^2 pass the float range; the frame reads H = 2e-201 and
+        # H|G| -> 1, so A H = mu H (H|G|)^2 + H^3 (3 (H|G|)^2 - k) is mu H
+        ou = OUProcess(1.3, 4)
+        proj = SubspaceProjector(np.eye(4)[:3])
+        value = apply_generator(ou, proj, np.array([3e200, -4e200, 0.0, 1.0]))
+        assert math.isfinite(value)
+        assert value == pytest.approx(1.3 * 2e-201, rel=1e-14)
+
     def test_finite_difference_match(self):
         d = 8
         proj = SubspaceProjector.containing_direction(np.ones(d), 3)
@@ -301,19 +310,45 @@ class TestGenerator:
         assert check_generator_bound(tl, proj, 1.0, x).passed
 
         class DoubledOU:
-            def __init__(self, mu, d):
-                self.mu, self.d = mu, d
+            """OU's noise with twice its inward pull, c = -2 mu."""
 
-            def drift(self, x):
-                return -2.0 * self.mu * np.asarray(x, dtype=float)
+            def __init__(self, mu):
+                self.mu = mu
 
-            def dispersion_diag(self, x):
-                return np.full(np.atleast_2d(x).shape, 2.0)
+            def drift_coefficient(self, r):
+                return np.full(np.shape(r), -2.0 * self.mu)
 
-        rep = check_generator_bound(DoubledOU(1.0, d), proj, 1.0,
+            def noise_scale(self, r):
+                return np.full(np.shape(r), math.sqrt(2.0))
+
+        rep = check_generator_bound(DoubledOU(1.0), proj, 1.0,
                                     50.0 * substream(2).standard_normal((5000, d)))
         assert not rep.passed
         assert rep.value > 0
+
+
+@pytest.mark.parametrize("probe", ["linear-growth", "dispersion-balance", "generator-bound"])
+@pytest.mark.parametrize("process", ["ou", "tempered"])
+def test_probe_peak_allocation_stays_below_its_batch(probe, process):
+    # a radial process is read through |x| and the k coefficients of G, so a
+    # probe builds no (n, d) array of its own
+    d = 64
+    proc = (OUProcess(1.0, d) if process == "ou"
+            else TemperedLangevin(RadialProfile.power_tail(0.6, 1.0), 0.4, d))
+    proj = SubspaceProjector.containing_direction(np.eye(d)[0], 3)
+    x = 400.0 * substream(3).standard_normal((2000, d))
+    run = {
+        "linear-growth": lambda: check_linear_growth(proc, 1.0, x),
+        "dispersion-balance": lambda: check_dispersion_balance(proc, proj, x),
+        "generator-bound": lambda: check_generator_bound(proc, proj, 1.0, x),
+    }[probe]
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * x.nbytes
 
 
 def oracle_lower_bound(pi, rho0, proj, rate, r, t, n, seed):

@@ -152,6 +152,14 @@ n_points = 1000
         cfg = write_cfg(tmp_path / "c.cfg", "p = 1\n")
         assert main(["classify", "--config", cfg, "--out", str(tmp_path)]) == 4
 
+    @pytest.mark.parametrize("bins", ["1", "100000000000"])
+    def test_cutoff_bins_out_of_range_exits_2(self, tmp_path, capsys, bins):
+        # 1 bin, or more bins than samples (a 745 GiB edge array), is refused before any draw
+        cfg = write_cfg(tmp_path / "c.cfg", CUTOFF_CFG + f"bins = {bins}\n")
+        assert main(["cutoff", "--config", cfg, "--seed", "1", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "key 'bins'" in err and "Traceback" not in err
+
     def test_non_finite_value_exits_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "c.cfg", "d = 16\nR = inf\ndelta = 0.02\neps = 0.05\n")
         assert main(["cutoff", "--config", cfg, "--out", str(tmp_path)]) == 2

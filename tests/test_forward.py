@@ -21,7 +21,7 @@ from mixlab import (
     classify_ergodicity,
     empirical_tv_1d,
 )
-from mixlab.bounds import SubspaceProjector
+from mixlab.bounds import SubspaceProjector, _radius
 from mixlab.forward import DIVERGENCE_RADIUS
 from mixlab.rng import substream
 
@@ -95,15 +95,26 @@ class TestTemperedLangevinCoefficients:
         tl1 = TemperedLangevin(RadialProfile.power_tail(1.0, 1.0), 1.0, 2)
         assert tl1.dispersion_scalar(np.array([[2.0, 0.0]]))[0] == pytest.approx(2 * math.sqrt(2))
         assert tl1.dispersion_scalar(np.zeros((1, 2)))[0] == 0.0
-        np.testing.assert_allclose(
-            tl1.dispersion_diag(np.array([[2.0, 0.0]])), np.full((1, 2), 8.0)
-        )
+
+
+@pytest.mark.parametrize("proc", [
+    OUProcess(1.3, 6),
+    TemperedLangevin(RadialProfile.power_tail(0.6, 1.0), 0.4, 6),
+], ids=["ou", "tempered"])
+def test_point_readers_are_built_on_the_radial_coefficients(proc):
+    # b(x) = c(|x|) x and sigma(x) = s(|x|) I, bit for bit, at the radius the probes read
+    x = 20.0 * substream(4).standard_normal((500, 6))
+    x[0] = 0.0
+    r = _radius(x)
+    assert np.array_equal(proc.drift(x), proc.drift_coefficient(r)[:, None] * x)
+    if isinstance(proc, TemperedLangevin):
+        assert np.array_equal(proc.dispersion_scalar(x), proc.noise_scale(r))
 
 
 class NaNDriftLangevin(TemperedLangevin):
     """A process whose drift evaluates to NaN everywhere."""
 
-    def radial_drift(self, r):
+    def drift_coefficient(self, r):
         return np.full(np.shape(r), np.nan)
 
 
@@ -331,28 +342,22 @@ class TestDispersionBalance:
         rep = check_dispersion_balance(tl, proj, 5.0 * substream(0).standard_normal((5000, 6)))
         assert rep.passed
 
-    def test_unbalanced_diagonal_fails(self):
-        # one unbounded diagonal entry with y1 along that axis
+    def test_non_finite_noise_scale_fails(self):
+        # with a = s^2 I the balance holds wherever s^2 is finite, so what the
+        # row can catch is a noise scale that is not
         d = 6
-        big = 1e6
-
-        def adiag(x):
-            out = np.ones((x.shape[0], d))
-            out[:, -1] = big
-            return out
-
-        e_last = np.zeros(d)
-        e_last[-1] = 1.0
-        proj = SubspaceProjector.containing_direction(e_last, 3)
-        rep = check_dispersion_balance(SimpleNamespace(dispersion_diag=adiag), proj,
-                                       5.0 * substream(1).standard_normal((5000, d)))
+        stub = SimpleNamespace(noise_scale=lambda r: np.where(r > 10.0, np.inf, 1.0))
+        proj = SubspaceProjector.containing_direction(np.ones(d), 3)
+        with np.errstate(invalid="ignore"):
+            rep = check_dispersion_balance(stub, proj,
+                                           5.0 * substream(1).standard_normal((5000, d)))
         assert not rep.passed
 
     def test_identity_full_dimension(self):
         d = 4
         rep = check_dispersion_balance(
-            SimpleNamespace(dispersion_diag=lambda x: np.ones((x.shape[0], d))),
-            SubspaceProjector(np.eye(d)), 3.0 * substream(2).standard_normal((2000, d))
+            OUProcess(1.0, d), SubspaceProjector(np.eye(d)),
+            3.0 * substream(2).standard_normal((2000, d))
         )
         assert rep.passed
 
@@ -360,9 +365,8 @@ class TestDispersionBalance:
         d = 5
         bad = np.eye(d)[:3] * 1.01
         with pytest.raises(StructuralError):
-            check_dispersion_balance(
-                SimpleNamespace(dispersion_diag=lambda x: np.ones((x.shape[0], d))),
-                SubspaceProjector(bad), substream(0).standard_normal((100, d)))
+            check_dispersion_balance(OUProcess(1.0, d), SubspaceProjector(bad),
+                                     substream(0).standard_normal((100, d)))
 
 
 class TestClassifyErgodicity:
