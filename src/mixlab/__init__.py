@@ -24,6 +24,7 @@ from .bounds import (
     gaussian_kl,
     mixing_horizons,
     ou_tv_upper_bound,
+    probe_grid,
     tv_lower_bound,
 )
 from .errors import ConfigError, DivergenceError, DomainError, StructuralError

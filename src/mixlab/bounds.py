@@ -21,6 +21,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammainccinv, gammaincinv
 
 from .errors import DomainError, StructuralError
 from .measures import (
@@ -167,11 +168,6 @@ class ConcaveRate:
         return self._walk(1.0 / r, t, up=False)
 
 
-def _h(c) -> np.ndarray:
-    """H = (1 + |c|^2)^{-1/2} from the coefficients c of G on the projector's basis."""
-    return 1.0 / np.sqrt(1.0 + (c * c).sum(axis=-1))
-
-
 @dataclass(frozen=True)
 class SubspaceProjector:
     """Orthogonal projection onto k >= 3 orthonormal directions, with the
@@ -222,8 +218,9 @@ class SubspaceProjector:
         return np.asarray(x, dtype=float) @ self.basis.T
 
     def lyapunov(self, x) -> np.ndarray:
-        """H(x) = (1 + |G(x)|^2)^{-1/2}; equals 1 at the origin."""
-        return _h(self.coeffs(x))
+        """H(x) = (1 + |G(x)|^2)^{-1/2}; equals 1 at the origin.  Formed from
+        |G| by hypot, as the probes form it, so it stays positive at far points."""
+        return _h_and_hg(np.hypot.reduce(self.coeffs(x), axis=-1))[0]
 
 
 def _radius(x) -> np.ndarray:
@@ -234,20 +231,42 @@ def _radius(x) -> np.ndarray:
 
 
 def _frame(proj: SubspaceProjector, x):
-    """(|x|, H, H|G|) for an (n, d) batch, all that the radial probes read of a
-    point.  H and H|G| come from the k coefficients of G by hypot, so no
-    |G|^2 is formed and both stay finite at far points."""
-    g = np.hypot.reduce(proj.coeffs(np.atleast_2d(x)), axis=1)
+    """(|x|, |G|) for an (n, d) batch, all that the radial probes read of a
+    point.  |G| comes from the k coefficients of G by hypot, so no |G|^2 is
+    formed."""
+    return _radius(x), np.hypot.reduce(proj.coeffs(np.atleast_2d(x)), axis=1)
+
+
+def _h_and_hg(g):
+    """(H, H|G|) from |G| by hypot, so both stay finite where |G|^2 would not."""
     h = 1.0 / np.hypot(1.0, g)
-    return _radius(x), h, h * g
+    return h, h * g
 
 
-def _generator(process, proj: SubspaceProjector, x):
-    """(H, A H) on an (n, d) batch; see :func:`apply_generator`."""
-    r, h, hg = _frame(proj, x)
+def probe_grid(scale: float, d: int, k: int):
+    """The fixed (|x|, |G|) grid on which ``validate`` and ``lowerbound`` probe
+    a radial process in place of a sample of N(0, scale^2 I_d).
+
+    r is 64 geometric radii between the scale * chi_d quantiles at 1e-9 and
+    1 - 1e-9, where that law puts all but 2e-9 of its mass, returned as a
+    (64, 1) column so a process's coefficients are read once per radius.
+    |G| = r t with t in {0} and 64 geometric ratios over [1e-9, 1], since
+    0 <= |G| <= |x|; the ratios are log-spaced because the excess of a
+    tempered generator can peak at |G| far below |x|.  At k = d, |G| = |x|.
+    Nothing is drawn and nothing grows with d.
+    """
+    k = _checked_k(k, d, least=3)
+    ends = np.sqrt(2.0 * np.array([gammaincinv(0.5 * d, 1e-9), gammainccinv(0.5 * d, 1e-9)]))
+    r = scale * np.geomspace(*ends, 64)[:, None]
+    t = np.ones(1) if k == d else np.concatenate(([0.0], np.geomspace(1e-9, 1.0, 64)))
+    return r, r * t
+
+
+def _generator(process, k: int, r, g):
+    """(H, A H) at radii r and projection norms g; see :func:`apply_generator`."""
+    h, hg = _h_and_hg(g)
     s, hg2 = process.noise_scale(r), hg * hg
-    return h, h * (0.5 * s * s * h * h * (3.0 * hg2 - proj.k)
-                   - process.drift_coefficient(r) * hg2)
+    return h, h * (0.5 * s * s * h * h * (3.0 * hg2 - k) - process.drift_coefficient(r) * hg2)
 
 
 def apply_generator(process, proj: SubspaceProjector, x):
@@ -260,17 +279,19 @@ def apply_generator(process, proj: SubspaceProjector, x):
         A H(x) = <b(x), grad H(x)> + 0.5 * Tr(a(x) Hess H(x))
                = -c H^3 |G|^2 + 0.5 s^2 H^3 (3 H^2 |G|^2 - k),
 
-    formed from H and H|G| so that it stays finite at far points.
+    a function of (|x|, |G|) alone, formed from H and H|G| so that it stays
+    finite at far points.
     """
     x = np.asarray(x, dtype=float)
-    out = _generator(process, proj, x)[1]
+    out = _generator(process, proj.k, *_frame(proj, x))[1]
     return float(out[0]) if x.ndim == 1 else out
 
 
-def check_generator_bound(process, proj: SubspaceProjector, mu: float, x) -> CheckResult:
-    """Check A H - mu*H at an (n, d) point batch, with H from the same frame
-    as A H; the largest excess passes at most 1e-9."""
-    h, ah = _generator(process, proj, x)
+def check_generator_bound(process, k: int, mu: float, r, g) -> CheckResult:
+    """Check A H - mu*H at radii r and projection norms g (broadcast together,
+    as :func:`probe_grid` returns them), with H from the same |G| as A H; the
+    largest excess passes at most 1e-9."""
+    h, ah = _generator(process, k, r, g)
     return CheckResult("generator-bound", float(np.max(ah - mu * h)), 1e-9, "<=")
 
 

@@ -9,6 +9,7 @@ the unit index, so results are identical for every thread count.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -20,6 +21,7 @@ from .bounds import (
     check_generator_bound,
     mixing_horizons,
     ou_tv_upper_bound,
+    probe_grid,
     tv_lower_bound,
 )
 from .errors import ConfigError, DomainError
@@ -40,7 +42,7 @@ from .measures import (
     projection_quantile,
     validate_data_spec,
 )
-from .rng import Seed, derive, parallel_map, substream
+from .rng import Seed, derive, parallel_map
 from .stats import coordinate_ks, projected_tv_vs_gaussian, sweep_coordinates
 
 
@@ -168,6 +170,21 @@ def _level_r_k(cfg: dict, pi: SphericalMeasure) -> float:
     return r_k or projection_quantile(pi, cfg["k"], cfg["eps"]).r
 
 
+@contextmanager
+def _probes_within_float_range(cfg: dict):
+    """Turn an overflow or NaN in the process probes into a ``ConfigError``
+    naming the process keys: a probe that overflows would report inf or nan
+    as its measured value."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise ConfigError(
+            f"the process probes leave the float range ({exc}) at ell = {cfg['ell']:g}, "
+            f"profile_p = {cfg['profile_p']:g}, R = {cfg['R']:g}"
+        ) from exc
+
+
 def run_lowerbound(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
     """TV lower-bound terms over a time grid that contains the bound horizon t_lower.
 
@@ -181,7 +198,9 @@ def run_lowerbound(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
 
     Run-end checks: from data, the bound at t_lower reaches the floor
     (b - eps)/2 and no OU row exceeds its upper bound; from pi, no row is
-    positive, since a stationary start is at TV 0."""
+    positive, since a stationary start is at TV 0.  A tempered process then
+    checks the premise the bound rests on, A H <= mu H, on
+    :func:`probe_grid` (R, d, k); OU meets it by construction."""
     proc, pi = _build_process(cfg)
     mu, d, k, eps = cfg["mu"], cfg["d"], cfg["k"], cfg["eps"]
     R = cfg["R"]
@@ -218,6 +237,9 @@ def run_lowerbound(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
         if uppers:
             checks.append(CheckResult("bound-ordering", max(
                 rep.total - uppers[rep.t] for rep in reps if rep.t in uppers), 0.0, "<="))
+    if isinstance(proc, TemperedLangevin):
+        with _probes_within_float_range(cfg):
+            checks.append(check_generator_bound(proc, k, mu, *probe_grid(R, d, k)))
     return ExperimentResult(
         columns=["t", "total", "total_se", "pi_term", "rho_tail", "integral", "threshold",
                  "r_k", "t_lower", "floor", "tv_upper"],
@@ -312,33 +334,28 @@ def run_ks_sweep(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
 
 
 def run_validate(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
-    """Run every applicable admissibility check with measured margins."""
+    """Run every applicable admissibility check with measured margins.
+
+    The three process probes read a radial process only at (|x|, |G|), so
+    they run on :func:`probe_grid` (envelope_scale or R, d, k): nothing is
+    drawn, and neither the seed nor ``n_points`` (accepted and ignored) enters.
+    """
     proc, pi = _build_process(cfg)
     mu, d, k = cfg["mu"], cfg["d"], cfg["k"]
     spec = build_data_spec(cfg)
     scale = cfg["envelope_scale"] or spec.R
     checks = [replace(c, name=f"data/{c.name}") for c in validate_data_spec(spec)]
-    proj = SubspaceProjector.containing_direction(spec.mode_direction, k)
-    try:
-        # a probe that overflows would report inf or nan as its measured value
-        with np.errstate(over="raise", invalid="raise"):
-            if isinstance(proc, TemperedLangevin):
-                checks.append(check_drift_condition(proc, mu,
-                                                    r_max=cfg["r_max"] or 10.0 * spec.R))
-            # one envelope sample N(0, scale^2 I), read by all three process probes
-            x = scale * substream(derive(seed, 9)).standard_normal((cfg["n_points"], d))
-            try:
-                checks.append(check_linear_growth(proc, mu, x))
-            except DomainError as exc:
-                raise ConfigError(f"envelope_scale = {scale:g} is too small for the process "
-                                  f"probes: {exc}") from exc
-            checks += [check_dispersion_balance(proc, proj, x),
-                       check_generator_bound(proc, proj, mu, x)]
-    except FloatingPointError as exc:
-        raise ConfigError(
-            f"the process probes leave the float range ({exc}) at ell = {cfg['ell']:g}, "
-            f"profile_p = {cfg['profile_p']:g}, R = {cfg['R']:g}"
-        ) from exc
+    r, g = probe_grid(scale, d, k)
+    with _probes_within_float_range(cfg):
+        if isinstance(proc, TemperedLangevin):
+            checks.append(check_drift_condition(proc, mu, r_max=cfg["r_max"] or 10.0 * spec.R))
+        try:
+            checks.append(check_linear_growth(proc, mu, r))
+        except DomainError as exc:
+            raise ConfigError(f"envelope_scale = {scale:g} is too small for the process "
+                              f"probes: {exc}") from exc
+        checks += [check_dispersion_balance(proc, k, r, g),
+                   check_generator_bound(proc, k, mu, r, g)]
     beta = cfg["beta"]
     if beta > 0:
         checks += [replace(c, name=f"bridge/{c.name}") for c in

@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .bounds import SubspaceProjector, _frame, _radius
+from .bounds import _h_and_hg, _radius
 from .errors import DivergenceError, DomainError, StructuralError
 from .measures import CheckResult, RadialProfile, SphericalMeasure
 from .rng import Seed, substream
@@ -224,18 +224,18 @@ class TemperedLangevin:
         return pts
 
 
-def check_linear_growth(process, mu: float, x) -> CheckResult:
-    """Bound the radial drift |<b(x), x/|x|>| / (mu |x|) over an (n, d) point batch.
+def check_linear_growth(process, mu: float, r) -> CheckResult:
+    """Bound the radial drift |<b(x), x/|x|>| / (mu |x|) over the radii r.
 
-    With b(x) = c(|x|) x this is |c(|x|)| / mu.  Points with |x| < 1e-12 are
-    skipped, and a batch with none left raises ``DomainError``; the largest
-    ratio passes at most 1 + 1e-9.  The probe checks only the points it is
-    given (``validate`` passes an N(0, scale^2 I) sample).
+    With b(x) = c(|x|) x this is |c(r)| / mu.  Radii below 1e-12 are
+    skipped, and none left raises ``DomainError``; the largest ratio passes
+    at most 1 + 1e-9.  The probe checks only the radii it is given
+    (``validate`` passes those of :func:`probe_grid`).
     """
-    r = _radius(x)
+    r = np.asarray(r, dtype=float)
     r = r[r >= 1e-12]
     if not r.size:
-        raise DomainError("every probe point lies within 1e-12 of the origin")
+        raise DomainError("every probe radius lies within 1e-12 of the origin")
     return CheckResult("linear-growth", float(np.max(np.abs(process.drift_coefficient(r)))) / mu,
                        1.0 + 1e-9, "<=")
 
@@ -257,18 +257,19 @@ def check_drift_condition(tl: TemperedLangevin, mu: float, r_max: float) -> Chec
     return CheckResult("drift-condition", max_excess, 0.0, "<=")
 
 
-def check_dispersion_balance(process, proj: SubspaceProjector, x) -> CheckResult:
-    """Check sum_j <a y_j, y_j> >= 3 <a G_hat, G_hat> at an (n, d) point batch.
+def check_dispersion_balance(process, k: int, r, g) -> CheckResult:
+    """Check sum_j <a y_j, y_j> >= 3 <a G_hat, G_hat> at radii r and projection
+    norms g (broadcast together, as :func:`probe_grid` returns them).
 
-    G_hat = H G, with G the projection on the projector's k >= 3 rows.  With
+    G_hat = H G, with G the projection on k >= 3 orthonormal rows.  With
     a(x) = s(|x|)^2 I the sides are s^2 k and 3 s^2 (H|G|)^2, and H|G| < 1, so
     the inequality holds wherever s(r)^2 is finite: the row catches a noise
     scale that is not (inf - inf reads NaN, which fails).  Violations are
     relative to |lhs| + |rhs|; the largest passes at most 1e-9.
     """
-    r, _, hg = _frame(proj, x)
+    hg = _h_and_hg(g)[1]
     s = process.noise_scale(r)
-    lhs, rhs = s * s * proj.k, 3.0 * s * s * hg * hg
+    lhs, rhs = s * s * k, 3.0 * s * s * hg * hg
     viol = (rhs - lhs) / np.maximum(np.abs(lhs) + np.abs(rhs), 1e-300)
     return CheckResult("dispersion-balance", float(np.max(viol)), 1e-9, "<=")
 

@@ -28,12 +28,13 @@ from mixlab import (
     gaussian_kl,
     mixing_horizons,
     ou_tv_upper_bound,
+    probe_grid,
     projection_quantile,
     projection_tail,
     tv_lower_bound,
 )
 from mixlab import measures
-from mixlab.bounds import _frame, _h
+from mixlab.bounds import _frame, _h_and_hg
 from mixlab.measures import _checked_basis
 from mixlab.rng import substream
 from tests.test_measures import reference_sample
@@ -225,13 +226,17 @@ class TestSubspaceProjector:
         x[0, 4] = 100.0  # orthogonal to the span: no effect
         assert proj.lyapunov(x)[0] == pytest.approx(1.0 / math.sqrt(5.0), rel=1e-14)
 
-    def test_frame_matches_radius_h_and_hg(self):
+    def test_frame_matches_radius_and_projection_norm(self):
         proj = SubspaceProjector.containing_direction(np.ones(6), 3)
         x = 3.0 * np.random.default_rng(4).standard_normal((50, 6))
-        r, h, hg = _frame(proj, x)
+        r, g = _frame(proj, x)
         np.testing.assert_allclose(r, np.linalg.norm(x, axis=1), rtol=1e-15)
-        np.testing.assert_allclose(h, proj.lyapunov(x), rtol=1e-14)
-        np.testing.assert_allclose(hg, h * np.linalg.norm(proj.coeffs(x), axis=1), rtol=1e-14)
+        np.testing.assert_allclose(g, np.linalg.norm(proj.coeffs(x), axis=1), rtol=1e-14)
+        h, hg = _h_and_hg(g)
+        # the probes and the envelope check read one H
+        assert np.array_equal(h, proj.lyapunov(x))
+        np.testing.assert_allclose(h, 1.0 / np.sqrt(1.0 + g * g), rtol=1e-14)
+        np.testing.assert_allclose(hg, h * g, rtol=1e-15)
 
     def test_containing_direction(self):
         rng = np.random.default_rng(3)
@@ -300,14 +305,11 @@ class TestGenerator:
                 assert abs(a - f) <= 1e-4 * max(abs(a), 1e-12)
 
     def test_generator_bound_pass_and_fail(self):
-        d = 16
-        proj = SubspaceProjector.containing_direction(np.eye(d)[0], 3)
-        ou = OUProcess(1.0, d)
-        x = 50.0 * substream(0).standard_normal((5000, d))
-        assert check_generator_bound(ou, proj, 1.0, x).passed
+        d, k = 16, 3
+        grid = probe_grid(50.0, d, k)
+        assert check_generator_bound(OUProcess(1.0, d), k, 1.0, *grid).passed
         tl = TemperedLangevin(RadialProfile.power_tail(0.6, 1.0), 0.4, d)
-        x = 50.0 * substream(1).standard_normal((5000, d))
-        assert check_generator_bound(tl, proj, 1.0, x).passed
+        assert check_generator_bound(tl, k, 1.0, *grid).passed
 
         class DoubledOU:
             """OU's noise with twice its inward pull, c = -2 mu."""
@@ -321,8 +323,7 @@ class TestGenerator:
             def noise_scale(self, r):
                 return np.full(np.shape(r), math.sqrt(2.0))
 
-        rep = check_generator_bound(DoubledOU(1.0), proj, 1.0,
-                                    50.0 * substream(2).standard_normal((5000, d)))
+        rep = check_generator_bound(DoubledOU(1.0), k, 1.0, *grid)
         assert not rep.passed
         assert rep.value > 0
 
@@ -330,17 +331,17 @@ class TestGenerator:
 @pytest.mark.parametrize("probe", ["linear-growth", "dispersion-balance", "generator-bound"])
 @pytest.mark.parametrize("process", ["ou", "tempered"])
 def test_probe_peak_allocation_stays_below_its_batch(probe, process):
-    # a radial process is read through |x| and the k coefficients of G, so a
-    # probe builds no (n, d) array of its own
+    # a radial process is read through |x| and the k coefficients of G, so
+    # reading a point batch into the frame and probing it builds no (n, d) array
     d = 64
     proc = (OUProcess(1.0, d) if process == "ou"
             else TemperedLangevin(RadialProfile.power_tail(0.6, 1.0), 0.4, d))
     proj = SubspaceProjector.containing_direction(np.eye(d)[0], 3)
     x = 400.0 * substream(3).standard_normal((2000, d))
     run = {
-        "linear-growth": lambda: check_linear_growth(proc, 1.0, x),
-        "dispersion-balance": lambda: check_dispersion_balance(proc, proj, x),
-        "generator-bound": lambda: check_generator_bound(proc, proj, 1.0, x),
+        "linear-growth": lambda: check_linear_growth(proc, 1.0, _frame(proj, x)[0]),
+        "dispersion-balance": lambda: check_dispersion_balance(proc, 3, *_frame(proj, x)),
+        "generator-bound": lambda: check_generator_bound(proc, 3, 1.0, *_frame(proj, x)),
     }[probe]
     tracemalloc.start()
     try:
@@ -349,6 +350,51 @@ def test_probe_peak_allocation_stays_below_its_batch(probe, process):
     finally:
         tracemalloc.stop()
     assert peak < 1.25 * x.nbytes
+
+
+# tempered processes (profile_a, profile_p, ell) probed at d = 16, R = 5000: the
+# first three break A H <= mu H, the last only the sufficient drift condition
+PREMISE_CASES = [(1.0, 1.0, 1.0), (1.0, 2.0, 0.5), (0.25, 1.5, 0.25), (1.0, 0.5, 0.0)]
+
+
+class TestProbeGrid:
+    def test_radii_span_the_scaled_chi_quantiles(self):
+        from scipy.stats import chi
+
+        for d, k in [(3, 3), (16, 3), (1024, 5), (100_000, 3)]:
+            r, g = probe_grid(7.0, d, k)
+            assert r.shape == (64, 1)
+            np.testing.assert_allclose(r[[0, -1], 0] / 7.0,
+                                       [chi.ppf(1e-9, d), chi.isf(1e-9, d)], rtol=1e-9)
+            np.testing.assert_allclose(np.diff(np.log(r[:, 0])), math.log(r[1, 0] / r[0, 0]),
+                                       rtol=1e-9)
+            if k == d:
+                assert g.shape == (64, 1) and np.array_equal(g, r)
+            else:
+                assert g.shape == (64, 65)
+                t = g[0] / r[0, 0]
+                assert t[0] == 0.0 and t[-1] == 1.0
+                np.testing.assert_allclose(t[1:], np.geomspace(1e-9, 1.0, 64), rtol=1e-14)
+                assert np.all(g <= r)
+
+    def test_rows_must_fit_the_dimension(self):
+        for k in (2, 9):
+            with pytest.raises(StructuralError):
+                probe_grid(1.0, 8, k)
+
+    @pytest.mark.parametrize("a, p, ell", PREMISE_CASES)
+    def test_grid_maximum_matches_a_dense_search(self, a, p, ell):
+        # 2000 radii by 2001 ratios over the same region, searched in blocks of
+        # 100 radii so no block holds more than 1.6 MB
+        d, k, scale = 16, 3, 5000.0
+        tl = TemperedLangevin(RadialProfile.power_tail(a, p), ell, d)
+        r, _ = probe_grid(scale, d, k)
+        radii = np.geomspace(r[0, 0], r[-1, 0], 2000)[:, None]
+        t = np.concatenate(([0.0], np.geomspace(1e-9, 1.0, 2000)))
+        dense = max(check_generator_bound(tl, k, 1.0, rb, rb * t).value
+                    for rb in np.split(radii, 20))
+        value = check_generator_bound(tl, k, 1.0, *probe_grid(scale, d, k)).value
+        assert abs(value - dense) <= 0.03 * abs(dense), (value, dense)
 
 
 def oracle_lower_bound(pi, rho0, proj, rate, r, t, n, seed):
@@ -547,7 +593,7 @@ class TestTVLowerBound:
         # reads every term from them, as the start-law terms once were computed
         pi, rho0, proj, r, times = bound_case(*case)
         n = 1_000_000
-        h = _h(rho0.sample_coefficients(n, proj.basis, 17))
+        h = _h_and_hg(np.hypot.reduce(rho0.sample_coefficients(n, proj.basis, 17), axis=1))[0]
         for rep in tv_lower_bound(pi, rho0, proj, self.rate, r, times):
             tail = h >= rep.threshold
             integ = np.where(tail, 0.0, r * self.rate.grow(h, rep.t))
@@ -620,6 +666,16 @@ class TestGrowthEnvelope:
         x[0] = R
         rep = check_growth_envelope(ou, proj, LinearRate(1.0), x, 1.0, 100_000, 1)
         assert rep.bound == pytest.approx(math.e * rep.start_value, rel=1e-12)
+        assert rep.passed
+
+    def test_ou_start_past_the_square_range(self):
+        # |x0|^2 passes the float range; the start level H(x0) = 2e-201 stays positive
+        ou = OUProcess(1.0, 4)
+        proj = SubspaceProjector(np.eye(4)[:3])
+        x = np.array([3e200, -4e200, 0.0, 1.0])
+        rep = check_growth_envelope(ou, proj, LinearRate(1.0), x, 0.5, 1000, 3)
+        assert rep.start_value == pytest.approx(2e-201, rel=1e-14)
+        assert rep.bound == pytest.approx(math.exp(0.5) * 2e-201, rel=1e-12)
         assert rep.passed
 
     def test_tempered_with_integrator(self):

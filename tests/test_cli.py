@@ -209,6 +209,37 @@ envelope_scale = 1e-20
         assert main(["validate", "--config", cfg, "--seed", "1", "--out", str(tmp_path)]) == 2
         assert "envelope_scale" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sub", ["validate", "lowerbound"])
+    def test_failed_generator_premise_exits_3(self, tmp_path, capsys, sub):
+        # a = 1, p = 1, ell = 1 breaks A H <= mu H by 1198.85 on the probe grid
+        cfg = write_cfg(tmp_path / f"{sub}.cfg", "process = tempered\nprofile_a = 1\n"
+                        "profile_p = 1\nell = 1\nd = 16\nR = 5000\ndelta = 0.02\neps = 0.05\n")
+        assert main([sub, "--config", cfg, "--seed", "1", "--out", str(tmp_path)]) == 3
+        assert "FAIL generator-bound: value = 1198.8493" in capsys.readouterr().out
+
+    def test_lowerbound_premise_that_overflows_exits_2(self, tmp_path):
+        # the premise check shares validate's float-range guard
+        cfg = write_cfg(tmp_path / "l.cfg", "process = tempered\nd = 8\nR = 100\n"
+                        "delta = 0.02\neps = 0.05\nell = 40\nprofile_p = 2\n")
+        code, text = run_cli(["lowerbound", "--config", cfg, "--out", str(tmp_path)],
+                             warnings_as_errors=True)
+        assert code == 2
+        assert "ell = 40" in text and "profile_p = 2" in text and "R = 100" in text
+        assert "Traceback" not in text and "Warning" not in text
+        assert not (tmp_path / "lowerbound.csv").exists()
+
+    def test_validate_body_reads_neither_seed_nor_n_points(self, tmp_path):
+        bodies = []
+        for seed, n_points in (("1", 100), ("2", 100_000)):
+            out = tmp_path / seed
+            cfg = write_cfg(tmp_path / f"v{seed}.cfg", "process = tempered\nprofile_a = 0.6\n"
+                            f"ell = 0.4\nd = 16\nR = 400\ndelta = 0.02\neps = 0.05\n"
+                            f"n_points = {n_points}\n")
+            assert main(["validate", "--config", cfg, "--seed", seed, "--out", str(out)]) == 0
+            lines = (out / "validate.csv").read_text().splitlines()
+            bodies.append([line for line in lines if not line.startswith("#")])
+        assert bodies[0] == bodies[1]
+
     def test_lowerbound_r_k_too_large(self, tmp_path):
         cfg = write_cfg(tmp_path / "l.cfg", """
 process = ou

@@ -22,6 +22,7 @@ from mixlab.experiments import (
     run_ks_sweep,
     run_lowerbound,
     run_quantile_table,
+    run_validate,
 )
 from mixlab.stats import projected_tv_vs_gaussian
 
@@ -239,7 +240,7 @@ class TestLowerboundExactTerms:
     @pytest.mark.parametrize("extra, names", [
         ({}, ["lower-bound-at-horizon", "bound-ordering"]),
         ({"process": "tempered", "R": "400", "profile_a": "0.6", "ell": "0.4"},
-         ["lower-bound-at-horizon"]),
+         ["lower-bound-at-horizon", "generator-bound"]),
         ({"rho0": "pi"}, ["stationary-sanity"]),
     ], ids=["ou", "tempered", "stationary"])
     def test_run_end_checks_pass(self, extra, names):
@@ -283,3 +284,65 @@ class TestLowerboundExactTerms:
         for row in res.rows[1:]:
             alone, = ou_tv_upper_bound(cfg["mu"], spec, [row["t"]])
             assert row["tv_upper"] == alone
+
+
+def tempered_cfg(sub, **extra):
+    """The benchmark's tempered process (a = 0.6, p = 1, ell = 0.4) at d = 16, R = 400."""
+    return resolve_config(sub, {"process": "tempered", "d": "16", "R": "400", "delta": "0.02",
+                                "eps": "0.05", "profile_a": "0.6", "profile_p": "1",
+                                "ell": "0.4", **extra})
+
+
+def probe_values(res):
+    return {c.name: (c.passed, c.value) for c in res.checks}
+
+
+class TestProcessProbeGrid:
+    """validate's process probes and lowerbound's premise check read probe_grid."""
+
+    def test_benchmark_process_passes_every_probe(self):
+        checks = probe_values(run_validate(tempered_cfg("validate"), 1))
+        assert all(passed for passed, _ in checks.values()), checks
+        assert checks["linear-growth"][1] == pytest.approx(0.126411, rel=1e-5)
+        assert checks["generator-bound"][1] == pytest.approx(-2.64999e-4, rel=1e-5)
+
+    def test_grid_reaches_where_the_drift_turns_superlinear(self):
+        # the drift points outward for |x| < 4/3 and |b|/(mu |x|) passes 1 below
+        # |x| ~ 0.43; at d = 3 the grid reaches r = 0.078
+        cfg = tempered_cfg("validate", d="3", R="50")
+        passed, value = probe_values(run_validate(cfg, 1))["linear-growth"]
+        assert not passed and value == pytest.approx(10.73, rel=1e-3)
+
+    def test_drift_condition_is_not_the_premise(self):
+        # a = 1, p = 0.5, ell = 0 fails the sufficient drift condition but meets
+        # A H <= mu H, so lowerbound passes
+        extra = {"R": "5000", "profile_a": "1", "profile_p": "0.5", "ell": "0"}
+        checks = probe_values(run_validate(tempered_cfg("validate", **extra), 1))
+        assert not checks["drift-condition"][0]
+        assert checks["generator-bound"] == (True, pytest.approx(-2.3e-5, rel=0.01))
+        res = run_lowerbound(tempered_cfg("lowerbound", **extra), 1)
+        assert res.passed and res.checks[-1].name == "generator-bound"
+
+    def test_lowerbound_fails_where_its_premise_does(self):
+        # the bound's total at t_lower is the same for every process; the grid
+        # sees the generator excess that the bound rests on
+        extra = {"R": "5000", "profile_a": "1", "profile_p": "1", "ell": "1"}
+        res = run_lowerbound(tempered_cfg("lowerbound", **extra), 1)
+        assert [c.name for c in res.checks] == ["lower-bound-at-horizon", "generator-bound"]
+        assert res.checks[0].passed and not res.passed
+        assert res.checks[1].value == pytest.approx(1198.85, rel=1e-5)
+        assert probe_values(run_validate(tempered_cfg("validate", **extra), 1))[
+            "generator-bound"] == (False, res.checks[1].value)
+
+    def test_validate_memory_does_not_grow_with_dimension(self):
+        # the grid holds 64 x 65 values whatever d is; 1e4 points in R^d take 8 GB
+        cfg = resolve_config("validate", {"d": "100000", "R": "50", "delta": "0.02",
+                                          "eps": "0.05", "n_points": "100"})
+        tracemalloc.start()
+        try:
+            res = run_validate(cfg, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+        assert probe_values(res)["generator-bound"][0]

@@ -20,8 +20,9 @@ from mixlab import (
     check_linear_growth,
     classify_ergodicity,
     empirical_tv_1d,
+    probe_grid,
 )
-from mixlab.bounds import SubspaceProjector, _radius
+from mixlab.bounds import SubspaceProjector, _frame, _radius
 from mixlab.forward import DIVERGENCE_RADIUS
 from mixlab.rng import substream
 
@@ -291,26 +292,28 @@ class TestEulerMaruyama:
 class TestLinearGrowthCheck:
     def test_ou_equality(self):
         ou = OUProcess(1.3, 5)
-        rep = check_linear_growth(ou, 1.3, 10.0 * substream(0).standard_normal((20_000, 5)))
+        rep = check_linear_growth(ou, 1.3, probe_grid(10.0, 5, 3)[0])
         assert rep.passed
         # equality case: ratio is 1 up to dot-product rounding
         assert abs(rep.value - 1.0) <= 1e-9
 
     def test_wrong_mu_fails(self):
         ou = OUProcess(1.0, 5)
-        rep = check_linear_growth(ou, 0.5, 10.0 * substream(0).standard_normal((20_000, 5)))
+        rep = check_linear_growth(ou, 0.5, probe_grid(10.0, 5, 3)[0])
         assert not rep.passed
         assert rep.value == pytest.approx(2.0, rel=1e-9)
 
     def test_compliant_tempered(self):
         tl = TemperedLangevin(RadialProfile.power_tail(0.6, 1.0), 0.4, 16)
-        rep = check_linear_growth(tl, 1.0, 50.0 * substream(1).standard_normal((20_000, 16)))
+        rep = check_linear_growth(tl, 1.0, probe_grid(50.0, 16, 3)[0])
         assert rep.passed
 
-    def test_batch_at_the_origin_raises(self):
-        # no point is left once |x| < 1e-12 is skipped, so nothing was checked
+    def test_radii_at_the_origin_raise(self):
+        # no radius is left once |x| < 1e-12 is skipped, so nothing was checked
         with pytest.raises(DomainError):
-            check_linear_growth(OUProcess(1.0, 3), 1.0, np.zeros((4, 3)))
+            check_linear_growth(OUProcess(1.0, 3), 1.0, np.zeros(4))
+        with pytest.raises(DomainError):
+            check_linear_growth(OUProcess(1.0, 3), 1.0, probe_grid(1e-20, 8, 3)[0])
 
 
 class TestDriftCondition:
@@ -338,35 +341,31 @@ class TestDriftCondition:
 class TestDispersionBalance:
     def test_scalar_dispersion_passes(self):
         tl = TemperedLangevin(RadialProfile.power_tail(1.0, 1.0), 0.5, 6)
-        proj = SubspaceProjector.containing_direction(np.ones(6), 3)
-        rep = check_dispersion_balance(tl, proj, 5.0 * substream(0).standard_normal((5000, 6)))
+        rep = check_dispersion_balance(tl, 3, *probe_grid(5.0, 6, 3))
         assert rep.passed
 
     def test_non_finite_noise_scale_fails(self):
         # with a = s^2 I the balance holds wherever s^2 is finite, so what the
         # row can catch is a noise scale that is not
-        d = 6
         stub = SimpleNamespace(noise_scale=lambda r: np.where(r > 10.0, np.inf, 1.0))
-        proj = SubspaceProjector.containing_direction(np.ones(d), 3)
+        r, g = probe_grid(5.0, 6, 3)
+        assert r.max() > 10.0
         with np.errstate(invalid="ignore"):
-            rep = check_dispersion_balance(stub, proj,
-                                           5.0 * substream(1).standard_normal((5000, d)))
+            rep = check_dispersion_balance(stub, 3, r, g)
         assert not rep.passed
 
     def test_identity_full_dimension(self):
         d = 4
-        rep = check_dispersion_balance(
-            OUProcess(1.0, d), SubspaceProjector(np.eye(d)),
-            3.0 * substream(2).standard_normal((2000, d))
-        )
+        rep = check_dispersion_balance(OUProcess(1.0, d), d, *probe_grid(3.0, d, d))
         assert rep.passed
 
     def test_requires_orthonormal_basis(self):
         d = 5
         bad = np.eye(d)[:3] * 1.01
         with pytest.raises(StructuralError):
-            check_dispersion_balance(OUProcess(1.0, d), SubspaceProjector(bad),
-                                     substream(0).standard_normal((100, d)))
+            check_dispersion_balance(OUProcess(1.0, d), 3,
+                                     *_frame(SubspaceProjector(bad),
+                                             substream(0).standard_normal((100, d))))
 
 
 class TestClassifyErgodicity:

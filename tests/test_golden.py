@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from mixlab import OUProcess, SubspaceProjector, check_dispersion_balance, check_generator_bound
+from mixlab.bounds import _frame
 from mixlab.cli import format_number, main
 from mixlab.rng import substream
 
@@ -38,7 +39,7 @@ GOLDEN = {
     "validate": (
         "process = ou\nd = 8\nR = 50\ndelta = 0.02\neps = 0.05\n"
         "b_rho = 0.5\nn_points = 2000\nbeta = 0.5\n",
-        "b62b4d8608521f35f299573a278ed882c38bdf45a6b86d8b2e7c2132c6d19fc5",
+        "d9866c1a29df9016fbe7b41308eac97b7133d392c53be909605bee63a9159768",
     ),
 }
 
@@ -67,11 +68,11 @@ def test_stationary_ks_sweep_body_hash(tmp_path):
 
 
 def test_validate_bytes_move_only_with_the_shared_sample():
-    # validate's dispersion-balance and generator-bound rows once read their own
-    # draws, 50 N(0, I_8) on (1111, 10) and (1111, 11); on those points the probes
-    # still print the values of that golden body, so only the sample moved
+    # validate's process probes once read one envelope sample, 50 N(0, I_8) on
+    # (1111, 9); read through the frame (|x|, |G|), the grid probes print that
+    # golden body's values on it, so only the points the probes read moved
     ou = OUProcess(1.0, 8)
     proj = SubspaceProjector.containing_direction(np.eye(8)[0], 3)
-    x10, x11 = (50.0 * substream((1111, j)).standard_normal((2000, 8)) for j in (10, 11))
-    assert format_number(check_dispersion_balance(ou, proj, x10).value) == "-1.12011917e-05"
-    assert format_number(check_generator_bound(ou, proj, 1.0, x11).value) == "-1.04205663e-07"
+    r, g = _frame(proj, 50.0 * substream((1111, 9)).standard_normal((2000, 8)))
+    assert format_number(check_dispersion_balance(ou, 3, r, g).value) == "-1.00794799e-05"
+    assert format_number(check_generator_bound(ou, 3, 1.0, r, g).value) == "-9.05152745e-08"

@@ -109,8 +109,8 @@ def test_tracer_sees_the_admissibility_probes(tmp_path):
         assert names.count(probe) == 1, probe
     # the tail mass is closed form for the data law validate builds
     assert names.count("measures.MultiModalData.sample") == 0
-    # one envelope sample, read by all three process probes
-    assert names.count("rng.substream") == 1
+    # the process probes read a fixed grid, so validate draws nothing
+    assert names.count("rng.substream") == 0
 
 
 def test_cutoff_draws_its_start_projections_once(tmp_path):
