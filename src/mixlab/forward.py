@@ -69,14 +69,21 @@ class OUProcess:
         return SphericalMeasure(self.d, RadialProfile.quadratic(self.mu / 2.0))
 
     def evolve(self, points, T: float, seed: Seed) -> np.ndarray:
-        """Exact time-T marginal per row: e^{-mu T} x + sqrt((1-e^{-2 mu T})/mu) Z."""
+        """Exact time-T marginal per row: e^{-mu T} x + sqrt((1-e^{-2 mu T})/mu) Z.
+
+        At T = 0 this is a copy of the points, and nothing is drawn.
+        """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if T < 0:
             raise DomainError("horizon T must be nonnegative")
+        if T == 0:
+            return pts.copy()
         decay = math.exp(-self.mu * T)
         scale = math.sqrt((1.0 - math.exp(-2.0 * (self.mu * T))) / self.mu)
-        rng = substream(seed)
-        return decay * pts + scale * rng.standard_normal(pts.shape)
+        z = substream(seed).standard_normal(pts.shape)
+        z *= scale
+        z += decay * pts
+        return z
 
     def sample_endpoints(self, x0, T: float, n: int, seed: Seed,
                          cfg: IntegratorConfig | None = None) -> np.ndarray:
@@ -121,11 +128,11 @@ class TemperedLangevin:
 
     def drift_coefficient(self, r):
         """c(r) = -Hf^(2 ell - 1) (Hf - 2 ell) H'(r) / r on an array of radii; 0 at r = 0."""
-        out = np.zeros_like(r)
-        nz = r > 0
-        h = np.maximum(self.profile.value(r[nz]), H_FLOOR)
-        out[nz] = -self._drift_magnitude(h, r[nz]) / r[nz]
-        return out
+        # every radius is evaluated: at a finite r > 0 nothing divides by zero or
+        # turns invalid, and what r = 0 makes of H'(0) / 0 is discarded
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = -self._drift_magnitude(np.maximum(self.profile.value(r), H_FLOOR), r) / r
+        return np.where(r > 0, c, 0.0)
 
     def noise_scale(self, r):
         """s(r) = sqrt(2) H(r)^ell, unfloored; vanishes at r = 0 when ell > 0."""
@@ -174,7 +181,8 @@ class TemperedLangevin:
 
         A path that leaves the radius ``DIVERGENCE_RADIUS`` or turns NaN
         raises ``DivergenceError`` with the step, the grid time it reached
-        and the largest radius there.
+        and the largest radius there; overflow in a step reaches that guard
+        as inf or NaN rather than as a numpy warning.
         """
         if cfg is None:
             raise StructuralError("tempered Langevin sampling needs an IntegratorConfig")
@@ -194,26 +202,42 @@ class TemperedLangevin:
             e1[0] = 1.0
         rng = substream(seed)
         a = np.full(n, r0)
-        w = np.zeros(n)  # stays 0 when d = 1; signed when d = 2, where only |W| matters
+        w = np.zeros(n)  # |X - A e1|; stays 0 when d = 1
         r = np.full(n, r0)
+        z = np.empty((min(d, 2), n))
         t = 0.0
-        for i, dt in enumerate(self._steps(T, cfg.step)):
-            g = 1.0 + self.drift_coefficient(r) * dt
-            s = self.noise_scale(r) * math.sqrt(dt)
-            z = rng.standard_normal((min(d, 2), n))
-            a = g * a + s * z[0]
-            if d > 1:
-                w = g * w + s * z[1]
-            if d > 2:
-                w = np.sqrt(w * w + s * s * rng.chisquare(d - 2, n))
-            r = np.hypot(a, w)
-            t += dt
-            r_max = float(np.max(r, initial=0.0))
-            if not r_max <= DIVERGENCE_RADIUS:  # also catches NaN
-                raise DivergenceError(
-                    f"path diverged (|x| > {DIVERGENCE_RADIUS:.0e} or NaN) at step {i}, "
-                    f"t = {t:.6g}, largest |x| = {r_max:.6g}", i, t, r_max
-                )
+        # overflow and NaN are left to reach the divergence guard
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, dt in enumerate(self._steps(T, cfg.step)):
+                g = self.drift_coefficient(r)
+                g *= dt
+                g += 1.0
+                s = self.noise_scale(r)
+                s *= math.sqrt(dt)
+                rng.standard_normal(out=z)
+                z *= s
+                a *= g
+                a += z[0]
+                if d > 1:
+                    w *= g
+                    w += z[1]
+                w *= w  # W^2 from here to the square root
+                if d > 2:
+                    s *= s
+                    s *= rng.chisquare(d - 2, n)
+                    w += s
+                r = a * a
+                r += w
+                np.sqrt(r, out=r)
+                np.sqrt(w, out=w)
+                t += dt
+                if not float(np.max(r, initial=0.0)) <= DIVERGENCE_RADIUS:  # also catches NaN
+                    # A^2 overflows from |A| ~ 1e154 on, where hypot still reads the radius
+                    r_max = float(np.max(np.hypot(a, w), initial=0.0))
+                    raise DivergenceError(
+                        f"path diverged (|x| > {DIVERGENCE_RADIUS:.0e} or NaN) at step {i}, "
+                        f"t = {t:.6g}, largest |x| = {r_max:.6g}", i, t, r_max
+                    )
         if d == 1:
             return a[:, None] * e1
         # X_T = A e1 + W v, with v uniform on the unit sphere orthogonal to e1

@@ -2,10 +2,11 @@
 
 Every stochastic operation in the package takes a ``seed`` that is either a
 master seed (int) or a tuple ``(master, *path)`` naming a derived substream.
-Substreams are built on the counter-based Philox generator keyed through
-``SeedSequence(entropy=master, spawn_key=path)``, so streams with distinct
-paths are statistically independent and the derivation never depends on
-execution order or worker count.
+Substreams are numpy's default PCG64 generator seeded with
+``SeedSequence(entropy=master, spawn_key=path)``, numpy's documented way to
+build independent streams: streams with distinct paths are statistically
+independent and the derivation never depends on execution order or worker
+count.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ _R = TypeVar("_R")
 
 
 def substream(seed: Seed) -> np.random.Generator:
-    """Return the Philox generator for a master seed or a (master, *path) tuple."""
+    """Return the PCG64 generator for a master seed or a (master, *path) tuple."""
     if isinstance(seed, (tuple, list)):
         if len(seed) == 0:
             raise ValueError("empty seed tuple")
@@ -30,7 +31,7 @@ def substream(seed: Seed) -> np.random.Generator:
     else:
         master, path = int(seed), ()
     ss = np.random.SeedSequence(entropy=master, spawn_key=path)
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.PCG64(ss))
 
 
 def derive(seed: Seed, *path: int) -> tuple[int, ...]:

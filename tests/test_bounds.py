@@ -688,6 +688,16 @@ class TestGrowthEnvelope:
                                     cfg=IntegratorConfig(0.005))
         assert rep.passed
 
+    def test_tempered_report_repeats_for_a_seed(self):
+        d = 16
+        tl = TemperedLangevin(RadialProfile.power_tail(0.6, 1.0), 0.4, d)
+        proj = SubspaceProjector.containing_direction(np.eye(d)[0], 3)
+        x = np.zeros(d)
+        x[0] = 5.0
+        first, second = (check_growth_envelope(tl, proj, LinearRate(1.0), x, 0.5, 2000, (7, 1, 3),
+                                               cfg=IntegratorConfig(0.01)) for _ in range(2))
+        assert first == second
+
 
 class TestGaussianKL:
     def test_identical_is_zero(self):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,17 +23,25 @@ from mixlab import (
     empirical_tv_1d,
     probe_grid,
 )
+from mixlab import forward
 from mixlab.bounds import SubspaceProjector, _frame, _radius
-from mixlab.forward import DIVERGENCE_RADIUS
+from mixlab.forward import DIVERGENCE_RADIUS, H_FLOOR
 from mixlab.rng import substream
 
 
 class TestOUTransitions:
-    def test_zero_horizon(self):
+    def test_zero_horizon(self, monkeypatch):
+        def no_draws(seed):
+            raise AssertionError("OU drew random numbers at T = 0")
+
         ou = OUProcess(1.0, 3)
         x0 = np.array([1.0, -2.0, 0.5])
+        y = substream(1).standard_normal((20, 3))
+        monkeypatch.setattr(forward, "substream", no_draws)
         pts = ou.sample_endpoints(x0, 0.0, 50, 0)
         assert np.array_equal(pts, np.tile(x0, (50, 1)))
+        out = ou.evolve(y, 0.0, 5)
+        assert np.array_equal(out, y) and out is not y
 
     def test_stationary_limit(self):
         ou = OUProcess(1.0, 4)
@@ -83,6 +92,20 @@ class TestTemperedLangevinCoefficients:
     def test_drift_at_origin(self):
         tl = TemperedLangevin(RadialProfile.power_tail(1.0, 0.5), 0.3, 3)
         assert np.array_equal(tl.drift(np.zeros(3)), np.zeros(3))
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("ell", [0.0, 0.4, 0.75])
+    def test_drift_coefficient_is_the_formula_on_positive_radii(self, p, ell):
+        # every radius is evaluated and r = 0 is set to 0 afterwards: at r > 0 the
+        # values are, bit for bit, those of the formula on the positive radii alone
+        tl = TemperedLangevin(RadialProfile.power_tail(0.6, p), ell, 4)
+        r = np.concatenate([[0.0, 1e-300], np.geomspace(1e-3, 1e3, 61), [0.0]])
+        nz = r > 0
+        with np.errstate(over="ignore"):  # at p = 0.5, H'(1e-300) / 1e-300 passes the float range
+            c = tl.drift_coefficient(r)
+            ref = -tl._drift_magnitude(np.maximum(tl.profile.value(r[nz]), H_FLOOR), r[nz]) / r[nz]
+        assert np.array_equal(c[nz], ref)
+        assert np.array_equal(c[~nz], np.zeros(2))
 
     def test_exponential_profile_unit_drift(self):
         # H(r) = r, ell = 0: coefficient H^(-1) * H * H' = 1, so b = -x/|x|
@@ -210,6 +233,25 @@ class TestEulerMaruyama:
         assert exc.radius > DIVERGENCE_RADIUS
         assert f"t = {exc.time:.6g}" in str(exc)
         assert f"largest |x| = {exc.radius:.6g}" in str(exc)
+
+    @pytest.mark.parametrize("d", [2, 16])
+    @pytest.mark.parametrize("ell", [4.0, 7.0])
+    def test_overflow_reaches_the_divergence_guard(self, d, ell):
+        # from |x0| = 1e11 the first step of h = 0.5 overflows A^2 (ell = 4) or
+        # the drift factor itself (ell = 7): no RuntimeWarning escapes, and the
+        # guard stops at step 0 with the radius hypot(A, W) reads
+        tl = TemperedLangevin(RadialProfile.quadratic(2.0), ell, d)
+        x0 = np.zeros(d)
+        x0[0] = 1e11
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as err:
+                tl.sample_endpoints(x0, 5.0, 4, 8, IntegratorConfig(0.5))
+        assert err.value.step_index == 0
+        assert err.value.time == 0.5
+        if ell == 4.0:
+            # |g| |x0| = 0.5 * 4 (2e22)^8 * 1e11
+            assert "largest |x| = 5.12e+189" in str(err.value)
 
     def test_nan_state_is_divergence(self):
         # NaN compares false against the divergence radius; the guard must

@@ -15,12 +15,11 @@ import pytest
 from mixlab import OUProcess, SubspaceProjector, check_dispersion_balance, check_generator_bound
 from mixlab.bounds import _frame
 from mixlab.cli import format_number, main
-from mixlab.rng import substream
 
 GOLDEN = {
     "cutoff": (
         "d = 8\nR = 50\ndelta = 0.02\neps = 0.05\nb_rho = 0.5\nn = 5000\n",
-        "a22f5e91fe99f6d30db5f8087930287e610a114c510bbbb5c5db9fec1798fd16",
+        "6b0a5e33ef485574386acbf1a0798cf48382701b2031fb8e01e3a55f017106cc",
     ),
     "lowerbound": (
         "process = tempered\nprofile_a = 0.6\nprofile_p = 1\nell = 0.4\n"
@@ -34,7 +33,7 @@ GOLDEN = {
     ),
     "ks-sweep": (
         "d = 64\nR = 50\nreps = 3\n",
-        "41c7246950e553d888a28915d8774a811c327b0521a98a35d5969b705b8ddf84",
+        "828373c5237a7169403f868d8f8a61cbdcb12e49456e9bd9d5d276ab109e4b7c",
     ),
     "validate": (
         "process = ou\nd = 8\nR = 50\ndelta = 0.02\neps = 0.05\n"
@@ -63,16 +62,18 @@ def test_csv_body_hash(tmp_path, subcommand):
 def test_stationary_ks_sweep_body_hash(tmp_path):
     # R = 0 draws each repetition's start from the invariant measure on (seed, 7, rep, 0)
     text = "d = 16\nR = 0\nreps = 3\ntimes = 0,1\n"
-    expected = "d9be4a1a051c41d3c03d796d3c61d291e9895d11abfbe7c082fc5f504cfe8841"
+    expected = "88c5fa1e65b119b83e72a670994298ba53b81e47b3b2422a0fa016edb608068b"
     assert body_hash(tmp_path, "ks-sweep", text) == expected
 
 
 def test_validate_bytes_move_only_with_the_shared_sample():
     # validate's process probes once read one envelope sample, 50 N(0, I_8) on
-    # (1111, 9); read through the frame (|x|, |G|), the grid probes print that
-    # golden body's values on it, so only the points the probes read moved
+    # (1111, 9), when substreams ran on Philox; read through the frame
+    # (|x|, |G|), the grid probes print that golden body's values on it, so
+    # only the points the probes read moved
     ou = OUProcess(1.0, 8)
     proj = SubspaceProjector.containing_direction(np.eye(8)[0], 3)
-    r, g = _frame(proj, 50.0 * substream((1111, 9)).standard_normal((2000, 8)))
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(1111, spawn_key=(9,))))
+    r, g = _frame(proj, 50.0 * rng.standard_normal((2000, 8)))
     assert format_number(check_dispersion_balance(ou, 3, r, g).value) == "-1.00794799e-05"
     assert format_number(check_generator_bound(ou, 3, 1.0, r, g).value) == "-9.05152745e-08"
