@@ -54,7 +54,6 @@ from .measures import (
 from .stats import (
     KSResult,
     TVEstimate,
-    chisq_cdf,
     coordinate_ks,
     empirical_tv_1d,
     ks_statistic,

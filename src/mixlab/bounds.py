@@ -440,19 +440,20 @@ def ou_tv_upper_bound(mu: float, rho0: MultiModalData, times) -> list[float]:
     Splits the start law on B = B(0, R(1+2 delta)): the inside part is
     bounded by sqrt(KLbar/2) with
     KLbar = (mu/2) e^{-2 mu t} R^2 (1+2 delta)^2 + (d/2) e^{-4 mu t},
-    the outside part contributes its full mass.  The mass of B does not
-    depend on t and is read once for all times.  Requires mu*t > log(2)/2
-    for the trace + log-det estimate inside KLbar.
+    the outside part contributes its full mass.  Each mass, summed from its
+    own side of B, does not depend on t and is read once for all times.
+    Requires mu*t > log(2)/2 for the trace + log-det estimate inside KLbar.
     """
     if not all(mu * t > math.log(2.0) / 2.0 for t in times):
         raise DomainError("upper bound needs mu*t > log(2)/2")
     ball = rho0.R * (1.0 + 2.0 * rho0.delta)
     inside = rho0.mass_within_origin_ball(ball)
+    outside = rho0._mass_outside_origin_ball(ball)
     bounds = []
     for t in times:
         klbar = 0.5 * mu * math.exp(-2.0 * mu * t) * ball ** 2 \
             + 0.5 * rho0.d * math.exp(-4.0 * mu * t)
-        bounds.append(min(1.0, inside * math.sqrt(klbar / 2.0) + (1.0 - inside)))
+        bounds.append(min(1.0, inside * math.sqrt(klbar / 2.0) + outside))
     return bounds
 
 

@@ -75,11 +75,10 @@ def build_data_spec(cfg: dict) -> MultiModalData:
 
 
 def _merged_times(user_times, defaults, required) -> list[float]:
-    ts = list(user_times) if user_times else list(defaults)
-    for t in required:
-        if not any(abs(t - s) <= 1e-12 * max(1.0, abs(t)) for s in ts):
-            ts.append(t)
-    return sorted(set(float(t) for t in ts))
+    """The user's grid, else the defaults, with each required horizon as a
+    row of its own (a gate reads the row at exactly its horizon), sorted
+    and without repeats."""
+    return sorted({float(t) for t in (*(user_times or defaults), *required)})
 
 
 def run_cutoff(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
@@ -172,16 +171,17 @@ def _level_r_k(cfg: dict, pi: SphericalMeasure) -> float:
 
 @contextmanager
 def _probes_within_float_range(cfg: dict):
-    """Turn an overflow or NaN in the process probes into a ``ConfigError``
-    naming the process keys: a probe that overflows would report inf or nan
-    as its measured value."""
+    """Turn an overflow, a division by zero or a NaN in the process probes
+    into a ``ConfigError`` naming the process keys: such a probe would report
+    inf or nan as its measured value."""
     try:
-        with np.errstate(over="raise", invalid="raise"):
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
             yield
     except FloatingPointError as exc:
         raise ConfigError(
             f"the process probes leave the float range ({exc}) at ell = {cfg['ell']:g}, "
-            f"profile_p = {cfg['profile_p']:g}, R = {cfg['R']:g}"
+            f"profile_a = {cfg['profile_a']:g}, profile_p = {cfg['profile_p']:g}, "
+            f"R = {cfg['R']:g}"
         ) from exc
 
 
@@ -283,21 +283,19 @@ def run_quantile_table(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentRes
 def run_ks_sweep(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
     """Coordinate KS statistic of one marginal per (time, repetition)."""
     d, R, mu, eps, delta = cfg["d"], cfg["R"], cfg["mu"], cfg["eps"], cfg["delta"]
-    if R > 0:
-        hz = mixing_horizons(mu, R, delta, eps, d)
-        t_onset, t_mix = hz.t_onset, hz.t_mix_simple
-        if t_onset < 0 and not cfg["times"]:
-            # t_onset = (log(R sqrt(mu)) - log(bound_r))/mu: the default grid
-            # would start before 0
-            bound_r = max(math.sqrt(2.0 * math.log(1.0 / eps)), 1.0)
+    defaults = [0.0, 1.0, 2.0, 4.0]
+    if R > 0 and not cfg["times"]:
+        # t_onset = (log(R sqrt(mu)) - log(bound_r))/mu: below the bound the
+        # default grid would start before 0
+        bound_r = max(math.sqrt(2.0 * math.log(1.0 / eps)), 1.0)
+        if R * math.sqrt(mu) < bound_r:
             raise ConfigError(
                 f"default ks-sweep times need R = 0 or R sqrt(mu) >= "
                 f"max(sqrt(2 log(1/eps)), 1) = {bound_r:.6g}, got R = {R:.6g}, "
                 f"mu = {mu:.6g}; set times to sweep a smaller R"
             )
-        defaults = [0.0, t_onset / 2, t_onset, t_mix]
-    else:
-        defaults = [0.0, 1.0, 2.0, 4.0]
+        hz = mixing_horizons(mu, R, delta, eps, d)
+        defaults = [0.0, hz.t_onset / 2, hz.t_onset, hz.t_mix_simple]
     times = _merged_times(cfg["times"], defaults, [])
     reps = cfg["reps"]
     ou = OUProcess(mu, d)

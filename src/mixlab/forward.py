@@ -273,8 +273,8 @@ def check_drift_condition(tl: TemperedLangevin, mu: float, r_max: float) -> Chec
     is the largest excess over mu r plus a tolerance 1e-9 * (1 + mu r), and
     passes at most 0.
     """
-    if not r_max > 0:
-        raise DomainError("r_max must be positive")
+    if not r_max * 1e-8 > 0:
+        raise DomainError(f"r_max = {r_max:g} must be positive, with 1e-8 r_max above 0 in float")
     grid = np.geomspace(r_max * 1e-8, r_max, 4096)
     lhs = tl._drift_magnitude(tl.profile.value(grid), grid)
     max_excess = float(np.max(lhs - mu * grid - 1e-9 * (1.0 + mu * grid)))

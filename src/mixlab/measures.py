@@ -31,7 +31,6 @@ from scipy.special import (
 
 from .errors import DomainError, StructuralError
 from .rng import Seed, substream
-from .stats import chisq_cdf
 
 MODE_KINDS = ("uniform-ball", "truncated-gaussian")
 
@@ -337,11 +336,16 @@ class _ComponentNormLaw:
         return prob, mean
 
     def within(self, q: float) -> float:
-        """P(|G| <= q), summed from the inside's own side rather than read as
-        1 - P(|G| > q), so a mass far below 1e-16 keeps its digits.  V is
-        symmetric, so P(V <= v*) is the probability beyond -v*."""
+        """P(|G| <= q); exactly 1 when the whole support lies in the ball.
+        The share of directions inside is summed from the inside's own side,
+        not read as 1 - P(|G| > q), so a lens far below 1e-16 keeps its
+        digits; the length's mass is read off its tail, so a ball deep inside
+        the bulk is good to about 1e-16 absolute.  V is symmetric, so
+        P(V <= v*) is the probability beyond -v*."""
         if self.length is None:
             return float(self.a <= q)
+        if self.a + self.length.s_max <= q:
+            return 1.0
         return sum(float(m @ _beyond_on_sphere(self.a, s, 2.0 - top, None, self.k)[0])
                    for s, m, top in self._pieces(q, inside=True))
 
@@ -392,15 +396,16 @@ class _SphericalNormLaw:
         """
         if self.k == self.pi.d and f is None:
             return self.pi._tail_at_radius(q), 0.0
-        prob, m, x, cut = self._past(q)
+        prob, _, m, x, cut = self._past(q)
         if f is None or not m.size:
             return prob, 0.0
         if self.k == self.pi.d:
             return prob, float(m @ f(x))
         return prob, float(m @ self._beyond_cut(cut, x, f))
 
-    def tail_slope(self, q: float) -> tuple[float, float]:
-        """(pi(|G| > q), its derivative in q) at k < d, from one :meth:`_past`.
+    def tail_slope(self, q: float) -> tuple[float, float, float]:
+        """(pi(|G| > q), its derivative in q, the same tail on the rule at
+        twice the step) at k < d, from one :meth:`_past`.
 
         The upper end W of the integral in :func:`projection_tail` moves with
         q, but its term vanishes, since betaincc(., ., 1) = 0 at r(W) = q, so
@@ -415,30 +420,34 @@ class _SphericalNormLaw:
         search in :func:`projection_quantile`; elsewhere it agrees with a
         central difference of the tail to better than 1e-7.
         """
-        prob, m, x, cut = self._past(q)
+        prob, coarse, m, x, cut = self._past(q)
         a, b = self._shape
         inner = (cut > 0.0) & (cut < 1.0)
         c = np.where(inner, cut, 0.5)
         dens = np.exp((a - 1.0) * np.log(c) + (b - 1.0) * np.log1p(-c) - betaln(a, b))
-        return prob, -float(m @ np.where(inner, dens * (2.0 * (q / x) / x), 0.0))
+        return prob, -float(m @ np.where(inner, dens * (2.0 * (q / x) / x), 0.0)), coarse
 
     def _past(self, q: float):
         """The rule both :meth:`beyond` and :meth:`tail_slope` read: the
         radii x past q in their tail-mass coordinate, as
         :func:`projection_tail` documents, with their masses m (none at
         W = 0); then pi(|G| > q), which is W at k = d and otherwise the sum
-        of m betaincc(k/2, (d-k)/2, cut) with cut = min(1, (q/x)^2)."""
+        of m betaincc(k/2, (d-k)/2, cut) with cut = min(1, (q/x)^2), and
+        that sum on the 49-node rule at twice the step, whose nodes are every
+        other one of these, so it costs no special-function call."""
         pi = self.pi
         big_w = pi._tail_at_radius(q)
         if big_w == 0.0:
-            return big_w, np.empty(0), np.empty(0), np.empty(0)
+            return big_w, big_w, np.empty(0), np.empty(0), np.empty(0)
         w, m, _ = _ts_rule(0.0, big_w)
         x = pi._radius_at_tail(w)
         if self.k == pi.d:
-            return big_w, m, x, None
+            return big_w, big_w, m, x, None
         ratio = q / x
         cut = np.minimum(1.0, ratio * ratio)
-        return float(m @ betaincc(*self._shape, cut)), m, x, cut
+        tails = betaincc(*self._shape, cut)
+        coarse = float(_ts_rule(0.0, big_w, every=2)[1] @ tails[::2])
+        return float(m @ tails), coarse, m, x, cut
 
     @property
     def _shape(self) -> tuple[float, float]:
@@ -501,7 +510,9 @@ def projection_quantile(pi: SphericalMeasure, k: int, eps: float, *, n: int = 0)
     Deterministic; nothing is drawn.  ``n`` is accepted and ignored, because
     ``perfbench/tracer.py`` reads it as the call's sample count.  Raises
     :class:`DomainError` when the (1 - eps/2)-quantile of |x|, which brackets
-    q from above, lies beyond the float range.
+    q from above, overflows or falls below the normal floats, and when the tail at the root
+    reads more than 1e-6 apart, relative, on the 97-node rule and on its
+    49-node half: there the fixed rule no longer resolves the far tail.
 
     The root is Newton's method on log Tail(q) - log(eps/2), with the slope
     of :meth:`_SphericalNormLaw.tail_slope` read off the tail's own nodes,
@@ -522,15 +533,15 @@ def projection_quantile(pi: SphericalMeasure, k: int, eps: float, *, n: int = 0)
     target = eps / 2.0
     # |G_k| <= |x|, so the (1 - eps/2)-quantile of |x| bounds q from above; at k = d it is q
     q = float(pi._radius_at_tail(target))
-    if not math.isfinite(q):
+    if not np.finfo(float).tiny <= q < math.inf:
         raise DomainError(
             f"projection quantile out of float range: the radial (1 - eps/2)-quantile "
-            f"overflows at d = {pi.d}, p = {pi.profile.p:g}"
+            f"{q:.3g} is not a normal float at d = {pi.d}, p = {pi.profile.p:g}"
         )
     if k < pi.d:
         law, lo, hi, log_target = _SphericalNormLaw(pi, k), 0.0, q, math.log(target)
         while hi - lo > 4e-16 * hi:
-            tail, slope = law.tail_slope(q)
+            tail, slope, coarse = law.tail_slope(q)
             if tail > 0.0 and slope < 0.0:
                 step = (math.log(tail) - log_target) * tail / slope
                 if abs(step) <= 4e-16 * q:
@@ -542,6 +553,10 @@ def projection_quantile(pi: SphericalMeasure, k: int, eps: float, *, n: int = 0)
             else:
                 hi = q
             q = q - step if lo < q - step < hi else 0.5 * (lo + hi)
+        if abs(coarse - tail) > 1e-6 * tail:
+            raise DomainError(f"projection quantile unresolved at d = {pi.d}, p = "
+                              f"{pi.profile.p:g}, eps = {eps:g}: the tail reads {tail:.6g} on "
+                              f"the 97-node rule and {coarse:.6g} on its 49-node half")
     return QuantileEstimate(r=math.hypot(1.0, q), ball_radius=q)
 
 
@@ -760,31 +775,23 @@ class MultiModalData:
         laws.append(_ComponentNormLaw(0.0, k, bulk))
         return laws
 
-    def mass_within_origin_ball(self, radius: float, n: int = 100_000) -> float:
-        """Mixture mass of the closed ball B(0, radius), deterministic.
+    def _radial_laws(self) -> list[tuple[float, _ComponentNormLaw]]:
+        """(weight, law of |x|) per component: :meth:`norm_laws` at k = d."""
+        return list(zip(self._component_weights().tolist(),
+                        self._laws(self.d, [m.distance for m in self.modes])))
 
-        Closed form for the Gaussian bulk (chi-square CDF) and for modes whose
-        support lies entirely inside or outside.  A mode straddling the
-        boundary counts P(|x| <= radius) from its own law of |x| (the k = d
-        case of :meth:`norm_laws`).  Nothing is drawn; ``n`` is accepted
-        and ignored, because ``perfbench/tracer.py`` reads it.
+    def mass_within_origin_ball(self, radius: float, n: int = 100_000) -> float:
+        """Mixture mass of the closed ball B(0, radius), deterministic: the
+        sum over components of weight times ``law.within(radius)`` on the
+        laws of |x|.  Nothing is drawn; ``n`` is accepted and ignored,
+        because ``perfbench/tracer.py`` reads it.
         """
-        total = 0.0
-        for i, mode in enumerate(self.modes):
-            if mode.distance + mode.radius <= radius * (1.0 + 1e-12):
-                total += mode.weight
-            elif mode.distance - mode.radius <= radius:
-                law = self._laws(self.d, [m.distance for m in self.modes])[i]
-                total += mode.weight * law.within(radius)
-        if self.bulk_weight > 0:
-            if self.bulk_scale == 0:
-                total += self.bulk_weight
-            else:
-                # |bulk|^2 / bulk_scale^2 is chi-square with d degrees of freedom;
-                # z * z reads inf past DBL_MAX, where the float power z ** 2 raises
-                z = radius / self.bulk_scale
-                total += self.bulk_weight * chisq_cdf(self.d, z * z)
-        return min(1.0, total)
+        return min(1.0, sum(w * law.within(radius) for w, law in self._radial_laws()))
+
+    def _mass_outside_origin_ball(self, radius: float) -> float:
+        """Mixture mass outside B(0, radius), summed from the outside's own
+        side, so a mass far below 1e-16 keeps its digits."""
+        return sum(w * law.beyond(radius)[0] for w, law in self._radial_laws())
 
 
 # verdict of each relation a check can hold its value to; "==" means equal to
@@ -820,14 +827,14 @@ def validate_data_spec(spec: MultiModalData, n: int = 100_000) -> tuple[CheckRes
     Checks the designated-mode placement (|x0| = R(1+delta) and radius =
     delta*R, both to 1e-12 relative), the mode-mass inequality b > 3*eps
     against the stored weight, and the tail condition: the mass outside
-    B(0, R(1+2delta)), 1 - :meth:`MultiModalData.mass_within_origin_ball`,
-    must lie below eps/2, read without a draw.  ``n`` is accepted and
-    ignored, because ``perfbench/tracer.py`` reads it.
+    B(0, R(1+2delta)), summed over the components' laws of |x| from the
+    outside, must lie below eps/2, read without a draw.  ``n`` is accepted
+    and ignored, because ``perfbench/tracer.py`` reads it.
     """
     mode = spec.designated_mode
     dists = np.array([m.distance for m in spec.modes])
     n_at_max = int(np.sum(dists >= dists.max() * (1.0 - 1e-9)))
-    outside = 1.0 - spec.mass_within_origin_ball(spec.R * (1.0 + 2.0 * spec.delta))
+    outside = spec._mass_outside_origin_ball(spec.R * (1.0 + 2.0 * spec.delta))
     return (
         CheckResult("furthest-mode-distance", mode.distance, spec.R * (1.0 + spec.delta), "=="),
         CheckResult("furthest-mode-radius", mode.radius, spec.delta * spec.R, "=="),

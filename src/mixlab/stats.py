@@ -1,4 +1,4 @@
-"""Scalar statistical measurement: binned TV, KS tests, chi-square helpers.
+"""Scalar statistical measurement: binned TV and KS tests.
 
 Full-dimensional TV between high-dimensional laws is not estimable, so all
 distances here are one-dimensional, taken along fixed projections.  Any
@@ -13,22 +13,10 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import gammainc, kolmogorov, ndtr
+from scipy.special import kolmogorov, ndtr
 
 from .errors import DomainError, StructuralError
 from .rng import Seed, derive
-
-
-def chisq_cdf(k: int, x: float):
-    """Chi-square CDF with k degrees of freedom: P(k/2, x/2), abs err <= 1e-12."""
-    k = int(k)
-    if k < 1:
-        raise StructuralError("degrees of freedom must be a positive integer")
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise DomainError("chi-square CDF argument must be nonnegative")
-    out = gammainc(k / 2.0, x / 2.0)
-    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -366,6 +367,16 @@ n = 1000
         cfg = write_cfg(tmp_path / "k.cfg", "d = 4\nR = 1.5\nreps = 2\ntimes = 0, 1\n")
         assert main(["ks-sweep", "--config", cfg, "--seed", "1", "--out", str(tmp_path)]) == 0
 
+    def test_ks_sweep_R_sqrt_mu_underflow(self, tmp_path, capsys):
+        # R sqrt(mu) rounds to 0 here, where log(R sqrt(mu)) raised ValueError
+        text = "d = 1\nR = 5e-324\nmu = 0.25\nreps = 1\n"
+        cfg = write_cfg(tmp_path / "k.cfg", text)
+        assert main(["ks-sweep", "--config", cfg, "--seed", "1", "--out", str(tmp_path)]) == 2
+        assert "R = 4.94066e-324, mu = 0.25" in capsys.readouterr().err
+        # explicit times need no horizon
+        cfg = write_cfg(tmp_path / "k.cfg", text + "times = 0, 1\n")
+        assert main(["ks-sweep", "--config", cfg, "--seed", "1", "--out", str(tmp_path)]) == 0
+
     @pytest.mark.parametrize("mu", ["0.5", "1e10"])
     def test_cutoff_gates_pass_off_the_unit_clock(self, tmp_path, capsys, mu):
         # both horizons read R sqrt(mu) on the clock 1/mu; a mu = 1 copy of the
@@ -375,6 +386,23 @@ n = 1000
         assert main(["cutoff", "--config", cfg, "--seed", "1", "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "PASS tv-at-onset:" in out and "PASS tv-at-mix:" in out
+
+    @pytest.mark.parametrize("mu, times", [("1e13", "1"), ("1e14", "0")])
+    def test_cutoff_gates_read_their_own_rows_at_large_mu(self, tmp_path, capsys, mu, times):
+        # t_onset and t_mix_simple lie within 1e-12 of each other (mu = 1e13)
+        # or of the user's t = 0 (mu = 1e14); each gate still gets a row at
+        # exactly its horizon
+        cfg = write_cfg(tmp_path / "c.cfg", f"d = 8\nR = 50\ndelta = 0.02\neps = 0.05\n"
+                                            f"n = 100\nmu = {mu}\ntimes = {times}\n")
+        assert main(["cutoff", "--config", cfg, "--seed", "1", "--out", str(tmp_path)]) in (0, 3)
+        out = capsys.readouterr().out
+        assert "tv-at-onset:" in out and "tv-at-mix:" in out
+        lines = (tmp_path / "cutoff.csv").read_text().splitlines()
+        header, *rows = [line.split(",") for line in lines if not line.startswith("#")]
+        col = {name: i for i, name in enumerate(header)}
+        ts = [row[col["t"]] for row in rows]
+        assert len(rows) == 3 and float(times) in map(float, ts)
+        assert rows[0][col["t_onset"]] in ts and rows[0][col["t_mix_simple"]] in ts
 
     def test_heavy_tailed_quantile_out_of_range_exits_2(self, tmp_path):
         # at p = 0.01 the d = 4 quantile is finite, about 4.1e263; the d = 30 one overflows
@@ -388,6 +416,29 @@ n = 1000
         assert code == 2
         assert "d = 30, p = 0.01" in text
         assert "Traceback" not in text and "Warning" not in text
+
+    @pytest.mark.parametrize("sub, text", [
+        # every radius of pi rounds to 0, where the horizon check read NaN
+        ("lowerbound", "process = tempered\nd = 4\nR = 50\ndelta = 0.02\neps = 0.05\n"
+                       "profile_a = 1e300\nprofile_p = 0.3\n"),
+        # subnormal radii, where the tail's slope overflowed
+        ("quantile-table", "p_list = 0.9375\nd_list = 3\na = 9.02183998831235e+289\n"),
+    ])
+    def test_quantile_below_the_normal_floats_exits_2(self, tmp_path, sub, text):
+        cfg = write_cfg(tmp_path / "q.cfg", text)
+        code, out = run_cli([sub, "--config", cfg, "--out", str(tmp_path)], warnings_as_errors=True)
+        assert code == 2
+        assert "is not a normal float" in out and "d = " in out and "p = " in out
+        assert "Traceback" not in out and "Warning" not in out
+
+    def test_unresolved_quantile_tail_exits_2(self, tmp_path):
+        # the 97-node tail is 11.5% low near this root, where the 49-node rule
+        # on every other node reads 3.9% apart from it
+        cfg = write_cfg(tmp_path / "q.cfg", "p_list = 2\nd_list = 300\na = 1\neps = 1e-40\n")
+        code, text = run_cli(["quantile-table", "--config", cfg, "--out", str(tmp_path)])
+        assert code == 2
+        assert "d = 300, p = 2, eps = 1e-40" in text
+        assert "Traceback" not in text and not (tmp_path / "quantile-table.csv").exists()
 
     @pytest.mark.parametrize("sub, text", [
         ("validate", "process = ou\nd = 8\nR = 50\ndelta = 0.02\neps = 0.05\nn = 100000\n"),
@@ -503,6 +554,21 @@ class TestExtremeScales:
         assert "Traceback" not in text and "Warning" not in text
         assert not (tmp_path / "validate.csv").exists()
 
+    @pytest.mark.parametrize("extra, names", [
+        # H = a r^p underflows to 0, and H^(2 ell - 1) divides by it
+        ("profile_a = 5e-324\n", ("profile_a = 4.94066e-324", "ell = 0")),
+        # the drift-condition grid starts at 1e-8 r_max, which rounds to 0
+        ("r_max = 5e-324\n", ("r_max = 4.94066e-324",)),
+    ], ids=["profile_a", "r_max"])
+    def test_tempered_probes_at_the_float_floor_exit_2(self, tmp_path, extra, names):
+        cfg = write_cfg(tmp_path / "v.cfg", "process = tempered\nd = 3\nR = 3\ndelta = 0.5\n"
+                        "eps = 0.5\n" + extra)
+        code, text = run_cli(["validate", "--config", cfg, "--out", str(tmp_path)],
+                             warnings_as_errors=True)
+        assert code == 2
+        assert all(name in text for name in names), text
+        assert "Traceback" not in text and "Warning" not in text
+
     @pytest.mark.parametrize("value", ["1e160", "1e300"])
     def test_envelope_scale_beyond_the_finite_end_exits_2(self, tmp_path, capsys, value):
         cfg = data_cfg(tmp_path, "validate", extra=f"envelope_scale = {value}\n")
@@ -595,6 +661,34 @@ class TestOutputs:
         svg = (tmp_path / "ks-sweep.svg").read_text()
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
         assert "polyline" in svg
+
+    @pytest.mark.parametrize("sub, text", [
+        ("cutoff", "d = 8\nR = 50\ndelta = 0.02\neps = 0.05\nn = 500\n"),
+        ("ks-sweep", "d = 16\nR = 50\nreps = 2\ntimes = 0, 0.5, 1, 2, 4\n"),
+    ])
+    def test_svg_chart_reads_the_grid(self, tmp_path, sub, text):
+        # the chart parses as XML, draws one point per grid time in each
+        # polyline, and leaves the CSV bytes as a run without --svg writes them
+        cfg = write_cfg(tmp_path / "c.cfg", text)
+        plain, charted = tmp_path / "plain", tmp_path / "charted"
+        assert main([sub, "--config", cfg, "--seed", "4", "--out", str(plain)]) == 0
+        assert main([sub, "--config", cfg, "--seed", "4", "--out", str(charted), "--svg"]) == 0
+        csv = (charted / f"{sub}.csv").read_bytes()
+        assert csv == (plain / f"{sub}.csv").read_bytes()
+        assert not (plain / f"{sub}.svg").exists()
+        body = [line.split(",") for line in csv.decode().splitlines() if not line.startswith("#")]
+        grid = {float(row[body[0].index("t")]) for row in body[1:]}
+        root = ElementTree.parse(charted / f"{sub}.svg").getroot()
+        assert root.tag == "{http://www.w3.org/2000/svg}svg"
+        lines = root.findall("{http://www.w3.org/2000/svg}polyline")
+        assert len(lines) == 1
+        for line in lines:
+            points = [tuple(map(float, p.split(","))) for p in line.get("points").split()]
+            assert len(points) == len(grid) > 2
+            xs = [x for x, _ in points]
+            assert xs == sorted(xs) and all(map(math.isfinite, xs))
+        manifest = json.loads((charted / f"{sub}_manifest.json").read_text())
+        assert manifest["outputs"] == [f"{sub}.csv", f"{sub}.svg"]
 
     def test_classify_stdout(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "c.cfg", "p = 3\nell = 0.2\n")

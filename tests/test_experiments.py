@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import gammainc
+from scipy.special import gammainc, gammaincc
 
 from mixlab import (
     MultiModalData,
@@ -14,7 +14,7 @@ from mixlab import (
     projection_quantile,
 )
 from mixlab.bounds import ou_tv_upper_bound
-from mixlab.cli import resolve_config
+from mixlab.cli import format_number, resolve_config
 from mixlab.experiments import (
     _build_process,
     build_data_spec,
@@ -295,6 +295,27 @@ def tempered_cfg(sub, **extra):
 
 def probe_values(res):
     return {c.name: (c.passed, c.value) for c in res.checks}
+
+
+class TestValidateTailMass:
+    """validate's data/tail-mass row sums the mass outside B(0, R(1+2 delta))
+    from the outside: with a mode tangent to the ball it is the bulk's
+    0.5 P(chi2_d > z^2), z = R(1+2 delta)/bulk_scale, in full digits."""
+
+    @pytest.mark.parametrize("cfg, printed", [
+        # the envelope-em-d16 benchmark's validate call; 1 - inside read 1.73194792e-14
+        (tempered_cfg("validate"), "1.73199834e-14"),
+        # 1 - inside read 0
+        (resolve_config("validate", {"d": "100000", "R": "50", "delta": "0.02",
+                                     "eps": "0.05"}), "6.66901798e-18"),
+    ], ids=["d16", "d1e5"])
+    def test_is_the_bulk_chi_square_tail(self, cfg, printed):
+        row = next(r for r in run_validate(cfg, 1).rows if r["check"] == "data/tail-mass")
+        spec = build_data_spec(cfg)
+        z = spec.R * (1.0 + 2.0 * spec.delta) / spec.bulk_scale
+        assert row["value"] == pytest.approx(0.5 * gammaincc(cfg["d"] / 2, z * z / 2),
+                                             rel=1e-15, abs=0.0)
+        assert format_number(row["value"]) == printed and row["passed"] == 1
 
 
 class TestProcessProbeGrid:

@@ -38,7 +38,7 @@ GOLDEN = {
     "validate": (
         "process = ou\nd = 8\nR = 50\ndelta = 0.02\neps = 0.05\n"
         "b_rho = 0.5\nn_points = 2000\nbeta = 0.5\n",
-        "d9866c1a29df9016fbe7b41308eac97b7133d392c53be909605bee63a9159768",
+        "41dbbecf8b780f3310ace1efab90701dc31841b90a51fb8af6870676f5563429",
     ),
 }
 

@@ -5,8 +5,8 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import betainc, gammaincc
-from scipy.stats import chi2, ks_2samp
+from scipy.special import betainc, gammainc, gammaincc
+from scipy.stats import chi, chi2, ks_2samp
 
 from mixlab import (
     DomainError,
@@ -16,7 +16,6 @@ from mixlab import (
     SphericalMeasure,
     StructuralError,
     SubspaceProjector,
-    chisq_cdf,
     ou_tv_upper_bound,
     projection_norm_samples,
     projection_quantile,
@@ -146,7 +145,7 @@ class TestSphericalSampler:
         band = math.sqrt(math.log(2.0 / 0.001) / (2.0 * n))
         for x in (0.5, 1.5, 3.0, 5.0, 9.0):
             emp = np.mean(u <= x)
-            assert abs(emp - chisq_cdf(k, x)) <= band
+            assert abs(emp - gammainc(k / 2, x / 2)) <= band
 
 
 def reference_spherical_sample(pi, n, seed):
@@ -257,7 +256,7 @@ class TestDataMixture:
             spec = single_mode_spec(d=d)
             # bulk mass outside B(0, R(1+2delta)) must be far below eps/2
             z = (spec.R * (1 + 2 * spec.delta) / spec.bulk_scale) ** 2
-            outside = spec.bulk_weight * (1.0 - chisq_cdf(d, z))
+            outside = spec.bulk_weight * gammaincc(d / 2, z / 2)
             assert outside < spec.eps / 20
 
     def test_degenerate_mode(self):
@@ -485,6 +484,28 @@ def straddling_spec(d, mode_kind="uniform-ball", weight=1.0, distance=5.0, radiu
                           bulk_scale=0.0, mode_kind=mode_kind)
 
 
+def straddling_tail_oracle(spec, ball):
+    """Mass outside B(0, ball) of a one-mode mixture whose mode straddles the
+    ball, by closed forms: the bulk's is its weight times P(chi2_d > z^2), and
+    the mode's a 1-D integral over the offset length s, where the share of
+    directions outside, P(V > v*(s)) for V the first coordinate of a uniform
+    point on S^(d-1), is a Beta((d-1)/2, (d-1)/2) tail."""
+    d, mode = spec.d, spec.modes[0]
+    a, rho = mode.distance, mode.radius
+    z = ball / spec.bulk_scale
+    bulk = spec.bulk_weight * gammaincc(d / 2, z * z / 2)
+    if spec.mode_kind == "uniform-ball":
+        density = lambda s: d * s ** (d - 1) / rho ** d
+    else:
+        sigma = rho / (math.sqrt(d) + 3)
+        norm = gammainc(d / 2, (rho / sigma) ** 2 / 2)
+        density = lambda s: chi.pdf(s / sigma, d) / sigma / norm
+    half = (d - 1) / 2
+    share = lambda s: betainc(half, half, (1 - (ball ** 2 - a ** 2 - s ** 2) / (2 * a * s)) / 2)
+    outside, _ = quad(lambda s: density(s) * share(s), ball - a, rho, epsabs=0.0, epsrel=1e-12)
+    return bulk + mode.weight * outside
+
+
 class TestMassWithinOriginBall:
     @pytest.mark.parametrize("distance, radius, ball, lens", [
         (5.0, 1.0, 5.0, 37 / 80),
@@ -582,9 +603,85 @@ class TestMassWithinOriginBall:
         monkeypatch.setattr(measures, "substream", no_draws)
         assert spec.mass_within_origin_ball(52.0) == mass < 1.0
         tail = {c.name: c for c in validate_data_spec(spec)}["tail-mass"]
-        assert tail.value == 1.0 - mass
+        assert tail.value == pytest.approx(straddling_tail_oracle(spec, 52.0), rel=1e-12, abs=0.0)
+        assert abs(tail.value - (1.0 - mass)) <= 1e-15
         upper, = ou_tv_upper_bound(1.0, spec, [2.0])
         assert math.isfinite(upper)
+
+
+def point_mode_spec(d, distance, bulk_scale, weight=0.25):
+    """A point mode of the given weight at the given distance, plus the bulk
+    N(0, bulk_scale^2 I_d)."""
+    center = np.zeros(d)
+    center[0] = distance
+    return MultiModalData(d, 50.0, 0.02, 0.05, modes=(ModeSpec(center, 0.0, weight),),
+                          bulk_scale=bulk_scale)
+
+
+class TestBallMassFromEachSide:
+    """Each side of a ball's mass is summed over the components' laws of |x|
+    from its own side, so neither is read as 1 minus the other."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 64, 100_000])
+    def test_bulk_sides_are_the_chi_square_law(self, d):
+        # |bulk|^2 / bulk_scale^2 is chi2_d; with the point mode at the origin
+        # the outside is 0.75 P(chi2_d > z^2), in full digits where the inside
+        # rounds to 1, and the inside 0.25 + 0.75 P(chi2_d <= z^2)
+        spec = point_mode_spec(d, 0.0, 0.5)
+        for t in (1e-3, 0.7, 1.0, 1.4, 2.0, 2.9):
+            # the squared ratio as the law forms it: deep in the tail a relative
+            # rounding of z^2 moves the tail z^2/2 times as much
+            radius = 0.5 * t * math.sqrt(d + 50.0)
+            z2 = (radius / 0.5) * (radius / 0.5)
+            inside = 0.25 + 0.75 * gammainc(d / 2, z2 / 2)
+            outside = 0.75 * gammaincc(d / 2, z2 / 2)
+            assert spec.mass_within_origin_ball(radius) == pytest.approx(inside, rel=1e-14)
+            assert spec._mass_outside_origin_ball(radius) == pytest.approx(outside, rel=1e-14,
+                                                                           abs=0.0)
+
+    def test_bulk_tail_keeps_its_digits(self):
+        # at d = 2 the bulk's tail is exp(-r^2/2): 0.5 exp(-72) at r = 12, far
+        # below the rounding of 1 minus the inside
+        spec = point_mode_spec(2, 1.0, 1.0, weight=0.5)
+        assert spec._mass_outside_origin_ball(12.0) == pytest.approx(0.5 * math.exp(-72.0),
+                                                                     rel=1e-13, abs=0.0)
+        assert 0.0 <= 1.0 - spec.mass_within_origin_ball(12.0) <= 2.3e-16
+        assert spec.mass_within_origin_ball(0.0) == 0.0
+
+    def test_bulk_inside_against_quadrature(self):
+        # the chi2_3 density integrated to 3.5
+        pdf = lambda x: math.sqrt(x) * math.exp(-x / 2) / (2 ** 1.5 * math.gamma(1.5))
+        oracle = quad(pdf, 0, 3.5, epsabs=0.0, epsrel=1e-13)[0]
+        spec = point_mode_spec(3, 1e3, 1.0)
+        assert spec.mass_within_origin_ball(math.sqrt(3.5)) == pytest.approx(0.75 * oracle,
+                                                                               rel=1e-13, abs=0.0)
+
+    def test_bulk_inside_is_a_cdf(self):
+        spec = point_mode_spec(7, 1e3, 1.0)
+        masses = [spec.mass_within_origin_ball(r) for r in np.linspace(0.0, 9.0, 200)]
+        assert all(b >= a for a, b in zip(masses, masses[1:]))
+        assert masses[0] == 0.0 and masses[-1] == pytest.approx(0.75, abs=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 3, 16, 100_000])
+    @pytest.mark.parametrize("mode_kind", ["uniform-ball", "truncated-gaussian"])
+    def test_whole_support_inside_reads_exactly_one(self, d, mode_kind):
+        # a mode of radius 1 at distance 5 and the point-mass bulk against
+        # balls that hold them whole, the tangent one included
+        spec = straddling_spec(d, mode_kind, weight=0.7)
+        mode, bulk = spec._laws(d, [5.0])
+        for ball in (6.0, 6.5, 1e6):
+            assert mode.within(ball) == 1.0 and mode.beyond(ball)[0] == 0.0
+            assert bulk.within(ball) == 1.0 and bulk.beyond(ball)[0] == 0.0
+            assert spec.mass_within_origin_ball(ball) == 1.0
+            assert spec._mass_outside_origin_ball(ball) == 0.0
+
+    @pytest.mark.parametrize("d", [1, 3, 16])
+    @pytest.mark.parametrize("mode_kind", ["uniform-ball", "truncated-gaussian"])
+    def test_sides_sum_to_one(self, d, mode_kind):
+        spec = two_mode_spec(np.random.default_rng(6), d, mode_kind, 2.0)
+        for ball in np.linspace(0.5, 20.0, 40):
+            total = spec.mass_within_origin_ball(ball) + spec._mass_outside_origin_ball(ball)
+            assert abs(total - 1.0) <= 1e-14, ball
 
 
 class TestValidateDataSpec:
@@ -685,6 +782,27 @@ class TestProjectionQuantile:
         want = BRACKETED_R_K[d, p]
         r = projection_quantile(SphericalMeasure(d, RadialProfile.power_tail(0.6, p)), 3, 0.05).r
         assert abs(r - want) <= 4 * math.ulp(want)
+
+    @pytest.mark.parametrize("d, q", [(16, 2.0), (16, 5.0), (300, 5.0), (3000, 5.0),
+                                      (16, 10.0), (3000, 10.0), (300, 10.0)])
+    def test_half_step_rule_tracks_the_tails_error(self, d, q):
+        # p = 2, a = 1: 2 |G_3|^2 is chi2_3 in every d.  Where the 97-node tail
+        # is right, the 49-node rule on every other node agrees with it to
+        # 5e-8; at d = 300, q = 10 the tail is 11.5% low and they differ by 3.9%
+        pi = SphericalMeasure(d, RadialProfile.quadratic(1.0))
+        tail, _, coarse = measures._SphericalNormLaw(pi, 3).tail_slope(q)
+        error, gap = tail / chi2.sf(2.0 * q * q, 3) - 1.0, abs(coarse / tail - 1.0)
+        if (d, q) == (300, 10.0):
+            assert error < -0.1 and gap > 1e-2
+        else:
+            assert abs(error) < 5e-8 and gap < 5e-8
+
+    def test_unresolved_far_tail_raises(self):
+        pi = SphericalMeasure(300, RadialProfile.quadratic(1.0))
+        with pytest.raises(DomainError, match=r"d = 300, p = 2, eps = 1e-40"):
+            projection_quantile(pi, 3, 1e-40)
+        assert projection_quantile(pi, 3, 1e-6).ball_radius == pytest.approx(
+            math.sqrt(chi2.isf(5e-7, 3) / 2.0), rel=1e-12)
 
     def test_evaluations_at_the_benchmark_config(self):
         pi = SphericalMeasure(16, RadialProfile.power_tail(0.6, 1.0))
@@ -808,7 +926,7 @@ class TestProjectionTail:
     ])
     def test_slope_is_the_tails_central_difference(self, d, p, q, tail_max):
         pi = SphericalMeasure(d, RadialProfile.power_tail(1.0, p))
-        tail, slope = measures._SphericalNormLaw(pi, 3).tail_slope(q)
+        tail, slope, _ = measures._SphericalNormLaw(pi, 3).tail_slope(q)
         h = 1e-6 * q
         diff = (projection_tail(pi, 3, q + h) - projection_tail(pi, 3, q - h)) / (2.0 * h)
         assert 0.0 < tail < tail_max
