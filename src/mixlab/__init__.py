@@ -58,7 +58,6 @@ from .stats import (
     empirical_tv_1d,
     ks_statistic,
     projected_tv_vs_gaussian,
-    sweep_coordinates,
 )
 
 # the public names imported above; submodules bound by the imports are left out

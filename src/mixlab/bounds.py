@@ -479,6 +479,11 @@ class HorizonSet:
     t_mix_simple: float
 
 
+def _onset_radius(eps: float) -> float:
+    """max(sqrt(2 log(1/eps)), 1): t_onset >= 0 exactly when R sqrt(mu) reaches it."""
+    return max(math.sqrt(2.0 * math.log(1.0 / eps)), 1.0)
+
+
 def mixing_horizons(mu: float, R: float, delta: float, eps: float, d: int,
                     r_k: float | None = None) -> HorizonSet:
     """Evaluate every horizon formula; t_lower needs r_k and R > 2 r_k (else None)."""
@@ -492,7 +497,7 @@ def mixing_horizons(mu: float, R: float, delta: float, eps: float, d: int,
     if r_k is not None and R > 2.0 * r_k:
         t_lower = math.log(R / (2.0 * r_k)) / mu
     log_r = math.log(R * math.sqrt(mu))
-    t_onset = (log_r - math.log(max(math.sqrt(2.0 * math.log(1.0 / eps)), 1.0))) / mu
+    t_onset = (log_r - math.log(_onset_radius(eps))) / mu
     t_mix = max(
         math.log(2.0 * d ** 0.25 / math.sqrt(eps)),
         math.log(2.0 * R * (1.0 + 2.0 * delta) * math.sqrt(mu) / eps),

@@ -17,6 +17,7 @@ import numpy as np
 from .bounds import (
     LinearRate,
     SubspaceProjector,
+    _onset_radius,
     check_compatibility,
     check_generator_bound,
     mixing_horizons,
@@ -42,8 +43,8 @@ from .measures import (
     projection_quantile,
     validate_data_spec,
 )
-from .rng import Seed, derive, parallel_map
-from .stats import coordinate_ks, projected_tv_vs_gaussian, sweep_coordinates
+from .rng import Seed, derive, parallel_map, substream
+from .stats import coordinate_ks, projected_tv_vs_gaussian
 
 
 @dataclass
@@ -96,11 +97,12 @@ def run_cutoff(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
         raise ConfigError(f"key 'bins' = {bins}: use 0 (automatic) or 2 to n = {n} bins")
     # validates eps before log(1/eps) below
     spec = build_data_spec(cfg)
-    bound_r = max(math.sqrt(eps) * d ** 0.25, math.sqrt(2.0 * math.log(1.0 / eps)))
+    # the onset radius keeps t_onset, the first gate's row, at or after t = 0
+    bound_r = max(math.sqrt(eps) * d ** 0.25, _onset_radius(eps))
     if R * math.sqrt(mu) < bound_r:
         raise ConfigError(
             f"cut-off hypothesis violated: needs R sqrt(mu) >= max(eps^(1/2) d^(1/4), "
-            f"sqrt(2 log(1/eps))) = {bound_r:.6g}, got R = {R:.6g}, mu = {mu:.6g}"
+            f"sqrt(2 log(1/eps)), 1) = {bound_r:.6g}, got R = {R:.6g}, mu = {mu:.6g}"
         )
     hz = mixing_horizons(mu, R, cfg["delta"], eps, d)
     t_onset, t_mix = hz.t_onset, hz.t_mix_simple
@@ -154,6 +156,9 @@ def _build_process(cfg: dict):
     mu, d = cfg["mu"], cfg["d"]
     _checked_rows(cfg["k"], d, f"key 'd' = {d}")
     if cfg["process"] == "ou":
+        if not mu / 2.0 > 0:
+            raise ConfigError(f"key 'mu' = {mu:.6g}: the profile scale mu/2 of the OU "
+                              "invariant law N(0, I/mu) rounds to 0")
         proc = OUProcess(mu, d)
         return proc, proc.invariant_measure()
     profile = RadialProfile.power_tail(cfg["profile_a"], cfg["profile_p"])
@@ -281,13 +286,15 @@ def run_quantile_table(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentRes
 
 
 def run_ks_sweep(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
-    """Coordinate KS statistic of one marginal per (time, repetition)."""
+    """Coordinate KS statistic of one marginal per (time, repetition): X_t at grid
+    time i by the exact OU transition on (seed, 7, rep, 1 + i), from R (1, ..., 1)/sqrt(d),
+    or, when R = 0, from one N(0, I/mu) draw on (seed, 7, rep, 0)."""
     d, R, mu, eps, delta = cfg["d"], cfg["R"], cfg["mu"], cfg["eps"], cfg["delta"]
     defaults = [0.0, 1.0, 2.0, 4.0]
     if R > 0 and not cfg["times"]:
-        # t_onset = (log(R sqrt(mu)) - log(bound_r))/mu: below the bound the
-        # default grid would start before 0
-        bound_r = max(math.sqrt(2.0 * math.log(1.0 / eps)), 1.0)
+        # t_onset = log(R sqrt(mu) / bound_r)/mu: below the bound the default
+        # grid would start before 0, and log(R sqrt(mu)) could meet a 0
+        bound_r = _onset_radius(eps)
         if R * math.sqrt(mu) < bound_r:
             raise ConfigError(
                 f"default ks-sweep times need R = 0 or R sqrt(mu) >= "
@@ -301,33 +308,27 @@ def run_ks_sweep(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
     ou = OUProcess(mu, d)
 
     def one(rep):
-        # R = 0 means a stationary start: one draw from the invariant measure
-        x0 = (ou.invariant_measure().sample(1, derive(seed, 7, rep, 0))[0] if R == 0
-              else R * np.ones(d) / math.sqrt(d))
-        # raw and standardized statistics read the same simulated coordinates
-        return [(t, coordinate_ks(coords, mu), coordinate_ks(coords, mu, standardize=True))
-                for t, coords in sweep_coordinates(ou, x0, times, derive(seed, 7, rep))]
+        x0 = (substream(derive(seed, 7, rep, 0)).standard_normal(d) / math.sqrt(mu) if R == 0
+              else np.full(d, R / math.sqrt(d)))
+        out = []
+        for i, t in enumerate(times):
+            # raw and standardized statistics read the same simulated coordinates
+            coords = ou.evolve(x0, t, derive(seed, 7, rep, 1 + i))[0]
+            kr, ks = coordinate_ks(coords, mu), coordinate_ks(coords, mu, standardize=True)
+            out.append((kr.statistic, kr.p_value, ks.statistic, ks.p_value))
+        return out
 
-    outs = parallel_map(one, list(range(reps)), threads)
-    rows = []
-    stats_by_time = {t: [] for t in times}
-    for rep, sweep in enumerate(outs):
-        for t, kr, ks in sweep:
-            rows.append({"t": t, "rep": rep, "ks_stat": kr.statistic, "ks_p": kr.p_value,
-                         "ks_stat_std": ks.statistic, "ks_p_std": ks.p_value})
-            stats_by_time[t].append((kr.statistic, kr.p_value, ks.statistic, ks.p_value))
-    medians = []
-    for t in times:
-        arr = np.array(stats_by_time[t])
-        med = np.median(arr, axis=0)
-        rows.append({"t": t, "rep": None, "ks_stat": med[0], "ks_p": med[1],
-                     "ks_stat_std": med[2], "ks_p_std": med[3]})
-        medians.append(float(med[0]))
+    # (reps, times, 4): ks_stat, ks_p, ks_stat_std, ks_p_std
+    stats = np.array(parallel_map(one, list(range(reps)), threads))
+    columns = ["t", "rep", "ks_stat", "ks_p", "ks_stat_std", "ks_p_std"]
+    rows = [dict(zip(columns, (t, rep, *stats[rep, i])))
+            for rep in range(reps) for i, t in enumerate(times)]
+    medians = np.median(stats, axis=0)
+    rows += [dict(zip(columns, (t, None, *med))) for t, med in zip(times, medians)]
     return ExperimentResult(
-        columns=["t", "rep", "ks_stat", "ks_p", "ks_stat_std", "ks_p_std"],
-        rows=rows,
-        chart={"x": times, "series": {"median KS": medians}, "title": "median KS vs time",
-               "xlabel": "t", "ylabel": "KS statistic"},
+        columns=columns, rows=rows,
+        chart={"x": times, "series": {"median KS": medians[:, 0].tolist()},
+               "title": "median KS vs time", "xlabel": "t", "ylabel": "KS statistic"},
     )
 
 

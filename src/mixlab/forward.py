@@ -79,7 +79,8 @@ class OUProcess:
         if T == 0:
             return pts.copy()
         decay = math.exp(-self.mu * T)
-        scale = math.sqrt((1.0 - math.exp(-2.0 * (self.mu * T))) / self.mu)
+        # expm1 keeps the variance where 1 - e^{-2 mu T} would round to 0
+        scale = math.sqrt(-math.expm1(-2.0 * (self.mu * T)) / self.mu)
         z = substream(seed).standard_normal(pts.shape)
         z *= scale
         z += decay * pts

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.special import kolmogorov, ndtr
 
 from .errors import DomainError, StructuralError
-from .rng import Seed, derive
 
 
 @dataclass(frozen=True)
@@ -113,18 +112,6 @@ def ks_statistic(samples, cdf: Callable[[np.ndarray], np.ndarray]) -> KSResult:
     return KSResult(statistic=stat, p_value=float(kolmogorov(math.sqrt(n) * stat)))
 
 
-def sweep_coordinates(process, x0, times: Sequence[float],
-                      seed: Seed) -> list[tuple[float, np.ndarray]]:
-    """One simulated marginal per time from the start point x0: the d
-    coordinates of X_t.  Time i simulates on substream (seed, 1 + i)."""
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    out = []
-    for i, t in enumerate(times):
-        pts = process.sample_endpoints(x0, float(t), 1, derive(seed, 1 + i))
-        out.append((float(t), np.asarray(pts[0], dtype=float)))
-    return out
-
-
 def coordinate_ks(coords, mu: float, standardize: bool = False) -> KSResult:
     """KS test of d coordinates as d scalar draws against N(0, 1/mu).
 
@@ -132,10 +119,12 @@ def coordinate_ks(coords, mu: float, standardize: bool = False) -> KSResult:
     tested against N(0, 1).
     """
     if standardize:
-        sd = float(coords.std())
-        if sd == 0.0:
-            sd = 1.0
-        return ks_statistic((coords - coords.mean()) / sd, ndtr)
+        dev = coords - coords.mean()
+        # scaled by the power of two at their largest magnitude, the squares stay
+        # in the float range and the quotient dev / sd keeps every bit
+        dev = np.ldexp(dev, -math.frexp(float(np.max(np.abs(dev))))[1])
+        sd = math.sqrt(float(np.mean(dev * dev))) or 1.0
+        return ks_statistic(dev / sd, ndtr)
     root_mu = math.sqrt(mu)
     return ks_statistic(coords, lambda x: ndtr(np.asarray(x) * root_mu))
 

@@ -377,6 +377,44 @@ n = 1000
         cfg = write_cfg(tmp_path / "k.cfg", text + "times = 0, 1\n")
         assert main(["ks-sweep", "--config", cfg, "--seed", "1", "--out", str(tmp_path)]) == 0
 
+    @pytest.mark.parametrize("times", ["", "times = 1\n"])
+    def test_cutoff_below_the_onset_radius_exits_2(self, tmp_path, times):
+        # R sqrt(mu) = 0.972 >= max(sqrt(0.9), sqrt(2 log(1/0.9))) = 0.949, but
+        # t_onset = log(0.972)/0.105 < 0: the hypothesis needs the onset radius 1
+        cfg = write_cfg(tmp_path / "c.cfg", "d = 1\nR = 3\ndelta = 0.02\neps = 0.9\n"
+                                            f"mu = 0.105\nn = 200\n{times}")
+        code, text = run_cli(["cutoff", "--config", cfg, "--out", str(tmp_path)],
+                             warnings_as_errors=True)
+        assert code == 2
+        assert "cut-off hypothesis violated" in text and "sqrt(2 log(1/eps)), 1) = 1," in text
+        assert "R = 3, mu = 0.105" in text and "Traceback" not in text
+
+    @pytest.mark.parametrize("text", [
+        "d = 64\nR = 50\nmu = 1e-17\nreps = 3\ntimes = 1\n",
+        "d = 125\nR = 0\nmu = 1.1125369292536007e-308\nreps = 1\n",
+        "d = 16\nR = 0\nmu = 5e-324\nreps = 2\n",
+    ], ids=["1e-17", "1e-308", "5e-324"])
+    def test_ks_sweep_at_a_tiny_mu_runs(self, tmp_path, text):
+        # the transition's variance once rounded to 0 at mu T ~ 1e-17, and the
+        # stationary start overflowed near mu = 1e-308
+        cfg = write_cfg(tmp_path / "k.cfg", text)
+        code, out = run_cli(["ks-sweep", "--config", cfg, "--out", str(tmp_path)],
+                            warnings_as_errors=True)
+        assert code == 0, out
+        assert "Traceback" not in out and "Warning" not in out
+        lines = (tmp_path / "ks-sweep.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines if not line.startswith(("#", "t,"))]
+        # the d coordinates differ, so the standardized statistic stays far from 0.5
+        assert all(0.0 < float(row[4]) < 0.2 for row in rows)
+
+    @pytest.mark.parametrize("sub", ["lowerbound", "validate"])
+    def test_ou_at_the_smallest_mu_exits_2_naming_mu(self, tmp_path, capsys, sub):
+        # mu/2 rounds to 0 at mu = 5e-324, which leaves N(0, I/mu) no profile scale
+        cfg = write_cfg(tmp_path / "c.cfg", "process = ou\nmu = 5e-324\nd = 8\nR = 50\n"
+                                            "delta = 0.02\neps = 0.05\n")
+        assert main([sub, "--config", cfg, "--seed", "1", "--out", str(tmp_path)]) == 2
+        assert "key 'mu' = 4.94066e-324" in capsys.readouterr().err
+
     @pytest.mark.parametrize("mu", ["0.5", "1e10"])
     def test_cutoff_gates_pass_off_the_unit_clock(self, tmp_path, capsys, mu):
         # both horizons read R sqrt(mu) on the clock 1/mu; a mu = 1 copy of the

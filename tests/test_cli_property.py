@@ -70,6 +70,12 @@ def configs(draw):
 # cutoff at a large mu once merged a required horizon into a nearby row within
 # 1e-12 absolute and then could not find the gate's row
 LARGE_MU = "d = 8\nR = 50\ndelta = 0.02\neps = 0.05\nn = 100\n"
+# R sqrt(mu) = 0.972 passed a cut-off check without the onset radius 1, and
+# t_onset < 0 then stopped the OU transition with a message naming no key
+BELOW_ONSET = "d = 1\nR = 3\ndelta = 0.02\neps = 0.9\nmu = 0.105\nn = 200\n"
+# the OU processes at a tiny mu: at 1e-17 the transition's variance once rounded
+# to 0; at 1.1e-308 the stationary start overflowed; at 5e-324, mu/2 is 0
+OU_AT_TINY_MU = "process = ou\nmu = 5e-324\nd = 8\nR = 50\ndelta = 0.02\neps = 0.05\n"
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200,
@@ -77,6 +83,11 @@ LARGE_MU = "d = 8\nR = 50\ndelta = 0.02\neps = 0.05\nn = 100\n"
 @given(case=configs())
 @example(case=("cutoff", LARGE_MU + "mu = 1e13\ntimes = 1\n"))
 @example(case=("cutoff", LARGE_MU + "mu = 1e14\ntimes = 0\n"))
+@example(case=("cutoff", BELOW_ONSET))
+@example(case=("ks-sweep", "d = 64\nR = 50\nmu = 1e-17\nreps = 3\ntimes = 1\n"))
+@example(case=("ks-sweep", "d = 125\nR = 0\nmu = 1.1125369292536007e-308\nreps = 1\n"))
+@example(case=("lowerbound", OU_AT_TINY_MU))
+@example(case=("validate", OU_AT_TINY_MU))
 def test_every_valid_config_ends_in_a_documented_exit(tmp_path, case):
     sub, text = case
     cfg = tmp_path / "c.cfg"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import gammainc, gammaincc
+from scipy.stats import ks_2samp, kstest
 
 from mixlab import (
     MultiModalData,
@@ -13,6 +14,7 @@ from mixlab import (
     SphericalMeasure,
     projection_quantile,
 )
+from mixlab import experiments
 from mixlab.bounds import ou_tv_upper_bound
 from mixlab.cli import format_number, resolve_config
 from mixlab.experiments import (
@@ -24,7 +26,8 @@ from mixlab.experiments import (
     run_quantile_table,
     run_validate,
 )
-from mixlab.stats import projected_tv_vs_gaussian
+from mixlab.rng import substream
+from mixlab.stats import coordinate_ks, projected_tv_vs_gaussian
 
 
 def quantile_oracle(p, d, a, eps, k=3):
@@ -95,6 +98,31 @@ class TestKSSweepRun:
         for row in res.rows:
             if row["rep"] is None:
                 assert row["ks_stat"] <= 0.08, row["t"]
+
+    @pytest.mark.parametrize("mu", [1.0, 1.1125369292536007e-308])
+    def test_stationary_start_law(self, monkeypatch, mu):
+        # R = 0 starts at one N(0, I/mu) draw; at t = 0 the statistics read it
+        starts = []
+
+        def record(coords, mu, standardize=False):
+            if not standardize:
+                starts.append(coords.copy())
+            return coordinate_ks(coords, mu, standardize)
+
+        monkeypatch.setattr(experiments, "coordinate_ks", record)
+        d, reps = 16, 100
+        run_ks_sweep({"d": d, "R": 0.0, "mu": mu, "eps": 0.1, "delta": 0.0, "reps": reps,
+                      "times": (0.0,)}, 19)
+        pooled = np.concatenate(starts)
+        assert pooled.size == d * reps
+        assert kstest(pooled, "norm", args=(0.0, 1.0 / math.sqrt(mu))).pvalue > 1e-3
+        # the start's earlier law, as SphericalMeasure draws N(0, I/mu): a radius
+        # with r^2 mu/2 ~ Gamma(d/2) times a uniform direction, formed in units of
+        # 1/sqrt(mu) so that it stays in the float range
+        rng = substream(20)
+        u = rng.standard_normal((reps, d))
+        u *= (np.sqrt(2.0 * rng.gamma(d / 2.0, size=reps)) / np.linalg.norm(u, axis=1))[:, None]
+        assert ks_2samp(pooled, u.ravel() / math.sqrt(mu)).pvalue > 1e-3
 
     def test_far_start_decays(self):
         res = run_ks_sweep(

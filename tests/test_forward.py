@@ -73,6 +73,11 @@ class TestOUTransitions:
             se_v = math.sqrt(2.0 / n) * 2 / 0.7
             assert abs(direct[:, j].var() - composed[:, j].var()) <= 4 * se_v
 
+    def test_variance_at_small_mu_t(self):
+        # 1 - e^{-2 mu T} rounds to 0 at mu T = 1e-20; the variance is 2 T to first order
+        pts = OUProcess(1e-20, 1).evolve(np.zeros((100_000, 1)), 1.0, 3)
+        assert abs(pts.var() - 2.0) <= 4.0 * 2.0 * math.sqrt(2.0 / pts.size)
+
     def test_invariant_measure(self):
         pi = OUProcess(2.0, 5).invariant_measure()
         assert isinstance(pi, SphericalMeasure)

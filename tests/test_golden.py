@@ -60,9 +60,10 @@ def test_csv_body_hash(tmp_path, subcommand):
 
 
 def test_stationary_ks_sweep_body_hash(tmp_path):
-    # R = 0 draws each repetition's start from the invariant measure on (seed, 7, rep, 0)
+    # R = 0 draws each repetition's start as one N(0, I/mu) draw on (seed, 7, rep, 0);
+    # tests/test_experiments.py::TestKSSweepRun::test_stationary_start_law checks its law
     text = "d = 16\nR = 0\nreps = 3\ntimes = 0,1\n"
-    expected = "88c5fa1e65b119b83e72a670994298ba53b81e47b3b2422a0fa016edb608068b"
+    expected = "856a011e35953cdcf05722c2461e042d98449817a3d3be48f87e5d971e0b64a6"
     assert body_hash(tmp_path, "ks-sweep", text) == expected
 
 

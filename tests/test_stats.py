@@ -14,8 +14,8 @@ from mixlab import (
     empirical_tv_1d,
     ks_statistic,
     projected_tv_vs_gaussian,
-    sweep_coordinates,
 )
+from mixlab.rng import derive
 
 
 def gaussian_projection_mass(k: int, r: float, mu: float) -> float:
@@ -206,7 +206,8 @@ class TestKSSweep:
         d, R, mu = 256, 100.0, 1.0
         ou = OUProcess(mu, d)
         x0 = R * np.ones(d) / math.sqrt(d)
-        out = [coordinate_ks(c, mu) for _, c in sweep_coordinates(ou, x0, [0.0, 12.0], 3)]
+        out = [coordinate_ks(ou.evolve(x0, t, derive(3, 1 + i))[0], mu)
+               for i, t in enumerate([0.0, 12.0])]
         assert out[0].statistic >= 0.3
         assert out[1].statistic <= 0.08
 
@@ -217,7 +218,8 @@ class TestKSSweep:
         times = [0.0, 2.0, 4.0, 9.0]
         firsts, lasts = [], []
         for seed in range(5):
-            res = [coordinate_ks(c, mu) for _, c in sweep_coordinates(ou, x0, times, seed)]
+            res = [coordinate_ks(ou.evolve(x0, t, derive(seed, 1 + i))[0], mu)
+                   for i, t in enumerate(times)]
             firsts.append(res[0].statistic)
             lasts.append(res[-1].statistic)
         assert np.median(firsts) >= np.median(lasts)
@@ -226,11 +228,23 @@ class TestKSSweep:
         d = 128
         ou = OUProcess(1.0, d)
         x0 = 50.0 * np.ones(d) / math.sqrt(d)
-        (_, coords), = sweep_coordinates(ou, x0, [0.5], 4)
+        coords = ou.evolve(x0, 0.5, derive(4, 1))[0]
         raw = coordinate_ks(coords, 1.0)
         std = coordinate_ks(coords, 1.0, standardize=True)
         # centring removes the residual mean shift, so the statistic drops
         assert std.statistic < raw.statistic
+
+    def test_standardize_keeps_the_bits_and_the_float_range(self):
+        coords = OUProcess(1.0, 128).evolve(np.full(128, 3.0), 0.5, 6)[0]
+        old = (coords - coords.mean()) / coords.std()
+        assert coordinate_ks(coords, 1.0, standardize=True) == ks_statistic(old, ndtr)
+        # near 1e154 the squares of the deviations pass the float range; a
+        # power-of-two scale leaves every bit of the standardized sample
+        far = np.ldexp(coords, 510)
+        assert coordinate_ks(far, 1.0, standardize=True) == ks_statistic(old, ndtr)
+        # a constant sample has sd 0, read as 1: every point sits at 0
+        assert coordinate_ks(np.full(5, 1e160), 1.0, standardize=True) == \
+            ks_statistic(np.zeros(5), ndtr)
 
     def test_draw_from_mixture_start(self):
         from mixlab import ModeSpec, MultiModalData
@@ -241,8 +255,10 @@ class TestKSSweep:
         spec = MultiModalData(d, 50.0, 0.02, 0.05, modes=(ModeSpec(center, 1.0, 1.0),))
         ou = OUProcess(1.0, d)
         x0 = spec.sample(1, (5, 0))[0]
-        out = [coordinate_ks(c, 1.0) for _, c in sweep_coordinates(ou, x0, [0.0, 10.0], 5)]
+        out = [coordinate_ks(ou.evolve(x0, t, derive(5, 1 + i))[0], 1.0)
+               for i, t in enumerate([0.0, 10.0])]
         assert out[0].statistic > out[1].statistic
         # deterministic in the seed
-        again = [coordinate_ks(c, 1.0) for _, c in sweep_coordinates(ou, x0, [0.0, 10.0], 5)]
+        again = [coordinate_ks(ou.evolve(x0, t, derive(5, 1 + i))[0], 1.0)
+                 for i, t in enumerate([0.0, 10.0])]
         assert again[0].statistic == out[0].statistic
