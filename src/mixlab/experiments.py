@@ -86,11 +86,13 @@ def run_cutoff(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
     """Projected TV along the mode direction over a time grid, with the
     onset/mixing verification at the two characteristic horizons.
 
-    The start projections <x, u> are drawn once per run on substream
+    The start projections y0 = <x, u> are drawn once per run on substream
     (seed, 1), in O(n) whatever d is, by
-    :meth:`MultiModalData.sample_coefficients` on the one-row basis u, so
-    every row starts from the same sample of rho0.  Grid time i evolves
-    them under the exact 1-D OU transition on substream (seed, 2, i)."""
+    :meth:`MultiModalData.sample_coefficients` on the one-row basis u, and
+    the transition noise z ~ N(0, 1)^n once on substream (seed, 2).  Grid
+    time t reads y_t = decay y0 + scale z with (decay, scale) the exact 1-D
+    OU kernel :meth:`OUProcess.transition` (t): the rows share their
+    random numbers, and each row's y_t has the law of the OU marginal."""
     d, eps, mu, n = cfg["d"], cfg["eps"], cfg["mu"], cfg["n"]
     R, bins = cfg["R"], cfg["bins"]
     if bins == 1 or bins > n:
@@ -115,16 +117,18 @@ def run_cutoff(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
     # <X_t, u> of the d-dimensional OU process is itself a 1-D OU process, so
     # the statistic needs only the scalar projections of the start sample
     ou = OUProcess(mu, 1)
-    y0 = spec.sample_coefficients(n, spec.mode_direction[None, :], derive(seed, 1))
+    y0 = spec.sample_coefficients(n, spec.mode_direction[None, :], derive(seed, 1))[:, 0]
+    z = substream(derive(seed, 2)).standard_normal(n)
     floor = (cfg["b_rho"] - eps) / 2.0
     tv_se = 1.0 / (2.0 * math.sqrt(n))
 
-    def one(item):
-        i, t = item
-        yt = ou.evolve(y0, t, derive(seed, 2, i))
+    def one(t):
+        decay, scale = ou.transition(t)
+        yt = scale * z
+        yt += decay * y0
         return projected_tv_vs_gaussian(yt, mu, bins=bins or None).value
 
-    tvs = parallel_map(one, list(enumerate(times)), threads)
+    tvs = parallel_map(one, times, threads)
     rows = [
         {"t": t, "tv": v, "tv_se": tv_se, "t_onset": t_onset, "t_mix_simple": t_mix,
          "floor": floor, "eps": eps}
@@ -166,12 +170,24 @@ def _build_process(cfg: dict):
     return proc, proc.invariant_measure()
 
 
+def _pi_keys(cfg: dict) -> str:
+    """The process keys, with their values, that set the invariant law pi."""
+    if cfg["process"] == "ou":
+        return f"key 'mu' = {cfg['mu']:.6g}"
+    return f"keys 'profile_a' = {cfg['profile_a']:.6g}, 'profile_p' = {cfg['profile_p']:.6g}"
+
+
 def _level_r_k(cfg: dict, pi: SphericalMeasure) -> float:
     """The configured level r_k = sqrt(1 + q^2) >= 1, or the exact one when r_k = 0."""
     r_k = cfg["r_k"]
     if 0 < r_k < 1:
         raise ConfigError(f"r_k must be 0 (the exact quantile) or at least 1, got {r_k:.6g}")
-    return r_k or projection_quantile(pi, cfg["k"], cfg["eps"]).r
+    if r_k:
+        return r_k
+    try:
+        return projection_quantile(pi, cfg["k"], cfg["eps"]).r
+    except DomainError as exc:
+        raise ConfigError(f"no exact r_k at {_pi_keys(cfg)}: {exc}") from exc
 
 
 @contextmanager
@@ -213,8 +229,9 @@ def run_lowerbound(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
     r_k = _level_r_k(cfg, pi)
     t_low = mixing_horizons(mu, R, cfg["delta"], eps, d, r_k=r_k).t_lower
     if t_low is None:
+        exact = "" if cfg["r_k"] else f" (exact at {_pi_keys(cfg)})"
         raise ConfigError(
-            f"lower-bound horizon requires 2 r_k < R, got r_k = {r_k:.6g}, R = {R:.6g}"
+            f"lower-bound horizon requires 2 r_k < R, got r_k = {r_k:.6g}{exact}, R = {R:.6g}"
         )
     rho0 = pi if cfg["rho0"] == "pi" else spec
     direction = spec.mode_direction

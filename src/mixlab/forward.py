@@ -68,19 +68,23 @@ class OUProcess:
     def invariant_measure(self) -> SphericalMeasure:
         return SphericalMeasure(self.d, RadialProfile.quadratic(self.mu / 2.0))
 
+    def transition(self, T: float) -> tuple[float, float]:
+        """(decay, scale) of the exact time-T kernel, X_T = decay x + scale Z:
+        (e^{-mu T}, sqrt((1 - e^{-2 mu T})/mu)), and (1, 0) at T = 0."""
+        if T < 0:
+            raise DomainError("horizon T must be nonnegative")
+        # expm1 keeps the variance where 1 - e^{-2 mu T} would round to 0
+        return math.exp(-self.mu * T), math.sqrt(-math.expm1(-2.0 * (self.mu * T)) / self.mu)
+
     def evolve(self, points, T: float, seed: Seed) -> np.ndarray:
-        """Exact time-T marginal per row: e^{-mu T} x + sqrt((1-e^{-2 mu T})/mu) Z.
+        """Exact time-T marginal per row, decay x + scale Z by :meth:`transition`.
 
         At T = 0 this is a copy of the points, and nothing is drawn.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if T < 0:
-            raise DomainError("horizon T must be nonnegative")
+        decay, scale = self.transition(T)
         if T == 0:
             return pts.copy()
-        decay = math.exp(-self.mu * T)
-        # expm1 keeps the variance where 1 - e^{-2 mu T} would round to 0
-        scale = math.sqrt(-math.expm1(-2.0 * (self.mu * T)) / self.mu)
         z = substream(seed).standard_normal(pts.shape)
         z *= scale
         z += decay * pts

@@ -26,6 +26,31 @@ class TVEstimate:
     bins: int
 
 
+def _sorted_finite(samples) -> np.ndarray:
+    """The samples flattened and sorted; DomainError when empty or not all finite."""
+    x = np.sort(np.asarray(samples, dtype=float).reshape(-1))
+    if x.size == 0:
+        raise DomainError("empty samples")
+    # a sorted array puts -inf first and inf and NaN last
+    if not (np.isfinite(x[0]) and np.isfinite(x[-1])):
+        raise DomainError("samples must be finite")
+    return x
+
+
+def _bin_counts(xs: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Counts of the sorted sample xs in the bins of ``edges``, each bin closed
+    on the left and the last closed on both sides, with every sample clipped
+    into [edges[0], edges[-1]]: the edge bins take everything below and above.
+
+    These are the counts of ``np.histogram(np.clip(xs, lo, hi), edges)``."""
+    inner = edges[1:-1]
+    cuts = np.searchsorted(xs, inner)
+    # on a range a few float spacings wide an inner edge can round to lo, which
+    # every clipped sample reaches
+    cuts[inner <= edges[0]] = 0
+    return np.diff(cuts, prepend=0, append=xs.size)
+
+
 def empirical_tv_1d(samples_a, b, bins: int | None = None,
                     bin_range: tuple[float, float] | None = None) -> TVEstimate:
     """Binned TV between a sample and either a second sample or an exact CDF.
@@ -34,17 +59,14 @@ def empirical_tv_1d(samples_a, b, bins: int | None = None,
     mass outside the range is clipped into the edge bins.  When ``b`` is a
     CDF callable, the q_i are exact per-bin masses (with the CDF tails
     absorbed into the edge bins).  Default bins = ceil(sqrt(smaller sample size)).
+    Each sample is sorted once; an empty or non-finite one raises DomainError.
     """
-    a = np.asarray(samples_a, dtype=float).reshape(-1)
-    if a.size == 0:
-        raise DomainError("empty samples")
+    a = _sorted_finite(samples_a)
     cdf_mode = callable(b)
     if cdf_mode:
         n_eff = a.size
     else:
-        bs = np.asarray(b, dtype=float).reshape(-1)
-        if bs.size == 0:
-            raise DomainError("empty samples")
+        bs = _sorted_finite(b)
         n_eff = min(a.size, bs.size)
     if bins is None:
         bins = max(2, int(math.ceil(math.sqrt(n_eff))))
@@ -52,8 +74,8 @@ def empirical_tv_1d(samples_a, b, bins: int | None = None,
     if bins < 2:
         raise StructuralError("need at least 2 bins")
     if bin_range is None:
-        lo = float(a.min()) if cdf_mode else float(min(a.min(), bs.min()))
-        hi = float(a.max()) if cdf_mode else float(max(a.max(), bs.max()))
+        lo = float(a[0]) if cdf_mode else float(min(a[0], bs[0]))
+        hi = float(a[-1]) if cdf_mode else float(max(a[-1], bs[-1]))
         if lo == hi:
             lo, hi = lo - 0.5, hi + 0.5
     else:
@@ -61,14 +83,14 @@ def empirical_tv_1d(samples_a, b, bins: int | None = None,
         if not lo < hi:
             raise StructuralError("bin_range must be an increasing interval")
     edges = np.linspace(lo, hi, bins + 1)
-    p = np.histogram(np.clip(a, lo, hi), bins=edges)[0] / a.size
+    p = _bin_counts(a, edges) / a.size
     if cdf_mode:
         F = np.asarray(b(edges), dtype=float)
         q = np.diff(F)
         q[0] += F[0]
         q[-1] += 1.0 - F[-1]
     else:
-        q = np.histogram(np.clip(bs, lo, hi), bins=edges)[0] / bs.size
+        q = _bin_counts(bs, edges) / bs.size
     value = 0.5 * float(np.abs(p - q).sum())
     return TVEstimate(value=value, bins=bins)
 
@@ -97,13 +119,8 @@ def ks_statistic(samples, cdf: Callable[[np.ndarray], np.ndarray]) -> KSResult:
 
     The p-value is the Kolmogorov survival function at sqrt(n) * D.
     """
-    x = np.asarray(samples, dtype=float).reshape(-1)
-    if x.size == 0:
-        raise DomainError("empty samples")
-    if not np.all(np.isfinite(x)):
-        raise DomainError("samples must be finite")
-    n = x.size
-    xs = np.sort(x)
+    xs = _sorted_finite(samples)
+    n = xs.size
     F = np.asarray(cdf(xs), dtype=float)
     i = np.arange(1, n + 1)
     d_plus = float(np.max(i / n - F))

@@ -415,6 +415,19 @@ n = 1000
         assert main([sub, "--config", cfg, "--seed", "1", "--out", str(tmp_path)]) == 2
         assert "key 'mu' = 4.94066e-324" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mu, reason", [
+        ("1e-323", "no exact r_k at key 'mu' = 9.88131e-324: projection quantile out of"),
+        ("1e-315", "no exact r_k at key 'mu' = 1e-315: projection quantile out of"),
+        ("1e-300", "2 r_k < R, got r_k = 3.05752e+150 (exact at key 'mu' = 1e-300)"),
+    ])
+    def test_ou_lowerbound_at_a_tiny_mu_exits_2_naming_mu(self, tmp_path, capsys, mu, reason):
+        # the exact r_k of N(0, I/mu) grows as 1/sqrt(mu): from mu = 1e-315 down
+        # it leaves the float range, and at 1e-300 it exceeds R/2
+        cfg = write_cfg(tmp_path / "c.cfg", f"process = ou\nmu = {mu}\nd = 8\nR = 50\n"
+                                            "delta = 0.02\neps = 0.05\n")
+        assert main(["lowerbound", "--config", cfg, "--seed", "1", "--out", str(tmp_path)]) == 2
+        assert reason in capsys.readouterr().err
+
     @pytest.mark.parametrize("mu", ["0.5", "1e10"])
     def test_cutoff_gates_pass_off_the_unit_clock(self, tmp_path, capsys, mu):
         # both horizons read R sqrt(mu) on the clock 1/mu; a mu = 1 copy of the

@@ -88,6 +88,11 @@ OU_AT_TINY_MU = "process = ou\nmu = 5e-324\nd = 8\nR = 50\ndelta = 0.02\neps = 0
 @example(case=("ks-sweep", "d = 125\nR = 0\nmu = 1.1125369292536007e-308\nreps = 1\n"))
 @example(case=("lowerbound", OU_AT_TINY_MU))
 @example(case=("validate", OU_AT_TINY_MU))
+# at mu = 1e-323 and 1e-315 the exact r_k of N(0, I/mu) leaves the float range,
+# and at 1e-300 it breaks 2 r_k < R; each once exited without naming mu
+@example(case=("lowerbound", OU_AT_TINY_MU.replace("5e-324", "1e-323")))
+@example(case=("lowerbound", OU_AT_TINY_MU.replace("5e-324", "1e-315")))
+@example(case=("lowerbound", OU_AT_TINY_MU.replace("5e-324", "1e-300")))
 def test_every_valid_config_ends_in_a_documented_exit(tmp_path, case):
     sub, text = case
     cfg = tmp_path / "c.cfg"

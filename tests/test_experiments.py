@@ -142,15 +142,37 @@ def cutoff_cfg(n):
 
 class TestCutoffRun:
     def test_rows_evolve_one_start_draw(self):
+        # every row reads the start draw on (seed, 1) and the noise draw on (seed, 2)
         cfg, seed = cutoff_cfg(2000), 31
         spec = build_data_spec(cfg)
-        y0 = spec.sample_coefficients(cfg["n"], spec.mode_direction[None, :], (seed, 1))
+        y0 = spec.sample_coefficients(cfg["n"], spec.mode_direction[None, :], (seed, 1))[:, 0]
+        z = substream((seed, 2)).standard_normal(cfg["n"])
         ou = OUProcess(cfg["mu"], 1)
         res = run_cutoff(cfg, seed)
         assert len(res.rows) == 10
-        for i, row in enumerate(res.rows):
-            yt = ou.evolve(y0, row["t"], (seed, 2, i))
+        assert res.rows[0]["t"] == 0.0
+        for row in res.rows:
+            decay, scale = ou.transition(row["t"])
+            yt = scale * z + decay * y0
             assert row["tv"] == projected_tv_vs_gaussian(yt, cfg["mu"]).value
+        assert res.rows[0]["tv"] == projected_tv_vs_gaussian(y0, cfg["mu"]).value
+
+    def test_shared_noise_keeps_each_marginal(self):
+        # oracle: the marginal at each grid time drawn by OUProcess.evolve from a
+        # fresh start draw on (seed, 1, i) and fresh noise on (seed, 2, i); the
+        # shared-noise y_t of every row has the same law
+        cfg, seed = cutoff_cfg(20_000), 31
+        spec = build_data_spec(cfg)
+        ou = OUProcess(cfg["mu"], 1)
+        n, basis = cfg["n"], spec.mode_direction[None, :]
+        y0 = spec.sample_coefficients(n, basis, (seed, 1))[:, 0]
+        z = substream((seed, 2)).standard_normal(n)
+        times = [row["t"] for row in run_cutoff(cfg, seed).rows]
+        assert len(times) == 10
+        for i, t in enumerate(times):
+            decay, scale = ou.transition(t)
+            fresh = ou.evolve(spec.sample_coefficients(n, basis, (seed, 1, i)), t, (seed, 2, i))
+            assert ks_2samp(scale * z + decay * y0, fresh[:, 0]).pvalue > 1e-3, t
 
     def test_shared_start_draw_keeps_the_mean_tv(self):
         # oracle: a fresh start draw per grid time, on (seed, 1, i); sharing one

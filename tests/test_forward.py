@@ -78,6 +78,21 @@ class TestOUTransitions:
         pts = OUProcess(1e-20, 1).evolve(np.zeros((100_000, 1)), 1.0, 3)
         assert abs(pts.var() - 2.0) <= 4.0 * 2.0 * math.sqrt(2.0 / pts.size)
 
+    @pytest.mark.parametrize("mu, T", [(1.0, 0.3), (0.7, 4.5), (1e-20, 1.0), (1e13, 1e-12)])
+    def test_evolve_is_the_transition_affine(self, mu, T):
+        # evolve draws z on its substream and returns decay x + scale z, bit for bit
+        ou = OUProcess(mu, 3)
+        x = substream(8).standard_normal((200, 3))
+        decay, scale = ou.transition(T)
+        z = substream(9).standard_normal((200, 3))
+        assert np.array_equal(ou.evolve(x, T, 9), scale * z + decay * x)
+
+    def test_transition_at_zero_and_negative_horizons(self):
+        ou = OUProcess(0.7, 1)
+        assert ou.transition(0.0) == (1.0, 0.0)
+        with pytest.raises(DomainError):
+            ou.transition(-1.0)
+
     def test_invariant_measure(self):
         pi = OUProcess(2.0, 5).invariant_measure()
         assert isinstance(pi, SphericalMeasure)

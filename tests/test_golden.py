@@ -19,7 +19,7 @@ from mixlab.cli import format_number, main
 GOLDEN = {
     "cutoff": (
         "d = 8\nR = 50\ndelta = 0.02\neps = 0.05\nb_rho = 0.5\nn = 5000\n",
-        "6b0a5e33ef485574386acbf1a0798cf48382701b2031fb8e01e3a55f017106cc",
+        "5afd9d33fc7d902662b25e4b1560fd5083dca280759b2779150015d22142b0ca",
     ),
     "lowerbound": (
         "process = tempered\nprofile_a = 0.6\nprofile_p = 1\nell = 0.4\n"

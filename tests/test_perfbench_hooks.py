@@ -125,10 +125,10 @@ def test_cutoff_draws_its_start_projections_once(tmp_path):
         tracer.uninstall()
     assert code == 0
     names = [span[0] for span in tracer.spans]
-    # one substream for the shared start draw, one per grid time t > 0 for the
-    # transition: the t = 0 row draws nothing
-    assert names.count("forward.OUProcess.evolve") == 10
-    assert names.count("rng.substream") == 10
+    # one substream for the shared start draw and one for the shared transition
+    # noise; each grid time reads the OU kernel as an affine map of the two
+    assert names.count("forward.OUProcess.evolve") == 0
+    assert names.count("rng.substream") == 2
 
 
 def test_tracer_reads_the_quantile_sample_count(tmp_path):

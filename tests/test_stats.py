@@ -174,6 +174,70 @@ class TestEmpiricalTV:
         with pytest.raises(StructuralError):
             empirical_tv_1d([1.0], [1.0], bin_range=(2.0, 1.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_raise(self, bad):
+        # a NaN once read nan against a CDF, was dropped on a given range, read 0
+        # against a second sample and reached projected_tv_vs_gaussian's range check
+        clean = np.random.default_rng(6).standard_normal(1000)
+        x = np.append(clean, bad)
+        for call in (lambda: empirical_tv_1d(x, ndtr),
+                     lambda: empirical_tv_1d(x, ndtr, bin_range=(-4.0, 4.0)),
+                     lambda: empirical_tv_1d(x, clean),
+                     lambda: empirical_tv_1d(clean, x),
+                     lambda: projected_tv_vs_gaussian(x, 1.0)):
+            with pytest.raises(DomainError, match="samples must be finite"):
+                call()
+
+    def test_counts_match_the_clipped_histogram(self):
+        # oracle: np.histogram of the samples clipped into the range, on the same
+        # edges; ties, samples on an edge, samples outside the range, both modes
+        def histogram_tv(a, b, bins, bin_range):
+            cdf_mode = callable(b)
+            if bin_range is None:
+                lo = a.min() if cdf_mode else min(a.min(), b.min())
+                hi = a.max() if cdf_mode else max(a.max(), b.max())
+                lo, hi = (lo - 0.5, hi + 0.5) if lo == hi else (lo, hi)
+            else:
+                lo, hi = bin_range
+            edges = np.linspace(lo, hi, bins + 1)
+            p = np.histogram(np.clip(a, lo, hi), bins=edges)[0] / a.size
+            if cdf_mode:
+                F = b(edges)
+                q = np.diff(F)
+                q[0] += F[0]
+                q[-1] += 1.0 - F[-1]
+            else:
+                q = np.histogram(np.clip(b, lo, hi), bins=edges)[0] / b.size
+            return 0.5 * float(np.abs(p - q).sum())
+
+        rng = np.random.default_rng(7)
+        for _ in range(400):
+            bins = int(rng.integers(2, 40))
+            # one decimal makes ties
+            a = np.round(rng.standard_normal(int(rng.integers(1, 300))) * 2.0, 1)
+            b = (ndtr if rng.random() < 0.5
+                 else np.round(rng.standard_normal(int(rng.integers(1, 300))) + 0.3, 1))
+            form = rng.integers(4)
+            if form == 3:
+                # a range a few float spacings wide, where inner edges round to lo
+                bin_range = (1e16, 1e16 + 2.0 * float(rng.integers(1, 4)))
+                a, b = a + 1e16, b if callable(b) else b + 1e16
+            elif form == 0:
+                bin_range = None
+                if not callable(b) and rng.random() < 0.2:
+                    a = np.full(a.size, 0.7)  # every sample equal: the range widens by 0.5
+                    b = np.full(b.size, 0.7)
+            else:
+                # inside the data (samples outside it) or around it
+                half = rng.uniform(0.5, 2.0) if form == 1 else rng.uniform(5.0, 9.0)
+                bin_range = (-half + rng.uniform(-0.3, 0.3), half)
+                edges = np.linspace(*bin_range, bins + 1)
+                a = np.append(a, rng.choice(edges, 5))
+                if not callable(b):
+                    b = np.append(b, rng.choice(edges, 5))
+            expected = histogram_tv(a, b, bins, bin_range)
+            assert empirical_tv_1d(a, b, bins, bin_range).value == expected
+
 
 class TestProjectedTV:
     def test_stationary_samples_are_small(self):
