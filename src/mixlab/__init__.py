@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from types import ModuleType as _ModuleType
 
 from .bounds import (
-    ConcaveRate,
     GrowthEnvelopeReport,
     HorizonSet,
     LinearRate,
@@ -21,7 +20,6 @@ from .bounds import (
     check_compatibility,
     check_generator_bound,
     check_growth_envelope,
-    gaussian_kl,
     mixing_horizons,
     ou_tv_upper_bound,
     probe_grid,

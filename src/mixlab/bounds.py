@@ -1,23 +1,23 @@
-"""Mixing-bound machinery: rate calculus, generator checks, TV bounds, horizons.
+"""Mixing-bound machinery: linear growth rate, generator checks, TV bounds, horizons.
 
 The lower bound rests on a scalar comparison argument.  A test function
 H(x) = (1 + |G(x)|^2)^{-1/2} built from a k-dimensional projection G
-satisfies (generator of the process applied to H) <= xi(H) for an increasing
-concave rate xi; integrating 1/xi turns that into the growth envelope
-``grow`` and its inverses, and Markov's inequality then bounds from below
-the TV distance between the time-T marginal and the invariant measure:
+satisfies (generator of the process applied to H) <= mu H, the linear rate
+xi(s) = mu s.  Integrating 1/xi gives the growth envelope
+``grow(u, T) = u e^{mu T}`` and its inverses in closed form, and Markov's
+inequality then bounds from below the TV distance between the time-T
+marginal and the invariant measure:
 
     TV >= pi(H >= 1/r) - rho0(H >= C) - E_rho0[ r * grow(H(x), T) ; H < C ]
 
-with C the starting level whose envelope reaches 1/r at time T.  The upper
-bound for the OU process is the classical Gaussian KL formula squeezed
-through Pinsker's inequality.
+with C = e^{-mu T}/r the starting level whose envelope reaches 1/r at time
+T.  The upper bound for the OU process is a closed-form bound on the
+Gaussian KL divergence squeezed through Pinsker's inequality.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,103 +69,6 @@ class LinearRate:
             raise DomainError("time must be nonnegative")
         # domain condition 1/r <= exp(mu t) holds automatically for r >= 1, t >= 0
         return math.exp(-self.mu * t) / r
-
-
-class ConcaveRate:
-    """Envelope calculus for a user-supplied positive increasing concave rate.
-
-    The callable is screened at construction on 1000 log-spaced points of
-    [1e-6, 1e3] (positivity, monotone increase, chord slopes nonincreasing
-    within 1e-8).
-    Integrals use adaptive quadrature at relative tolerance 1e-10; inverses
-    use bracketed root finding.  The callable must be safe for concurrent
-    evaluation.  scipy.integrate and scipy.optimize are imported by the
-    methods that use them, since no subcommand reaches this class and the
-    two imports would otherwise add to the start-up time of every CLI call.
-    """
-
-    def __init__(self, xi):
-        self._fn = xi
-        g = np.geomspace(1e-6, 1e3, 1000)
-        v = np.array([float(xi(s)) for s in g])
-        if not np.all(np.isfinite(v)) or not np.all(v > 0):
-            raise StructuralError("rate must be positive and finite on the diagnostic grid")
-        dv = np.diff(v)
-        if np.any(dv < -1e-12 * np.maximum(1.0, np.abs(v[:-1]))):
-            raise StructuralError("rate must be nondecreasing on the diagnostic grid")
-        slopes = dv / np.diff(g)
-        if np.any(np.diff(slopes) > 1e-8):
-            raise StructuralError("rate must be concave (chord slopes nonincreasing, 1e-8)")
-
-    def growth_time(self, u: float, v: float) -> float:
-        if not u > 0:
-            raise DomainError("lower limit must be positive")
-        if v < u:
-            raise DomainError("need u <= v")
-        if v == u:
-            return 0.0
-        from scipy.integrate import quad
-
-        val, _ = quad(lambda s: 1.0 / float(self._fn(s)), u, v,
-                      epsabs=0.0, epsrel=1e-10, limit=200)
-        return float(val)
-
-    def _walk(self, level: float, y: float, up: bool) -> float:
-        """Level v with growth_time(level, v) = y (``up``) or growth_time(v, level) = y.
-
-        Sums growth_time over factor-2 steps from ``level``, so each quadrature
-        spans one step, then solves inside the step that reaches y.  A step that
-        adds nothing (1e-12 relative: the integral converges short of y) or a
-        level past 1e280 (up) or 1e-300 (down) raises DomainError naming the sum.
-        """
-        from scipy.optimize import brentq
-
-        acc, a = 0.0, level
-        while True:
-            b = a * 2.0 if up else a / 2.0
-            lo, hi = (a, b) if up else (b, a)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                g = self.growth_time(lo, hi)
-            if acc + g >= y:
-                break
-            if g <= 1e-12 * max(1.0, acc) or not (b <= 1e280 if up else b >= 1e-300):
-                raise DomainError(
-                    f"time {y} outside the envelope domain [0, {acc + g:.6g}) "
-                    f"at level {level:.6g}"
-                )
-            acc, a = acc + g, b
-        rest = y - acc
-        if up:
-            f = lambda v: self.growth_time(a, v) - rest
-        else:
-            f = lambda c: self.growth_time(c, a) - rest
-        return float(brentq(f, lo, hi, xtol=1e-300, rtol=1e-12))
-
-    def _grow_scalar(self, u: float, y: float) -> float:
-        if not u > 0:
-            raise DomainError("starting level must be positive")
-        if y < 0:
-            raise DomainError("time must be nonnegative")
-        if y == 0:
-            return float(u)
-        return self._walk(float(u), y, up=True)
-
-    def grow(self, u, y: float):
-        u = np.asarray(u, dtype=float)
-        if u.ndim == 0:
-            return self._grow_scalar(float(u), y)
-        return np.array([self._grow_scalar(float(ui), y) for ui in u])
-
-    def threshold_level(self, r: float, t: float) -> float:
-        """Solve growth_time(C, 1/r) = t for the starting level C."""
-        if not r >= 1:
-            raise DomainError("level r must be at least 1")
-        if t < 0:
-            raise DomainError("time must be nonnegative")
-        if t == 0:
-            return 1.0 / r
-        return self._walk(1.0 / r, t, up=False)
 
 
 @dataclass(frozen=True)
@@ -346,8 +249,6 @@ def tv_lower_bound(pi: SphericalMeasure, rho0, proj: SubspaceProjector, rate: Li
     """
     if pi.d != proj.d or rho0.d != proj.d:
         raise StructuralError("noise measure, start law and projector dimensions differ")
-    if not isinstance(rate, LinearRate):
-        raise StructuralError("the exact start-law terms need a LinearRate envelope")
     if not r >= 1:
         raise DomainError("level r must be at least 1")
     pi_term = 1.0 - projection_tail(pi, proj.k, _norm_at_level(r))
@@ -402,35 +303,6 @@ def check_growth_envelope(process, proj: SubspaceProjector, rate, x, t: float,
         bound=float(rate.grow(h0, t)),
         start_value=h0,
     )
-
-
-def gaussian_kl(m1, S1, m2, S2) -> float:
-    """KL divergence between Gaussians N(m1, S1) and N(m2, S2).
-
-    0.5 * (Tr(S2^-1 S1 - I) + (m1-m2)^T S2^-1 (m1-m2) + log det(S2 S1^-1)),
-    computed through Cholesky factorizations; positive definiteness is
-    validated by factorization success.
-    """
-    m1 = np.asarray(m1, dtype=float).reshape(-1)
-    m2 = np.asarray(m2, dtype=float).reshape(-1)
-    S1 = np.asarray(S1, dtype=float)
-    S2 = np.asarray(S2, dtype=float)
-    d = m1.size
-    if m2.size != d or S1.shape != (d, d) or S2.shape != (d, d):
-        raise StructuralError("mean/covariance shapes are inconsistent")
-    try:
-        L1 = np.linalg.cholesky(S1)
-        L2 = np.linalg.cholesky(S2)
-    except np.linalg.LinAlgError as exc:
-        raise DomainError(f"covariance not positive definite: {exc}") from exc
-    # with S2 = L2 L2^T, Tr(S2^-1 S1) = |L2^-1 L1|_F^2 and dm^T S2^-1 dm = |L2^-1 dm|^2
-    a = np.linalg.solve(L2, np.column_stack([L1, m1 - m2]))
-    tr = float(np.sum(a[:, :d] ** 2))
-    quad_term = float(a[:, d] @ a[:, d])
-    logdet1 = 2.0 * float(np.log(np.diag(L1)).sum())
-    logdet2 = 2.0 * float(np.log(np.diag(L2)).sum())
-    kl = 0.5 * (tr - d + quad_term + logdet2 - logdet1)
-    return 0.0 if -1e-9 < kl < 0.0 else kl
 
 
 def ou_tv_upper_bound(mu: float, rho0: MultiModalData, times) -> list[float]:

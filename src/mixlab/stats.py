@@ -103,6 +103,8 @@ def projected_tv_vs_gaussian(samples, mu: float, bins: int | None = None) -> TVE
     N(0, I/mu), whose pushforward along any unit vector u is N(0, 1/mu).
     """
     t = np.asarray(samples, dtype=float).reshape(-1)
+    if t.size == 0:
+        raise DomainError("empty samples")
     root_mu = math.sqrt(mu)
     bin_range = (min(float(t.min()), -8.0 / root_mu), max(float(t.max()), 8.0 / root_mu))
     return empirical_tv_1d(t, lambda x: ndtr(np.asarray(x) * root_mu), bins, bin_range)

@@ -13,7 +13,6 @@ import pytest
 from scipy.stats import multivariate_normal
 
 from mixlab import (
-    ConcaveRate,
     LinearRate,
     ModeSpec,
     MultiModalData,
@@ -26,7 +25,6 @@ from mixlab import (
     check_generator_bound,
     check_growth_envelope,
     classify_ergodicity,
-    gaussian_kl,
     mixing_horizons,
     ou_tv_upper_bound,
     probe_grid,
@@ -34,7 +32,7 @@ from mixlab import (
     tv_lower_bound,
 )
 from mixlab.cli import main
-from tests.test_bounds import fd_generator
+from tests.test_bounds import fd_generator, single_mode_spec
 
 # frozen reference quantile grid at eps = 0.1, n = 3e5 (columns d = 3, 30, 300, 3000)
 REFERENCE_Q3 = {
@@ -224,58 +222,64 @@ def test_criterion_06_rate_calculus(acceptance_record):
         worst_lin = max(worst_lin, abs(lin.growth_time(u, lin.grow(u, y)) - y))
     assert worst_lin <= 1e-12
 
-    conc = ConcaveRate(math.sqrt)
-    worst_sqrt = 0.0
-    for _ in range(1000):
-        u = float(rng.uniform(1e-3, 1.0))
-        v = float(rng.uniform(u, 5.0))
-        oracle = 2.0 * (math.sqrt(v) - math.sqrt(u))
-        worst_sqrt = max(worst_sqrt, abs(conc.growth_time(u, v) - oracle))
-        got = conc.grow(u, oracle)
-        worst_sqrt = max(worst_sqrt, abs(got - v))
-    assert worst_sqrt <= 1e-8
-
     worst_pair = 0.0
-    for rate, is_linear in ((lin, True), (conc, False)):
-        for _ in range(100):
-            r = float(rng.uniform(1.0, 20.0))
-            # the sqrt envelope floor (t/2)^2 must stay below 1/r
-            t_hi = 6.0 if is_linear else 1.8 / math.sqrt(r)
-            t = float(rng.uniform(0.0, t_hi))
-            c = rate.threshold_level(r, t)
-            worst_pair = max(worst_pair, abs(rate.grow(c, t) * r - 1.0))
+    for _ in range(100):
+        r = float(rng.uniform(1.0, 20.0))
+        t = float(rng.uniform(0.0, 6.0))
+        c = lin.threshold_level(r, t)
+        worst_pair = max(worst_pair, abs(lin.grow(c, t) * r - 1.0))
     assert worst_pair <= 1e-10
     acceptance_record(
         "criterion 6 (rate calculus)", True,
-        f"linear round trip {worst_lin:.1e} <= 1e-12; sqrt {worst_sqrt:.1e} <= 1e-8; "
-        f"inverse pair {worst_pair:.1e} <= 1e-10")
+        f"linear round trip {worst_lin:.1e} <= 1e-12; inverse pair {worst_pair:.1e} <= 1e-10")
+
+
+def ou_kl_to_stationary(mu, t, d, r0):
+    """KL(N(e^{-mu t} x0, sigma_t^2 I_d) || N(0, I/mu)) for |x0| = r0, with
+    mu sigma_t^2 = 1 - x and x = e^{-2 mu t}."""
+    x = math.exp(-2.0 * mu * t)
+    return 0.5 * d * (-x - math.log1p(-x)) + 0.5 * mu * x * r0 * r0
 
 
 def test_criterion_07_gaussian_kl(acceptance_record):
-    m = np.array([0.4, -1.0])
-    S = np.array([[1.5, 0.2], [0.2, 0.8]])
-    assert abs(gaussian_kl(m, S, m, S)) <= 1e-12
-    assert abs(gaussian_kl(m, np.eye(2), np.zeros(2), np.eye(2)) - 0.5 * float(m @ m)) <= 1e-12
-
+    # the exact KL of the OU marginal from a point start against Monte Carlo
     rng = np.random.default_rng(707)
     worst = 0.0
     for i in range(20):
-        a = rng.standard_normal((2, 2))
-        b = rng.standard_normal((2, 2))
-        s1 = a @ a.T + 0.3 * np.eye(2)
-        s2 = b @ b.T + 0.3 * np.eye(2)
-        m1 = rng.standard_normal(2) + 1.0
-        m2 = rng.standard_normal(2)
-        kl = gaussian_kl(m1, s1, m2, s2)
-        x = multivariate_normal(m1, s1).rvs(size=1_000_000, random_state=1000 + i)
-        mc = float(np.mean(
-            multivariate_normal(m1, s1).logpdf(x) - multivariate_normal(m2, s2).logpdf(x)
-        ))
+        d = int(rng.integers(2, 5))
+        mu = float(rng.uniform(0.5, 2.0))
+        t = float(rng.uniform(0.05, 1.0)) / mu
+        x0 = float(rng.uniform(0.5, 3.0)) * rng.standard_normal(d)
+        kl = ou_kl_to_stationary(mu, t, d, float(np.linalg.norm(x0)))
+        p = multivariate_normal(math.exp(-mu * t) * x0, -math.expm1(-2.0 * mu * t) / mu * np.eye(d))
+        q = multivariate_normal(np.zeros(d), np.eye(d) / mu)
+        x = p.rvs(size=1_000_000, random_state=1000 + i)
+        mc = float(np.mean(p.logpdf(x) - q.logpdf(x)))
         rel = abs(kl - mc) / abs(mc)
         worst = max(worst, rel)
         assert rel <= 0.02, (i, kl, mc)
+
+    # a compact single mode has inside mass 1 and outside mass 0, so the
+    # Pinsker bound reads back KLbar = 2 bound^2 wherever it is below 1, and
+    # KLbar must bound the exact KL from the farthest start in the ball
+    checked, worst_gap = 0, math.inf
+    for d, mu in ((4, 0.5), (16, 4.0), (64, 1.0)):
+        spec = single_mode_spec(d=d, b_rho=1.0, bulk_scale=0.0)
+        ball = spec.R * (1.0 + 2.0 * spec.delta)
+        assert spec.mass_within_origin_ball(ball) == 1.0
+        assert spec._mass_outside_origin_ball(ball) == 0.0
+        times = np.linspace(0.4, 8.0, 20) / mu
+        for t, bound in zip(times, ou_tv_upper_bound(mu, spec, times)):
+            if bound < 1.0:
+                klbar = 2.0 * bound * bound
+                exact = ou_kl_to_stationary(mu, t, d, ball)
+                assert exact <= klbar, (d, mu, t, exact, klbar)
+                checked += 1
+                worst_gap = min(worst_gap, (klbar - exact) / klbar)
+    assert checked >= 30
     acceptance_record("criterion 7 (Gaussian KL)", True,
-                      f"20 instances, worst MC deviation {100 * worst:.2f}% <= 2%")
+                      f"20 instances, worst MC deviation {100 * worst:.2f}% <= 2%; exact KL <= "
+                      f"KLbar at {checked} times, min relative slack {worst_gap:.1e}")
 
 
 def test_criterion_08_growth_envelope(acceptance_record):

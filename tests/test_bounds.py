@@ -7,7 +7,6 @@ from scipy.integrate import quad
 from scipy.special import ndtr
 
 from mixlab import (
-    ConcaveRate,
     DomainError,
     IntegratorConfig,
     LinearRate,
@@ -25,7 +24,6 @@ from mixlab import (
     check_generator_bound,
     check_growth_envelope,
     check_linear_growth,
-    gaussian_kl,
     mixing_horizons,
     ou_tv_upper_bound,
     probe_grid,
@@ -122,80 +120,6 @@ class TestLinearRate:
         ys = np.linspace(0.0, 4.0, 30)
         vals = [rate.grow(0.5, y) for y in ys]
         assert np.all(np.diff(vals) > 0)
-
-
-class TestConcaveRate:
-    def setup_method(self):
-        self.rate = ConcaveRate(math.sqrt)
-
-    def test_against_closed_form(self):
-        # integral of 1/sqrt(s) has antiderivative 2 sqrt(s)
-        assert self.rate.growth_time(1.0, 4.0) == pytest.approx(2.0, abs=1e-8)
-        assert self.rate.grow(1.0, 2.0) == pytest.approx(4.0, rel=1e-8)
-        assert self.rate.grow(0.7, 0.0) == 0.7
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(2)
-        for _ in range(300):
-            u = float(rng.uniform(1e-3, 1.0))
-            y = float(rng.uniform(0.0, 4.0))
-            v = self.rate.grow(u, y)
-            oracle = 2.0 * (math.sqrt(v) - math.sqrt(u))
-            assert abs(oracle - y) <= 1e-8
-
-    def test_threshold_closed_form(self):
-        # growth_time(C, 1/r) = t gives C = (sqrt(1/r) - t/2)^2
-        r, t = 2.0, 0.5
-        expected = (math.sqrt(1.0 / r) - t / 2.0) ** 2
-        assert self.rate.threshold_level(r, t) == pytest.approx(expected, rel=1e-8)
-        assert self.rate.threshold_level(2.0, 0.0) == 0.5
-
-    def test_threshold_floor_domain_error(self):
-        # the envelope floor (t/2)^2 exceeds 1/r: no starting level works
-        with pytest.raises(DomainError):
-            self.rate.threshold_level(2.0, 2.0)
-
-    def test_inverse_pair(self):
-        for r, t in [(1.5, 0.2), (3.0, 0.6), (8.0, 0.1)]:
-            c = self.rate.threshold_level(r, t)
-            assert self.rate.grow(c, t) * r == pytest.approx(1.0, rel=1e-8)
-
-    def test_validation_rejects_bad_rates(self):
-        with pytest.raises(StructuralError):
-            ConcaveRate(lambda s: s * s)  # convex
-        with pytest.raises(StructuralError):
-            ConcaveRate(lambda s: -1.0)  # negative
-        with pytest.raises(StructuralError):
-            ConcaveRate(lambda s: 1.0 / s)  # decreasing
-
-    def test_finite_tail_domain_error_names_sup(self):
-        # concave on the diagnostic grid but superlinear beyond it, so the
-        # tail integral converges and large times leave the domain
-        def sneaky(s):
-            return math.sqrt(s) if s <= 1e4 else s * s / 1e6
-
-        rate = ConcaveRate(sneaky)
-        sup = 2.0 * (100.0 - 1.0) + 100.0  # int_1^1e4 + int_1e4^inf
-        with pytest.raises(DomainError, match="domain"):
-            rate.grow(1.0, sup + 10.0)
-
-    def test_domain_error_reports_the_summed_end(self):
-        # the walk sums growth_time over factor-2 steps, so the domain end it
-        # reports is int_1^inf 1/xi = 298 for the start level 1, and
-        # int_0^(1/2) 1/sqrt(s) = sqrt(2) below the level 1/2
-        def sneaky(s):
-            return math.sqrt(s) if s <= 1e4 else s * s / 1e6
-
-        with pytest.raises(DomainError, match=r"\[0, 298\)"):
-            ConcaveRate(sneaky).grow(1.0, 308.0)
-        with pytest.raises(DomainError, match=r"\[0, 1\.41421\)"):
-            self.rate.threshold_level(2.0, 2.0)
-
-    def test_vector_grow(self):
-        us = np.array([0.25, 1.0, 2.25])
-        out = self.rate.grow(us, 1.0)
-        expected = (np.sqrt(us) + 0.5) ** 2
-        np.testing.assert_allclose(out, expected, rtol=1e-8)
 
 
 class TestSubspaceProjector:
@@ -641,11 +565,6 @@ class TestTVLowerBound:
             tv_lower_bound(self.pi, SphericalMeasure(4, RadialProfile.quadratic(0.5)),
                            self.proj, self.rate, 2.0, [1.0])
 
-    def test_needs_the_linear_envelope(self):
-        # the start terms integrate r grow(H, t) = H / C, which holds for LinearRate
-        with pytest.raises(StructuralError, match="LinearRate"):
-            tv_lower_bound(self.pi, self.spec, self.proj, ConcaveRate(math.sqrt), 2.0, [1.0])
-
 
 class TestGrowthEnvelope:
     def test_zero_time_equality(self):
@@ -697,51 +616,6 @@ class TestGrowthEnvelope:
         first, second = (check_growth_envelope(tl, proj, LinearRate(1.0), x, 0.5, 2000, (7, 1, 3),
                                                cfg=IntegratorConfig(0.01)) for _ in range(2))
         assert first == second
-
-
-class TestGaussianKL:
-    def test_identical_is_zero(self):
-        m = np.array([1.0, -2.0])
-        S = np.array([[2.0, 0.3], [0.3, 1.0]])
-        assert abs(gaussian_kl(m, S, m, S)) <= 1e-12
-
-    def test_identity_covariance_reduction(self):
-        m1 = np.array([0.7, -1.2, 0.4])
-        val = gaussian_kl(m1, np.eye(3), np.zeros(3), np.eye(3))
-        assert val == pytest.approx(0.5 * float(m1 @ m1), abs=1e-12)
-
-    def test_nonnegative(self):
-        rng = np.random.default_rng(6)
-        for _ in range(50):
-            a = rng.standard_normal((2, 2))
-            b = rng.standard_normal((2, 2))
-            s1 = a @ a.T + 0.2 * np.eye(2)
-            s2 = b @ b.T + 0.2 * np.eye(2)
-            assert gaussian_kl(rng.standard_normal(2), s1, rng.standard_normal(2), s2) >= 0.0
-
-    def test_monte_carlo_cross_check(self):
-        from scipy.stats import multivariate_normal
-
-        rng = np.random.default_rng(7)
-        for _ in range(3):
-            a = rng.standard_normal((2, 2))
-            b = rng.standard_normal((2, 2))
-            s1 = a @ a.T + 0.3 * np.eye(2)
-            s2 = b @ b.T + 0.3 * np.eye(2)
-            m1 = rng.standard_normal(2) + 1.0
-            m2 = rng.standard_normal(2)
-            kl = gaussian_kl(m1, s1, m2, s2)
-            x = multivariate_normal(m1, s1).rvs(size=200_000, random_state=123)
-            ratio = multivariate_normal(m1, s1).logpdf(x) - multivariate_normal(m2, s2).logpdf(x)
-            assert kl == pytest.approx(float(ratio.mean()), rel=0.05)
-
-    def test_not_positive_definite(self):
-        with pytest.raises(DomainError):
-            gaussian_kl(np.zeros(2), -np.eye(2), np.zeros(2), np.eye(2))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(StructuralError):
-            gaussian_kl(np.zeros(2), np.eye(3), np.zeros(2), np.eye(2))
 
 
 class TestOUUpperBound:

@@ -25,21 +25,29 @@ LOADED = ("print([m for m in ('scipy.optimize', 'scipy.integrate', 'scipy.linalg
 
 
 def test_cli_import_leaves_out_optimize_and_integrate(tmp_path):
-    # only ConcaveRate uses the first two, and it imports them when called; no
-    # module needs scipy.linalg or scipy.stats.  The exact r_k, the quantile root
-    # finding and the start-law quadrature must not pull them in either, so a
-    # lowerbound and a quantile-table call follow the import
-    (tmp_path / "lb.cfg").write_text("process = tempered\nd = 8\nR = 400\ndelta = 0.02\n"
-                                     "eps = 0.05\nn = 200\n")
-    (tmp_path / "qt.cfg").write_text("p_list = 1.2\nd_list = 3,30\n")
+    # importing scipy.optimize or scipy.integrate after scipy.special adds 0.15-0.30 s
+    # to every CLI call's start-up, and no module needs scipy.linalg or scipy.stats.
+    # The exact r_k, the quantile root finding, the start-law quadrature, the OU
+    # transition, the binned TV, the KS test and the validate probes must not pull
+    # them in either, so a call of every subcommand but classify follows the import
+    configs = {
+        "lowerbound": "process = tempered\nd = 8\nR = 400\ndelta = 0.02\neps = 0.05\nn = 200\n",
+        "quantile-table": "p_list = 1.2\nd_list = 3,30\n",
+        "cutoff": "d = 8\nR = 50\ndelta = 0.02\neps = 0.05\nn = 200\ntimes = 0, 3\n",
+        "ks-sweep": "d = 8\nR = 50\nreps = 2\n",
+        "validate": "d = 8\nR = 50\ndelta = 0.02\neps = 0.05\nn_points = 200\n",
+    }
+    calls = []
+    for sub, text in configs.items():
+        cfg = tmp_path / f"{sub}.cfg"
+        cfg.write_text(text)
+        calls.append(f"assert main([{sub!r}, '--config', {str(cfg)!r}, '--seed', '1', "
+                     f"'--out', {str(tmp_path)!r}]) == 0, {sub!r}")
     code = "\n".join([
         "import sys, mixlab.cli",
         LOADED,
         "from mixlab.cli import main",
-        f"assert main(['lowerbound', '--config', {str(tmp_path / 'lb.cfg')!r}, "
-        f"'--out', {str(tmp_path)!r}]) == 0",
-        f"assert main(['quantile-table', '--config', {str(tmp_path / 'qt.cfg')!r}, "
-        f"'--out', {str(tmp_path)!r}]) == 0",
+        *calls,
         LOADED,
     ])
     src = str(Path(mixlab.__file__).resolve().parents[1])

@@ -174,6 +174,12 @@ class TestEmpiricalTV:
         with pytest.raises(StructuralError):
             empirical_tv_1d([1.0], [1.0], bin_range=(2.0, 1.0))
 
+    def test_projected_tv_of_an_empty_sample_raises(self):
+        # the range pass once took the minimum of an empty array and leaked numpy's ValueError
+        for empty in ([], np.empty((0, 3))):
+            with pytest.raises(DomainError, match="empty samples"):
+                projected_tv_vs_gaussian(empty, 1.0)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_samples_raise(self, bad):
         # a NaN once read nan against a CDF, was dropped on a given range, read 0
