@@ -32,7 +32,7 @@ from mixlab import (
     tv_lower_bound,
 )
 from mixlab.cli import main
-from tests.test_bounds import fd_generator, single_mode_spec
+from tests.test_bounds import fd_generator, ou_kl_to_stationary, single_mode_spec
 
 # frozen reference quantile grid at eps = 0.1, n = 3e5 (columns d = 3, 30, 300, 3000)
 REFERENCE_Q3 = {
@@ -232,13 +232,6 @@ def test_criterion_06_rate_calculus(acceptance_record):
     acceptance_record(
         "criterion 6 (rate calculus)", True,
         f"linear round trip {worst_lin:.1e} <= 1e-12; inverse pair {worst_pair:.1e} <= 1e-10")
-
-
-def ou_kl_to_stationary(mu, t, d, r0):
-    """KL(N(e^{-mu t} x0, sigma_t^2 I_d) || N(0, I/mu)) for |x0| = r0, with
-    mu sigma_t^2 = 1 - x and x = e^{-2 mu t}."""
-    x = math.exp(-2.0 * mu * t)
-    return 0.5 * d * (-x - math.log1p(-x)) + 0.5 * mu * x * r0 * r0
 
 
 def test_criterion_07_gaussian_kl(acceptance_record):

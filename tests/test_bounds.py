@@ -68,6 +68,13 @@ def single_mode_spec(d=16, R=50.0, delta=0.02, eps=0.05, b_rho=0.5, **kw):
     return MultiModalData(d, R, delta, eps, modes=(ModeSpec(center, delta * R, b_rho),), **kw)
 
 
+def ou_kl_to_stationary(mu, t, d, r0):
+    """KL(N(e^{-mu t} x0, sigma_t^2 I_d) || N(0, I/mu)) for |x0| = r0, with
+    mu sigma_t^2 = 1 - x and x = e^{-2 mu t}."""
+    x = math.exp(-2.0 * mu * t)
+    return 0.5 * d * (-x - math.log1p(-x)) + 0.5 * mu * x * r0 * r0
+
+
 class TestLinearRate:
     def test_growth_time(self):
         rate = LinearRate(1.0)
@@ -120,6 +127,40 @@ class TestLinearRate:
         ys = np.linspace(0.0, 4.0, 30)
         vals = [rate.grow(0.5, y) for y in ys]
         assert np.all(np.diff(vals) > 0)
+
+    @pytest.mark.parametrize("mu", [0.0, -1.0, math.nan])
+    def test_rate_must_be_positive(self, mu):
+        with pytest.raises(StructuralError, match="mu must be positive"):
+            LinearRate(mu)
+
+    def test_vector_grow(self):
+        rate = LinearRate(0.8)
+        us = np.array([0.25, 1.0, 2.25])
+        out = rate.grow(us, 1.5)
+        assert isinstance(out, np.ndarray)
+        np.testing.assert_allclose(out, us * math.exp(1.2), rtol=1e-15)
+        assert type(rate.grow(0.25, 1.5)) is float
+        with pytest.raises(DomainError):
+            rate.grow(np.array([0.5, 0.0]), 1.0)
+
+    def test_negative_time_raises(self):
+        rate = LinearRate(1.0)
+        with pytest.raises(DomainError, match="time must be nonnegative"):
+            rate.grow(0.5, -1e-3)
+        with pytest.raises(DomainError, match="time must be nonnegative"):
+            rate.threshold_level(2.0, -1e-3)
+
+    def test_growth_time_to_infinity(self):
+        assert LinearRate(2.0).growth_time(0.5, math.inf) == math.inf
+
+    def test_threshold_is_the_start_that_reaches_one_over_r(self):
+        # growth_time(C, 1/r) = t names the threshold level without its formula
+        rate = LinearRate(1.3)
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            r = float(rng.uniform(1.0, 50.0))
+            t = float(rng.uniform(0.0, 6.0))
+            assert abs(rate.growth_time(rate.threshold_level(r, t), 1.0 / r) - t) <= 1e-12
 
 
 class TestSubspaceProjector:
@@ -427,6 +468,18 @@ class TestTVLowerBound:
                 q0 = math.sqrt((level - 1.0) * (level + 1.0))
                 assert 0.0 <= rep.integral <= projection_tail(pi, 3, q0)
 
+    def test_reports_follow_the_times_and_read_the_rate(self):
+        times = [2.0, 0.0, 1.0, 0.5]
+        reps = tv_lower_bound(self.pi, self.spec, self.proj, self.rate, self.r_k, times)
+        assert [rep.t for rep in reps] == times
+        for rep in reps:
+            assert rep.threshold == self.rate.threshold_level(self.r_k, rep.t)
+            alone, = tv_lower_bound(self.pi, self.spec, self.proj, self.rate, self.r_k, [rep.t])
+            assert alone == rep
+
+    def test_no_times_no_reports(self):
+        assert tv_lower_bound(self.pi, self.spec, self.proj, self.rate, self.r_k, []) == []
+
     def test_far_mode_configuration(self):
         t_low = math.log(self.spec.R / (2 * self.r_k)) / self.mu
         rep, = tv_lower_bound(self.pi, self.spec, self.proj, self.rate, self.r_k, [t_low])
@@ -618,11 +671,78 @@ class TestGrowthEnvelope:
         assert first == second
 
 
+class TestOUKL:
+    def test_matches_the_general_gaussian_formula(self):
+        # KL(N(m1, S1) || N(m2, S2)) from traces, a solve and log-determinants
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            d = int(rng.integers(1, 9))
+            mu = float(rng.uniform(0.2, 5.0))
+            t = float(rng.uniform(0.01, 2.0))
+            x0 = float(rng.uniform(0.0, 10.0)) * rng.standard_normal(d)
+            m1 = math.exp(-mu * t) * x0
+            s1 = -math.expm1(-2.0 * mu * t) / mu * np.eye(d)
+            s2 = np.eye(d) / mu
+            general = 0.5 * (np.trace(np.linalg.solve(s2, s1)) + m1 @ np.linalg.solve(s2, m1)
+                             - d + np.linalg.slogdet(s2)[1] - np.linalg.slogdet(s1)[1])
+            closed = ou_kl_to_stationary(mu, t, d, float(np.linalg.norm(x0)))
+            assert closed == pytest.approx(general, rel=1e-9, abs=1e-12)
+
+    def test_decreases_to_zero(self):
+        times = np.linspace(0.05, 20.0, 200)
+        kls = [ou_kl_to_stationary(1.5, t, 16, 50.0) for t in times]
+        assert np.all(np.diff(kls) < 0)
+        assert kls[-1] <= 1e-20
+        assert min(kls) >= 0.0
+
+
 class TestOUUpperBound:
     def test_precondition(self):
         spec = single_mode_spec()
         with pytest.raises(DomainError):
             ou_tv_upper_bound(1.0, spec, [5.0, 0.3])
+
+    def test_precondition_is_strict(self):
+        spec = single_mode_spec()
+        edge = math.log(2.0) / 2.0
+        with pytest.raises(DomainError, match=r"mu\*t > log\(2\)/2"):
+            ou_tv_upper_bound(1.0, spec, [edge])
+        assert ou_tv_upper_bound(1.0, spec, [math.nextafter(edge, 1.0)]) == [1.0]
+
+    def test_does_not_increase_with_time(self):
+        spec = single_mode_spec()
+        bounds = ou_tv_upper_bound(2.0, spec, np.linspace(0.2, 10.0, 60))
+        assert np.all(np.diff(bounds) <= 0.0)
+        assert bounds[0] == 1.0 and bounds[-1] < 1e-7
+
+    def test_outside_mass_is_a_floor(self):
+        # a wide bulk leaves a visible mass outside the ball, which the bound
+        # carries whole at every time and is left with in the long run
+        spec = single_mode_spec(bulk_scale=25.0)
+        ball = spec.R * (1.0 + 2.0 * spec.delta)
+        outside = spec._mass_outside_origin_ball(ball)
+        assert 0.1 < outside < 0.5
+        times = [0.5, 1.0, 2.0, 4.0, 8.0, 50.0]
+        bounds = ou_tv_upper_bound(1.0, spec, times)
+        assert all(b >= outside for b in bounds)
+        assert bounds[-1] == pytest.approx(outside, abs=1e-15)
+
+    def test_reports_follow_the_times(self):
+        spec = single_mode_spec()
+        times = [6.0, 1.0, 3.0, 4.5]
+        bounds = ou_tv_upper_bound(1.0, spec, times)
+        assert bounds == [ou_tv_upper_bound(1.0, spec, [t])[0] for t in times]
+        assert ou_tv_upper_bound(1.0, spec, times[::-1]) == bounds[::-1]
+
+    def test_reads_r_sqrt_mu_on_the_clock_one_over_mu(self):
+        # the OU law at (mu, R) at time t is the law at (1, R sqrt(mu)) at time
+        # mu t scaled by 1/sqrt(mu), and TV does not see the scaling
+        mu = 3.0
+        spec = single_mode_spec(b_rho=1.0, bulk_scale=0.0)
+        scaled = single_mode_spec(R=spec.R * math.sqrt(mu), b_rho=1.0, bulk_scale=0.0)
+        times = np.linspace(0.5, 3.0, 12)
+        np.testing.assert_allclose(ou_tv_upper_bound(mu, spec, times),
+                                   ou_tv_upper_bound(1.0, scaled, mu * times), rtol=1e-12)
 
     def test_long_horizon_limit(self):
         # compact mixture: the bound collapses to the (zero) outside mass
