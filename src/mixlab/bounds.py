@@ -226,8 +226,8 @@ def _norm_at_level(level: float) -> float:
     return math.sqrt(level * level - 1.0) if level < 1e150 else level
 
 
-def tv_lower_bound(pi: SphericalMeasure, rho0, proj: SubspaceProjector, rate: LinearRate,
-                   r: float, times) -> list[LowerBoundReport]:
+def tv_lower_bound(pi: SphericalMeasure, rho0: MultiModalData, proj: SubspaceProjector,
+                   rate: LinearRate, r: float, times) -> list[LowerBoundReport]:
     """Evaluate the three-term TV lower bound at each of ``times``, exactly.
 
     The bound reads x only through H(x) = (1 + |G(x)|^2)^{-1/2}, so every
@@ -242,10 +242,7 @@ def tv_lower_bound(pi: SphericalMeasure, rho0, proj: SubspaceProjector, rate: Li
     the last because the linear envelope gives r grow(H, t) = H / C.  Both
     come from ``rho0.norm_laws`` on the projector's basis, one fixed
     quadrature per mixture component, so no draw is made and the cost does
-    not grow with d.  ``rho0`` is a :class:`MultiModalData` or a
-    :class:`SphericalMeasure` (the noise measure itself, for a stationarity
-    sanity run, whose rho_tail is then 1 - projection_tail at q0).  Returns
-    one report per time, in order.
+    not grow with d.  Returns one report per time, in order.
     """
     if pi.d != proj.d or rho0.d != proj.d:
         raise StructuralError("noise measure, start law and projector dimensions differ")

@@ -20,6 +20,7 @@ import json
 import math
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -80,7 +81,6 @@ SCHEMAS: dict[str, dict[str, Key]] = {
         # n and rk_n are accepted and ignored, with no range to fail: every term
         # and r_k are computed exactly; perfbench/workloads.py still writes both
         "n": Key("int", default=100_000),
-        "rho0": Key("str", default="data", choices=("data", "pi")),
         "times": Key("floats", default=(), within="[0, inf)"),
         "rk_n": Key("int", default=300_000),
     },
@@ -322,26 +322,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _os_error_as_config_error(what: str):
+    """Re-raise an ``OSError`` as a ``ConfigError`` saying what could not be done."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
+
+
 def _run(args) -> int:
     t0 = time.perf_counter()
     cfg = resolve_config(args.subcommand, parse_config_file(args.config))
     out_dir = Path(args.out)
-    try:
+    with _os_error_as_config_error(f"cannot create output directory {out_dir}"):
         out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
     result = RUNNERS[args.subcommand](cfg, args.seed, args.threads)
     outputs = []
     if args.subcommand == "classify":
         print(result.info["line"])
     else:
         csv_path = out_dir / f"{args.subcommand}.csv"
-        write_csv(csv_path, result, csv_preamble(args.subcommand, args.seed, cfg))
+        with _os_error_as_config_error(f"cannot write {csv_path}"):
+            write_csv(csv_path, result, csv_preamble(args.subcommand, args.seed, cfg))
         outputs.append(csv_path.name)
         print(f"wrote {csv_path}")
         if args.svg and result.chart is not None:
             svg_path = out_dir / f"{args.subcommand}.svg"
-            svg_path.write_text(svg_line_chart(result.chart), encoding="utf-8", newline="\n")
+            with _os_error_as_config_error(f"cannot write {svg_path}"):
+                svg_path.write_text(svg_line_chart(result.chart), encoding="utf-8", newline="\n")
             outputs.append(svg_path.name)
             print(f"wrote {svg_path}")
     for check in result.checks:
@@ -359,8 +368,9 @@ def _run(args) -> int:
         "outputs": outputs,
     }
     manifest_path = out_dir / f"{args.subcommand}_manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                             encoding="utf-8")
+    with _os_error_as_config_error(f"cannot write {manifest_path}"):
+        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+                                 encoding="utf-8")
     return 0 if result.passed else 3
 
 

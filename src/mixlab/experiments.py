@@ -217,11 +217,10 @@ def run_lowerbound(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
     :func:`ou_tv_upper_bound` call serves every OU row, since the ball mass
     it reads does not depend on t.
 
-    Run-end checks: from data, the bound at t_lower reaches the floor
-    (b - eps)/2 and no OU row exceeds its upper bound; from pi, no row is
-    positive, since a stationary start is at TV 0.  A tempered process then
-    checks the premise the bound rests on, A H <= mu H, on
-    :func:`probe_grid` (R, d, k); OU meets it by construction."""
+    Run-end checks: the bound at t_lower reaches the floor (b - eps)/2 and
+    no OU row exceeds its upper bound.  A tempered process then checks the
+    premise the bound rests on, A H <= mu H, on :func:`probe_grid` (R, d, k);
+    OU meets it by construction."""
     proc, pi = _build_process(cfg)
     mu, d, k, eps = cfg["mu"], cfg["d"], cfg["k"], cfg["eps"]
     R = cfg["R"]
@@ -233,9 +232,7 @@ def run_lowerbound(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
         raise ConfigError(
             f"lower-bound horizon requires 2 r_k < R, got r_k = {r_k:.6g}{exact}, R = {R:.6g}"
         )
-    rho0 = pi if cfg["rho0"] == "pi" else spec
-    direction = spec.mode_direction
-    proj = SubspaceProjector.containing_direction(direction, k)
+    proj = SubspaceProjector.containing_direction(spec.mode_direction, k)
     rate = LinearRate(mu)
     times = _merged_times(
         cfg["times"],
@@ -243,7 +240,7 @@ def run_lowerbound(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
         [t_low],
     )
     floor = (cfg["b_rho"] - eps) / 2.0
-    reps = tv_lower_bound(pi, rho0, proj, rate, r_k, times)
+    reps = tv_lower_bound(pi, spec, proj, rate, r_k, times)
     uppers = {}
     if cfg["process"] == "ou":
         up_times = [t for t in times if mu * t > math.log(2.0) / 2.0]
@@ -251,14 +248,11 @@ def run_lowerbound(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
     # total_se stays, at 0, because perfbench/workloads.py gates on it
     rows = [{**asdict(rep), "total_se": 0.0, "r_k": r_k, "t_lower": t_low, "floor": floor,
              "tv_upper": uppers.get(rep.t)} for rep in reps]
-    if rho0 is pi:
-        checks = [CheckResult("stationary-sanity", max(rep.total for rep in reps), 0.0, "<=")]
-    else:
-        at_low = min(reps, key=lambda rep: abs(rep.t - t_low))
-        checks = [CheckResult("lower-bound-at-horizon", at_low.total, floor, ">=")]
-        if uppers:
-            checks.append(CheckResult("bound-ordering", max(
-                rep.total - uppers[rep.t] for rep in reps if rep.t in uppers), 0.0, "<="))
+    at_low = min(reps, key=lambda rep: abs(rep.t - t_low))
+    checks = [CheckResult("lower-bound-at-horizon", at_low.total, floor, ">=")]
+    if uppers:
+        checks.append(CheckResult("bound-ordering", max(
+            rep.total - uppers[rep.t] for rep in reps if rep.t in uppers), 0.0, "<="))
     if isinstance(proc, TemperedLangevin):
         with _probes_within_float_range(cfg):
             checks.append(check_generator_bound(proc, k, mu, *probe_grid(R, d, k)))

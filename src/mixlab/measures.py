@@ -22,7 +22,6 @@ from scipy.special import (
     betainc,
     betaincc,
     betainccinv,
-    betaincinv,
     betaln,
     gammainc,
     gammaincc,
@@ -143,11 +142,6 @@ class SphericalMeasure:
         """
         return self._coefficients(n, len(_checked_basis(basis, self.d)), seed)
 
-    def norm_laws(self, basis) -> list[tuple[float, "_SphericalNormLaw"]]:
-        """The law of |x @ basis.T| as one (weight, law) pair, as in
-        :meth:`MultiModalData.norm_laws`."""
-        return [(1.0, _SphericalNormLaw(self, len(_checked_basis(basis, self.d))))]
-
 
 def _chi2_rest(rng: np.random.Generator, n: int, d: int, k: int) -> np.ndarray:
     """n draws of |(z_{k+1}, ..., z_d)|^2 for standard Gaussian z: chi2_{d-k}, zero at k = d."""
@@ -215,13 +209,11 @@ def projection_tail(pi: SphericalMeasure, k: int, q: float) -> float:
     tail mass w.  The integral runs through a fixed 97-node tanh-sinh rule;
     at k = d (or W = 0) the tail is W itself.  The ratio q/r is formed before
     squaring, so heavy tails whose radii pass sqrt(DBL_MAX) do not overflow.
-    This is the probability half of the projected norm law's
-    :meth:`_SphericalNormLaw.beyond`.
     """
     k = _checked_k(k, pi.d)
     if not q >= 0:
         raise DomainError("tail level q must be nonnegative")
-    return _SphericalNormLaw(pi, k).beyond(q)[0]
+    return _SphericalNormLaw(pi, k)._past(q)[0]
 
 
 def _ts_rule(lo, hi, every: int = 1):
@@ -372,13 +364,6 @@ class _ComponentNormLaw:
             yield s, m, top
 
 
-# Beta(k/2, (d-k)/2) quantiles, by tail mass, at which the rule for B is split:
-# between them the density changes by a bounded factor, so a rule in B itself
-# resolves every piece at any d, and the piece that holds a cut is truncated there
-_BETA_SPLIT_TAILS = (1e-13, 1e-10, 1e-7, 1e-4, 1e-2)
-_BETA_SPLIT_MIDDLE = (0.1, 0.5, 0.9)
-
-
 @dataclass(frozen=True)
 class _SphericalNormLaw:
     """Law of |G| = |x| sqrt(B) for x ~ ``pi`` read on k rows, where
@@ -386,22 +371,6 @@ class _SphericalNormLaw:
 
     pi: SphericalMeasure
     k: int
-
-    def beyond(self, q: float, f=None) -> tuple[float, float]:
-        """(pi(|G| > q), E[f(|G|); |G| > q]) for a vectorised f (0 without f).
-
-        Both halves read one rule, :meth:`_past`.  Given a radius x, the
-        probability is betaincc at B = (q/x)^2, and the expectation is
-        :meth:`_beyond_cut`.
-        """
-        if self.k == self.pi.d and f is None:
-            return self.pi._tail_at_radius(q), 0.0
-        prob, _, m, x, cut = self._past(q)
-        if f is None or not m.size:
-            return prob, 0.0
-        if self.k == self.pi.d:
-            return prob, float(m @ f(x))
-        return prob, float(m @ self._beyond_cut(cut, x, f))
 
     def tail_slope(self, q: float) -> tuple[float, float, float]:
         """(pi(|G| > q), its derivative in q, the same tail on the rule at
@@ -428,21 +397,17 @@ class _SphericalNormLaw:
         return prob, -float(m @ np.where(inner, dens * (2.0 * (q / x) / x), 0.0)), coarse
 
     def _past(self, q: float):
-        """The rule both :meth:`beyond` and :meth:`tail_slope` read: the
-        radii x past q in their tail-mass coordinate, as
-        :func:`projection_tail` documents, with their masses m (none at
-        W = 0); then pi(|G| > q), which is W at k = d and otherwise the sum
-        of m betaincc(k/2, (d-k)/2, cut) with cut = min(1, (q/x)^2), and
-        that sum on the 49-node rule at twice the step, whose nodes are every
-        other one of these, so it costs no special-function call."""
+        """pi(|G| > q) as :func:`projection_tail` documents, the same sum on
+        the 49-node rule at twice the step (every other node, so it costs no
+        special-function call), and the radii x past q with their masses m
+        and cuts min(1, (q/x)^2), which :meth:`tail_slope` reads.  At k = d,
+        or W = 0, the tail is W, returned before any rule is built."""
         pi = self.pi
         big_w = pi._tail_at_radius(q)
-        if big_w == 0.0:
+        if big_w == 0.0 or self.k == pi.d:
             return big_w, big_w, np.empty(0), np.empty(0), np.empty(0)
         w, m, _ = _ts_rule(0.0, big_w)
         x = pi._radius_at_tail(w)
-        if self.k == pi.d:
-            return big_w, big_w, m, x, None
         ratio = q / x
         cut = np.minimum(1.0, ratio * ratio)
         tails = betaincc(*self._shape, cut)
@@ -452,43 +417,6 @@ class _SphericalNormLaw:
     @property
     def _shape(self) -> tuple[float, float]:
         return self.k / 2.0, (self.pi.d - self.k) / 2.0
-
-    @cached_property
-    def _pieces(self) -> tuple[np.ndarray, np.ndarray]:
-        """Lower and upper ends of the pieces of (0, 1) the rule for B runs on,
-        split at fixed quantiles of B: the only inverse calls, made once."""
-        a, b = self._shape
-        cuts = np.concatenate((
-            [0.0, 1.0],
-            betaincinv(a, b, _BETA_SPLIT_TAILS + _BETA_SPLIT_MIDDLE),
-            betainccinv(a, b, _BETA_SPLIT_TAILS),
-        ))
-        cuts = np.unique(cuts)
-        return cuts[:-1], cuts[1:]
-
-    def _beyond_cut(self, cut: np.ndarray, x: np.ndarray, f) -> np.ndarray:
-        """E[f(x sqrt(B)); B > cut] for each pair of ``cut`` and ``x``.
-
-        The tanh-sinh rule at twice the step (49 nodes) maps onto each piece
-        above the cut, the piece that holds the cut starting there, and weighs
-        its nodes by the Beta density, so no indicator sits on a node.  At
-        k >= 3 that step stays within 2e-11 of step 1/32 for d up to 1e5 and
-        k up to d - 1, at half the cost of the 97-node rule.
-        """
-        a, b = self._shape
-        lo_end, hi_end = self._pieces
-        keep = hi_end > cut.min()  # pieces below every cut hold no mass
-        lo_end, hi_end = lo_end[keep], hi_end[keep]
-        lo = np.clip(cut[:, None], lo_end, hi_end)[..., None]
-        hi = hi_end[:, None]
-        bv, w, below = _ts_rule(lo, hi, every=2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # 1 - B is read off the distance below the piece's end, exact near B = 1
-            dens = np.exp((a - 1.0) * np.log(bv) + (b - 1.0) * np.log(below + (1.0 - hi))
-                          - betaln(a, b))
-            # an empty piece (w = 0) may read 0 * inf at B = 1
-            mass = np.where(w > 0.0, w * dens, 0.0)
-        return (mass * f(x[:, None, None] * np.sqrt(bv))).sum(axis=(1, 2))
 
 
 @dataclass(frozen=True)

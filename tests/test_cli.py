@@ -508,6 +508,13 @@ n = 1000
         assert main(["validate", "--config", cfg, "--seed", "1", "--out", str(tmp_path)]) == 2
         assert "unknown configuration key 'rk_n'" in capsys.readouterr().err
 
+    def test_lowerbound_rejects_rho0(self, tmp_path, capsys):
+        # the bound starts from the data mixture alone; from pi it could not be positive
+        cfg = write_cfg(tmp_path / "l.cfg", "d = 8\nR = 50\ndelta = 0.02\neps = 0.05\n"
+                                            "rho0 = pi\n")
+        assert main(["lowerbound", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "unknown configuration key 'rho0'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("sub, text, keys", [
         ("lowerbound", "d = 4\nR = 50\ndelta = 0.02\neps = 0.05\nk = 5\n",
          "key 'k' = 5 exceeds key 'd' = 4"),
@@ -539,6 +546,21 @@ n = 1000
         assert code == 2
         assert "Traceback" not in text
         assert named in text
+
+    @pytest.mark.parametrize("name", ["quantile-table.csv", "quantile-table_manifest.json",
+                                      "cutoff.svg"])
+    def test_unwritable_output_exits_2(self, tmp_path, name):
+        # a directory in an output file's place cannot be written over
+        sub = name.split(".")[0].removesuffix("_manifest")
+        text = {"quantile-table": "p_list = 1.8\nd_list = 3\n",
+                "cutoff": "d = 8\nR = 50\ndelta = 0.02\neps = 0.05\nn = 500\n"}[sub]
+        cfg = write_cfg(tmp_path / "c.cfg", text)
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        code, text = run_cli([sub, "--config", cfg, "--out", str(out), "--svg"])
+        assert code == 2
+        assert "Traceback" not in text
+        assert f"cannot write {out / name}" in text
 
 
 SMALL_RUNS = {"cutoff": "n = 2000\n", "lowerbound": "n = 2000\n", "validate": "n_points = 500\n"}
