@@ -32,7 +32,7 @@ from mixlab import (
     tv_lower_bound,
 )
 from mixlab import measures
-from mixlab.bounds import _frame, _h_and_hg
+from mixlab.bounds import _frame, _h_and_hg, _norm_at_level
 from mixlab.measures import _checked_basis
 from mixlab.rng import substream
 from tests.test_measures import reference_sample
@@ -425,6 +425,21 @@ BOUND_CASES = [(d, k, kind, noise)
                for d, k in ((3, 3), (16, 3), (16, 16), (100_000, 3))
                for kind, noise in (("uniform-ball", "ou"), ("truncated-gaussian", "tempered"))]
 CASE_IDS = ["-".join(map(str, case)) for case in BOUND_CASES]
+# the stationary law pi at the data cases' (d, k) and noise, and at d = 4,
+# k = 3, which puts the Beta(3/2, 1/2) density's pole at B = 1
+STATIONARY_CASES = [(d, k, noise)
+                    for d, k in ((3, 3), (4, 3), (16, 3), (16, 16), (100_000, 3))
+                    for noise in ("ou", "tempered")]
+STATIONARY_IDS = ["-".join(map(str, case)) for case in STATIONARY_CASES]
+
+
+def stationary_radii(d, k, noise):
+    """(pi, k, q_r, the radii q0 the bound reads at bound_case's times, which
+    start at 0), as tv_lower_bound forms them from the rate."""
+    pi, _, _, r, times = bound_case(d, k, "uniform-ball", noise)
+    rate = LinearRate(1.0)
+    radii = [_norm_at_level(r / rate.threshold_level(1.0, t)) for t in times]
+    return pi, k, _norm_at_level(r), radii
 
 
 class TestTVLowerBound:
@@ -540,6 +555,42 @@ class TestTVLowerBound:
         for rep, fine in zip(reps, tv_lower_bound(pi, rho0, proj, self.rate, r, times)):
             for term in ("pi_term", "rho_tail", "integral", "total"):
                 assert abs(getattr(rep, term) - getattr(fine, term)) <= 1e-9, (term, rep, fine)
+
+    @pytest.mark.parametrize("case", STATIONARY_CASES, ids=STATIONARY_IDS)
+    def test_stationary_start_is_null_through_the_tails(self, case):
+        # from rho0 = pi the terms read pi(|G| <= q_r) - pi(|G| <= q0) minus an
+        # integral >= 0; q0 >= q_r and pi's tail past q0 at most its tail past
+        # q_r make that <= 0, with both equal at t = 0
+        pi, k, q_r, radii = stationary_radii(*case)
+        tails = [projection_tail(pi, k, q) for q in radii]
+        assert radii[0] == q_r
+        assert all(a <= b for a, b in zip(radii, radii[1:]))
+        assert all(a >= b for a, b in zip(tails, tails[1:]))
+
+    @pytest.mark.parametrize("case", STATIONARY_CASES, ids=STATIONARY_IDS)
+    def test_stationary_tails_agree_with_monte_carlo(self, case):
+        # exact draws of |G| under pi against projection_tail in the body at
+        # q_r / 2, at q_r and at every q0; at k = d the tail is the radial one
+        pi, k, q_r, radii = stationary_radii(*case)
+        n = 400_000
+        norms = np.hypot.reduce(pi.sample_coefficients(n, np.eye(k, pi.d), 17), axis=1)
+        for q in (q_r / 2, q_r, *radii):
+            exact = projection_tail(pi, k, q)
+            past = norms > q
+            slack = 4 * spread(past.std(), exact) / math.sqrt(n)
+            assert abs(past.mean() - exact) <= slack, (q, past.mean(), exact)
+
+    @pytest.mark.parametrize("case", STATIONARY_CASES, ids=STATIONARY_IDS)
+    def test_stationary_tails_agree_with_a_refined_rule(self, case, monkeypatch):
+        # double the nodes and halve the step of the rule projection_tail reads
+        pi, k, q_r, radii = stationary_radii(*case)
+        radii = [q_r, *radii]
+        tails = [projection_tail(pi, k, q) for q in radii]
+        nodes, weights = tanh_sinh(1.0 / 32.0)
+        monkeypatch.setattr(measures, "_TS_NODES", nodes)
+        monkeypatch.setattr(measures, "_TS_WEIGHTS", weights)
+        for q, tail in zip(radii, tails):
+            assert abs(projection_tail(pi, k, q) - tail) <= 1e-9, (q, tail)
 
     def test_refined_rule_helper_rebuilds_the_rule(self):
         nodes, weights = tanh_sinh(1.0 / 16.0)
