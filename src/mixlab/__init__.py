@@ -16,7 +16,6 @@ from .bounds import (
     LinearRate,
     LowerBoundReport,
     SubspaceProjector,
-    apply_generator,
     check_compatibility,
     check_generator_bound,
     check_growth_envelope,

@@ -166,14 +166,8 @@ def probe_grid(scale: float, d: int, k: int):
 
 
 def _generator(process, k: int, r, g):
-    """(H, A H) at radii r and projection norms g; see :func:`apply_generator`."""
-    h, hg = _h_and_hg(g)
-    s, hg2 = process.noise_scale(r), hg * hg
-    return h, h * (0.5 * s * s * h * h * (3.0 * hg2 - k) - process.drift_coefficient(r) * hg2)
-
-
-def apply_generator(process, proj: SubspaceProjector, x):
-    """Extended generator of ``process`` applied to the projector's test function.
+    """(H, A H) at radii r and projection norms g: the extended generator A
+    of ``process`` applied to the projector's test function H.
 
     The process is read only through c = ``drift_coefficient`` and
     s = ``noise_scale``, with b(x) = c(|x|) x and sigma(x) = s(|x|) I.  By
@@ -185,9 +179,9 @@ def apply_generator(process, proj: SubspaceProjector, x):
     a function of (|x|, |G|) alone, formed from H and H|G| so that it stays
     finite at far points.
     """
-    x = np.asarray(x, dtype=float)
-    out = _generator(process, proj.k, *_frame(proj, x))[1]
-    return float(out[0]) if x.ndim == 1 else out
+    h, hg = _h_and_hg(g)
+    s, hg2 = process.noise_scale(r), hg * hg
+    return h, h * (0.5 * s * s * h * h * (3.0 * hg2 - k) - process.drift_coefficient(r) * hg2)
 
 
 def check_generator_bound(process, k: int, mu: float, r, g) -> CheckResult:

@@ -20,7 +20,7 @@ import json
 import math
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -97,7 +97,6 @@ SCHEMAS: dict[str, dict[str, Key]] = {
         "R": Key("float", within="[0, 1e150]"),
         "mu": Key("float", default=1.0, within="(0, inf)"),
         "eps": Key("float", default=0.1, within="(0, 1)"),
-        "delta": Key("float", default=0.0, within="[0, 1]"),
         "reps": Key("int", default=20, within="[1, inf)"),
         "times": Key("floats", default=(), within="[0, inf)"),
     },
@@ -196,8 +195,6 @@ def format_number(v) -> str:
     """Fixed 9-significant-digit formatting; empty string for missing values."""
     if v is None:
         return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, int):
         return str(v)
     f = float(v)
@@ -338,39 +335,48 @@ def _run(args) -> int:
     with _os_error_as_config_error(f"cannot create output directory {out_dir}"):
         out_dir.mkdir(parents=True, exist_ok=True)
     result = RUNNERS[args.subcommand](cfg, args.seed, args.threads)
-    outputs = []
+    written = []
+
+    def write(name: str, emit) -> None:
+        path = out_dir / name
+        with _os_error_as_config_error(f"cannot write {path}"):
+            emit(path)
+        written.append(path)
+
+    try:
+        if args.subcommand != "classify":
+            write(f"{args.subcommand}.csv", lambda path: write_csv(
+                path, result, csv_preamble(args.subcommand, args.seed, cfg)))
+            if args.svg and result.chart is not None:
+                write(f"{args.subcommand}.svg", lambda path: path.write_text(
+                    svg_line_chart(result.chart), encoding="utf-8", newline="\n"))
+        manifest = {
+            "tool": "mixlab",
+            "version": __version__,
+            "subcommand": args.subcommand,
+            "seed": args.seed,
+            "threads": args.threads,
+            "config": {k: (_echo_value(v) if isinstance(v, tuple) else v)
+                       for k, v in cfg.items()},
+            "duration_seconds": time.perf_counter() - t0,
+            "outputs": [path.name for path in written],
+        }
+        write(f"{args.subcommand}_manifest.json", lambda path: path.write_text(
+            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"))
+    except ConfigError:
+        # a failed run leaves none of the outputs it wrote
+        for path in written:
+            with suppress(OSError):
+                path.unlink()
+        raise
     if args.subcommand == "classify":
         print(result.info["line"])
-    else:
-        csv_path = out_dir / f"{args.subcommand}.csv"
-        with _os_error_as_config_error(f"cannot write {csv_path}"):
-            write_csv(csv_path, result, csv_preamble(args.subcommand, args.seed, cfg))
-        outputs.append(csv_path.name)
-        print(f"wrote {csv_path}")
-        if args.svg and result.chart is not None:
-            svg_path = out_dir / f"{args.subcommand}.svg"
-            with _os_error_as_config_error(f"cannot write {svg_path}"):
-                svg_path.write_text(svg_line_chart(result.chart), encoding="utf-8", newline="\n")
-            outputs.append(svg_path.name)
-            print(f"wrote {svg_path}")
+    for path in written[:-1]:  # every output but the manifest, which is last
+        print(f"wrote {path}")
     for check in result.checks:
         status = "PASS" if check.passed else "FAIL"
         print(f"{status} {check.name}: value = {format_number(check.value)} "
               f"{check.relation} {format_number(check.threshold)}")
-    manifest = {
-        "tool": "mixlab",
-        "version": __version__,
-        "subcommand": args.subcommand,
-        "seed": args.seed,
-        "threads": args.threads,
-        "config": {k: (_echo_value(v) if isinstance(v, tuple) else v) for k, v in cfg.items()},
-        "duration_seconds": time.perf_counter() - t0,
-        "outputs": outputs,
-    }
-    manifest_path = out_dir / f"{args.subcommand}_manifest.json"
-    with _os_error_as_config_error(f"cannot write {manifest_path}"):
-        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                                 encoding="utf-8")
     return 0 if result.passed else 3
 
 

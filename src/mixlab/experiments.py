@@ -300,7 +300,7 @@ def run_ks_sweep(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
     """Coordinate KS statistic of one marginal per (time, repetition): X_t at grid
     time i by the exact OU transition on (seed, 7, rep, 1 + i), from R (1, ..., 1)/sqrt(d),
     or, when R = 0, from one N(0, I/mu) draw on (seed, 7, rep, 0)."""
-    d, R, mu, eps, delta = cfg["d"], cfg["R"], cfg["mu"], cfg["eps"], cfg["delta"]
+    d, R, mu, eps = cfg["d"], cfg["R"], cfg["mu"], cfg["eps"]
     defaults = [0.0, 1.0, 2.0, 4.0]
     if R > 0 and not cfg["times"]:
         # t_onset = log(R sqrt(mu) / bound_r)/mu: below the bound the default
@@ -312,7 +312,7 @@ def run_ks_sweep(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
                 f"max(sqrt(2 log(1/eps)), 1) = {bound_r:.6g}, got R = {R:.6g}, "
                 f"mu = {mu:.6g}; set times to sweep a smaller R"
             )
-        hz = mixing_horizons(mu, R, delta, eps, d)
+        hz = mixing_horizons(mu, R, 0.0, eps, d)  # the start is a point, not a ball
         defaults = [0.0, hz.t_onset / 2, hz.t_onset, hz.t_mix_simple]
     times = _merged_times(cfg["times"], defaults, [])
     reps = cfg["reps"]

@@ -129,18 +129,9 @@ class SphericalMeasure:
     def sample(self, n: int, seed: Seed) -> np.ndarray:
         """Draw n points: exact Gamma radius times a uniform direction.
 
-        The k = d case of :meth:`sample_coefficients`, bit for bit.
         Deterministic in (n, seed); n = 0 yields an empty (0, d) array.
         """
         return self._coefficients(n, self.d, seed)
-
-    def sample_coefficients(self, n: int, basis, seed: Seed) -> np.ndarray:
-        """Draw the (n, k) coefficients x @ basis.T of n points, in O(n k).
-
-        Same contract as :meth:`MultiModalData.sample_coefficients`.  The
-        measure is rotation invariant, so only the number k of rows enters.
-        """
-        return self._coefficients(n, len(_checked_basis(basis, self.d)), seed)
 
 
 def _chi2_rest(rng: np.random.Generator, n: int, d: int, k: int) -> np.ndarray:
@@ -186,8 +177,9 @@ def _checked_basis(basis, d: int | None, least: int = 1) -> np.ndarray:
 
 def projection_norm_samples(pi: SphericalMeasure, k: int, n: int, seed: Seed) -> np.ndarray:
     """Draw n values of |first-k-coordinates| under ``pi``: the row norms of
-    the k-row :meth:`SphericalMeasure.sample_coefficients`, in O(n k)
-    regardless of d; at k = d the norm is the radius, drawn alone in O(n).
+    its coefficients on k orthonormal rows (the measure is rotation
+    invariant, so only k enters), in O(n k) regardless of d; at k = d the
+    norm is the radius, drawn alone in O(n).
     :func:`projection_tail` gives the same law's tail exactly.
     """
     k = _checked_k(k, pi.d)
@@ -359,8 +351,9 @@ class _ComponentNormLaw:
             elif lo >= a + q or hi <= a - q:
                 top = 2.0
             else:
+                # 0/0 only where a + s, the largest |G|, rounds to q: none is beyond
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    top = np.clip((a + s - q) * (a + s + q) / (2.0 * a * s), 0.0, 2.0)
+                    top = np.fmin(np.fmax((a + s - q) * (a + s + q) / (2.0 * a * s), 0.0), 2.0)
             yield s, m, top
 
 
@@ -588,7 +581,6 @@ class MultiModalData:
     def _component_weights(self) -> np.ndarray:
         """Normalised mixture weights; the last entry is the bulk."""
         weights = np.array([m.weight for m in self.modes] + [self.bulk_weight])
-        weights = np.maximum(weights, 0.0)
         return weights / weights.sum()
 
     def _components(self, rng: np.random.Generator, n: int) -> np.ndarray:

@@ -18,7 +18,6 @@ from mixlab import (
     StructuralError,
     SubspaceProjector,
     TemperedLangevin,
-    apply_generator,
     check_compatibility,
     check_dispersion_balance,
     check_generator_bound,
@@ -27,12 +26,13 @@ from mixlab import (
     mixing_horizons,
     ou_tv_upper_bound,
     probe_grid,
+    projection_norm_samples,
     projection_quantile,
     projection_tail,
     tv_lower_bound,
 )
 from mixlab import measures
-from mixlab.bounds import _frame, _h_and_hg, _norm_at_level
+from mixlab.bounds import _frame, _generator, _h_and_hg, _norm_at_level
 from mixlab.measures import _checked_basis
 from mixlab.rng import substream
 from tests.test_measures import reference_sample
@@ -229,8 +229,8 @@ class TestGenerator:
         proj = SubspaceProjector(np.eye(5)[:3])
         x = np.zeros(5)
         x[4] = 9.0
-        assert apply_generator(ou, proj, x) == pytest.approx(-3.0, rel=1e-12)
-        assert apply_generator(ou, proj, np.zeros(5)) == pytest.approx(-3.0, rel=1e-12)
+        ah = _generator(ou, proj.k, *_frame(proj, np.stack([x, np.zeros(5)])))[1]
+        np.testing.assert_allclose(ah, -3.0, rtol=1e-12)
 
     def test_ou_closed_form(self):
         # for OU: mu H^3 |G|^2 + H^3 (3 H^2 |G|^2 - k)
@@ -243,14 +243,14 @@ class TestGenerator:
         gsq = (c * c).sum(axis=1)
         h = 1.0 / np.sqrt(1.0 + gsq)
         expected = mu * h**3 * gsq + h**3 * (3 * h * h * gsq - k)
-        np.testing.assert_allclose(apply_generator(ou, proj, x), expected, rtol=1e-12)
+        np.testing.assert_allclose(_generator(ou, k, *_frame(proj, x))[1], expected, rtol=1e-12)
 
     def test_far_point_stays_finite(self):
         # |x|^2 and |G|^2 pass the float range; the frame reads H = 2e-201 and
         # H|G| -> 1, so A H = mu H (H|G|)^2 + H^3 (3 (H|G|)^2 - k) is mu H
         ou = OUProcess(1.3, 4)
         proj = SubspaceProjector(np.eye(4)[:3])
-        value = apply_generator(ou, proj, np.array([3e200, -4e200, 0.0, 1.0]))
+        value = _generator(ou, proj.k, *_frame(proj, np.array([3e200, -4e200, 0.0, 1.0])))[1][0]
         assert math.isfinite(value)
         assert value == pytest.approx(1.3 * 2e-201, rel=1e-14)
 
@@ -265,7 +265,7 @@ class TestGenerator:
         for proc in processes:
             for _ in range(20):
                 x = 20.0 * rng.standard_normal(d)
-                a = apply_generator(proc, proj, x)
+                a = _generator(proc, proj.k, *_frame(proj, x))[1][0]
                 f = fd_generator(proc, proj, x)
                 assert abs(a - f) <= 1e-4 * max(abs(a), 1e-12)
 
@@ -573,7 +573,7 @@ class TestTVLowerBound:
         # q_r / 2, at q_r and at every q0; at k = d the tail is the radial one
         pi, k, q_r, radii = stationary_radii(*case)
         n = 400_000
-        norms = np.hypot.reduce(pi.sample_coefficients(n, np.eye(k, pi.d), 17), axis=1)
+        norms = projection_norm_samples(pi, k, n, 17)
         for q in (q_r / 2, q_r, *radii):
             exact = projection_tail(pi, k, q)
             past = norms > q

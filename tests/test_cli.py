@@ -501,6 +501,12 @@ n = 1000
         assert main([sub, "--config", cfg, "--seed", "1", "--out", str(tmp_path)]) == 2
         assert "unknown configuration key 'n'" in capsys.readouterr().err
 
+    def test_ks_sweep_rejects_delta(self, tmp_path, capsys):
+        # a ks-sweep start is a point, not a ball, so there is no ball radius to set
+        cfg = write_cfg(tmp_path / "k.cfg", "d = 4\nR = 50\ndelta = 0.02\n")
+        assert main(["ks-sweep", "--config", cfg, "--seed", "1", "--out", str(tmp_path)]) == 2
+        assert "unknown configuration key 'delta'" in capsys.readouterr().err
+
     def test_validate_rejects_rk_n(self, tmp_path, capsys):
         # r_k is exact; only lowerbound still accepts (and ignores) rk_n
         cfg = write_cfg(tmp_path / "v.cfg", "d = 8\nR = 50\ndelta = 0.02\neps = 0.05\n"
@@ -561,6 +567,9 @@ n = 1000
         assert code == 2
         assert "Traceback" not in text
         assert f"cannot write {out / name}" in text
+        # a failed write removes what the run wrote before it, and nothing is announced
+        assert not (out / f"{sub}.csv").is_file()
+        assert "wrote" not in text
 
 
 SMALL_RUNS = {"cutoff": "n = 2000\n", "lowerbound": "n = 2000\n", "validate": "n_points = 500\n"}

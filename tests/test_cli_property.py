@@ -93,6 +93,9 @@ OU_AT_TINY_MU = "process = ou\nmu = 5e-324\nd = 8\nR = 50\ndelta = 0.02\neps = 0
 @example(case=("lowerbound", OU_AT_TINY_MU.replace("5e-324", "1e-323")))
 @example(case=("lowerbound", OU_AT_TINY_MU.replace("5e-324", "1e-315")))
 @example(case=("lowerbound", OU_AT_TINY_MU.replace("5e-324", "1e-300")))
+# a mode radius delta R of 1.5e-323 ends on the tail-mass ball in float, and its
+# length nodes underflow to 0: the direction share once read 0/0 and printed nan
+@example(case=("validate", "d = 3\nR = 3.0\ndelta = 5e-324\neps = 0.5\n"))
 def test_every_valid_config_ends_in_a_documented_exit(tmp_path, case):
     sub, text = case
     cfg = tmp_path / "c.cfg"

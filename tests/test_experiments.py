@@ -91,7 +91,7 @@ class TestQuantileTableRun:
 class TestKSSweepRun:
     def test_stationary_start_is_null_at_all_times(self):
         res = run_ks_sweep(
-            {"d": 512, "R": 0.0, "mu": 1.0, "eps": 0.1, "delta": 0.0, "reps": 10,
+            {"d": 512, "R": 0.0, "mu": 1.0, "eps": 0.1, "reps": 10,
              "times": (0.0, 1.0, 4.0)},
             17,
         )
@@ -111,7 +111,7 @@ class TestKSSweepRun:
 
         monkeypatch.setattr(experiments, "coordinate_ks", record)
         d, reps = 16, 100
-        run_ks_sweep({"d": d, "R": 0.0, "mu": mu, "eps": 0.1, "delta": 0.0, "reps": reps,
+        run_ks_sweep({"d": d, "R": 0.0, "mu": mu, "eps": 0.1, "reps": reps,
                       "times": (0.0,)}, 19)
         pooled = np.concatenate(starts)
         assert pooled.size == d * reps
@@ -126,7 +126,7 @@ class TestKSSweepRun:
 
     def test_far_start_decays(self):
         res = run_ks_sweep(
-            {"d": 512, "R": 255.0, "mu": 1.0, "eps": 0.1, "delta": 0.0, "reps": 5,
+            {"d": 512, "R": 255.0, "mu": 1.0, "eps": 0.1, "reps": 5,
              "times": ()},
             18,
         )

@@ -332,6 +332,22 @@ class TestEulerMaruyama:
         for coarse, fine in zip(biases, biases[1:]):
             assert 1.6 <= coarse / fine <= 2.4
 
+    @pytest.mark.parametrize("ell", [0.0, 0.4, 1.0])
+    def test_scale_covariance_is_byte_exact(self, ell):
+        # at p = 1, x -> lam x maps profile_a to a / lam and time to lam^2 t;
+        # with lam a power of two every factor of a step is exact, so the
+        # endpoints scale bit for bit
+        d, n = 6, 2000
+        x0 = 3.0 * unit(np.random.default_rng(6).standard_normal(d))
+
+        def run(a, x, T, h):
+            tl = TemperedLangevin(RadialProfile.power_tail(a, 1.0), ell, d)
+            return tl.sample_endpoints(x, T, n, 7, IntegratorConfig(h))
+
+        base = run(0.6, x0, 0.5, 1e-2)
+        assert np.array_equal(base, 2.0 * run(1.2, x0 / 2, 0.125, 2.5e-3))
+        assert np.array_equal(base, 0.5 * run(0.3, 2 * x0, 2.0, 4e-2))
+
     def test_long_run_occupation_matches_invariant_radial_law(self):
         # pooled |x| snapshots after burn-in vs the exact radial sampler
         d, ell = 2, 0.25

@@ -182,7 +182,7 @@ class TestSphericalCoefficients:
         pi = SphericalMeasure(d, RadialProfile.power_tail(0.8, p))
         q, _ = np.linalg.qr(np.random.default_rng(d).standard_normal((d, k)))
         n = 20_000
-        fast = pi.sample_coefficients(n, q.T, 71)
+        fast = pi._coefficients(n, k, 71)
         oracle = reference_spherical_sample(pi, n, 72) @ q
         assert fast.shape == (n, k)
         for f, o in ((np.linalg.norm(fast, axis=1), np.linalg.norm(oracle, axis=1)),
@@ -213,26 +213,28 @@ class TestSphericalCoefficients:
     @pytest.mark.parametrize("d", [1, 5])
     def test_sample_is_the_identity_basis_case(self, d):
         pi = SphericalMeasure(d, RadialProfile.power_tail(1.0, 1.4))
-        assert np.array_equal(pi.sample(3000, 8), pi.sample_coefficients(3000, np.eye(d), 8))
-        assert pi.sample_coefficients(0, np.eye(d), 8).shape == (0, d)
+        assert np.array_equal(pi.sample(3000, 8), pi._coefficients(3000, d, 8))
+        assert pi.sample(0, 8).shape == (0, d)
 
     def test_only_the_row_count_enters(self):
-        # the law is rotation invariant, so two bases with k rows give the same bytes
+        # the law is rotation invariant, so the coefficients take k, not a basis:
+        # the points read on any k orthonormal rows have the law of their first k
         pi = SphericalMeasure(6, RadialProfile.power_tail(1.0, 1.0))
         q, _ = np.linalg.qr(np.random.default_rng(2).standard_normal((6, 3)))
-        assert np.array_equal(pi.sample_coefficients(500, q.T, 4),
-                              pi.sample_coefficients(500, np.eye(6)[:3], 4))
+        x = pi.sample(20_000, 5)
+        assert ks_2samp(np.linalg.norm(x @ q, axis=1),
+                        np.linalg.norm(x[:, :3], axis=1)).pvalue > 1e-3
         g = projection_norm_samples(pi, 3, 500, 4)
-        assert np.array_equal(g, np.linalg.norm(pi.sample_coefficients(500, q.T, 4), axis=1))
+        assert np.array_equal(g, np.linalg.norm(pi._coefficients(500, 3, 4), axis=1))
 
     def test_basis_validation(self):
+        # the rows pi is read on are a count k, checked where it enters
         pi = SphericalMeasure(4, RadialProfile.quadratic(0.5))
-        with pytest.raises(StructuralError, match="unit"):
-            pi.sample_coefficients(10, np.ones((1, 4)), 0)
-        with pytest.raises(StructuralError, match="shape"):
-            pi.sample_coefficients(10, np.array([[1.0, 0.0, 0.0]]), 0)
-        with pytest.raises(StructuralError, match="rows"):
-            pi.sample_coefficients(10, np.zeros((0, 4)), 0)
+        for k in (0, 5):
+            with pytest.raises(StructuralError, match="rows"):
+                projection_norm_samples(pi, k, 10, 0)
+        assert np.array_equal(projection_norm_samples(pi, np.int64(2), 10, 0),
+                              projection_norm_samples(pi, 2, 10, 0))
 
 
 class TestDataMixture:
