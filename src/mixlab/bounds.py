@@ -133,13 +133,6 @@ def _radius(x) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", x, x))
 
 
-def _frame(proj: SubspaceProjector, x):
-    """(|x|, |G|) for an (n, d) batch, all that the radial probes read of a
-    point.  |G| comes from the k coefficients of G by hypot, so no |G|^2 is
-    formed."""
-    return _radius(x), np.hypot.reduce(proj.coeffs(np.atleast_2d(x)), axis=1)
-
-
 def _h_and_hg(g):
     """(H, H|G|) from |G| by hypot, so both stay finite where |G|^2 would not."""
     h = 1.0 / np.hypot(1.0, g)

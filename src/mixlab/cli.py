@@ -3,13 +3,17 @@
     mixlab <subcommand> --config <path> --seed <u64> --out <dir> [--threads <n>] [--svg]
 
 Config files are UTF-8 text, one ``key = value`` per line, ``#`` comments;
-unknown keys are rejected.  Every run writes ``<subcommand>.csv`` (LF line
-endings, ``#`` preamble with the resolved configuration, 9-significant-digit
-numbers) plus ``<subcommand>_manifest.json``; identical config and seed give
-byte-identical CSVs regardless of ``--threads``.
+unknown keys are rejected.  Every run but ``classify`` writes
+``<subcommand>.csv`` (LF line endings, ``#`` preamble with the resolved
+configuration, 9-significant-digit numbers); every run writes
+``<subcommand>_manifest.json``, and ``classify`` only that and its printed
+line.  Identical config and seed give byte-identical CSVs regardless of
+``--threads``.
 
 Exit codes: 0 success, 2 configuration error, 3 run-end check failed,
-4 numerical divergence.
+4 numerical divergence.  No subcommand exits 4 today: only
+``TemperedLangevin.sample_endpoints`` raises ``DivergenceError``, and no
+subcommand calls it.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from .errors import DomainError, StructuralError
 
 @dataclass(frozen=True)
 class TVEstimate:
-    """Binned 1D total-variation estimate between two distributions."""
+    """Binned 1D total-variation estimate between a sample and an exact law."""
 
     value: float
     bins: int
@@ -51,48 +51,31 @@ def _bin_counts(xs: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return np.diff(cuts, prepend=0, append=xs.size)
 
 
-def empirical_tv_1d(samples_a, b, bins: int | None = None,
-                    bin_range: tuple[float, float] | None = None) -> TVEstimate:
-    """Binned TV between a sample and either a second sample or an exact CDF.
+def empirical_tv_1d(samples_a, cdf: Callable[[np.ndarray], np.ndarray],
+                    bin_range: tuple[float, float], bins: int | None = None) -> TVEstimate:
+    """Binned TV between a sample and an exact CDF on ``bin_range``.
 
-    Computes 0.5 * sum_i |p_i - q_i| over equal-width bins on ``bin_range``;
-    mass outside the range is clipped into the edge bins.  When ``b`` is a
-    CDF callable, the q_i are exact per-bin masses (with the CDF tails
-    absorbed into the edge bins).  Default bins = ceil(sqrt(smaller sample size)).
-    Each sample is sorted once; an empty or non-finite one raises DomainError.
+    Computes 0.5 * sum_i |p_i - q_i| over equal-width bins on ``bin_range``:
+    the p_i are the sample's bin frequencies, samples outside the range
+    clipped into the edge bins, and the q_i the exact per-bin masses of
+    ``cdf``, its tails absorbed into the edge bins.  Default bins =
+    ceil(sqrt(sample size)).  The sample is sorted once; an empty or
+    non-finite one raises DomainError.
     """
     a = _sorted_finite(samples_a)
-    cdf_mode = callable(b)
-    if cdf_mode:
-        n_eff = a.size
-    else:
-        bs = _sorted_finite(b)
-        n_eff = min(a.size, bs.size)
-    if bins is None:
-        bins = max(2, int(math.ceil(math.sqrt(n_eff))))
-    bins = int(bins)
+    bins = max(2, math.ceil(math.sqrt(a.size))) if bins is None else int(bins)
     if bins < 2:
         raise StructuralError("need at least 2 bins")
-    if bin_range is None:
-        lo = float(a[0]) if cdf_mode else float(min(a[0], bs[0]))
-        hi = float(a[-1]) if cdf_mode else float(max(a[-1], bs[-1]))
-        if lo == hi:
-            lo, hi = lo - 0.5, hi + 0.5
-    else:
-        lo, hi = float(bin_range[0]), float(bin_range[1])
-        if not lo < hi:
-            raise StructuralError("bin_range must be an increasing interval")
+    lo, hi = float(bin_range[0]), float(bin_range[1])
+    if not lo < hi:
+        raise StructuralError("bin_range must be an increasing interval")
     edges = np.linspace(lo, hi, bins + 1)
     p = _bin_counts(a, edges) / a.size
-    if cdf_mode:
-        F = np.asarray(b(edges), dtype=float)
-        q = np.diff(F)
-        q[0] += F[0]
-        q[-1] += 1.0 - F[-1]
-    else:
-        q = _bin_counts(bs, edges) / bs.size
-    value = 0.5 * float(np.abs(p - q).sum())
-    return TVEstimate(value=value, bins=bins)
+    F = np.asarray(cdf(edges), dtype=float)
+    q = np.diff(F)
+    q[0] += F[0]
+    q[-1] += 1.0 - F[-1]
+    return TVEstimate(value=0.5 * float(np.abs(p - q).sum()), bins=bins)
 
 
 def projected_tv_vs_gaussian(samples, mu: float, bins: int | None = None) -> TVEstimate:
@@ -107,7 +90,7 @@ def projected_tv_vs_gaussian(samples, mu: float, bins: int | None = None) -> TVE
         raise DomainError("empty samples")
     root_mu = math.sqrt(mu)
     bin_range = (min(float(t.min()), -8.0 / root_mu), max(float(t.max()), 8.0 / root_mu))
-    return empirical_tv_1d(t, lambda x: ndtr(np.asarray(x) * root_mu), bins, bin_range)
+    return empirical_tv_1d(t, lambda x: ndtr(np.asarray(x) * root_mu), bin_range, bins)
 
 
 @dataclass(frozen=True)

@@ -32,9 +32,10 @@ from mixlab import (
     tv_lower_bound,
 )
 from mixlab import measures
-from mixlab.bounds import _frame, _generator, _h_and_hg, _norm_at_level
+from mixlab.bounds import _generator, _h_and_hg, _norm_at_level
 from mixlab.measures import _checked_basis
 from mixlab.rng import substream
+from tests.oracles import frame
 from tests.test_measures import reference_sample
 from tests.test_stats import gaussian_projection_mass
 
@@ -194,7 +195,7 @@ class TestSubspaceProjector:
     def test_frame_matches_radius_and_projection_norm(self):
         proj = SubspaceProjector.containing_direction(np.ones(6), 3)
         x = 3.0 * np.random.default_rng(4).standard_normal((50, 6))
-        r, g = _frame(proj, x)
+        r, g = frame(proj, x)
         np.testing.assert_allclose(r, np.linalg.norm(x, axis=1), rtol=1e-15)
         np.testing.assert_allclose(g, np.linalg.norm(proj.coeffs(x), axis=1), rtol=1e-14)
         h, hg = _h_and_hg(g)
@@ -229,7 +230,7 @@ class TestGenerator:
         proj = SubspaceProjector(np.eye(5)[:3])
         x = np.zeros(5)
         x[4] = 9.0
-        ah = _generator(ou, proj.k, *_frame(proj, np.stack([x, np.zeros(5)])))[1]
+        ah = _generator(ou, proj.k, *frame(proj, np.stack([x, np.zeros(5)])))[1]
         np.testing.assert_allclose(ah, -3.0, rtol=1e-12)
 
     def test_ou_closed_form(self):
@@ -243,14 +244,14 @@ class TestGenerator:
         gsq = (c * c).sum(axis=1)
         h = 1.0 / np.sqrt(1.0 + gsq)
         expected = mu * h**3 * gsq + h**3 * (3 * h * h * gsq - k)
-        np.testing.assert_allclose(_generator(ou, k, *_frame(proj, x))[1], expected, rtol=1e-12)
+        np.testing.assert_allclose(_generator(ou, k, *frame(proj, x))[1], expected, rtol=1e-12)
 
     def test_far_point_stays_finite(self):
         # |x|^2 and |G|^2 pass the float range; the frame reads H = 2e-201 and
         # H|G| -> 1, so A H = mu H (H|G|)^2 + H^3 (3 (H|G|)^2 - k) is mu H
         ou = OUProcess(1.3, 4)
         proj = SubspaceProjector(np.eye(4)[:3])
-        value = _generator(ou, proj.k, *_frame(proj, np.array([3e200, -4e200, 0.0, 1.0])))[1][0]
+        value = _generator(ou, proj.k, *frame(proj, np.array([3e200, -4e200, 0.0, 1.0])))[1][0]
         assert math.isfinite(value)
         assert value == pytest.approx(1.3 * 2e-201, rel=1e-14)
 
@@ -265,7 +266,7 @@ class TestGenerator:
         for proc in processes:
             for _ in range(20):
                 x = 20.0 * rng.standard_normal(d)
-                a = _generator(proc, proj.k, *_frame(proj, x))[1][0]
+                a = _generator(proc, proj.k, *frame(proj, x))[1][0]
                 f = fd_generator(proc, proj, x)
                 assert abs(a - f) <= 1e-4 * max(abs(a), 1e-12)
 
@@ -304,9 +305,9 @@ def test_probe_peak_allocation_stays_below_its_batch(probe, process):
     proj = SubspaceProjector.containing_direction(np.eye(d)[0], 3)
     x = 400.0 * substream(3).standard_normal((2000, d))
     run = {
-        "linear-growth": lambda: check_linear_growth(proc, 1.0, _frame(proj, x)[0]),
-        "dispersion-balance": lambda: check_dispersion_balance(proc, 3, *_frame(proj, x)),
-        "generator-bound": lambda: check_generator_bound(proc, 3, 1.0, *_frame(proj, x)),
+        "linear-growth": lambda: check_linear_growth(proc, 1.0, frame(proj, x)[0]),
+        "dispersion-balance": lambda: check_dispersion_balance(proc, 3, *frame(proj, x)),
+        "generator-bound": lambda: check_generator_bound(proc, 3, 1.0, *frame(proj, x)),
     }[probe]
     tracemalloc.start()
     try:

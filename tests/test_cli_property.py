@@ -10,6 +10,8 @@ traceback does.
 """
 
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -56,15 +58,14 @@ def _text(key, spec):
 
 
 @st.composite
-def configs(draw):
-    """(subcommand, config text): every required key and a drawn subset of the
-    optional ones, each at a valid value."""
-    sub = draw(st.sampled_from(sorted(SCHEMAS)))
+def config_text(draw, sub):
+    """The text of one ``sub`` config: every required key and a drawn subset
+    of the optional ones, each at a valid value."""
     lines = []
     for key, spec in SCHEMAS[sub].items():
         if spec.default is None or key in SIZE_CAPS or draw(st.booleans()):
             lines.append(f"{key} = {draw(_text(key, spec))}")
-    return sub, "".join(line + "\n" for line in lines)
+    return "".join(line + "\n" for line in lines)
 
 
 # cutoff at a large mu once merged a required horizon into a nearby row within
@@ -77,31 +78,42 @@ BELOW_ONSET = "d = 1\nR = 3\ndelta = 0.02\neps = 0.9\nmu = 0.105\nn = 200\n"
 # to 0; at 1.1e-308 the stationary start overflowed; at 5e-324, mu/2 is 0
 OU_AT_TINY_MU = "process = ou\nmu = 5e-324\nd = 8\nR = 50\ndelta = 0.02\neps = 0.05\n"
 
+# configs each subcommand runs besides its draws
+PINNED = {
+    "cutoff": [LARGE_MU + "mu = 1e13\ntimes = 1\n", LARGE_MU + "mu = 1e14\ntimes = 0\n",
+               BELOW_ONSET],
+    "ks-sweep": ["d = 64\nR = 50\nmu = 1e-17\nreps = 3\ntimes = 1\n",
+                 "d = 125\nR = 0\nmu = 1.1125369292536007e-308\nreps = 1\n"],
+    # at mu = 1e-323 and 1e-315 the exact r_k of N(0, I/mu) leaves the float
+    # range, and at 1e-300 it breaks 2 r_k < R; each once exited without naming mu
+    "lowerbound": [OU_AT_TINY_MU.replace("5e-324", mu)
+                   for mu in ("5e-324", "1e-323", "1e-315", "1e-300")],
+    "validate": [OU_AT_TINY_MU,
+                 # a mode radius delta R of 1.5e-323 ends on the tail-mass ball in
+                 # float, and its length nodes underflow to 0: the direction share
+                 # once read 0/0 and printed nan
+                 "d = 3\nR = 3.0\ndelta = 5e-324\neps = 0.5\n"],
+}
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=200,
-          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
-@given(case=configs())
-@example(case=("cutoff", LARGE_MU + "mu = 1e13\ntimes = 1\n"))
-@example(case=("cutoff", LARGE_MU + "mu = 1e14\ntimes = 0\n"))
-@example(case=("cutoff", BELOW_ONSET))
-@example(case=("ks-sweep", "d = 64\nR = 50\nmu = 1e-17\nreps = 3\ntimes = 1\n"))
-@example(case=("ks-sweep", "d = 125\nR = 0\nmu = 1.1125369292536007e-308\nreps = 1\n"))
-@example(case=("lowerbound", OU_AT_TINY_MU))
-@example(case=("validate", OU_AT_TINY_MU))
-# at mu = 1e-323 and 1e-315 the exact r_k of N(0, I/mu) leaves the float range,
-# and at 1e-300 it breaks 2 r_k < R; each once exited without naming mu
-@example(case=("lowerbound", OU_AT_TINY_MU.replace("5e-324", "1e-323")))
-@example(case=("lowerbound", OU_AT_TINY_MU.replace("5e-324", "1e-315")))
-@example(case=("lowerbound", OU_AT_TINY_MU.replace("5e-324", "1e-300")))
-# a mode radius delta R of 1.5e-323 ends on the tail-mass ball in float, and its
-# length nodes underflow to 0: the direction share once read 0/0 and printed nan
-@example(case=("validate", "d = 3\nR = 3.0\ndelta = 5e-324\neps = 0.5\n"))
-def test_every_valid_config_ends_in_a_documented_exit(tmp_path, case):
-    sub, text = case
-    cfg = tmp_path / "c.cfg"
-    cfg.write_text(text, encoding="utf-8")
-    code = main([sub, "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "out")])
-    assert code in (0, 2, 3, 4), text
-    csv = tmp_path / "out" / f"{sub}.csv"
-    if code in (0, 3) and csv.exists():
-        assert "nan" not in csv.read_text()
+
+@pytest.mark.parametrize("sub", sorted(SCHEMAS))
+def test_every_valid_config_ends_in_a_documented_exit(sub):
+    # each subcommand draws from its own schema, so editing one schema moves
+    # no other subcommand's draws
+    @settings(derandomize=True, database=None, deadline=None, max_examples=34,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(text=config_text(sub))
+    def run(text):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "c.cfg"
+            cfg.write_text(text, encoding="utf-8")
+            out = Path(tmp) / "out"
+            code = main([sub, "--config", str(cfg), "--seed", "1", "--out", str(out)])
+            assert code in (0, 2, 3, 4), text
+            csv = out / f"{sub}.csv"
+            if code in (0, 3) and csv.exists():
+                assert "nan" not in csv.read_text()
+
+    for text in PINNED.get(sub, ()):
+        run = example(text=text)(run)
+    run()

@@ -20,13 +20,13 @@ from mixlab import (
     check_drift_condition,
     check_linear_growth,
     classify_ergodicity,
-    empirical_tv_1d,
     probe_grid,
 )
 from mixlab import forward
-from mixlab.bounds import SubspaceProjector, _frame, _radius
+from mixlab.bounds import SubspaceProjector, _radius
 from mixlab.forward import DIVERGENCE_RADIUS, H_FLOOR
 from mixlab.rng import substream
+from tests.oracles import frame, histogram_tv
 
 
 class TestOUTransitions:
@@ -237,7 +237,7 @@ class TestEulerMaruyama:
         x0 = np.array([4.0])
         em = tl.sample_endpoints(x0, T, n, 6, IntegratorConfig(1e-3))
         exact = ou.sample_endpoints(x0, T, n, 7)
-        tv = empirical_tv_1d(em[:, 0], exact[:, 0]).value
+        tv = histogram_tv(em[:, 0], exact[:, 0], math.ceil(math.sqrt(n)))
         assert tv <= 0.05
 
     def test_divergence_detection(self):
@@ -363,7 +363,7 @@ class TestEulerMaruyama:
                 snaps.append(np.linalg.norm(state, axis=1))
         occupied = np.concatenate(snaps)
         exact = np.linalg.norm(tl.invariant_measure().sample(100_000, 78), axis=1)
-        tv = empirical_tv_1d(occupied, exact, bins=40, bin_range=(0.0, 12.0)).value
+        tv = histogram_tv(occupied, exact, 40, (0.0, 12.0))
         assert tv <= 0.08
 
 
@@ -442,7 +442,7 @@ class TestDispersionBalance:
         bad = np.eye(d)[:3] * 1.01
         with pytest.raises(StructuralError):
             check_dispersion_balance(OUProcess(1.0, d), 3,
-                                     *_frame(SubspaceProjector(bad),
+                                     *frame(SubspaceProjector(bad),
                                              substream(0).standard_normal((100, d))))
 
 

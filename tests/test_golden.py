@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from mixlab import OUProcess, SubspaceProjector, check_dispersion_balance, check_generator_bound
-from mixlab.bounds import _frame
 from mixlab.cli import format_number, main
+from tests.oracles import frame
 
 GOLDEN = {
     "cutoff": (
@@ -75,6 +75,6 @@ def test_validate_bytes_move_only_with_the_shared_sample():
     ou = OUProcess(1.0, 8)
     proj = SubspaceProjector.containing_direction(np.eye(8)[0], 3)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(1111, spawn_key=(9,))))
-    r, g = _frame(proj, 50.0 * rng.standard_normal((2000, 8)))
+    r, g = frame(proj, 50.0 * rng.standard_normal((2000, 8)))
     assert format_number(check_dispersion_balance(ou, 3, r, g).value) == "-1.00794799e-05"
     assert format_number(check_generator_bound(ou, 3, 1.0, r, g).value) == "-9.05152745e-08"

@@ -16,6 +16,7 @@ from mixlab import (
     projected_tv_vs_gaussian,
 )
 from mixlab.rng import derive
+from tests.oracles import histogram_tv
 
 
 def gaussian_projection_mass(k: int, r: float, mu: float) -> float:
@@ -131,48 +132,36 @@ class TestKSStatistic:
 
 
 class TestEmpiricalTV:
-    def test_identical_sequences(self):
-        x = np.linspace(-3, 3, 1000)
-        assert empirical_tv_1d(x, x.copy()).value == 0.0
-
     def test_null_bias_threshold(self):
         # calibrated once by simulation: default-bin bias at n=1e6 is ~0.009
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(42)))
         x = rng.standard_normal(1_000_000)
-        assert empirical_tv_1d(x, ndtr).value <= 0.01
+        assert empirical_tv_1d(x, ndtr, (x.min(), x.max())).value <= 0.01
 
     def test_disjoint_supports(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal(20_000)
-        res = empirical_tv_1d(x, lambda t: ndtr(t - 10.0), bin_range=(-5.0, 15.0))
+        res = empirical_tv_1d(x, lambda t: ndtr(t - 10.0), (-5.0, 15.0))
         assert res.value >= 0.999
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(3)
-        a = rng.standard_normal(4000)
-        b = rng.standard_normal(6000) + 0.3
-        assert empirical_tv_1d(a, b).value == empirical_tv_1d(b, a).value
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(4)
         a = rng.standard_normal(4000)
-        b = rng.standard_normal(4000) + 0.2
-        base = empirical_tv_1d(a, b, bins=50, bin_range=(-4.0, 4.5))
-        shifted = empirical_tv_1d(a + 0.5, b + 0.5, bins=50, bin_range=(-3.5, 5.0))
+        base = empirical_tv_1d(a, lambda t: ndtr(t - 0.2), (-4.0, 4.5), bins=50)
+        shifted = empirical_tv_1d(a + 0.5, lambda t: ndtr(t - 0.7), (-3.5, 5.0), bins=50)
         assert shifted.value == pytest.approx(base.value, abs=1e-9)
 
     def test_default_bins(self):
         a = np.linspace(0, 1, 400)
-        b = np.linspace(0, 1, 900)
-        assert empirical_tv_1d(a, b).bins == 20  # ceil(sqrt(min(400, 900)))
+        assert empirical_tv_1d(a, ndtr, (0.0, 1.0)).bins == 20  # ceil(sqrt(400))
 
     def test_errors(self):
         with pytest.raises(DomainError):
-            empirical_tv_1d([], ndtr)
+            empirical_tv_1d([], ndtr, (0.0, 1.0))
         with pytest.raises(StructuralError):
-            empirical_tv_1d([1.0, 2.0], [1.0], bins=1)
+            empirical_tv_1d([1.0, 2.0], ndtr, (0.0, 1.0), bins=1)
         with pytest.raises(StructuralError):
-            empirical_tv_1d([1.0], [1.0], bin_range=(2.0, 1.0))
+            empirical_tv_1d([1.0], ndtr, (2.0, 1.0))
 
     def test_projected_tv_of_an_empty_sample_raises(self):
         # the range pass once took the minimum of an empty array and leaked numpy's ValueError
@@ -182,67 +171,47 @@ class TestEmpiricalTV:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_samples_raise(self, bad):
-        # a NaN once read nan against a CDF, was dropped on a given range, read 0
-        # against a second sample and reached projected_tv_vs_gaussian's range check
-        clean = np.random.default_rng(6).standard_normal(1000)
-        x = np.append(clean, bad)
-        for call in (lambda: empirical_tv_1d(x, ndtr),
-                     lambda: empirical_tv_1d(x, ndtr, bin_range=(-4.0, 4.0)),
-                     lambda: empirical_tv_1d(x, clean),
-                     lambda: empirical_tv_1d(clean, x),
+        # a NaN once read nan against a CDF, was dropped on a given range and
+        # reached projected_tv_vs_gaussian's range check
+        x = np.append(np.random.default_rng(6).standard_normal(1000), bad)
+        for call in (lambda: empirical_tv_1d(x, ndtr, (-4.0, 4.0)),
                      lambda: projected_tv_vs_gaussian(x, 1.0)):
             with pytest.raises(DomainError, match="samples must be finite"):
                 call()
 
     def test_counts_match_the_clipped_histogram(self):
         # oracle: np.histogram of the samples clipped into the range, on the same
-        # edges; ties, samples on an edge, samples outside the range, both modes
-        def histogram_tv(a, b, bins, bin_range):
-            cdf_mode = callable(b)
-            if bin_range is None:
-                lo = a.min() if cdf_mode else min(a.min(), b.min())
-                hi = a.max() if cdf_mode else max(a.max(), b.max())
-                lo, hi = (lo - 0.5, hi + 0.5) if lo == hi else (lo, hi)
-            else:
-                lo, hi = bin_range
-            edges = np.linspace(lo, hi, bins + 1)
-            p = np.histogram(np.clip(a, lo, hi), bins=edges)[0] / a.size
-            if cdf_mode:
-                F = b(edges)
-                q = np.diff(F)
-                q[0] += F[0]
-                q[-1] += 1.0 - F[-1]
-            else:
-                q = np.histogram(np.clip(b, lo, hi), bins=edges)[0] / b.size
-            return 0.5 * float(np.abs(p - q).sum())
-
+        # edges; ties, samples on an edge, samples outside the range
         rng = np.random.default_rng(7)
         for _ in range(400):
             bins = int(rng.integers(2, 40))
             # one decimal makes ties
             a = np.round(rng.standard_normal(int(rng.integers(1, 300))) * 2.0, 1)
-            b = (ndtr if rng.random() < 0.5
-                 else np.round(rng.standard_normal(int(rng.integers(1, 300))) + 0.3, 1))
-            form = rng.integers(4)
-            if form == 3:
+            if rng.random() < 0.25:
                 # a range a few float spacings wide, where inner edges round to lo
                 bin_range = (1e16, 1e16 + 2.0 * float(rng.integers(1, 4)))
-                a, b = a + 1e16, b if callable(b) else b + 1e16
-            elif form == 0:
-                bin_range = None
-                if not callable(b) and rng.random() < 0.2:
-                    a = np.full(a.size, 0.7)  # every sample equal: the range widens by 0.5
-                    b = np.full(b.size, 0.7)
+                a = a + 1e16
             else:
                 # inside the data (samples outside it) or around it
-                half = rng.uniform(0.5, 2.0) if form == 1 else rng.uniform(5.0, 9.0)
+                half = rng.uniform(0.5, 2.0) if rng.random() < 0.5 else rng.uniform(5.0, 9.0)
                 bin_range = (-half + rng.uniform(-0.3, 0.3), half)
-                edges = np.linspace(*bin_range, bins + 1)
-                a = np.append(a, rng.choice(edges, 5))
-                if not callable(b):
-                    b = np.append(b, rng.choice(edges, 5))
-            expected = histogram_tv(a, b, bins, bin_range)
-            assert empirical_tv_1d(a, b, bins, bin_range).value == expected
+                a = np.append(a, rng.choice(np.linspace(*bin_range, bins + 1), 5))
+            expected = histogram_tv(a, ndtr, bins, bin_range)
+            assert empirical_tv_1d(a, ndtr, bin_range, bins).value == expected
+
+
+class TestHistogramTV:
+    """The tests' two-sample TV, which the forward tests read."""
+
+    def test_identical_sequences(self):
+        x = np.linspace(-3, 3, 1000)
+        assert histogram_tv(x, x.copy(), 31) == 0.0
+
+    def test_symmetry(self):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal(4000)
+        b = rng.standard_normal(6000) + 0.3
+        assert histogram_tv(a, b, 63) == histogram_tv(b, a, 63)
 
 
 class TestProjectedTV:
