@@ -343,6 +343,8 @@ def _onset_radius(eps: float) -> float:
 def mixing_horizons(mu: float, R: float, delta: float, eps: float, d: int,
                     r_k: float | None = None) -> HorizonSet:
     """Evaluate every horizon formula; t_lower needs r_k and R > 2 r_k (else None)."""
+    if r_k is not None and not r_k >= 1:
+        raise DomainError("level r_k must be at least 1")
     if not 0 < eps < 1:
         raise DomainError("eps must lie in (0, 1)")
     if not mu > 0:

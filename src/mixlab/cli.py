@@ -68,7 +68,6 @@ _PROCESS_KEYS = {
     "profile_a": Key("float", default=1.0, within="(0, inf)"),
     "profile_p": Key("float", default=1.0, within="(0, 2]"),
     "ell": Key("float", default=0.0, within="[0, inf)"),
-    "r_k": Key("float", default=0.0, within="[0, inf)"),  # 0 requests estimation
 }
 
 SCHEMAS: dict[str, dict[str, Key]] = {
@@ -76,7 +75,6 @@ SCHEMAS: dict[str, dict[str, Key]] = {
         **_DATA_KEYS,
         "mu": Key("float", default=1.0, within="(0, inf)"),
         "n": Key("int", default=100_000, within="[100, inf)"),
-        "bins": Key("int", default=0, within="[0, inf)"),
         "times": Key("floats", default=(), within="[0, inf)"),
     },
     "lowerbound": {
@@ -114,8 +112,6 @@ SCHEMAS: dict[str, dict[str, Key]] = {
         # n_points is accepted and ignored, with no range to fail: the process
         # probes read a fixed grid; perfbench/workloads.py still writes it
         "n_points": Key("int", default=10_000),
-        "r_max": Key("float", default=0.0, within="[0, inf)"),
-        "envelope_scale": Key("float", default=0.0, within="[0, 1e150]"),  # ends like R
         "beta": Key("float", default=0.0, within="[0, 1]"),
     },
 }

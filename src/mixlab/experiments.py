@@ -94,9 +94,7 @@ def run_cutoff(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
     OU kernel :meth:`OUProcess.transition` (t): the rows share their
     random numbers, and each row's y_t has the law of the OU marginal."""
     d, eps, mu, n = cfg["d"], cfg["eps"], cfg["mu"], cfg["n"]
-    R, bins = cfg["R"], cfg["bins"]
-    if bins == 1 or bins > n:
-        raise ConfigError(f"key 'bins' = {bins}: use 0 (automatic) or 2 to n = {n} bins")
+    R = cfg["R"]
     # validates eps before log(1/eps) below
     spec = build_data_spec(cfg)
     # the onset radius keeps t_onset, the first gate's row, at or after t = 0
@@ -126,7 +124,7 @@ def run_cutoff(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
         decay, scale = ou.transition(t)
         yt = scale * z
         yt += decay * y0
-        return projected_tv_vs_gaussian(yt, mu, bins=bins or None).value
+        return projected_tv_vs_gaussian(yt, mu).value
 
     tvs = parallel_map(one, times, threads)
     rows = [
@@ -178,12 +176,7 @@ def _pi_keys(cfg: dict) -> str:
 
 
 def _level_r_k(cfg: dict, pi: SphericalMeasure) -> float:
-    """The configured level r_k = sqrt(1 + q^2) >= 1, or the exact one when r_k = 0."""
-    r_k = cfg["r_k"]
-    if 0 < r_k < 1:
-        raise ConfigError(f"r_k must be 0 (the exact quantile) or at least 1, got {r_k:.6g}")
-    if r_k:
-        return r_k
+    """The exact level r_k = sqrt(1 + q^2) of pi, or a ConfigError naming the pi keys."""
     try:
         return projection_quantile(pi, cfg["k"], cfg["eps"]).r
     except DomainError as exc:
@@ -210,7 +203,7 @@ def run_lowerbound(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
     """TV lower-bound terms over a time grid that contains the bound horizon t_lower.
 
     Every term is exact and nothing is drawn, so the CSV is a function of the
-    configuration alone: r_k (unless configured) and the pi term by
+    configuration alone: r_k and the pi term by
     :func:`projection_quantile` and :func:`projection_tail`, the start-law
     terms by :func:`tv_lower_bound`'s quadrature on the laws of |G|.  ``n``
     and the seed do not enter; the ``total_se`` column reads 0.  One
@@ -228,10 +221,8 @@ def run_lowerbound(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
     r_k = _level_r_k(cfg, pi)
     t_low = mixing_horizons(mu, R, cfg["delta"], eps, d, r_k=r_k).t_lower
     if t_low is None:
-        exact = "" if cfg["r_k"] else f" (exact at {_pi_keys(cfg)})"
-        raise ConfigError(
-            f"lower-bound horizon requires 2 r_k < R, got r_k = {r_k:.6g}{exact}, R = {R:.6g}"
-        )
+        raise ConfigError(f"lower-bound horizon requires 2 r_k < R, got r_k = {r_k:.6g} "
+                          f"(exact at {_pi_keys(cfg)}), R = {R:.6g}")
     proj = SubspaceProjector.containing_direction(spec.mode_direction, k)
     rate = LinearRate(mu)
     times = _merged_times(
@@ -347,24 +338,19 @@ def run_validate(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
     """Run every applicable admissibility check with measured margins.
 
     The three process probes read a radial process only at (|x|, |G|), so
-    they run on :func:`probe_grid` (envelope_scale or R, d, k): nothing is
-    drawn, and neither the seed nor ``n_points`` (accepted and ignored) enters.
+    they run on :func:`probe_grid` (R, d, k): nothing is drawn, and neither
+    the seed nor ``n_points`` (accepted and ignored) enters.
     """
     proc, pi = _build_process(cfg)
     mu, d, k = cfg["mu"], cfg["d"], cfg["k"]
     spec = build_data_spec(cfg)
-    scale = cfg["envelope_scale"] or spec.R
     checks = [replace(c, name=f"data/{c.name}") for c in validate_data_spec(spec)]
-    r, g = probe_grid(scale, d, k)
+    r, g = probe_grid(spec.R, d, k)
     with _probes_within_float_range(cfg):
         if isinstance(proc, TemperedLangevin):
-            checks.append(check_drift_condition(proc, mu, r_max=cfg["r_max"] or 10.0 * spec.R))
-        try:
-            checks.append(check_linear_growth(proc, mu, r))
-        except DomainError as exc:
-            raise ConfigError(f"envelope_scale = {scale:g} is too small for the process "
-                              f"probes: {exc}") from exc
-        checks += [check_dispersion_balance(proc, k, r, g),
+            checks.append(check_drift_condition(proc, mu, r_max=10.0 * spec.R))
+        checks += [check_linear_growth(proc, mu, r),
+                   check_dispersion_balance(proc, k, r, g),
                    check_generator_bound(proc, k, mu, r, g)]
     beta = cfg["beta"]
     if beta > 0:

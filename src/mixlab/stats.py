@@ -78,9 +78,10 @@ def empirical_tv_1d(samples_a, cdf: Callable[[np.ndarray], np.ndarray],
     return TVEstimate(value=0.5 * float(np.abs(p - q).sum()), bins=bins)
 
 
-def projected_tv_vs_gaussian(samples, mu: float, bins: int | None = None) -> TVEstimate:
+def projected_tv_vs_gaussian(samples, mu: float) -> TVEstimate:
     """Binned TV of the projections <x, u> in ``samples`` (flattened) against
-    the exact N(0, 1/mu) CDF, on a range that covers +-8 sd of it.
+    the exact N(0, 1/mu) CDF, in ceil(sqrt(n)) bins on a range that covers
+    +-8 sd of it.
 
     This lower-bounds the full-space TV against the Gaussian noise measure
     N(0, I/mu), whose pushforward along any unit vector u is N(0, 1/mu).
@@ -90,7 +91,7 @@ def projected_tv_vs_gaussian(samples, mu: float, bins: int | None = None) -> TVE
         raise DomainError("empty samples")
     root_mu = math.sqrt(mu)
     bin_range = (min(float(t.min()), -8.0 / root_mu), max(float(t.max()), 8.0 / root_mu))
-    return empirical_tv_1d(t, lambda x: ndtr(np.asarray(x) * root_mu), bin_range, bins)
+    return empirical_tv_1d(t, lambda x: ndtr(np.asarray(x) * root_mu), bin_range)
 
 
 @dataclass(frozen=True)

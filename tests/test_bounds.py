@@ -19,6 +19,7 @@ from mixlab import (
     SubspaceProjector,
     TemperedLangevin,
     check_compatibility,
+    check_drift_condition,
     check_dispersion_balance,
     check_generator_bound,
     check_growth_envelope,
@@ -812,6 +813,72 @@ class TestHorizons:
         hz = mixing_horizons(1.0, 10.0, 0.01, 0.05, 4, r_k=6.0)
         assert hz.t_lower is None
         assert mixing_horizons(1.0, 10.0, 0.01, 0.05, 4).t_lower is None
+
+
+# zero, the float floor, around the level floor 1, and up to the float ceiling
+SWEEP_VALUES = (0.0, 1e-300, 0.5, 1.0, 1.5, 1e10, 1e150, 1e300)
+
+
+class TestLevelAndScaleSweep:
+    """The level r_k, the drift grid's end r_max and the probe scale are
+    derived from the problem by the CLI, so only the library takes them: each
+    is swept from 0 to the float ceiling, and every value either raises a
+    documented error or returns finite results.  The suite turns
+    RuntimeWarnings into errors, so an overflow on the way fails a case."""
+
+    @pytest.mark.parametrize("r", SWEEP_VALUES)
+    def test_tv_lower_bound_level(self, r):
+        spec = single_mode_spec()
+        pi = OUProcess(1.0, spec.d).invariant_measure()
+        proj = SubspaceProjector.containing_direction(spec.mode_direction, 3)
+        if r < 1:
+            with pytest.raises(DomainError, match="at least 1"):
+                tv_lower_bound(pi, spec, proj, LinearRate(1.0), r, [0.0])
+            return
+        for rep in tv_lower_bound(pi, spec, proj, LinearRate(1.0), r, [0.0, 1.0, 1e3]):
+            assert 0.0 <= rep.pi_term <= 1.0 and 0.0 <= rep.rho_tail <= 1.0
+            assert 0.0 <= rep.integral < math.inf
+            assert rep.total == rep.pi_term - rep.rho_tail - rep.integral
+
+    @pytest.mark.parametrize("r_k", SWEEP_VALUES)
+    def test_mixing_horizons_level(self, r_k):
+        if r_k < 1:
+            with pytest.raises(DomainError, match="at least 1"):
+                mixing_horizons(1.0, 50.0, 0.02, 0.05, 16, r_k=r_k)
+            return
+        hz = mixing_horizons(1.0, 50.0, 0.02, 0.05, 16, r_k=r_k)
+        if 50.0 > 2.0 * r_k:
+            assert hz.t_lower == pytest.approx(math.log(25.0 / r_k), rel=1e-12)
+        else:
+            assert hz.t_lower is None
+
+    @pytest.mark.parametrize("r_max", SWEEP_VALUES)
+    def test_drift_condition_grid_end(self, r_max):
+        # a = 0.6, p = 1, ell = 0.4 meets the drift condition at every radius
+        tl = TemperedLangevin(RadialProfile.power_tail(0.6, 1.0), 0.4, 4)
+        if r_max * 1e-8 == 0:
+            with pytest.raises(DomainError, match="r_max"):
+                check_drift_condition(tl, 1.0, r_max=r_max)
+            return
+        rep = check_drift_condition(tl, 1.0, r_max=r_max)
+        assert rep.passed and math.isfinite(rep.value)
+
+    @pytest.mark.parametrize("noise", ["ou", "tempered"])
+    @pytest.mark.parametrize("scale", SWEEP_VALUES)
+    def test_probe_scale(self, scale, noise):
+        d, k = 4, 3
+        proc = (OUProcess(1.0, d) if noise == "ou"
+                else TemperedLangevin(RadialProfile.power_tail(0.6, 1.0), 0.4, d))
+        r, g = probe_grid(scale, d, k)
+        if r[-1, 0] < 1e-12:
+            with pytest.raises(DomainError, match="1e-12"):
+                check_linear_growth(proc, 1.0, r)
+            return
+        reps = [check_linear_growth(proc, 1.0, r), check_dispersion_balance(proc, k, r, g),
+                check_generator_bound(proc, k, 1.0, r, g)]
+        assert all(math.isfinite(rep.value) for rep in reps)
+        # OU meets every probe exactly, at every scale
+        assert noise == "tempered" or all(rep.passed for rep in reps)
 
 
 class TestCompatibility:

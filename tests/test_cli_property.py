@@ -3,7 +3,7 @@ subcommand, at small sizes, ends in a documented exit code (0, 2, 3 or 4)
 with no exception escaping :func:`main`.
 
 Float keys are drawn across their whole interval, ends and float extremes
-included; the size keys (d, n, reps, bins, k and the list lengths) are kept
+included; the size keys (d, n, reps, k and the list lengths) are kept
 small so that each example runs in a fraction of a second.  The suite turns
 RuntimeWarnings into errors, so an overflow on the way fails an example as a
 traceback does.
@@ -21,8 +21,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, example, given, settings, strategies as st  # noqa: E402
 
 # the largest value drawn for each size key; the schema's own lower end holds
-SIZE_CAPS = {"d": 2000, "n": 400, "reps": 3, "bins": 500, "k": 8, "n_points": 10_000,
-             "rk_n": 10_000}
+SIZE_CAPS = {"d": 2000, "n": 400, "reps": 3, "k": 8, "n_points": 10_000, "rk_n": 10_000}
 LIST_CAPS = {"d_list": 3000}
 
 

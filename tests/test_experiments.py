@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -222,7 +223,7 @@ class TestCutoffRun:
         # one n x d start array at d = 1e5 would take n * d * 8 B = 1.6 GB
         cfg = {"d": 100_000, "R": 50.0, "delta": 0.02, "eps": 0.05, "b_rho": 0.5,
                "bulk_scale": 0.0, "mode_kind": "uniform-ball", "mu": 1.0, "n": 2000,
-               "bins": 0, "times": ()}
+               "times": ()}
         tracemalloc.start()
         try:
             res = run_cutoff(cfg, 23)
@@ -241,7 +242,7 @@ class TestLowerboundRun:
         # the tempered r_k at this d is about 1.6e3, so R = 1e4 keeps 2 r_k < R
         cfg = {"process": process, "d": 100_000, "R": R, "delta": 0.02, "eps": 0.05,
                "b_rho": 0.5, "bulk_scale": 0.0, "mode_kind": "truncated-gaussian", "mu": 1.0,
-               "k": 3, "profile_a": 0.6, "profile_p": 1.0, "ell": 0.4, "r_k": 0.0,
+               "k": 3, "profile_a": 0.6, "profile_p": 1.0, "ell": 0.4,
                "rk_n": 1000, "n": 2000, "times": ()}
         tracemalloc.start()
         try:
@@ -283,9 +284,12 @@ class TestLowerboundExactTerms:
         assert res.checks[0].value == at_low["total"]
         assert res.checks[0].threshold == at_low["floor"]
 
-    def test_level_one_fails_the_horizon_check(self):
-        # at r_k = 1 the pi term pi(H >= 1) is 0, so the bound cannot reach the floor
-        res = run_lowerbound(lowerbound_cfg(r_k="1"), 45)
+    def test_level_one_fails_the_horizon_check(self, monkeypatch):
+        # at the exact r_k the gate holds by construction; at r_k = 1 the pi
+        # term pi(H >= 1) is 0, so the bound cannot reach the floor
+        monkeypatch.setattr(experiments, "projection_quantile",
+                            lambda pi, k, eps: SimpleNamespace(r=1.0))
+        res = run_lowerbound(lowerbound_cfg(), 45)
         assert not res.passed
         assert [c.name for c in res.checks if not c.passed] == ["lower-bound-at-horizon"]
 

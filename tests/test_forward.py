@@ -415,6 +415,12 @@ class TestDriftCondition:
         assert not rep.passed
         assert rep.value > 0
 
+    def test_r_max_at_the_float_floor_raises(self):
+        # the grid starts at 1e-8 r_max, which rounds to 0 here
+        tl = TemperedLangevin(RadialProfile.power_tail(1.0, 1.0), 0.0, 3)
+        with pytest.raises(DomainError, match="r_max = 4.94066e-324"):
+            check_drift_condition(tl, 1.0, r_max=5e-324)
+
 
 class TestDispersionBalance:
     def test_scalar_dispersion_passes(self):

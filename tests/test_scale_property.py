@@ -53,8 +53,6 @@ def cutoff_configs(draw):
     if draw(st.booleans()):
         cfg["bulk_scale"] = draw(log_uniform(1e-3, 1e6))
     if draw(st.booleans()):
-        cfg["bins"] = draw(st.integers(2, 100))
-    if draw(st.booleans()):
         cfg["times"] = tuple(draw(TIMES))
     return cfg
 
