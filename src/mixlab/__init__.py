@@ -50,7 +50,6 @@ from .measures import (
 )
 from .stats import (
     KSResult,
-    TVEstimate,
     coordinate_ks,
     empirical_tv_1d,
     ks_statistic,

@@ -124,7 +124,7 @@ def run_cutoff(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
         decay, scale = ou.transition(t)
         yt = scale * z
         yt += decay * y0
-        return projected_tv_vs_gaussian(yt, mu).value
+        return projected_tv_vs_gaussian(yt, mu)
 
     tvs = parallel_map(one, times, threads)
     rows = [
@@ -263,6 +263,11 @@ def run_quantile_table(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentRes
     """
     ps, ds = cfg["p_list"], cfg["d_list"]
     eps, a, k = cfg["eps"], cfg["a"], cfg["k"]
+    # a d names two columns and a p one row, so a repeat would write both twice
+    for key, values in (("p_list", ps), ("d_list", ds)):
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            raise ConfigError(f"key '{key}': {repeated[0]:g} appears more than once")
     for dd in map(int, ds):
         _checked_rows(k, dd, f"d = {dd} in key 'd_list' (cells q_d{dd}, r_d{dd})")
     cells = [(i, j) for i in range(len(ps)) for j in range(len(ds))]

@@ -205,7 +205,7 @@ def projection_tail(pi: SphericalMeasure, k: int, q: float) -> float:
     k = _checked_k(k, pi.d)
     if not q >= 0:
         raise DomainError("tail level q must be nonnegative")
-    return _SphericalNormLaw(pi, k)._past(q)[0]
+    return _tail_slope(pi, k, q)[0]
 
 
 def _ts_rule(lo, hi, every: int = 1):
@@ -357,59 +357,43 @@ class _ComponentNormLaw:
             yield s, m, top
 
 
-@dataclass(frozen=True)
-class _SphericalNormLaw:
-    """Law of |G| = |x| sqrt(B) for x ~ ``pi`` read on k rows, where
-    B ~ Beta(k/2, (d-k)/2) is independent of |x| (B = 1 at k = d)."""
+def _tail_slope(pi: SphericalMeasure, k: int, q: float) -> tuple[float, float, float]:
+    """(pi(|G| > q), its derivative in q, the same tail on the rule at twice
+    the step) for |G| = |x| sqrt(B), x ~ ``pi`` read on k rows, where
+    B ~ Beta(k/2, (d-k)/2) is independent of |x|.
 
-    pi: SphericalMeasure
-    k: int
+    The tail is the integral :func:`projection_tail` documents, on the
+    97-node rule; the coarse sum reads every other node of it, so it costs no
+    special-function call.  At k = d, or W = 0, the tail is W, returned before
+    any rule is built, with slope 0.
 
-    def tail_slope(self, q: float) -> tuple[float, float, float]:
-        """(pi(|G| > q), its derivative in q, the same tail on the rule at
-        twice the step) at k < d, from one :meth:`_past`.
+    The upper end W of the integral moves with q, but its term vanishes,
+    since betaincc(., ., 1) = 0 at r(W) = q, so
 
-        The upper end W of the integral in :func:`projection_tail` moves with
-        q, but its term vanishes, since betaincc(., ., 1) = 0 at r(W) = q, so
+        Tail'(q) = -int_0^W f_B((q/r(w))^2) 2 (q/r(w)) / r(w) dw,
 
-            Tail'(q) = -int_0^W f_B((q/r(w))^2) 2 (q/r(w)) / r(w) dw,
-
-        with f_B the Beta(k/2, (d-k)/2) density, in exp/log form on the same
-        nodes.  The factor is read as ratio / x, never as q / x^2, so radii
-        past sqrt(DBL_MAX) keep it finite.  A node whose cut rounds to 0 or 1
-        carries no slope.  At d - k = 1 the density's (1 - B)^(-1/2) end
-        leaves the rule about 4e-7 short of the slope, which only steers the
-        search in :func:`projection_quantile`; elsewhere it agrees with a
-        central difference of the tail to better than 1e-7.
-        """
-        prob, coarse, m, x, cut = self._past(q)
-        a, b = self._shape
-        inner = (cut > 0.0) & (cut < 1.0)
-        c = np.where(inner, cut, 0.5)
-        dens = np.exp((a - 1.0) * np.log(c) + (b - 1.0) * np.log1p(-c) - betaln(a, b))
-        return prob, -float(m @ np.where(inner, dens * (2.0 * (q / x) / x), 0.0)), coarse
-
-    def _past(self, q: float):
-        """pi(|G| > q) as :func:`projection_tail` documents, the same sum on
-        the 49-node rule at twice the step (every other node, so it costs no
-        special-function call), and the radii x past q with their masses m
-        and cuts min(1, (q/x)^2), which :meth:`tail_slope` reads.  At k = d,
-        or W = 0, the tail is W, returned before any rule is built."""
-        pi = self.pi
-        big_w = pi._tail_at_radius(q)
-        if big_w == 0.0 or self.k == pi.d:
-            return big_w, big_w, np.empty(0), np.empty(0), np.empty(0)
-        w, m, _ = _ts_rule(0.0, big_w)
-        x = pi._radius_at_tail(w)
-        ratio = q / x
-        cut = np.minimum(1.0, ratio * ratio)
-        tails = betaincc(*self._shape, cut)
-        coarse = float(_ts_rule(0.0, big_w, every=2)[1] @ tails[::2])
-        return float(m @ tails), coarse, m, x, cut
-
-    @property
-    def _shape(self) -> tuple[float, float]:
-        return self.k / 2.0, (self.pi.d - self.k) / 2.0
+    with f_B the Beta(k/2, (d-k)/2) density, in exp/log form on the same
+    nodes.  The factor is read as ratio / x, never as q / x^2, so radii
+    past sqrt(DBL_MAX) keep it finite.  A node whose cut rounds to 0 or 1
+    carries no slope.  At d - k = 1 the density's (1 - B)^(-1/2) end
+    leaves the rule about 4e-7 short of the slope, which only steers the
+    search in :func:`projection_quantile`; elsewhere it agrees with a
+    central difference of the tail to better than 1e-7.
+    """
+    big_w = pi._tail_at_radius(q)
+    if big_w == 0.0 or k == pi.d:
+        return big_w, 0.0, big_w
+    a, b = k / 2.0, (pi.d - k) / 2.0
+    w, m, _ = _ts_rule(0.0, big_w)
+    x = pi._radius_at_tail(w)
+    ratio = q / x
+    cut = np.minimum(1.0, ratio * ratio)
+    tails = betaincc(a, b, cut)
+    coarse = float(_ts_rule(0.0, big_w, every=2)[1] @ tails[::2])
+    inner = (cut > 0.0) & (cut < 1.0)
+    c = np.where(inner, cut, 0.5)
+    dens = np.exp((a - 1.0) * np.log(c) + (b - 1.0) * np.log1p(-c) - betaln(a, b))
+    return float(m @ tails), -float(m @ np.where(inner, dens * (2.0 * ratio / x), 0.0)), coarse
 
 
 @dataclass(frozen=True)
@@ -436,7 +420,7 @@ def projection_quantile(pi: SphericalMeasure, k: int, eps: float, *, n: int = 0)
     49-node half: there the fixed rule no longer resolves the far tail.
 
     The root is Newton's method on log Tail(q) - log(eps/2), with the slope
-    of :meth:`_SphericalNormLaw.tail_slope` read off the tail's own nodes,
+    of :func:`_tail_slope` read off the tail's own nodes,
     started at the bracket's upper end and kept inside the bracket
     [0, radial quantile]: a step that leaves it, or a tail or slope that
     reads 0, falls back to bisection.  It stops once a step is within
@@ -460,9 +444,9 @@ def projection_quantile(pi: SphericalMeasure, k: int, eps: float, *, n: int = 0)
             f"{q:.3g} is not a normal float at d = {pi.d}, p = {pi.profile.p:g}"
         )
     if k < pi.d:
-        law, lo, hi, log_target = _SphericalNormLaw(pi, k), 0.0, q, math.log(target)
+        lo, hi, log_target = 0.0, q, math.log(target)
         while hi - lo > 4e-16 * hi:
-            tail, slope, coarse = law.tail_slope(q)
+            tail, slope, coarse = _tail_slope(pi, k, q)
             if tail > 0.0 and slope < 0.0:
                 step = (math.log(tail) - log_target) * tail / slope
                 if abs(step) <= 4e-16 * q:

@@ -18,14 +18,6 @@ from scipy.special import kolmogorov, ndtr
 from .errors import DomainError, StructuralError
 
 
-@dataclass(frozen=True)
-class TVEstimate:
-    """Binned 1D total-variation estimate between a sample and an exact law."""
-
-    value: float
-    bins: int
-
-
 def _sorted_finite(samples) -> np.ndarray:
     """The samples flattened and sorted; DomainError when empty or not all finite."""
     x = np.sort(np.asarray(samples, dtype=float).reshape(-1))
@@ -52,20 +44,18 @@ def _bin_counts(xs: np.ndarray, edges: np.ndarray) -> np.ndarray:
 
 
 def empirical_tv_1d(samples_a, cdf: Callable[[np.ndarray], np.ndarray],
-                    bin_range: tuple[float, float], bins: int | None = None) -> TVEstimate:
+                    bin_range: tuple[float, float]) -> float:
     """Binned TV between a sample and an exact CDF on ``bin_range``.
 
     Computes 0.5 * sum_i |p_i - q_i| over equal-width bins on ``bin_range``:
     the p_i are the sample's bin frequencies, samples outside the range
     clipped into the edge bins, and the q_i the exact per-bin masses of
-    ``cdf``, its tails absorbed into the edge bins.  Default bins =
-    ceil(sqrt(sample size)).  The sample is sorted once; an empty or
-    non-finite one raises DomainError.
+    ``cdf``, its tails absorbed into the edge bins.  There are
+    max(2, ceil(sqrt(sample size))) bins.  The sample is sorted once; an
+    empty or non-finite one raises DomainError.
     """
     a = _sorted_finite(samples_a)
-    bins = max(2, math.ceil(math.sqrt(a.size))) if bins is None else int(bins)
-    if bins < 2:
-        raise StructuralError("need at least 2 bins")
+    bins = max(2, math.ceil(math.sqrt(a.size)))
     lo, hi = float(bin_range[0]), float(bin_range[1])
     if not lo < hi:
         raise StructuralError("bin_range must be an increasing interval")
@@ -75,13 +65,13 @@ def empirical_tv_1d(samples_a, cdf: Callable[[np.ndarray], np.ndarray],
     q = np.diff(F)
     q[0] += F[0]
     q[-1] += 1.0 - F[-1]
-    return TVEstimate(value=0.5 * float(np.abs(p - q).sum()), bins=bins)
+    return 0.5 * float(np.abs(p - q).sum())
 
 
-def projected_tv_vs_gaussian(samples, mu: float) -> TVEstimate:
+def projected_tv_vs_gaussian(samples, mu: float) -> float:
     """Binned TV of the projections <x, u> in ``samples`` (flattened) against
-    the exact N(0, 1/mu) CDF, in ceil(sqrt(n)) bins on a range that covers
-    +-8 sd of it.
+    the exact N(0, 1/mu) CDF, in the bins of :func:`empirical_tv_1d` on a
+    range that covers +-8 sd of it.
 
     This lower-bounds the full-space TV against the Gaussian noise measure
     N(0, I/mu), whose pushforward along any unit vector u is N(0, 1/mu).

@@ -505,6 +505,18 @@ n = 1000
         assert err.startswith("configuration error: ") and keys in err
         assert not (tmp_path / sub / f"{sub}.csv").exists()
 
+    @pytest.mark.parametrize("text, message", [
+        # a repeated d once wrote q_d3 and r_d3 twice, and csv.DictReader kept the last pair
+        ("d_list = 3,30,3\n", "key 'd_list': 3 appears more than once"),
+        # a repeated p once wrote the same row twice; 1 and 1.0 are one value
+        ("p_list = 1,1.4,1.0\n", "key 'p_list': 1 appears more than once"),
+    ], ids=["d_list", "p_list"])
+    def test_repeated_quantile_table_entry_exits_2(self, tmp_path, capsys, text, message):
+        cfg = write_cfg(tmp_path / "q.cfg", text)
+        assert main(["quantile-table", "--config", cfg, "--out", str(tmp_path / "q")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "q" / "quantile-table.csv").exists()
+
     @pytest.mark.parametrize("case", ["config-not-utf8", "config-is-directory", "out-is-file"])
     def test_path_errors_exit_2(self, tmp_path, case):
         cfg = write_cfg(tmp_path / "c.cfg", "p = 1\n")

@@ -155,8 +155,8 @@ class TestCutoffRun:
         for row in res.rows:
             decay, scale = ou.transition(row["t"])
             yt = scale * z + decay * y0
-            assert row["tv"] == projected_tv_vs_gaussian(yt, cfg["mu"]).value
-        assert res.rows[0]["tv"] == projected_tv_vs_gaussian(y0, cfg["mu"]).value
+            assert row["tv"] == projected_tv_vs_gaussian(yt, cfg["mu"])
+        assert res.rows[0]["tv"] == projected_tv_vs_gaussian(y0, cfg["mu"])
 
     def test_shared_noise_keeps_each_marginal(self):
         # oracle: the marginal at each grid time drawn by OUProcess.evolve from a
@@ -191,7 +191,7 @@ class TestCutoffRun:
                         y0 = spec.sample_coefficients(cfg["n"], spec.mode_direction[None, :],
                                                       (seed, 1, i))
                         yt = ou.evolve(y0, row["t"], (seed, 2, i))
-                        redrawn[col].append(projected_tv_vs_gaussian(yt, cfg["mu"]).value)
+                        redrawn[col].append(projected_tv_vs_gaussian(yt, cfg["mu"]))
         for col in shared:
             a, b = np.array(shared[col]), np.array(redrawn[col])
             assert len(a) == len(b) == 20

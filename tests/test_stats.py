@@ -136,30 +136,27 @@ class TestEmpiricalTV:
         # calibrated once by simulation: default-bin bias at n=1e6 is ~0.009
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(42)))
         x = rng.standard_normal(1_000_000)
-        assert empirical_tv_1d(x, ndtr, (x.min(), x.max())).value <= 0.01
+        assert empirical_tv_1d(x, ndtr, (x.min(), x.max())) <= 0.01
 
     def test_disjoint_supports(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal(20_000)
-        res = empirical_tv_1d(x, lambda t: ndtr(t - 10.0), (-5.0, 15.0))
-        assert res.value >= 0.999
+        assert empirical_tv_1d(x, lambda t: ndtr(t - 10.0), (-5.0, 15.0)) >= 0.999
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(4)
-        a = rng.standard_normal(4000)
-        base = empirical_tv_1d(a, lambda t: ndtr(t - 0.2), (-4.0, 4.5), bins=50)
-        shifted = empirical_tv_1d(a + 0.5, lambda t: ndtr(t - 0.7), (-3.5, 5.0), bins=50)
-        assert shifted.value == pytest.approx(base.value, abs=1e-9)
+        a = rng.standard_normal(2500)  # 50 bins
+        base = empirical_tv_1d(a, lambda t: ndtr(t - 0.2), (-4.0, 4.5))
+        shifted = empirical_tv_1d(a + 0.5, lambda t: ndtr(t - 0.7), (-3.5, 5.0))
+        assert shifted == pytest.approx(base, abs=1e-9)
 
     def test_default_bins(self):
         a = np.linspace(0, 1, 400)
-        assert empirical_tv_1d(a, ndtr, (0.0, 1.0)).bins == 20  # ceil(sqrt(400))
+        assert empirical_tv_1d(a, ndtr, (0.0, 1.0)) == histogram_tv(a, ndtr, 20, (0.0, 1.0))
 
     def test_errors(self):
         with pytest.raises(DomainError):
             empirical_tv_1d([], ndtr, (0.0, 1.0))
-        with pytest.raises(StructuralError):
-            empirical_tv_1d([1.0, 2.0], ndtr, (0.0, 1.0), bins=1)
         with pytest.raises(StructuralError):
             empirical_tv_1d([1.0], ndtr, (2.0, 1.0))
 
@@ -181,23 +178,26 @@ class TestEmpiricalTV:
 
     def test_counts_match_the_clipped_histogram(self):
         # oracle: np.histogram of the samples clipped into the range, on the same
-        # edges; ties, samples on an edge, samples outside the range
+        # edges, in max(2, ceil(sqrt(n))) bins (2 to 41 here); ties, samples on an
+        # edge, samples outside the range
         rng = np.random.default_rng(7)
         for _ in range(400):
-            bins = int(rng.integers(2, 40))
+            n = int(rng.integers(1, 1600))
             # one decimal makes ties
-            a = np.round(rng.standard_normal(int(rng.integers(1, 300))) * 2.0, 1)
+            a = np.round(rng.standard_normal(n) * 2.0, 1)
             if rng.random() < 0.25:
                 # a range a few float spacings wide, where inner edges round to lo
                 bin_range = (1e16, 1e16 + 2.0 * float(rng.integers(1, 4)))
                 a = a + 1e16
             else:
-                # inside the data (samples outside it) or around it
+                # inside the data (samples outside it) or around it, with 5 samples
+                # on the edges of the bins that n + 5 samples take
                 half = rng.uniform(0.5, 2.0) if rng.random() < 0.5 else rng.uniform(5.0, 9.0)
                 bin_range = (-half + rng.uniform(-0.3, 0.3), half)
-                a = np.append(a, rng.choice(np.linspace(*bin_range, bins + 1), 5))
-            expected = histogram_tv(a, ndtr, bins, bin_range)
-            assert empirical_tv_1d(a, ndtr, bin_range, bins).value == expected
+                edges = np.linspace(*bin_range, max(2, math.ceil(math.sqrt(n + 5))) + 1)
+                a = np.append(a, rng.choice(edges, 5))
+            expected = histogram_tv(a, ndtr, max(2, math.ceil(math.sqrt(a.size))), bin_range)
+            assert empirical_tv_1d(a, ndtr, bin_range) == expected
 
 
 class TestHistogramTV:
@@ -221,22 +221,22 @@ class TestProjectedTV:
         x = pi.sample(n, 5)
         direction = np.zeros(d)
         direction[1] = 1.0
-        assert projected_tv_vs_gaussian(x @ direction, mu).value <= 0.01
+        assert projected_tv_vs_gaussian(x @ direction, mu) <= 0.01
 
     def test_far_point_mass(self):
         # point mass at distance 10 along the direction: essentially disjoint
         d, R = 3, 10.0
         direction = np.array([1.0, 0.0, 0.0])
         x = np.tile(direction * R, (20_000, 1))
-        assert projected_tv_vs_gaussian(x @ direction, 1.0).value >= 0.99
+        assert projected_tv_vs_gaussian(x @ direction, 1.0) >= 0.99
 
     def test_direction_invariance_for_spherical_samples(self):
         pi = SphericalMeasure(6, RadialProfile.quadratic(0.5))
         x = pi.sample(100_000, 6)
         e0 = np.eye(6)[0]
         other = np.ones(6) / math.sqrt(6)
-        v1 = projected_tv_vs_gaussian(x @ e0, 1.0).value
-        v2 = projected_tv_vs_gaussian(x @ other, 1.0).value
+        v1 = projected_tv_vs_gaussian(x @ e0, 1.0)
+        v2 = projected_tv_vs_gaussian(x @ other, 1.0)
         assert abs(v1 - v2) <= 0.01
 
 
