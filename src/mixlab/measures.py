@@ -150,9 +150,11 @@ def _radial_coefficients(rng: np.random.Generator, n: int, d: int, k: int,
     r = ``radii(rng, n)``.  At k = d they are the d coordinates themselves.
     """
     g = rng.standard_normal((n, k))
-    w = _chi2_rest(rng, n, d, k)
-    r = radii(rng, n)
-    return r[:, None] * g / np.sqrt((g * g).sum(axis=1) + w)[:, None]
+    norm = _chi2_rest(rng, n, d, k)
+    norm += (g * g).sum(axis=1)
+    g *= radii(rng, n)[:, None]
+    g /= np.sqrt(norm, out=norm)[:, None]
+    return g
 
 
 def _checked_k(k, d: int, least: int = 1) -> int:
@@ -568,9 +570,18 @@ class MultiModalData:
         return weights / weights.sum()
 
     def _components(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Mixture component of each of n draws; index len(modes) is the bulk."""
-        weights = self._component_weights()
-        return rng.choice(len(weights), size=n, p=weights)
+        """Mixture component of each of n draws; index len(modes) is the bulk.
+
+        These are the draws of ``rng.choice(len(w), size=n, p=w)``, one
+        uniform per draw placed among the cumulative weights by comparison,
+        in the narrowest unsigned type that holds the bulk's index."""
+        cdf = np.cumsum(self._component_weights())
+        cdf /= cdf[-1]
+        u = rng.random(n)
+        comp = np.zeros(n, dtype=np.min_scalar_type(len(cdf) - 1))
+        for c in cdf[:-1]:
+            comp += u >= c
+        return comp
 
     def _sigmas_per_radius(self) -> float:
         """A truncated-Gaussian mode's radius in units of its scale sigma."""

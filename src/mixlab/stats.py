@@ -19,8 +19,13 @@ from .errors import DomainError, StructuralError
 
 
 def _sorted_finite(samples) -> np.ndarray:
-    """The samples flattened and sorted; DomainError when empty or not all finite."""
-    x = np.sort(np.asarray(samples, dtype=float).reshape(-1))
+    """The samples flattened and sorted in place; DomainError when empty or
+    not all finite.  A writeable float64 array that flattens to a view is
+    itself sorted, in its flat order; any other input is sorted in a copy."""
+    x = np.asarray(samples, dtype=float).reshape(-1)
+    if not x.flags.writeable:
+        x = x.copy()
+    x.sort()
     if x.size == 0:
         raise DomainError("empty samples")
     # a sorted array puts -inf first and inf and NaN last
@@ -43,6 +48,20 @@ def _bin_counts(xs: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return np.diff(cuts, prepend=0, append=xs.size)
 
 
+def _binned_tv(xs: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray],
+               lo: float, hi: float) -> float:
+    """The TV of :func:`empirical_tv_1d` for the sorted finite sample xs."""
+    if not lo < hi:
+        raise StructuralError("bin_range must be an increasing interval")
+    edges = np.linspace(lo, hi, max(2, math.ceil(math.sqrt(xs.size))) + 1)
+    p = _bin_counts(xs, edges) / xs.size
+    F = np.asarray(cdf(edges), dtype=float)
+    q = np.diff(F)
+    q[0] += F[0]
+    q[-1] += 1.0 - F[-1]
+    return 0.5 * float(np.abs(p - q).sum())
+
+
 def empirical_tv_1d(samples_a, cdf: Callable[[np.ndarray], np.ndarray],
                     bin_range: tuple[float, float]) -> float:
     """Binned TV between a sample and an exact CDF on ``bin_range``.
@@ -51,37 +70,28 @@ def empirical_tv_1d(samples_a, cdf: Callable[[np.ndarray], np.ndarray],
     the p_i are the sample's bin frequencies, samples outside the range
     clipped into the edge bins, and the q_i the exact per-bin masses of
     ``cdf``, its tails absorbed into the edge bins.  There are
-    max(2, ceil(sqrt(sample size))) bins.  The sample is sorted once; an
-    empty or non-finite one raises DomainError.
+    max(2, ceil(sqrt(sample size))) bins.  The sample is sorted once, in
+    place: a writeable float64 ``samples_a`` comes back sorted, in its flat
+    order, holding the same values.  An empty or non-finite one raises
+    DomainError.
     """
     a = _sorted_finite(samples_a)
-    bins = max(2, math.ceil(math.sqrt(a.size)))
-    lo, hi = float(bin_range[0]), float(bin_range[1])
-    if not lo < hi:
-        raise StructuralError("bin_range must be an increasing interval")
-    edges = np.linspace(lo, hi, bins + 1)
-    p = _bin_counts(a, edges) / a.size
-    F = np.asarray(cdf(edges), dtype=float)
-    q = np.diff(F)
-    q[0] += F[0]
-    q[-1] += 1.0 - F[-1]
-    return 0.5 * float(np.abs(p - q).sum())
+    return _binned_tv(a, cdf, float(bin_range[0]), float(bin_range[1]))
 
 
 def projected_tv_vs_gaussian(samples, mu: float) -> float:
     """Binned TV of the projections <x, u> in ``samples`` (flattened) against
     the exact N(0, 1/mu) CDF, in the bins of :func:`empirical_tv_1d` on a
-    range that covers +-8 sd of it.
+    range that covers +-8 sd of it.  Like :func:`empirical_tv_1d` it sorts
+    ``samples`` in place, so the range reads the sample's ends.
 
     This lower-bounds the full-space TV against the Gaussian noise measure
     N(0, I/mu), whose pushforward along any unit vector u is N(0, 1/mu).
     """
-    t = np.asarray(samples, dtype=float).reshape(-1)
-    if t.size == 0:
-        raise DomainError("empty samples")
+    t = _sorted_finite(samples)
     root_mu = math.sqrt(mu)
-    bin_range = (min(float(t.min()), -8.0 / root_mu), max(float(t.max()), 8.0 / root_mu))
-    return empirical_tv_1d(t, lambda x: ndtr(np.asarray(x) * root_mu), bin_range)
+    return _binned_tv(t, lambda x: ndtr(np.asarray(x) * root_mu),
+                      min(float(t[0]), -8.0 / root_mu), max(float(t[-1]), 8.0 / root_mu))
 
 
 @dataclass(frozen=True)
@@ -94,8 +104,9 @@ def ks_statistic(samples, cdf: Callable[[np.ndarray], np.ndarray]) -> KSResult:
     """One-sample Kolmogorov-Smirnov statistic and asymptotic p-value.
 
     The p-value is the Kolmogorov survival function at sqrt(n) * D.
+    ``samples`` is left as it is: the sort runs on a copy.
     """
-    xs = _sorted_finite(samples)
+    xs = _sorted_finite(np.array(samples, dtype=float))
     n = xs.size
     F = np.asarray(cdf(xs), dtype=float)
     i = np.arange(1, n + 1)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -475,6 +476,72 @@ class TestMixtureSample:
         spec = two_mode_spec(np.random.default_rng(5), 5, mode_kind, None)
         assert np.array_equal(spec.sample(3000, 8), spec.sample_coefficients(3000, np.eye(5), 8))
         assert spec.sample(0, 8).shape == (0, 5)
+
+
+def weighted_spec(mode_weights, d=3):
+    """Modes of the given weights on distinct axes, the bulk taking the rest."""
+    modes = tuple(ModeSpec(np.eye(d)[i % d] * (4.0 + i), 1.0, w)
+                  for i, w in enumerate(mode_weights))
+    return MultiModalData(d, 3.0, 0.2, 0.1, modes=modes)
+
+
+# SHA-256 of the sample bytes at seed 29: sample, then sample_coefficients on
+# the first axis, for the two-mode mixture of sampled_bytes_spec
+SAMPLE_BYTES = {
+    (2, "uniform-ball"): (
+        "394b737c25cb6db8bf6667fb90fc438227ecf534bd103a9ef9f072ff8ee0c2d5",
+        "4265066d89f3e2e282b2647d7a80efdfe278b3f71459344704cc8fffda94dd6a"),
+    (2, "truncated-gaussian"): (
+        "9f6abcf5755e9fa469cbcf6cc5c1269055d52ec32c28ff571c00988bc730426f",
+        "e9cd103a49b6a02d93beadc5711332d48118c532be51c5257c61425e6f97b33d"),
+    (7, "uniform-ball"): (
+        "2d8bd3b19ea763f4fe70e8a777fc7a85c0a46c3a65a9de84780d8ffe4166a35d",
+        "e4fcb8105023f166c5b69c6bb47049985aeee5a6ba98e1513afd2fe83dbd287a"),
+    (7, "truncated-gaussian"): (
+        "532663c16e859489a77cf2ad1d20ba1dfcce0b105685ad233d34cb434e8ab6d9",
+        "ae5cc7d6c7a093a3e8041f5964bffc0ae8927027a3738cc5804b1262086d259e"),
+}
+
+
+def sampled_bytes_spec(d, mode_kind):
+    far, near = np.zeros(d), np.zeros(d)
+    far[0], near[-1] = 13.0, -4.0
+    return MultiModalData(d, 10.0, 0.3, 0.05, mode_kind=mode_kind,
+                          modes=(ModeSpec(far, 3.0, 0.5), ModeSpec(near, 2.0, 0.2)))
+
+
+def sha256(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+class TestComponentDraw:
+    """The component draw compares one uniform per draw with the cumulative
+    weights; oracle: ``Generator.choice`` on a twin substream."""
+
+    @pytest.mark.parametrize("mode_weights", [
+        (1e-9,), (0.3, 1e-9), (1e-9, 0.25, 0.25), (0.1, 0.2, 0.3, 0.4 - 1e-9),
+        (1e-9, 1.0 - 1e-9),  # the bulk's weight is 0: an empty component
+    ])
+    @pytest.mark.parametrize("n", [1, 7, 100_000])
+    def test_same_draws_as_choice(self, mode_weights, n):
+        spec = weighted_spec(mode_weights)
+        w = spec._component_weights()
+        for seed in range(5):
+            mine, twin = substream((seed, 1)), substream((seed, 1))
+            comp = spec._components(mine, n)
+            assert np.array_equal(comp, twin.choice(len(w), size=n, p=w))
+            # both leave the stream at the same point
+            assert mine.random() == twin.random()
+
+    @pytest.mark.parametrize("key", sorted(SAMPLE_BYTES))
+    def test_sample_bytes_are_pinned(self, key):
+        spec, u = sampled_bytes_spec(*key), np.eye(key[0])[:1]
+        assert (sha256(spec.sample(3000, 29)), sha256(spec.sample_coefficients(3000, u, 29))) \
+            == SAMPLE_BYTES[key]
+
+    def test_spherical_sample_bytes_are_pinned(self):
+        x = SphericalMeasure(6, RadialProfile.power_tail(0.6, 1.0)).sample(2000, 3)
+        assert sha256(x) == "4356e751f01602789622aa26545533674eecdfeea79a793b07ec7bfb5b287fc6"
 
 
 def straddling_spec(d, mode_kind="uniform-ball", weight=1.0, distance=5.0, radius=1.0, R=5.0):

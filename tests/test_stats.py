@@ -146,13 +146,15 @@ class TestEmpiricalTV:
     def test_shift_invariance(self):
         rng = np.random.default_rng(4)
         a = rng.standard_normal(2500)  # 50 bins
+        moved = a + 0.5  # formed before the call below sorts a
         base = empirical_tv_1d(a, lambda t: ndtr(t - 0.2), (-4.0, 4.5))
-        shifted = empirical_tv_1d(a + 0.5, lambda t: ndtr(t - 0.7), (-3.5, 5.0))
+        shifted = empirical_tv_1d(moved, lambda t: ndtr(t - 0.7), (-3.5, 5.0))
         assert shifted == pytest.approx(base, abs=1e-9)
 
     def test_default_bins(self):
         a = np.linspace(0, 1, 400)
-        assert empirical_tv_1d(a, ndtr, (0.0, 1.0)) == histogram_tv(a, ndtr, 20, (0.0, 1.0))
+        expected = histogram_tv(a, ndtr, 20, (0.0, 1.0))
+        assert empirical_tv_1d(a, ndtr, (0.0, 1.0)) == expected
 
     def test_errors(self):
         with pytest.raises(DomainError):
@@ -171,8 +173,9 @@ class TestEmpiricalTV:
         # a NaN once read nan against a CDF, was dropped on a given range and
         # reached projected_tv_vs_gaussian's range check
         x = np.append(np.random.default_rng(6).standard_normal(1000), bad)
-        for call in (lambda: empirical_tv_1d(x, ndtr, (-4.0, 4.0)),
-                     lambda: projected_tv_vs_gaussian(x, 1.0)):
+        # each call gets its own copy, since both sort their sample in place
+        for call in (lambda: empirical_tv_1d(x.copy(), ndtr, (-4.0, 4.0)),
+                     lambda: projected_tv_vs_gaussian(x.copy(), 1.0)):
             with pytest.raises(DomainError, match="samples must be finite"):
                 call()
 
@@ -198,6 +201,73 @@ class TestEmpiricalTV:
                 a = np.append(a, rng.choice(edges, 5))
             expected = histogram_tv(a, ndtr, max(2, math.ceil(math.sqrt(a.size))), bin_range)
             assert empirical_tv_1d(a, ndtr, bin_range) == expected
+
+
+def buffer_cases(mu):
+    """Samples by name: shuffled, presorted, tied, and on the bin edges and
+    range ends that projected_tv_vs_gaussian reads at this mu."""
+    rng = np.random.default_rng(9)
+    root_mu = math.sqrt(mu)
+    edges = np.linspace(-8.0 / root_mu, 8.0 / root_mu, 33)  # 32 bins: n = 1000
+    return {
+        "shuffled": rng.standard_normal(2000) / root_mu,
+        "presorted": np.sort(rng.standard_normal(2000)) / root_mu,
+        "tied": np.round(rng.standard_normal(1500), 1),
+        "edge": rng.permutation(np.concatenate([rng.choice(edges, 990), edges[[0, -1]],
+                                                rng.standard_normal(8)])),
+    }
+
+
+class TestSortsInPlace:
+    """Both binned TVs sort their sample in place: the caller's array comes
+    back sorted and holds the same values, and the TV is the one of a sorted
+    copy; ks_statistic sorts a copy."""
+
+    @pytest.mark.parametrize("mu", [1.0, 3.0])
+    @pytest.mark.parametrize("case", ["shuffled", "presorted", "tied", "edge"])
+    def test_projected_tv_reads_the_callers_buffer(self, case, mu):
+        x = buffer_cases(mu)[case]
+        ordered = np.sort(x)
+        expected = projected_tv_vs_gaussian(ordered.copy(), mu)
+        assert projected_tv_vs_gaussian(x, mu) == expected
+        assert np.array_equal(x, ordered)
+        # the samples' order never entered: the same float on a reversed copy
+        assert projected_tv_vs_gaussian(ordered[::-1].copy(), mu) == expected
+
+    @pytest.mark.parametrize("case", ["shuffled", "presorted", "tied", "edge"])
+    def test_empirical_tv_reads_the_callers_buffer(self, case):
+        x = buffer_cases(1.0)[case]
+        ordered = np.sort(x)
+        expected = empirical_tv_1d(ordered.copy(), ndtr, (-2.0, 3.0))
+        assert empirical_tv_1d(x, ndtr, (-2.0, 3.0)) == expected
+        assert np.array_equal(x, ordered)
+
+    def test_inputs_it_cannot_sort_are_copied(self):
+        x = buffer_cases(1.0)["shuffled"]
+        expected = projected_tv_vs_gaussian(np.sort(x), 1.0)
+        frozen = x.copy()
+        frozen.setflags(write=False)
+        for other in (frozen, x.tolist(), x.astype(np.float32)):
+            kept = np.array(other, copy=True)
+            projected_tv_vs_gaussian(other, 1.0)
+            assert np.array_equal(np.asarray(other), kept)
+        assert projected_tv_vs_gaussian(frozen, 1.0) == expected
+        # a 1-D strided view flattens to itself: its own elements are sorted
+        base = x.copy()
+        projected_tv_vs_gaussian(base[::2], 1.0)
+        assert np.array_equal(base[::2], np.sort(x[::2])) and np.array_equal(base[1::2], x[1::2])
+
+    def test_a_contiguous_block_is_sorted_in_its_flat_order(self):
+        x = buffer_cases(1.0)["shuffled"].reshape(40, 50)
+        flat = np.sort(x.reshape(-1))
+        assert projected_tv_vs_gaussian(x, 1.0) == projected_tv_vs_gaussian(flat.copy(), 1.0)
+        assert x.shape == (40, 50) and np.array_equal(x.reshape(-1), flat)
+
+    def test_ks_statistic_leaves_its_sample(self):
+        x = buffer_cases(1.0)["shuffled"]
+        kept = x.copy()
+        assert ks_statistic(x, ndtr) == ks_statistic(np.sort(x), ndtr)
+        assert np.array_equal(x, kept)
 
 
 class TestHistogramTV:
