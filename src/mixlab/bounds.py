@@ -276,14 +276,21 @@ class GrowthEnvelopeReport:
 
 def check_growth_envelope(process, proj: SubspaceProjector, rate, x, t: float,
                           n: int, seed: Seed, cfg=None) -> GrowthEnvelopeReport:
-    """Estimate E_x[H(X_t)] from n endpoints of ``process.sample_endpoints``
-    and compare to the envelope."""
+    """Estimate E_x[H(X_t)] from n draws of |G(X_t)| by
+    ``process.sample_projection_norms``, which costs O(n k) at any d, and
+    compare to the envelope.  H is formed from |G| as ``proj.lyapunov`` forms it."""
     x = np.asarray(x, dtype=float).reshape(-1)
-    vals = proj.lyapunov(process.sample_endpoints(x, t, int(n), seed, cfg))
+    if not x.size == proj.d == process.d:
+        raise StructuralError(f"start point, projector and process dimensions differ: "
+                              f"{x.size}, {proj.d} and {process.d}")
+    n = int(n)
+    if n < 1:
+        raise DomainError(f"need at least one path, got n = {n}")
+    vals = _h_and_hg(process.sample_projection_norms(x, t, n, proj.basis, seed, cfg))[0]
     h0 = float(proj.lyapunov(x[None, :])[0])
     return GrowthEnvelopeReport(
         estimate=float(vals.mean()),
-        se=float(vals.std() / math.sqrt(len(vals))),
+        se=float(vals.std() / math.sqrt(n)),
         bound=float(rate.grow(h0, t)),
         start_value=h0,
     )

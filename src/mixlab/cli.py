@@ -11,9 +11,10 @@ line.  Identical config and seed give byte-identical CSVs regardless of
 ``--threads``.
 
 Exit codes: 0 success, 2 configuration error, 3 run-end check failed,
-4 numerical divergence.  No subcommand exits 4 today: only
-``TemperedLangevin.sample_endpoints`` raises ``DivergenceError``, and no
-subcommand calls it.
+4 numerical divergence.  No subcommand exits 4 today: only the tempered
+Euler-Maruyama chain (``TemperedLangevin.sample_endpoints`` and
+``sample_projection_norms``) raises ``DivergenceError``, and no subcommand
+runs it.
 """
 
 from __future__ import annotations

@@ -7,6 +7,8 @@ through them.  ``sample_endpoints`` draws time-t marginals, exact for OU.  As
 c and s read only |x|, the tempered chain is run, exactly in law, on two
 scalars per path (the coordinate along x0 and the distance from that axis) and
 the d coordinates are rebuilt once at the end: a step costs O(n) whatever d.
+``sample_projection_norms`` draws the norm of the same marginals on k
+orthonormal rows without forming the d coordinates, in O(n k) memory.
 """
 
 from __future__ import annotations
@@ -19,7 +21,13 @@ import numpy as np
 
 from .bounds import _h_and_hg, _radius
 from .errors import DivergenceError, DomainError, StructuralError
-from .measures import CheckResult, RadialProfile, SphericalMeasure
+from .measures import (
+    CheckResult,
+    RadialProfile,
+    SphericalMeasure,
+    _checked_basis,
+    _radial_coefficients,
+)
 from .rng import Seed, substream
 
 # |x| beyond this radius, or a NaN coordinate, aborts integration as a numerical blow-up
@@ -98,6 +106,27 @@ class OUProcess:
         """
         x0 = np.asarray(x0, dtype=float).reshape(-1)
         return self.evolve(np.tile(x0, (int(n), 1)), T, seed)
+
+    def sample_projection_norms(self, x0, T: float, n: int, basis, seed: Seed,
+                                cfg: IntegratorConfig | None = None) -> np.ndarray:
+        """n exact draws of |X_T @ basis.T| given X_0 = x0, in O(n k) memory.
+
+        The k coefficients of X_T are decay (basis @ x0) + scale N(0, I_k) by
+        :meth:`transition`, and their norm is formed by hypot, so it stays
+        finite where its square would not.  At T = 0 every path reads
+        |basis @ x0| and nothing is drawn.  ``cfg`` is ignored, as in
+        :meth:`sample_endpoints`.
+        """
+        x0 = np.asarray(x0, dtype=float).reshape(-1)
+        basis = _checked_basis(basis, x0.size)
+        n, c = int(n), basis @ x0
+        decay, scale = self.transition(T)
+        if T == 0:
+            return np.full(n, float(np.hypot.reduce(c)))
+        z = substream(seed).standard_normal((c.size, n))
+        z *= scale
+        z += decay * c[:, None]
+        return np.hypot.reduce(z, axis=0)
 
 
 @dataclass(frozen=True)
@@ -183,22 +212,45 @@ class TemperedLangevin:
         time T the direction of X - A e1 is uniform on the unit sphere
         orthogonal to e1 and independent of (A, W).  One direction draw per
         path rebuilds X_T: a step costs O(n) and only that draw costs O(n d).
+        :meth:`sample_projection_norms` reads the same chain on k rows
+        without the O(n d) draw.
 
         A path that leaves the radius ``DIVERGENCE_RADIUS`` or turns NaN
         raises ``DivergenceError`` with the step, the grid time it reached
         and the largest radius there; overflow in a step reaches that guard
         as inf or NaN rather than as a numpy warning.
         """
+        x0 = np.asarray(x0, dtype=float).reshape(-1)
+        n, d = int(n), x0.size
+        chain = self._chain(x0, T, n, seed, cfg)
+        if chain is None:
+            return np.tile(x0, (n, 1))
+        a, w, e1, rng = chain
+        if d == 1:
+            return a[:, None] * e1
+        # X_T = A e1 + W v, with v uniform on the unit sphere orthogonal to e1
+        pts = rng.standard_normal((n, d))
+        pts -= (pts @ e1)[:, None] * e1
+        pts *= (w / np.linalg.norm(pts, axis=1))[:, None]
+        pts += a[:, None] * e1
+        return pts
+
+    def _chain(self, x0: np.ndarray, T: float, n: int, seed: Seed,
+               cfg: IntegratorConfig | None):
+        """The (A, W) chain of :meth:`sample_endpoints`: n paths from x0 run to
+        time T, as (A, W, e1, rng) with ``rng`` left after the chain's draws.
+
+        At T = 0 nothing moves and nothing is drawn, and the return is None.
+        """
         if cfg is None:
             raise StructuralError("tempered Langevin sampling needs an IntegratorConfig")
-        x0 = np.asarray(x0, dtype=float).reshape(-1)
         if T < 0:
             raise DomainError("horizon T must be nonnegative")
-        n, d = int(n), x0.size
         if T == 0:
-            return np.tile(x0, (n, 1))
+            return None
         if cfg.step > T:
             raise DomainError("integrator step exceeds the horizon T")
+        d = x0.size
         r0 = float(np.linalg.norm(x0))
         if r0 > 0:
             e1 = x0 / r0
@@ -243,14 +295,36 @@ class TemperedLangevin:
                         f"path diverged (|x| > {DIVERGENCE_RADIUS:.0e} or NaN) at step {i}, "
                         f"t = {t:.6g}, largest |x| = {r_max:.6g}", i, t, r_max
                     )
-        if d == 1:
-            return a[:, None] * e1
-        # X_T = A e1 + W v, with v uniform on the unit sphere orthogonal to e1
-        pts = rng.standard_normal((n, d))
-        pts -= (pts @ e1)[:, None] * e1
-        pts *= (w / np.linalg.norm(pts, axis=1))[:, None]
-        pts += a[:, None] * e1
-        return pts
+        return a, w, e1, rng
+
+    def sample_projection_norms(self, x0, T: float, n: int, basis, seed: Seed,
+                                cfg: IntegratorConfig | None = None) -> np.ndarray:
+        """|X_T @ basis.T| for n Euler-Maruyama paths from x0, in O(n k) memory.
+
+        Runs the (A, W) chain of :meth:`sample_endpoints` and reads its end on
+        the k orthonormal rows.  With rho = |P e1|, X_T = A e1 + W v puts
+
+            |P X_T| = hypot(A rho + W sqrt(1 - rho^2) v1, W |(v2, ..., vk)|),
+
+        where (v1, ..., vk) are k coordinates of a direction uniform on the
+        unit sphere orthogonal to e1, in R^{d-1}: g/sqrt(|g|^2 + chi2_{d-1-k})
+        for k standard normals g.  At k = d, |P X_T| = |X_T| = hypot(A, W),
+        and at T = 0 every path reads |basis @ x0|.
+        """
+        x0 = np.asarray(x0, dtype=float).reshape(-1)
+        basis = _checked_basis(basis, x0.size)
+        n, (k, d) = int(n), basis.shape
+        chain = self._chain(x0, T, n, seed, cfg)
+        if chain is None:
+            return np.full(n, float(np.hypot.reduce(basis @ x0)))
+        a, w, e1, rng = chain
+        if k == d:
+            return np.hypot(a, w)
+        rho = min(1.0, float(np.linalg.norm(basis @ e1)))
+        wv = _radial_coefficients(rng, n, d - 1, k, lambda _rng, _n: w)
+        wv[:, 0] *= math.sqrt(1.0 - rho * rho)
+        wv[:, 0] += rho * a
+        return np.linalg.norm(wv, axis=1)
 
 
 def check_linear_growth(process, mu: float, r) -> CheckResult:

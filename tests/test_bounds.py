@@ -672,6 +672,37 @@ class TestGrowthEnvelope:
                                                cfg=IntegratorConfig(0.01)) for _ in range(2))
         assert first == second
 
+    @pytest.mark.parametrize("kind", ["ou", "tempered"])
+    def test_memory_does_not_grow_with_d(self, kind):
+        # the estimate reads |G(X_t)| in O(n k): at d = 1e5 an n x d endpoint
+        # array would take 160 MB
+        d, n = 100_000, 200
+        proc = OUProcess(1.0, d) if kind == "ou" else \
+            TemperedLangevin(RadialProfile.power_tail(0.6, 1.0), 0.4, d)
+        x = 5.0 * np.random.default_rng(4).standard_normal(d)
+        proj = SubspaceProjector.containing_direction(x, 3)
+        tracemalloc.start()
+        try:
+            rep = check_growth_envelope(proc, proj, LinearRate(1.0), x, 0.5, n, 5,
+                                        cfg=IntegratorConfig(0.01))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.passed
+        assert peak < 8e6
+
+    def test_needs_a_path(self):
+        ou = OUProcess(1.0, 4)
+        proj = SubspaceProjector(np.eye(4)[:3])
+        with pytest.raises(DomainError, match="n = 0"):
+            check_growth_envelope(ou, proj, LinearRate(1.0), np.ones(4), 0.5, 0, 0)
+
+    def test_dimension_mismatch(self):
+        proj = SubspaceProjector(np.eye(4)[:3])
+        for x, d in ((np.ones(5), 4), (np.ones(4), 5)):
+            with pytest.raises(StructuralError, match=f"{x.size}, 4 and {d}"):
+                check_growth_envelope(OUProcess(1.0, d), proj, LinearRate(1.0), x, 0.5, 10, 0)
+
 
 class TestOUKL:
     def test_matches_the_general_gaussian_formula(self):

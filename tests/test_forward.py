@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 from types import SimpleNamespace
@@ -253,6 +254,12 @@ class TestEulerMaruyama:
         assert exc.radius > DIVERGENCE_RADIUS
         assert f"t = {exc.time:.6g}" in str(exc)
         assert f"largest |x| = {exc.radius:.6g}" in str(exc)
+        # the projection-norm reader runs the same chain and stops at the same place
+        with pytest.raises(DivergenceError) as err:
+            tl.sample_projection_norms(x0, 5.0, 4, np.eye(2)[:1], 8, IntegratorConfig(0.5))
+        assert (err.value.step_index, err.value.time, err.value.radius) == \
+            (exc.step_index, exc.time, exc.radius)
+        assert str(err.value) == str(exc)
 
     @pytest.mark.parametrize("d", [2, 16])
     @pytest.mark.parametrize("ell", [4.0, 7.0])
@@ -365,6 +372,68 @@ class TestEulerMaruyama:
         exact = np.linalg.norm(tl.invariant_measure().sample(100_000, 78), axis=1)
         tv = histogram_tv(occupied, exact, 40, (0.0, 12.0))
         assert tv <= 0.08
+
+
+def random_basis(d, k, seed):
+    """k orthonormal rows in R^d, none along a coordinate axis."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, k)))
+    return q.T
+
+
+def projection_norm_cases():
+    for d in (3, 4, 16, 64):
+        for k in sorted({3, d}):
+            for radius in (0.0, 5.0, 50.0):
+                yield d, k, radius
+
+
+class TestProjectionNorms:
+    @pytest.mark.parametrize("kind", ["ou", "tempered"])
+    @pytest.mark.parametrize("d,k,radius", list(projection_norm_cases()))
+    def test_law_matches_the_full_d_endpoints(self, kind, d, k, radius):
+        # two-sample KS of |P X_T| against the projected n x d endpoints; x0
+        # lies on no basis row.  A path started at 0 of a process with ell > 0
+        # never moves, so the origin is run at ell = 0
+        n, T = 4000, 0.5
+        if kind == "ou":
+            proc, cfg = OUProcess(1.0, d), None
+        else:
+            ell = 0.4 if radius > 0 else 0.0
+            proc, cfg = TemperedLangevin(RadialProfile.power_tail(0.6, 1.0), ell, d), \
+                IntegratorConfig(0.05)
+        basis = random_basis(d, k, 100 + d)
+        x0 = radius * unit(np.random.default_rng(200 + d).standard_normal(d))
+        norms = proc.sample_projection_norms(x0, T, n, basis, 31, cfg)
+        ref = np.linalg.norm(proc.sample_endpoints(x0, T, n, 32, cfg) @ basis.T, axis=1)
+        assert norms.shape == (n,)
+        assert ks_2samp(norms, ref).pvalue > 1e-3
+
+    @pytest.mark.parametrize("proc", [OUProcess(1.0, 5),
+                                      TemperedLangevin(RadialProfile.power_tail(0.6, 1.0), 0.4, 5)])
+    def test_zero_horizon_reads_the_start(self, proc, monkeypatch):
+        def no_draws(seed):
+            raise AssertionError("drew random numbers at T = 0")
+
+        monkeypatch.setattr(forward, "substream", no_draws)
+        basis = random_basis(5, 3, 1)
+        x0 = np.array([1.0, -2.0, 0.5, 3.0, 0.0])
+        norms = proc.sample_projection_norms(x0, 0.0, 7, basis, 0, IntegratorConfig(0.1))
+        assert np.array_equal(norms, np.full(7, np.hypot.reduce(basis @ x0)))
+
+    def test_basis_is_checked(self):
+        ou = OUProcess(1.0, 4)
+        with pytest.raises(StructuralError, match="basis must be"):
+            ou.sample_projection_norms(np.ones(4), 1.0, 5, np.eye(5)[:3], 0)
+
+    def test_sample_endpoints_bytes_are_pinned(self):
+        # the full-d reference, pinned byte for byte: the (A, W) chain it shares
+        # with sample_projection_norms draws in a fixed order
+        d = 16
+        tl = TemperedLangevin(RadialProfile.power_tail(0.6, 1.0), 0.4, d)
+        x0 = 5.0 * np.arange(1, d + 1) / np.linalg.norm(np.arange(1, d + 1))
+        pts = tl.sample_endpoints(x0, 0.5, 500, (3, 1, 4), IntegratorConfig(0.01))
+        assert hashlib.sha256(pts.tobytes()).hexdigest() == \
+            "824a0850f9d0b09492868581d797ea480a8709a780b52e293e69459555d3c2c4"
 
 
 class TestLinearGrowthCheck:
