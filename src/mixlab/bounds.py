@@ -213,9 +213,10 @@ def _norm_at_level(level: float) -> float:
     return math.sqrt(level * level - 1.0) if level < 1e150 else level
 
 
-def tv_lower_bound(pi: SphericalMeasure, rho0: MultiModalData, proj: SubspaceProjector,
+def tv_lower_bound(pi: SphericalMeasure, rho0: MultiModalData, k: int,
                    rate: LinearRate, r: float, times) -> list[LowerBoundReport]:
-    """Evaluate the three-term TV lower bound at each of ``times``, exactly.
+    """Evaluate the three-term TV lower bound at each of ``times``, exactly,
+    for G the projection on the first k >= 3 coordinates.
 
     The bound reads x only through H(x) = (1 + |G(x)|^2)^{-1/2}, so every
     term is a statement about the 1-D law of |G|.  The invariant-measure term
@@ -227,16 +228,18 @@ def tv_lower_bound(pi: SphericalMeasure, rho0: MultiModalData, proj: SubspacePro
         integral = E_rho0[r grow(H, t); |G| > q0] = E_rho0[H; |G| > q0] / C,
 
     the last because the linear envelope gives r grow(H, t) = H / C.  Both
-    come from ``rho0.norm_laws`` on the projector's basis, one fixed
-    quadrature per mixture component, so no draw is made and the cost does
-    not grow with d.  Returns one report per time, in order.
+    come from ``rho0.norm_laws(k)``, one fixed quadrature per mixture
+    component, so no draw is made and the cost does not grow with d.
+    Returns one report per time, in order.
     """
-    if pi.d != proj.d or rho0.d != proj.d:
-        raise StructuralError("noise measure, start law and projector dimensions differ")
+    if pi.d != rho0.d:
+        raise StructuralError(f"noise measure and start law dimensions differ: "
+                              f"{pi.d} and {rho0.d}")
+    k = _checked_k(k, pi.d, least=3)
     if not r >= 1:
         raise DomainError("level r must be at least 1")
-    pi_term = 1.0 - projection_tail(pi, proj.k, _norm_at_level(r))
-    laws = rho0.norm_laws(proj.basis)
+    pi_term = 1.0 - projection_tail(pi, k, _norm_at_level(r))
+    laws = rho0.norm_laws(k)
     reports = []
     for t in times:
         threshold = rate.threshold_level(r, t)

@@ -16,7 +16,6 @@ import numpy as np
 
 from .bounds import (
     LinearRate,
-    SubspaceProjector,
     _onset_radius,
     check_compatibility,
     check_generator_bound,
@@ -63,14 +62,12 @@ class ExperimentResult:
 
 
 def build_data_spec(cfg: dict) -> MultiModalData:
-    """Single-far-mode mixture from flat config keys."""
-    d = cfg["d"]
-    center = np.zeros(d)
-    center[0] = cfg["R"] * (1.0 + cfg["delta"])
-    mode = ModeSpec(center, cfg["delta"] * cfg["R"], cfg["b_rho"])
+    """Single-far-mode mixture from flat config keys, its mode at
+    R(1 + delta) on the first axis of the canonical frame."""
+    mode = ModeSpec([cfg["R"] * (1.0 + cfg["delta"])], cfg["delta"] * cfg["R"], cfg["b_rho"])
     bulk = cfg["bulk_scale"]
     return MultiModalData(
-        d=d, R=cfg["R"], delta=cfg["delta"], eps=cfg["eps"], modes=(mode,),
+        d=cfg["d"], R=cfg["R"], delta=cfg["delta"], eps=cfg["eps"], modes=(mode,),
         bulk_scale=None if bulk <= 0 else bulk, mode_kind=cfg["mode_kind"],
     )
 
@@ -86,9 +83,9 @@ def run_cutoff(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
     """Projected TV along the mode direction over a time grid, with the
     onset/mixing verification at the two characteristic horizons.
 
-    The start projections y0 = <x, u> are drawn once per run on substream
-    (seed, 1), in O(n) whatever d is, by
-    :meth:`MultiModalData.sample_coefficients` on the one-row basis u, and
+    The start projections y0 = <x, e1> on the mode's axis are drawn once per
+    run on substream (seed, 1), in O(n) whatever d is, by
+    :meth:`MultiModalData.sample_coefficients` at k = 1, and
     the transition noise z ~ N(0, 1)^n once on substream (seed, 2).  Grid
     time t reads y_t = decay y0 + scale z with (decay, scale) the exact 1-D
     OU kernel :meth:`OUProcess.transition` (t): the rows share their
@@ -117,10 +114,10 @@ def run_cutoff(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
          (t_onset + t_mix) / 2, t_mix, 1.25 * t_mix, 1.5 * t_mix, 2 * t_mix],
         [t_onset, t_mix],
     )
-    # <X_t, u> of the d-dimensional OU process is itself a 1-D OU process, so
+    # <X_t, e1> of the d-dimensional OU process is itself a 1-D OU process, so
     # the statistic needs only the scalar projections of the start sample
     ou = OUProcess(mu, 1)
-    y0 = spec.sample_coefficients(n, spec.mode_direction[None, :], derive(seed, 1))[:, 0]
+    y0 = spec.sample_coefficients(n, 1, derive(seed, 1))[:, 0]
     z = substream(derive(seed, 2)).standard_normal(n)
     floor = (cfg["b_rho"] - eps) / 2.0
     tv_se = 1.0 / (2.0 * math.sqrt(n))
@@ -228,7 +225,6 @@ def run_lowerbound(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
     if t_low is None:
         raise ConfigError(f"lower-bound horizon requires 2 r_k < R, got r_k = {r_k:.6g} "
                           f"(exact at {_pi_keys(cfg)}), R = {R:.6g}")
-    proj = SubspaceProjector.containing_direction(spec.mode_direction, k)
     rate = LinearRate(mu)
     times = _merged_times(
         cfg["times"],
@@ -236,7 +232,7 @@ def run_lowerbound(cfg: dict, seed: Seed, threads: int = 1) -> ExperimentResult:
         [t_low],
     )
     floor = (cfg["b_rho"] - eps) / 2.0
-    reps = tv_lower_bound(pi, spec, proj, rate, r_k, times)
+    reps = tv_lower_bound(pi, spec, k, rate, r_k, times)
     uppers = {}
     if cfg["process"] == "ou":
         up_times = [t for t in times if mu * t > math.log(2.0) / 2.0]

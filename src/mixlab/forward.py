@@ -37,6 +37,14 @@ DIVERGENCE_RADIUS = 1e12
 H_FLOOR = 1e-8
 
 
+def _checked_start(x0, d: int) -> np.ndarray:
+    """``x0`` as a float d-vector, or a StructuralError naming both dimensions."""
+    x0 = np.asarray(x0, dtype=float).reshape(-1)
+    if x0.size != d:
+        raise StructuralError(f"start point has dimension {x0.size}, the process d = {d}")
+    return x0
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Euler-Maruyama step size."""
@@ -90,6 +98,9 @@ class OUProcess:
         At T = 0 this is a copy of the points, and nothing is drawn.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if pts.shape[-1] != self.d:
+            raise StructuralError(f"points have dimension {pts.shape[-1]}, "
+                                  f"the process d = {self.d}")
         decay, scale = self.transition(T)
         if T == 0:
             return pts.copy()
@@ -104,8 +115,7 @@ class OUProcess:
 
         ``cfg`` is ignored; it keeps the signature of the tempered sampler.
         """
-        x0 = np.asarray(x0, dtype=float).reshape(-1)
-        return self.evolve(np.tile(x0, (int(n), 1)), T, seed)
+        return self.evolve(np.tile(_checked_start(x0, self.d), (int(n), 1)), T, seed)
 
     def sample_projection_norms(self, x0, T: float, n: int, basis, seed: Seed,
                                 cfg: IntegratorConfig | None = None) -> np.ndarray:
@@ -117,8 +127,8 @@ class OUProcess:
         |basis @ x0| and nothing is drawn.  ``cfg`` is ignored, as in
         :meth:`sample_endpoints`.
         """
-        x0 = np.asarray(x0, dtype=float).reshape(-1)
-        basis = _checked_basis(basis, x0.size)
+        x0 = _checked_start(x0, self.d)
+        basis = _checked_basis(basis, self.d)
         n, c = int(n), basis @ x0
         decay, scale = self.transition(T)
         if T == 0:
@@ -220,8 +230,8 @@ class TemperedLangevin:
         and the largest radius there; overflow in a step reaches that guard
         as inf or NaN rather than as a numpy warning.
         """
-        x0 = np.asarray(x0, dtype=float).reshape(-1)
-        n, d = int(n), x0.size
+        x0 = _checked_start(x0, self.d)
+        n, d = int(n), self.d
         chain = self._chain(x0, T, n, seed, cfg)
         if chain is None:
             return np.tile(x0, (n, 1))
@@ -311,8 +321,8 @@ class TemperedLangevin:
         for k standard normals g.  At k = d, |P X_T| = |X_T| = hypot(A, W),
         and at T = 0 every path reads |basis @ x0|.
         """
-        x0 = np.asarray(x0, dtype=float).reshape(-1)
-        basis = _checked_basis(basis, x0.size)
+        x0 = _checked_start(x0, self.d)
+        basis = _checked_basis(basis, self.d)
         n, (k, d) = int(n), basis.shape
         chain = self._chain(x0, T, n, seed, cfg)
         if chain is None:

@@ -469,7 +469,12 @@ def projection_quantile(pi: SphericalMeasure, k: int, eps: float, *, n: int = 0)
 
 @dataclass(frozen=True)
 class ModeSpec:
-    """One mixture mode: mass ``weight`` spread over a ball of the given radius."""
+    """One mixture mode: mass ``weight`` spread over a ball of the given radius.
+
+    ``center`` lists the center's leading coordinates, 1 to d of them, in the
+    lab's canonical frame; the coordinates past them are 0.  A mode at
+    distance D along the first axis is ``[D]``; a d-vector is also a center.
+    """
 
     center: np.ndarray
     radius: float
@@ -479,6 +484,8 @@ class ModeSpec:
         c = np.asarray(self.center, dtype=float).reshape(-1).copy()
         c.setflags(write=False)
         object.__setattr__(self, "center", c)
+        if c.size < 1:
+            raise StructuralError("mode center needs at least one coordinate")
         if not self.radius >= 0:
             raise StructuralError("mode radius must be nonnegative")
         if not 0 < self.weight <= 1:
@@ -529,9 +536,10 @@ class MultiModalData:
         if self.mode_kind not in MODE_KINDS:
             raise StructuralError(f"mode_kind must be one of {MODE_KINDS}")
         for m in self.modes:
-            if m.center.shape != (self.d,):
+            if m.center.size > self.d:
                 raise StructuralError(
-                    f"mode center has dimension {m.center.shape[0]}, expected {self.d}"
+                    f"mode center lists {m.center.size} coordinates, more than the "
+                    f"dimension d = {self.d}"
                 )
         total = sum(m.weight for m in self.modes)
         if total > 1.0 + 1e-12:
@@ -552,12 +560,6 @@ class MultiModalData:
     def designated_mode(self) -> ModeSpec:
         """The furthest mode; the first of equal distances."""
         return max(self.modes, key=lambda m: m.distance)
-
-    @property
-    def mode_direction(self) -> np.ndarray:
-        """Unit vector pointing at the designated mode."""
-        c = self.designated_mode.center
-        return c / np.linalg.norm(c)
 
     @property
     def far_mass(self) -> float:
@@ -587,27 +589,10 @@ class MultiModalData:
         """A truncated-Gaussian mode's radius in units of its scale sigma."""
         return math.sqrt(self.d) + 3.0
 
-    def _mixture_coefficients(self, n: int, centers, seed: Seed) -> np.ndarray:
-        """(n, k) mixture draws with mode i placed at ``centers[i]``, a k-vector.
-
-        The offsets about each center and the bulk are rotation invariant, so
-        this is x in d coordinates when k = d and the centers are the mode
-        centers, and x @ basis.T when they are basis @ center.
-        """
-        k = len(centers[0])
-        rng = substream(seed)
-        comp = self._components(rng, n)
-        out = np.empty((n, k))
-        for i, (mode, center) in enumerate(zip(self.modes, centers)):
-            idx = np.flatnonzero(comp == i)
-            out[idx] = center + self._mode_offset_coefficients(rng, mode, len(idx), k)
-        idx = np.flatnonzero(comp == len(self.modes))
-        out[idx] = self.bulk_scale * rng.standard_normal((len(idx), k))
-        return out
-
     def sample(self, n: int, seed: Seed) -> np.ndarray:
-        """Draw n points from the mixture; bitwise deterministic in (n, seed)."""
-        return self._mixture_coefficients(int(n), [m.center for m in self.modes], seed)
+        """Draw n points from the mixture; bitwise deterministic in (n, seed).
+        These are the bytes of :meth:`sample_coefficients` at k = d."""
+        return self.sample_coefficients(n, self.d, seed)
 
     def _mode_offset_coefficients(self, rng: np.random.Generator, mode: ModeSpec,
                                   n: int, k: int) -> np.ndarray:
@@ -637,23 +622,34 @@ class MultiModalData:
             w[bad] = _chi2_rest(rng, bad.size, self.d, k)
         raise RuntimeError("truncated-gaussian rejection sampling failed to converge")
 
-    def sample_coefficients(self, n: int, basis, seed: Seed) -> np.ndarray:
-        """Draw the (n, k) coefficients x @ basis.T of n mixture points, in O(n k).
+    def sample_coefficients(self, n: int, k: int, seed: Seed) -> np.ndarray:
+        """Draw the first k coordinates of n mixture points, an (n, k) array,
+        in O(n k).
 
-        ``basis`` is a (k, d) array of orthonormal rows.  Exact in law: each
-        mode contributes basis @ center plus rotation-invariant offset
-        coefficients, and the bulk contributes bulk_scale * N(0, I_k).  No
-        d-dimensional point is built, so the cost does not grow with d.
-        Bitwise deterministic in (n, basis, seed); with basis = I it returns
-        the bytes of :meth:`sample`.
+        Exact in law: each mode contributes its center's first k coordinates
+        plus rotation-invariant offset coefficients, and the bulk contributes
+        bulk_scale * N(0, I_k).  No d-dimensional point is built, so the cost
+        does not grow with d.  Bitwise deterministic in (n, k, seed).
         """
-        b = _checked_basis(basis, self.d)
-        return self._mixture_coefficients(int(n), [b @ m.center for m in self.modes], seed)
+        n, k = int(n), _checked_k(k, self.d)
+        rng = substream(seed)
+        comp = self._components(rng, n)
+        out = np.empty((n, k))
+        for i, mode in enumerate(self.modes):
+            idx = np.flatnonzero(comp == i)
+            lead = mode.center[:k]
+            out[idx] = np.pad(lead, (0, k - lead.size)) + self._mode_offset_coefficients(
+                rng, mode, len(idx), k)
+        idx = np.flatnonzero(comp == len(self.modes))
+        out[idx] = self.bulk_scale * rng.standard_normal((len(idx), k))
+        return out
 
-    def norm_laws(self, basis) -> list[tuple[float, _ComponentNormLaw]]:
-        """The law of |x @ basis.T| as one (weight, law) pair per mixture
-        component, the bulk last; ``law.beyond(q, f)`` gives P(|G| > q) and
-        E[f(|G|); |G| > q] by fixed quadrature.  The offset lengths S have
+    def norm_laws(self, k: int) -> list[tuple[float, _ComponentNormLaw]]:
+        """The law of the norm |G| of the first k coordinates as one
+        (weight, law) pair per mixture component, the bulk last;
+        ``law.beyond(q, f)`` gives P(|G| > q) and E[f(|G|); |G| > q] by fixed
+        quadrature.  A mode's center enters through the norm of its first k
+        coordinates; at k = d that is its distance.  The offset lengths S have
         closed-form laws on the k rows:
 
         - bulk: |G|^2 / bulk_scale^2 is chi2_k;
@@ -661,14 +657,8 @@ class MultiModalData:
         - truncated-Gaussian mode: T = S^2 / sigma^2 has the chi2_k density
           times P(chi2_{d-k} <= L - T) / P(chi2_d <= L) on T <= L = (rho/sigma)^2.
         """
-        b = _checked_basis(basis, self.d)
-        distances = [float(np.linalg.norm(b @ m.center)) for m in self.modes]
-        return list(zip(self._component_weights().tolist(), self._laws(len(b), distances)))
-
-    def _laws(self, k: int, distances) -> list[_ComponentNormLaw]:
-        """The :meth:`norm_laws` laws on k rows, each mode's center at its
-        given distance; at k = d those are the modes' own, with no basis."""
-        d, half = self.d, k / 2.0
+        d, k = self.d, _checked_k(k, self.d)
+        half = k / 2.0
         chi2 = (lambda t: gammaincc(half, t / 2.0), lambda w: 2.0 * gammainccinv(half, w))
         if self.mode_kind == "uniform-ball":
             rest = (d - k) / 2.0 + 1.0
@@ -683,17 +673,13 @@ class MultiModalData:
             else:
                 weight = lambda t: gammainc((d - k) / 2.0, np.maximum(t_max - t, 0.0) / 2.0) / norm
             base = chi2
-        laws = [_ComponentNormLaw(a, k, _OffsetLength(mode.radius / per_radius, *base, t_max,
-                                                      weight) if mode.radius > 0 else None)
-                for mode, a in zip(self.modes, distances)]
+        laws = [_ComponentNormLaw(float(np.linalg.norm(mode.center[:k])), k,
+                                  _OffsetLength(mode.radius / per_radius, *base, t_max, weight)
+                                  if mode.radius > 0 else None)
+                for mode in self.modes]
         bulk = _OffsetLength(self.bulk_scale, *chi2) if self.bulk_scale > 0 else None
         laws.append(_ComponentNormLaw(0.0, k, bulk))
-        return laws
-
-    def _radial_laws(self) -> list[tuple[float, _ComponentNormLaw]]:
-        """(weight, law of |x|) per component: :meth:`norm_laws` at k = d."""
-        return list(zip(self._component_weights().tolist(),
-                        self._laws(self.d, [m.distance for m in self.modes])))
+        return list(zip(self._component_weights().tolist(), laws))
 
     def mass_within_origin_ball(self, radius: float, n: int = 100_000) -> float:
         """Mixture mass of the closed ball B(0, radius), deterministic: the
@@ -701,12 +687,12 @@ class MultiModalData:
         laws of |x|.  Nothing is drawn; ``n`` is accepted and ignored,
         because ``perfbench/tracer.py`` reads it.
         """
-        return min(1.0, sum(w * law.within(radius) for w, law in self._radial_laws()))
+        return min(1.0, sum(w * law.within(radius) for w, law in self.norm_laws(self.d)))
 
     def _mass_outside_origin_ball(self, radius: float) -> float:
         """Mixture mass outside B(0, radius), summed from the outside's own
         side, so a mass far below 1e-16 keeps its digits."""
-        return sum(w * law.beyond(radius)[0] for w, law in self._radial_laws())
+        return sum(w * law.beyond(radius)[0] for w, law in self.norm_laws(self.d))
 
 
 # verdict of each relation a check can hold its value to; "==" means equal to

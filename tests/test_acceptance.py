@@ -174,14 +174,13 @@ def test_criterion_04_bound_ordering(acceptance_record):
     mu = 1.0
     ou = OUProcess(mu, spec.d)
     pi = ou.invariant_measure()
-    proj = SubspaceProjector.containing_direction(spec.mode_direction, 3)
     rate = LinearRate(mu)
     r_k = 3.217
     hz = mixing_horizons(mu, spec.R, spec.delta, spec.eps, spec.d, r_k=r_k)
     grid = np.linspace(0.5, 1.2 * hz.t_mix, 10)
     gaps = []
     times = [float(t) for t in grid]
-    lowers = tv_lower_bound(pi, spec, proj, rate, r_k, times)
+    lowers = tv_lower_bound(pi, spec, 3, rate, r_k, times)
     for t, lower, upper in zip(grid, lowers, ou_tv_upper_bound(mu, spec, times)):
         gaps.append(upper - lower.total)
         assert lower.total <= upper, (t, lower.total, upper)

@@ -402,7 +402,7 @@ def tanh_sinh(step):
 
 
 def bound_case(d, k, mode_kind, noise):
-    """(pi, rho0, projector, level r, times) for one exact-vs-oracle case.
+    """(pi, rho0, k, level r, times) for one exact-vs-oracle case.
 
     The times run from 0 past t_lower and include the two at which the
     threshold radius q0 meets the mode centre a and a + rho/2, so the
@@ -414,13 +414,12 @@ def bound_case(d, k, mode_kind, noise):
     else:
         pi = SphericalMeasure(d, RadialProfile.power_tail(0.6, 1.0))
     r = projection_quantile(pi, k, 0.05).r
-    proj = SubspaceProjector.containing_direction(spec.mode_direction, k)
     mode = spec.designated_mode
     t_low = math.log(R / (2 * r))
     meets = [math.log(math.hypot(1.0, q) / r) for q in (mode.distance,
                                                        mode.distance + mode.radius / 2)]
     times = sorted(t for t in [0.0, 0.5 * t_low, t_low, *meets, 1.25 * t_low] if t >= 0)
-    return pi, spec, proj, r, times
+    return pi, spec, k, r, times
 
 
 BOUND_CASES = [(d, k, kind, noise)
@@ -449,12 +448,12 @@ class TestTVLowerBound:
         self.spec = single_mode_spec()
         self.mu = 1.0
         self.pi = OUProcess(self.mu, self.spec.d).invariant_measure()
-        self.proj = SubspaceProjector.containing_direction(self.spec.mode_direction, 3)
+        self.k = 3
         self.rate = LinearRate(self.mu)
         self.r_k = 3.217
 
     def test_identity_exact(self):
-        rep, = tv_lower_bound(self.pi, self.spec, self.proj, self.rate, self.r_k, [1.5])
+        rep, = tv_lower_bound(self.pi, self.spec, self.k, self.rate, self.r_k, [1.5])
         assert rep.total == rep.pi_term - rep.rho_tail - rep.integral
         assert 0.0 <= rep.pi_term <= 1.0
         assert 0.0 <= rep.rho_tail <= 1.0
@@ -463,51 +462,51 @@ class TestTVLowerBound:
     def test_large_horizon_degenerates(self):
         # at t = 700 the radius q0 ~ 1e304 squares past the float range
         for t in (4.5, 50.0, 700.0, 800.0):
-            rep, = tv_lower_bound(self.pi, self.spec, self.proj, self.rate, self.r_k, [t])
+            rep, = tv_lower_bound(self.pi, self.spec, self.k, self.rate, self.r_k, [t])
             assert rep.rho_tail == 1.0
             assert rep.total <= 0.0
 
     def test_reports_follow_the_times_and_read_the_rate(self):
         times = [2.0, 0.0, 1.0, 0.5]
-        reps = tv_lower_bound(self.pi, self.spec, self.proj, self.rate, self.r_k, times)
+        reps = tv_lower_bound(self.pi, self.spec, self.k, self.rate, self.r_k, times)
         assert [rep.t for rep in reps] == times
         for rep in reps:
             assert rep.threshold == self.rate.threshold_level(self.r_k, rep.t)
-            alone, = tv_lower_bound(self.pi, self.spec, self.proj, self.rate, self.r_k, [rep.t])
+            alone, = tv_lower_bound(self.pi, self.spec, self.k, self.rate, self.r_k, [rep.t])
             assert alone == rep
 
     def test_no_times_no_reports(self):
-        assert tv_lower_bound(self.pi, self.spec, self.proj, self.rate, self.r_k, []) == []
+        assert tv_lower_bound(self.pi, self.spec, self.k, self.rate, self.r_k, []) == []
 
     def test_far_mode_configuration(self):
         t_low = math.log(self.spec.R / (2 * self.r_k)) / self.mu
-        rep, = tv_lower_bound(self.pi, self.spec, self.proj, self.rate, self.r_k, [t_low])
+        rep, = tv_lower_bound(self.pi, self.spec, self.k, self.rate, self.r_k, [t_low])
         assert rep.total >= (0.5 - 0.05) / 2.0
 
     def test_exact_pi_term(self):
         # the pi term is 1 - projection_tail at sqrt(r^2 - 1), for Gaussian and
         # non-Gaussian noise alike
         tl_pi = SphericalMeasure(self.spec.d, RadialProfile.power_tail(1.0, 1.0))
-        rep, = tv_lower_bound(tl_pi, self.spec, self.proj, self.rate, 10.0, [0.5])
+        rep, = tv_lower_bound(tl_pi, self.spec, self.k, self.rate, 10.0, [0.5])
         assert rep.pi_term == 1.0 - projection_tail(tl_pi, 3, math.sqrt(99.0))
         assert rep.total == rep.pi_term - rep.rho_tail - rep.integral
-        rep, = tv_lower_bound(self.pi, self.spec, self.proj, self.rate, self.r_k, [0.5])
+        rep, = tv_lower_bound(self.pi, self.spec, self.k, self.rate, self.r_k, [0.5])
         oracle = gaussian_projection_mass(3, self.r_k, 2.0 * self.pi.profile.a)
         assert rep.pi_term == pytest.approx(oracle, abs=1e-14)
 
     def test_level_below_one(self):
         with pytest.raises(DomainError):
-            tv_lower_bound(self.pi, self.spec, self.proj, self.rate, 0.5, [1.0])
+            tv_lower_bound(self.pi, self.spec, self.k, self.rate, 0.5, [1.0])
 
     def test_report_reads_its_own_time_alone(self):
         # a report does not depend on which other times are asked for, and the
         # pi term is common to all
         times = [0.5, 1.5, 2.5]
         tl_pi = SphericalMeasure(self.spec.d, RadialProfile.power_tail(1.0, 1.0))
-        reps = tv_lower_bound(tl_pi, self.spec, self.proj, self.rate, 10.0, times)
+        reps = tv_lower_bound(tl_pi, self.spec, self.k, self.rate, 10.0, times)
         assert [rep.t for rep in reps] == times
         assert len({rep.pi_term for rep in reps}) == 1
-        alone, = tv_lower_bound(tl_pi, self.spec, self.proj, self.rate, 10.0, [1.5])
+        alone, = tv_lower_bound(tl_pi, self.spec, self.k, self.rate, 10.0, [1.5])
         assert alone == reps[1]
 
     @pytest.mark.parametrize("noise", ["ou", "tempered"])
@@ -519,10 +518,11 @@ class TestTVLowerBound:
             spec = single_mode_spec(d=d, R=400.0, mode_kind="truncated-gaussian")
             pi = SphericalMeasure(d, RadialProfile.power_tail(0.6, 1.0))
             r = projection_quantile(pi, 3, 0.05).r
-        proj = SubspaceProjector.containing_direction(spec.mode_direction, 3)
+        # the oracle reads H in d coordinates through the first 3 axes
+        proj = SubspaceProjector(np.eye(3, d))
         t_low = math.log(spec.R / (2 * r)) / self.mu
         times = [0.0, 0.5 * t_low, t_low]
-        reps = tv_lower_bound(pi, spec, proj, self.rate, r, times)
+        reps = tv_lower_bound(pi, spec, 3, self.rate, r, times)
         for i, (t, rep) in enumerate(zip(times, reps)):
             total, pi_se, loss_sd = oracle_lower_bound(pi, spec, proj, self.rate, r, t, n, 8 + i)
             # the Gaussian pi terms, quadrature and closed form, agree to 1e-14
@@ -532,12 +532,12 @@ class TestTVLowerBound:
 
     @pytest.mark.parametrize("case", BOUND_CASES, ids=CASE_IDS)
     def test_start_terms_agree_with_monte_carlo(self, case):
-        # the oracle draws n coefficients of rho0 on the projector's rows and
+        # the oracle draws n coefficients of rho0 on the first k coordinates and
         # reads every term from them, as the start-law terms once were computed
-        pi, rho0, proj, r, times = bound_case(*case)
+        pi, rho0, k, r, times = bound_case(*case)
         n = 1_000_000
-        h = _h_and_hg(np.hypot.reduce(rho0.sample_coefficients(n, proj.basis, 17), axis=1))[0]
-        for rep in tv_lower_bound(pi, rho0, proj, self.rate, r, times):
+        h = _h_and_hg(np.hypot.reduce(rho0.sample_coefficients(n, k, 17), axis=1))[0]
+        for rep in tv_lower_bound(pi, rho0, k, self.rate, r, times):
             tail = h >= rep.threshold
             integ = np.where(tail, 0.0, r * self.rate.grow(h, rep.t))
             for sample, exact in ((tail, rep.rho_tail), (integ, rep.integral),
@@ -549,12 +549,12 @@ class TestTVLowerBound:
     @pytest.mark.parametrize("case", BOUND_CASES, ids=CASE_IDS)
     def test_terms_agree_with_a_refined_rule(self, case, monkeypatch):
         # double the nodes and halve the step of every rule the terms read
-        pi, rho0, proj, r, times = bound_case(*case)
-        reps = tv_lower_bound(pi, rho0, proj, self.rate, r, times)
+        pi, rho0, k, r, times = bound_case(*case)
+        reps = tv_lower_bound(pi, rho0, k, self.rate, r, times)
         nodes, weights = tanh_sinh(1.0 / 32.0)
         monkeypatch.setattr(measures, "_TS_NODES", nodes)
         monkeypatch.setattr(measures, "_TS_WEIGHTS", weights)
-        for rep, fine in zip(reps, tv_lower_bound(pi, rho0, proj, self.rate, r, times)):
+        for rep, fine in zip(reps, tv_lower_bound(pi, rho0, k, self.rate, r, times)):
             for term in ("pi_term", "rho_tail", "integral", "total"):
                 assert abs(getattr(rep, term) - getattr(fine, term)) <= 1e-9, (term, rep, fine)
 
@@ -607,7 +607,7 @@ class TestTVLowerBound:
         spec = MultiModalData(d, 50.0, 0.02, 0.05, (ModeSpec(center, 0.0, 0.5),),
                               bulk_scale=0.0)
         t = math.log(math.hypot(1.0, 40.0) / self.r_k)  # q0 = 40 < 51
-        rep, = tv_lower_bound(self.pi, spec, self.proj, self.rate, self.r_k, [t])
+        rep, = tv_lower_bound(self.pi, spec, self.k, self.rate, self.r_k, [t])
         assert rep.rho_tail == 0.5
         assert rep.integral == pytest.approx(0.5 * math.hypot(1.0, 40.0) / math.hypot(1.0, 51.0),
                                              rel=1e-12)
@@ -615,10 +615,10 @@ class TestTVLowerBound:
     def test_dimension_mismatch(self):
         with pytest.raises(StructuralError):
             tv_lower_bound(SphericalMeasure(4, RadialProfile.quadratic(0.5)), self.spec,
-                           self.proj, self.rate, 2.0, [1.0])
+                           self.k, self.rate, 2.0, [1.0])
         with pytest.raises(StructuralError):
             tv_lower_bound(self.pi, SphericalMeasure(4, RadialProfile.quadratic(0.5)),
-                           self.proj, self.rate, 2.0, [1.0])
+                           self.k, self.rate, 2.0, [1.0])
 
 
 class TestGrowthEnvelope:
@@ -861,12 +861,11 @@ class TestLevelAndScaleSweep:
     def test_tv_lower_bound_level(self, r):
         spec = single_mode_spec()
         pi = OUProcess(1.0, spec.d).invariant_measure()
-        proj = SubspaceProjector.containing_direction(spec.mode_direction, 3)
         if r < 1:
             with pytest.raises(DomainError, match="at least 1"):
-                tv_lower_bound(pi, spec, proj, LinearRate(1.0), r, [0.0])
+                tv_lower_bound(pi, spec, 3, LinearRate(1.0), r, [0.0])
             return
-        for rep in tv_lower_bound(pi, spec, proj, LinearRate(1.0), r, [0.0, 1.0, 1e3]):
+        for rep in tv_lower_bound(pi, spec, 3, LinearRate(1.0), r, [0.0, 1.0, 1e3]):
             assert 0.0 <= rep.pi_term <= 1.0 and 0.0 <= rep.rho_tail <= 1.0
             assert 0.0 <= rep.integral < math.inf
             assert rep.total == rep.pi_term - rep.rho_tail - rep.integral

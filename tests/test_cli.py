@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 from xml.etree import ElementTree
@@ -780,3 +781,41 @@ rk_n = 20000
         a = (tmp_path / "a" / "lowerbound.csv").read_bytes()
         b = (tmp_path / "b" / "lowerbound.csv").read_bytes()
         assert a == b
+
+
+# each deterministic subcommand's config, the dimension key left out; the
+# tempered process is the benchmark's, whose 2 r_k at d = 1e7 needs R = 1e5
+DIMENSION_FREE_RUNS = {
+    "lowerbound-ou": ("lowerbound", "d", "R = 50\ndelta = 0.02\neps = 0.05\n"),
+    "lowerbound-tempered": ("lowerbound", "d", "process = tempered\nprofile_a = 0.6\n"
+                            "profile_p = 1\nell = 0.4\nmode_kind = truncated-gaussian\n"
+                            "R = 1e5\ndelta = 0.02\neps = 0.05\n"),
+    "validate": ("validate", "d", "R = 50\ndelta = 0.02\neps = 0.05\n"),
+    "cutoff": ("cutoff", "d", "R = 50\ndelta = 0.02\neps = 0.05\nn = 1000\n"),
+    "quantile-table": ("quantile-table", "d_list", ""),
+}
+
+
+def traced_main(tmp_path, sub, text):
+    """(exit code, tracemalloc peak in bytes) of one in-process ``main`` call."""
+    cfg = write_cfg(tmp_path / f"{sub}.cfg", text)
+    tracemalloc.start()
+    try:
+        code = main([sub, "--config", cfg, "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return code, peak
+
+
+@pytest.mark.parametrize("run, d", [*((run, 10_000_000) for run in DIMENSION_FREE_RUNS),
+                                    ("cutoff", 1_000_000_000)])
+def test_deterministic_subcommands_do_not_grow_with_d(tmp_path, capsys, run, d):
+    # the lab works in the frame where the designated mode sits on the first
+    # axis and every projection reads the first k coordinates, so no run holds
+    # a d-vector: one would take 80 MB at d = 1e7 and 8 GB at d = 1e9
+    sub, key, text = DIMENSION_FREE_RUNS[run]
+    small = traced_main(tmp_path, sub, f"{key} = 16\n{text}")
+    large = traced_main(tmp_path, sub, f"{key} = {d}\n{text}")
+    assert (small[0], large[0]) == (0, 0), capsys.readouterr()
+    assert large[1] <= small[1] + 2 ** 20, (small[1], large[1])

@@ -146,7 +146,7 @@ class TestCutoffRun:
         # every row reads the start draw on (seed, 1) and the noise draw on (seed, 2)
         cfg, seed = cutoff_cfg(2000), 31
         spec = build_data_spec(cfg)
-        y0 = spec.sample_coefficients(cfg["n"], spec.mode_direction[None, :], (seed, 1))[:, 0]
+        y0 = spec.sample_coefficients(cfg["n"], 1, (seed, 1))[:, 0]
         z = substream((seed, 2)).standard_normal(cfg["n"])
         ou = OUProcess(cfg["mu"], 1)
         res = run_cutoff(cfg, seed)
@@ -165,14 +165,14 @@ class TestCutoffRun:
         cfg, seed = cutoff_cfg(20_000), 31
         spec = build_data_spec(cfg)
         ou = OUProcess(cfg["mu"], 1)
-        n, basis = cfg["n"], spec.mode_direction[None, :]
-        y0 = spec.sample_coefficients(n, basis, (seed, 1))[:, 0]
+        n = cfg["n"]
+        y0 = spec.sample_coefficients(n, 1, (seed, 1))[:, 0]
         z = substream((seed, 2)).standard_normal(n)
         times = [row["t"] for row in run_cutoff(cfg, seed).rows]
         assert len(times) == 10
         for i, t in enumerate(times):
             decay, scale = ou.transition(t)
-            fresh = ou.evolve(spec.sample_coefficients(n, basis, (seed, 1, i)), t, (seed, 2, i))
+            fresh = ou.evolve(spec.sample_coefficients(n, 1, (seed, 1, i)), t, (seed, 2, i))
             assert ks_2samp(scale * z + decay * y0, fresh[:, 0]).pvalue > 1e-3, t
 
     def test_shared_start_draw_keeps_the_mean_tv(self):
@@ -188,8 +188,7 @@ class TestCutoffRun:
                 for col in shared:
                     if row["t"] == row[col]:
                         shared[col].append(row["tv"])
-                        y0 = spec.sample_coefficients(cfg["n"], spec.mode_direction[None, :],
-                                                      (seed, 1, i))
+                        y0 = spec.sample_coefficients(cfg["n"], 1, (seed, 1, i))
                         yt = ou.evolve(y0, row["t"], (seed, 2, i))
                         redrawn[col].append(projected_tv_vs_gaussian(yt, cfg["mu"]))
         for col in shared:

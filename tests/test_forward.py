@@ -436,6 +436,45 @@ class TestProjectionNorms:
             "824a0850f9d0b09492868581d797ea480a8709a780b52e293e69459555d3c2c4"
 
 
+class TestStartDimension:
+    """Every sampler reads d from its process and checks the start against it;
+    a start of another length raises, naming both dimensions."""
+
+    TL = TemperedLangevin(RadialProfile.power_tail(0.6, 1.0), 0.4, 16)
+    CFG = IntegratorConfig(0.05)
+
+    def test_ou_evolve(self):
+        ou = OUProcess(1.0, 16)
+        for T in (0.0, 0.1):
+            with pytest.raises(StructuralError, match="dimension 5, the process d = 16"):
+                ou.evolve(np.ones((2, 5)), T, 0)
+        assert ou.evolve(np.ones((2, 16)), 0.1, 0).shape == (2, 16)
+
+    def test_ou_sample_endpoints(self):
+        ou = OUProcess(1.0, 16)
+        with pytest.raises(StructuralError, match="dimension 5, the process d = 16"):
+            ou.sample_endpoints(np.ones(5), 0.1, 3, 0)
+        assert ou.sample_endpoints(np.ones(16), 0.1, 3, 0).shape == (3, 16)
+
+    def test_ou_sample_projection_norms(self):
+        ou = OUProcess(1.0, 16)
+        with pytest.raises(StructuralError, match="dimension 5, the process d = 16"):
+            ou.sample_projection_norms(np.ones(5), 0.1, 3, np.eye(5)[:3], 0)
+        with pytest.raises(StructuralError, match=r"basis must be a \(k, 16\) array"):
+            ou.sample_projection_norms(np.ones(16), 0.1, 3, np.eye(5)[:3], 0)
+
+    def test_tempered_sample_endpoints(self):
+        with pytest.raises(StructuralError, match="dimension 5, the process d = 16"):
+            self.TL.sample_endpoints(np.ones(5), 0.1, 3, 0, self.CFG)
+        assert self.TL.sample_endpoints(np.ones(16), 0.1, 3, 0, self.CFG).shape == (3, 16)
+
+    def test_tempered_sample_projection_norms(self):
+        with pytest.raises(StructuralError, match="dimension 5, the process d = 16"):
+            self.TL.sample_projection_norms(np.ones(5), 0.1, 3, np.eye(5)[:3], 0, self.CFG)
+        with pytest.raises(StructuralError, match=r"basis must be a \(k, 16\) array"):
+            self.TL.sample_projection_norms(np.ones(16), 0.1, 3, np.eye(5)[:3], 0, self.CFG)
+
+
 class TestLinearGrowthCheck:
     def test_ou_equality(self):
         ou = OUProcess(1.3, 5)

@@ -11,6 +11,7 @@ from scipy.stats import chi, chi2, ks_2samp
 
 from mixlab import (
     DomainError,
+    LinearRate,
     ModeSpec,
     MultiModalData,
     RadialProfile,
@@ -21,10 +22,12 @@ from mixlab import (
     projection_norm_samples,
     projection_quantile,
     projection_tail,
+    tv_lower_bound,
     validate_data_spec,
 )
 from mixlab import measures
 from mixlab.rng import substream
+from tests.oracles import in_frame
 
 
 def single_mode_spec(d=16, R=50.0, delta=0.02, eps=0.05, b_rho=0.5, **kw):
@@ -240,8 +243,13 @@ class TestSphericalCoefficients:
 
 class TestDataMixture:
     def test_structural_errors(self):
+        # a center lists 1 to d leading coordinates
         with pytest.raises(StructuralError, match="dimension"):
-            MultiModalData(4, 50.0, 0.02, 0.05, modes=(ModeSpec(np.zeros(3), 1.0, 0.5),))
+            MultiModalData(4, 50.0, 0.02, 0.05, modes=(ModeSpec(np.zeros(5), 1.0, 0.5),))
+        with pytest.raises(StructuralError, match="coordinate"):
+            ModeSpec(np.zeros(0), 1.0, 0.5)
+        short = MultiModalData(4, 50.0, 0.02, 0.05, modes=(ModeSpec([3.0, 4.0], 1.0, 0.5),))
+        assert short.designated_mode.distance == 5.0
         with pytest.raises(StructuralError):
             ModeSpec(np.ones(3), 1.0, 0.0)  # nonpositive weight
         with pytest.raises(StructuralError):
@@ -335,7 +343,7 @@ class TestSampleCoefficientsOneRow:
         spec = two_mode_spec(rng, d, mode_kind, bulk_scale)
         if d == 1:
             return spec, np.array([-1.0])
-        u = rng.standard_normal(d) + spec.mode_direction
+        u = rng.standard_normal(d) + np.eye(d)[0]  # leans toward the far mode
         return spec, u / np.linalg.norm(u)
 
     @pytest.mark.parametrize("d", [1, 2, 16, 64])
@@ -344,7 +352,7 @@ class TestSampleCoefficientsOneRow:
     def test_matches_full_dimensional_sampler(self, d, mode_kind, bulk_scale):
         spec, u = self.spec_and_direction(d, mode_kind, bulk_scale)
         n = 20_000
-        fast = spec.sample_coefficients(n, u[None, :], 31)[:, 0]
+        fast = in_frame(spec, u).sample_coefficients(n, 1, 31)[:, 0]
         oracle = reference_sample(spec, n, 32) @ u
         assert ks_2samp(fast, oracle).pvalue > 1e-3
 
@@ -354,20 +362,19 @@ class TestSampleCoefficientsOneRow:
         center = np.array([3.0, 4.0, 0.0])
         spec = MultiModalData(3, 4.0, 0.25, 0.1, modes=(ModeSpec(center, 0.0, 0.6),),
                               bulk_scale=0.0)
-        u = np.array([[0.6, 0.0, 0.8]])
-        vals = spec.sample_coefficients(10_000, u, 5)[:, 0]
+        u = np.array([0.6, 0.0, 0.8])
+        vals = in_frame(spec, u).sample_coefficients(10_000, 1, 5)[:, 0]
         at_mode = np.isclose(vals, 1.8, rtol=0, atol=1e-12)
         assert np.all(at_mode | (vals == 0.0))
         assert abs(np.mean(at_mode) - 0.6) <= 4 * math.sqrt(0.24 / 10_000)
 
     def test_truncated_support_and_determinism(self):
         spec = single_mode_spec(d=8, mode_kind="truncated-gaussian", b_rho=1.0)
-        u = spec.mode_direction[None, :]
-        vals = spec.sample_coefficients(5000, u, 17)
+        vals = spec.sample_coefficients(5000, 1, 17)
         mode = spec.designated_mode
         assert np.all(np.abs(vals - mode.distance) <= mode.radius + 1e-9)
-        assert np.array_equal(vals, spec.sample_coefficients(5000, u, 17))
-        assert spec.sample_coefficients(0, u, 17).shape == (0, 1)
+        assert np.array_equal(vals, spec.sample_coefficients(5000, 1, 17))
+        assert spec.sample_coefficients(0, 1, 17).shape == (0, 1)
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_truncated_acceptance_event(self, k):
@@ -398,15 +405,16 @@ class TestSampleCoefficientsOneRow:
         assert np.allclose(got, sigma * expect, rtol=1e-15)
 
     def test_basis_validation(self):
+        # the rows are the first k coordinates, so only their count is checked:
+        # none, fewer than none and more than d are errors
         spec = single_mode_spec(d=4)
-        with pytest.raises(StructuralError, match="unit"):
-            spec.sample_coefficients(10, np.ones((1, 4)), 0)
-        with pytest.raises(StructuralError, match="shape"):
-            spec.sample_coefficients(10, np.array([[1.0, 0.0, 0.0]]), 0)
-        with pytest.raises(StructuralError, match="shape"):
-            spec.sample_coefficients(10, np.array([1.0, 0.0, 0.0, 0.0]), 0)
-        with pytest.raises(StructuralError, match="rows"):
-            spec.sample_coefficients(10, np.zeros((0, 4)), 0)
+        for k in (0, -1, 5):
+            with pytest.raises(StructuralError, match="rows"):
+                spec.sample_coefficients(10, k, 0)
+            with pytest.raises(StructuralError, match="rows"):
+                spec.norm_laws(k)
+        assert np.array_equal(spec.sample_coefficients(10, np.int64(2), 0),
+                              spec.sample_coefficients(10, 2, 0))
 
 
 class TestSampleCoefficients:
@@ -418,7 +426,7 @@ class TestSampleCoefficients:
         spec = two_mode_spec(rng, d, mode_kind, bulk_scale)
         # a generic orthonormal basis whose first row leans toward the far mode
         a = rng.standard_normal((d, k))
-        a[:, 0] += 3.0 * spec.mode_direction
+        a[:, 0] += 3.0 * np.eye(d)[0]
         q, _ = np.linalg.qr(a)
         return spec, q.T
 
@@ -430,7 +438,7 @@ class TestSampleCoefficients:
         k = 3
         spec, basis = self.spec_and_basis(d, mode_kind, bulk_scale, k)
         n = 20_000
-        fast = spec.sample_coefficients(n, basis, 41)
+        fast = in_frame(spec, basis).sample_coefficients(n, k, 41)
         oracle = reference_sample(spec, n, 42) @ basis.T
         assert fast.shape == (n, k)
         for f, o in ((np.linalg.norm(fast, axis=1), np.linalg.norm(oracle, axis=1)),
@@ -443,7 +451,7 @@ class TestSampleCoefficients:
         d = 3
         spec = single_mode_spec(d=d, bulk_scale=0.0, b_rho=1.0)
         rot, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((d, d)))
-        c = spec.sample_coefficients(20_000, rot.T, 9)
+        c = in_frame(spec, rot.T).sample_coefficients(20_000, d, 9)
         offset = np.linalg.norm(c - rot.T @ spec.designated_mode.center, axis=1)
         mode = spec.designated_mode
         assert np.all(offset <= mode.radius * (1 + 1e-12))
@@ -474,7 +482,7 @@ class TestMixtureSample:
     @pytest.mark.parametrize("mode_kind", ["uniform-ball", "truncated-gaussian"])
     def test_is_the_identity_basis_case(self, mode_kind):
         spec = two_mode_spec(np.random.default_rng(5), 5, mode_kind, None)
-        assert np.array_equal(spec.sample(3000, 8), spec.sample_coefficients(3000, np.eye(5), 8))
+        assert np.array_equal(spec.sample(3000, 8), spec.sample_coefficients(3000, 5, 8))
         assert spec.sample(0, 8).shape == (0, 5)
 
 
@@ -535,8 +543,8 @@ class TestComponentDraw:
 
     @pytest.mark.parametrize("key", sorted(SAMPLE_BYTES))
     def test_sample_bytes_are_pinned(self, key):
-        spec, u = sampled_bytes_spec(*key), np.eye(key[0])[:1]
-        assert (sha256(spec.sample(3000, 29)), sha256(spec.sample_coefficients(3000, u, 29))) \
+        spec = sampled_bytes_spec(*key)
+        assert (sha256(spec.sample(3000, 29)), sha256(spec.sample_coefficients(3000, 1, 29))) \
             == SAMPLE_BYTES[key]
 
     def test_spherical_sample_bytes_are_pinned(self):
@@ -636,9 +644,10 @@ class TestMassWithinOriginBall:
         # against 2e5 exact draws of the coefficients
         spec = two_mode_spec(np.random.default_rng(4), 6, mode_kind, 2.0)
         basis = np.linalg.qr(np.random.default_rng(5).standard_normal((6, k)))[0].T
-        norms = np.linalg.norm(spec.sample_coefficients(200_000, basis, 64), axis=1)
+        spec = in_frame(spec, basis)
+        norms = np.linalg.norm(spec.sample_coefficients(200_000, k, 64), axis=1)
         h = lambda g: 1.0 / np.sqrt(1.0 + g * g)
-        laws = spec.norm_laws(basis)
+        laws = spec.norm_laws(k)
         for q in (1.0, 4.0, 8.0):
             beyond = [(w * law.beyond(q)[0], w * law.beyond(q, h)[1]) for w, law in laws]
             for exact, sample in zip(np.sum(beyond, axis=0), (norms > q, (norms > q) * h(norms))):
@@ -737,7 +746,8 @@ class TestBallMassFromEachSide:
         # a mode of radius 1 at distance 5 and the point-mass bulk against
         # balls that hold them whole, the tangent one included
         spec = straddling_spec(d, mode_kind, weight=0.7)
-        mode, bulk = spec._laws(d, [5.0])
+        (_, mode), (_, bulk) = spec.norm_laws(d)
+        assert mode.a == 5.0
         for ball in (6.0, 6.5, 1e6):
             assert mode.within(ball) == 1.0 and mode.beyond(ball)[0] == 0.0
             assert bulk.within(ball) == 1.0 and bulk.beyond(ball)[0] == 0.0
@@ -1029,10 +1039,13 @@ def test_row_count_errors_come_from_checked_k(k):
     # one rule, one message: each function that takes a row count k at d = 4
     # raises what measures._checked_k raises for its least k
     pi = SphericalMeasure(4, RadialProfile.quadratic(0.5))
+    spec = single_mode_spec(d=4)
     calls = {
-        1: [lambda: projection_tail(pi, k, 1.0), lambda: projection_norm_samples(pi, k, 10, 0)],
+        1: [lambda: projection_tail(pi, k, 1.0), lambda: projection_norm_samples(pi, k, 10, 0),
+            lambda: spec.sample_coefficients(10, k, 0), lambda: spec.norm_laws(k)],
         3: [lambda: projection_quantile(pi, k, 0.1),
-            lambda: SubspaceProjector.containing_direction(np.ones(4), k)],
+            lambda: SubspaceProjector.containing_direction(np.ones(4), k),
+            lambda: tv_lower_bound(pi, spec, k, LinearRate(1.0), 2.0, [0.0])],
     }
     for least, fns in calls.items():
         if least <= k <= 4:
